@@ -1,7 +1,7 @@
 //! Simulator throughput harness — produces `BENCH_sim.json` at the
 //! repository root (schema `tetriserve-bench-sim/v1`, documented in
 //! DESIGN.md): one million synthetic requests (full mode) driven through
-//! the heterogeneous three-cluster fleet on the parallel lockstep driver,
+//! the heterogeneous three-cluster fleet on the serial fleet driver,
 //! reporting simulated requests per host second, the fleet-wide peak live
 //! backlog, the feasibility-scratch counters and the per-seed routing and
 //! outcome digests.
@@ -16,13 +16,11 @@
 //! (a conservative fraction of the measured steady-state rate, so only a
 //! real regression — e.g. reintroducing the O(total-ever-admitted)
 //! feasibility scan — fires it) or the zero-allocation steady state
-//! (`feas_grow_events` must be exactly 0 after the pre-run warm-up). A
-//! smoke-scale serial-vs-parallel digest cross-check runs first: the
-//! measured parallel driver must be bit-identical to the serial one.
+//! (`feas_grow_events` must be exactly 0 after the pre-run warm-up).
 
 use std::path::PathBuf;
 
-use tetriserve_bench::sim::{run_sim_once, run_sim_perf, SimPerfConfig};
+use tetriserve_bench::sim::{run_sim_perf, SimPerfConfig};
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke")
@@ -34,30 +32,6 @@ fn main() {
     } else {
         (SimPerfConfig::full(), "full")
     };
-
-    // Determinism first: the parallel lockstep driver the measurement
-    // uses must reproduce the serial arbitration bit for bit.
-    let check = SimPerfConfig::smoke();
-    let serial = run_sim_once(&check, false);
-    let parallel = run_sim_once(&check, true);
-    if serial.routing_digest != parallel.routing_digest
-        || serial.outcome_digest != parallel.outcome_digest
-        || serial.peak_backlog != parallel.peak_backlog
-    {
-        eprintln!(
-            "FAIL: parallel lockstep diverged from the serial driver \
-             (routing {:#018x} vs {:#018x}, outcome {:#018x} vs {:#018x})",
-            parallel.routing_digest,
-            serial.routing_digest,
-            parallel.outcome_digest,
-            serial.outcome_digest
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "serial/parallel cross-check ok ({} requests, routing {:#018x}, outcome {:#018x})",
-        check.requests, serial.routing_digest, serial.outcome_digest
-    );
 
     let report = run_sim_perf(&config, mode);
 

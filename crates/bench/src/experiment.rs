@@ -212,7 +212,6 @@ impl Experiment {
                 .collect();
             handles
                 .into_iter()
-                // tetrilint: allow(taint-panic) -- join().expect only re-propagates a worker panic; it adds no failure mode of its own
                 .map(|h| h.join().expect("worker ok"))
                 .collect()
         })

@@ -37,7 +37,6 @@ pub fn print_sar_vs_scale(title: &str, base: &Experiment) -> Vec<(String, f64, f
             .collect();
         handles
             .into_iter()
-            // tetrilint: allow(taint-panic) -- join().expect only re-propagates a worker panic; it adds no failure mode of its own
             .map(|h| h.join().expect("worker ok"))
             .collect()
     });
@@ -54,7 +53,6 @@ pub fn print_sar_vs_scale(title: &str, base: &Experiment) -> Vec<(String, f64, f
                 .iter()
                 .find(|(l, _)| *l == label)
                 .map(|(_, s)| *s)
-                // tetrilint: allow(taint-panic) -- rows were built by running this exact policies list; a miss is a harness bug worth a loud failure
                 .expect("every policy ran");
             cells.push(format!("{v:.2}"));
             samples.push((label.clone(), *scale, v));

@@ -34,8 +34,8 @@
 use tetriserve_core::{Policy, RequestSpec, ServerConfig, TetriServeConfig, TetriServePolicy};
 use tetriserve_costmodel::{ClusterSpec, DitModel, InterClusterLink, Profiler};
 use tetriserve_fleet::{
-    run_fleet, run_fleet_rebalanced, DeadlineAwareRouter, EdfRebalancer, FleetCluster,
-    JoinShortestQueueRouter, PowerOfTwoRouter, RoundRobinRouter, Router,
+    DeadlineAwareRouter, EdfRebalancer, FleetCluster, FleetSim, JoinShortestQueueRouter,
+    PowerOfTwoRouter, RoundRobinRouter, Router,
 };
 use tetriserve_metrics::FleetReport;
 use tetriserve_simulator::failure::ClusterOutage;
@@ -44,7 +44,7 @@ use tetriserve_simulator::trace::RequestId;
 use tetriserve_workload::arrival::{BurstyProcess, PoissonProcess};
 use tetriserve_workload::gen::TraceGen;
 use tetriserve_workload::mix::ResolutionMix;
-use tetriserve_workload::multiplex;
+use tetriserve_workload::multiplex::merge_streams;
 use tetriserve_workload::prompt::PromptLibrary;
 use tetriserve_workload::slo::SloPolicy;
 
@@ -190,13 +190,12 @@ pub fn fleet_workload(config: &FleetPerfConfig) -> Vec<RequestSpec> {
         config.seed ^ 3,
     );
     let streams = vec![
-        stream(1).generate(config.per_tenant),
-        stream(2).generate(config.per_tenant),
-        bursty.generate(config.per_tenant),
+        stream(1).generate(config.per_tenant).into_iter(),
+        stream(2).generate(config.per_tenant).into_iter(),
+        bursty.generate(config.per_tenant).into_iter(),
     ];
     let steps = DitModel::flux_dev().steps;
-    multiplex(streams)
-        .iter()
+    merge_streams(streams)
         .map(|r| RequestSpec {
             tenant: r.tenant,
             id: RequestId(r.id),
@@ -243,12 +242,13 @@ pub fn scenario_skewed_outage() -> ClusterOutage {
 
 /// Runs one router over the shared scenario.
 pub fn run_router(config: &FleetPerfConfig, router: Box<dyn Router>) -> FleetReport {
-    run_fleet(
+    FleetSim::new(
         build_fleet(),
         router,
         fleet_workload(config),
         vec![scenario_outage()],
     )
+    .run()
 }
 
 /// Runs the deadline-aware router over the skewed-outage scenario twice —
@@ -257,20 +257,24 @@ pub fn run_router(config: &FleetPerfConfig, router: Box<dyn Router>) -> FleetRep
 pub fn run_rebalance_comparison(config: &FleetPerfConfig) -> RebalanceComparison {
     let arrivals = fleet_workload(config);
     let outages = vec![scenario_skewed_outage()];
-    let static_report = run_fleet(
+    let static_report = FleetSim::new(
         build_fleet(),
         Box::new(DeadlineAwareRouter::new()) as Box<dyn Router>,
         arrivals.clone(),
         outages.clone(),
-    );
-    let rebalanced_report = run_fleet_rebalanced(
+    )
+    .run();
+    let rebalanced_report = FleetSim::new(
         build_fleet(),
         Box::new(DeadlineAwareRouter::new()) as Box<dyn Router>,
         arrivals,
         outages,
+    )
+    .with_rebalancer(
         Box::new(EdfRebalancer::new()),
         InterClusterLink::datacenter(),
-    );
+    )
+    .run();
     RebalanceComparison {
         static_da: summarize(&static_report),
         rebalanced: summarize(&rebalanced_report),

@@ -5,10 +5,10 @@
 //! fleet co-simulation sustains end to end. It drives a synthetic
 //! SplitMix workload of ≥1M requests (full mode) through the
 //! heterogeneous three-cluster fleet under the deadline-aware router with
-//! [`AdmissionPolicy::ShedInfeasible`] on every cluster, using the
-//! parallel lockstep driver with pre-warmed feasibility scratch.
+//! [`AdmissionPolicy::ShedInfeasible`] on every cluster, using the serial
+//! fleet driver with pre-warmed feasibility scratch.
 //!
-//! Three regressions are gated:
+//! Two regressions are gated:
 //!
 //! 1. **Throughput floor** — `sim_requests_per_sec` must not fall below a
 //!    conservative per-mode floor (set at ~1/5 of the measured rate, so
@@ -19,10 +19,9 @@
 //!    [`FeasScratch`](tetriserve_core::feasibility::FeasScratch) is
 //!    pre-sized before the run, so `feas_grow_events` summed over the
 //!    fleet must be exactly 0.
-//! 3. **Determinism** — the routing and outcome digests are pinned per
-//!    seed, and the parallel lockstep run must reproduce the serial
-//!    driver bit for bit (cross-checked at smoke scale, where running the
-//!    workload twice is cheap).
+//!
+//! The routing and outcome digests depend only on the seed; the tests
+//! below run the harness twice and require them bit-identical.
 //!
 //! Wall-clock fields (`host_seconds`, `sim_requests_per_sec`) vary run to
 //! run; every other field is deterministic.
@@ -184,30 +183,26 @@ fn build_fleet() -> Vec<FleetCluster> {
     ]
 }
 
-/// Runs the workload through the fleet once. `parallel` selects the
-/// lockstep driver; both drivers must produce identical digests.
-pub fn run_sim_once(config: &SimPerfConfig, parallel: bool) -> FleetReport {
+/// Runs the workload through the fleet once.
+pub fn run_sim_once(config: &SimPerfConfig) -> FleetReport {
     let mut sim = FleetSim::new(
         build_fleet(),
         DeadlineAwareRouter::new(),
         synthetic_workload(config),
         vec![],
     );
-    if parallel {
-        sim = sim.with_parallel_lockstep();
-    }
     sim.warm_up_scratch(SCRATCH_WARM);
     sim.run()
 }
 
-/// Runs the measured harness: the parallel lockstep driver over the
-/// configured workload, timed wall-clock, folded into the report.
+/// Runs the measured harness: the fleet driver over the configured
+/// workload, timed wall-clock, folded into the report.
 pub fn run_sim_perf(config: &SimPerfConfig, mode: &str) -> SimPerfReport {
     // tetrilint: allow(wall-clock) -- this *is* the measurement: host
     // seconds per simulated request. Digests are folded from simulated
     // time only and never depend on it.
     let started = Instant::now();
-    let report = run_sim_once(config, true);
+    let report = run_sim_once(config);
     let host_seconds = started.elapsed().as_secs_f64();
 
     let completed = report
@@ -341,17 +336,6 @@ mod tests {
         for res in Resolution::PRODUCTION {
             assert!(a.iter().any(|s| s.resolution == res), "{res} missing");
         }
-    }
-
-    #[test]
-    fn parallel_run_matches_serial_run() {
-        let config = tiny();
-        let serial = run_sim_once(&config, false);
-        let parallel = run_sim_once(&config, true);
-        assert_eq!(serial.routing_digest, parallel.routing_digest);
-        assert_eq!(serial.outcome_digest, parallel.outcome_digest);
-        assert_eq!(serial.peak_backlog, parallel.peak_backlog);
-        assert_eq!(serial.total_shed(), parallel.total_shed());
     }
 
     #[test]

@@ -23,9 +23,7 @@
 
 use tetriserve_core::{Policy, ServerConfig, TetriServeConfig, TetriServePolicy};
 use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler};
-use tetriserve_fleet::{
-    run_fleet_streaming, DeadlineAwareRouter, FleetCluster, RoundRobinRouter, Router,
-};
+use tetriserve_fleet::{DeadlineAwareRouter, FleetCluster, FleetSim, RoundRobinRouter, Router};
 use tetriserve_metrics::{FleetReport, TenantSummary};
 use tetriserve_traffic::{
     ArrivalShape, CouplingSpec, PriorityTier, StreamingArrivals, TenantSpec, TrafficModel,
@@ -114,7 +112,7 @@ pub fn run_traffic_router(config: &TrafficPerfConfig, router: Box<dyn Router>) -
         traffic_model(config).online(config.total),
         DitModel::flux_dev().steps,
     );
-    run_fleet_streaming(build_fleet(), router, Box::new(source), vec![])
+    FleetSim::streaming(build_fleet(), router, Box::new(source), vec![]).run()
 }
 
 /// One tenant's slice in a router's run.

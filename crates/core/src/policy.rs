@@ -117,13 +117,7 @@ impl SchedContext<'_> {
 }
 
 /// A scheduling policy.
-///
-/// `Send` is a supertrait: the fleet driver's parallel lockstep steps
-/// clusters (each owning its policy) on scoped worker threads between
-/// global events, so every policy must be movable across threads. All
-/// shipped policies are plain data; a policy holding `Rc`/`RefCell`
-/// state would be unsound to step concurrently anyway.
-pub trait Policy: Send {
+pub trait Policy {
     /// Short name for reports (e.g. `"TetriServe"`, `"xDiT SP=4"`).
     fn name(&self) -> String;
 

@@ -40,23 +40,6 @@
 //! indices, and the routers and rebalancers are deterministic state
 //! machines — so the routing-decision digest, the fleet outcome digest
 //! and the migration digest are bit-identical across same-seed runs.
-//!
-//! # Parallel lockstep
-//!
-//! [`FleetSim::with_parallel_lockstep`] steps clusters *concurrently*
-//! between global events. The key observation: cluster-internal events
-//! (rank 0) never touch fleet state — no digests fold, no routing, no
-//! migration — and the global candidate times (outage, rebalance,
-//! arrival) cannot change while internal events are processed. On
-//! timestamp ties rank 0 always wins, so the serial driver drains *every*
-//! internal event with time `≤ min(outage_t, rebalance_t, arrival_t)`
-//! before any global event fires. The parallel driver drains exactly that
-//! set per cluster on scoped worker threads ([`std::thread::scope`]);
-//! within a cluster events replay in the same order as the serial driver
-//! (each cluster owns its queue), and across clusters the drained windows
-//! are independent, so every global event observes bit-identical cluster
-//! states — and hence bit-identical routing, outcome and migration
-//! digests. The `parallel_matches_serial_digests` test pins this.
 
 // tetrilint: allow-file(slice-index) -- every cluster index here is either produced by enumerating this fleet's own cluster vec or asserted in range at entry (FleetSim::new outage check, enact_migration bounds asserts, route's router-decision assert)
 
@@ -181,11 +164,8 @@ pub struct FleetSim<R: Router> {
     /// Periodic migration planning; `None` reproduces the static driver
     /// bit for bit.
     rebalance: Option<Rebalancing>,
-    /// When set, cluster-internal events are drained concurrently between
-    /// global events (see the module docs); digests stay bit-identical.
-    parallel: bool,
     /// High-water mark of Σ per-cluster live backlogs, sampled at every
-    /// routing instant (a global event, so serial and parallel agree).
+    /// routing instant.
     peak_backlog: usize,
     clock: GlobalClock,
     routed: Vec<usize>,
@@ -410,7 +390,6 @@ impl<R: Router> FleetSim<R> {
             source,
             reroutes: VecDeque::new(),
             rebalance: None,
-            parallel: false,
             peak_backlog: 0,
             clock: GlobalClock::new(),
             routed: vec![0; n],
@@ -446,14 +425,6 @@ impl<R: Router> FleetSim<R> {
         self
     }
 
-    /// Enables deterministic parallel lockstep: clusters drain their
-    /// internal events concurrently between global events. All digests
-    /// stay bit-identical to the serial driver (see the module docs).
-    pub fn with_parallel_lockstep(mut self) -> Self {
-        self.parallel = true;
-        self
-    }
-
     /// Pre-sizes every cluster's feasibility scratch for up to `max_live`
     /// concurrently live requests, so the steady-state event loop makes no
     /// heap allocations (the `perf_sim` bench gates on this).
@@ -467,9 +438,7 @@ impl<R: Router> FleetSim<R> {
     /// report.
     pub fn run(mut self) -> FleetReport {
         loop {
-            let internal: Vec<Option<SimTime>> =
-                self.clusters.iter().map(|c| c.next_event_time()).collect();
-            let next_internal = next_source(&internal);
+            let next_internal = next_source(self.clusters.iter().map(|c| c.next_event_time()));
             let internal_t = next_internal.map(|(_, t)| t);
             let outage_t = self.pending_outages.front().map(|o| o.down_from);
             // One arrival candidate covers both queues; re-routes win
@@ -519,19 +488,7 @@ impl<R: Router> FleetSim<R> {
             self.clock.advance_to(t);
             match tick {
                 Tick::Internal(i) => {
-                    if self.parallel {
-                        // Every internal event with time ≤ the earliest
-                        // global candidate would win the serial
-                        // arbitration anyway (rank 0 beats all on ties),
-                        // so drain them all — concurrently per cluster.
-                        let boundary = [outage_t, rebalance_t, arrival_t]
-                            .into_iter()
-                            .flatten()
-                            .min();
-                        Self::drain_internal(&mut self.clusters, boundary);
-                    } else {
-                        self.clusters[i].step();
-                    }
+                    self.clusters[i].step();
                 }
                 Tick::Outage => self.drain_outage(),
                 Tick::Rebalance => self.do_rebalance(),
@@ -557,40 +514,6 @@ impl<R: Router> FleetSim<R> {
             }
         }
         self.finish()
-    }
-
-    /// Drains every cluster-internal event with time ≤ `boundary` (all of
-    /// them when `boundary` is `None`), stepping busy clusters on scoped
-    /// worker threads when more than one has work in the window. Internal
-    /// events never touch fleet state, so the per-cluster replays are
-    /// independent and the merged result is bit-identical to the serial
-    /// one-event-at-a-time arbitration.
-    fn drain_internal(clusters: &mut [ClusterSim<Box<dyn Policy>>], boundary: Option<SimTime>) {
-        fn in_window(c: &ClusterSim<Box<dyn Policy>>, boundary: Option<SimTime>) -> bool {
-            c.next_event_time()
-                .is_some_and(|t| boundary.is_none_or(|b| t <= b))
-        }
-        let busy = clusters.iter().filter(|c| in_window(c, boundary)).count();
-        if busy <= 1 {
-            // Nothing to overlap: step inline and skip the thread spawns.
-            for c in clusters.iter_mut() {
-                while in_window(c, boundary) {
-                    c.step();
-                }
-            }
-            return;
-        }
-        std::thread::scope(|s| {
-            for c in clusters.iter_mut() {
-                if in_window(c, boundary) {
-                    s.spawn(move || {
-                        while in_window(c, boundary) {
-                            c.step();
-                        }
-                    });
-                }
-            }
-        });
     }
 
     /// Runs one planning tick: asks the rebalancer for this instant's
@@ -868,58 +791,6 @@ impl<R: Router> FleetSim<R> {
     }
 }
 
-/// Convenience wrapper: builds a [`FleetSim`] and runs it to completion.
-pub fn run_fleet<R: Router>(
-    clusters: Vec<FleetCluster>,
-    router: R,
-    arrivals: Vec<RequestSpec>,
-    outages: Vec<ClusterOutage>,
-) -> FleetReport {
-    FleetSim::new(clusters, router, arrivals, outages).run()
-}
-
-/// Convenience wrapper: like [`run_fleet`] but pulling arrivals from a
-/// live [`ArrivalSource`] — the open-loop traffic frontend's entry
-/// point. Requests are generated as the lockstep clock reaches them, so
-/// the workload never has to be materialised up front.
-pub fn run_fleet_streaming<R: Router>(
-    clusters: Vec<FleetCluster>,
-    router: R,
-    source: Box<dyn ArrivalSource>,
-    outages: Vec<ClusterOutage>,
-) -> FleetReport {
-    FleetSim::streaming(clusters, router, source, outages).run()
-}
-
-/// Convenience wrapper: like [`run_fleet`] but with parallel lockstep —
-/// clusters drain internal events concurrently between global events.
-/// Digest-identical to [`run_fleet`] on the same inputs.
-pub fn run_fleet_parallel<R: Router>(
-    clusters: Vec<FleetCluster>,
-    router: R,
-    arrivals: Vec<RequestSpec>,
-    outages: Vec<ClusterOutage>,
-) -> FleetReport {
-    FleetSim::new(clusters, router, arrivals, outages)
-        .with_parallel_lockstep()
-        .run()
-}
-
-/// Convenience wrapper: like [`run_fleet`] with a [`Rebalancer`] attached
-/// (which also enables fleet-coordinated admission).
-pub fn run_fleet_rebalanced<R: Router>(
-    clusters: Vec<FleetCluster>,
-    router: R,
-    arrivals: Vec<RequestSpec>,
-    outages: Vec<ClusterOutage>,
-    rebalancer: Box<dyn Rebalancer>,
-    link: InterClusterLink,
-) -> FleetReport {
-    FleetSim::new(clusters, router, arrivals, outages)
-        .with_rebalancer(rebalancer, link)
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -953,7 +824,7 @@ mod tests {
     #[test]
     fn round_robin_alternates_clusters() {
         let arrivals: Vec<RequestSpec> = (0..4).map(|i| spec(i, i as f64 * 0.5, 30.0)).collect();
-        let report = run_fleet(two_clusters(), RoundRobinRouter::new(), arrivals, vec![]);
+        let report = FleetSim::new(two_clusters(), RoundRobinRouter::new(), arrivals, vec![]).run();
         assert_eq!(report.clusters[0].routed, 2);
         assert_eq!(report.clusters[1].routed, 2);
         assert_eq!(report.total_requests(), 4);
@@ -964,12 +835,13 @@ mod tests {
     #[test]
     fn all_requests_complete_on_an_uncontended_fleet() {
         let arrivals: Vec<RequestSpec> = (0..6).map(|i| spec(i, i as f64, 60.0)).collect();
-        let report = run_fleet(
+        let report = FleetSim::new(
             two_clusters(),
             JoinShortestQueueRouter::new(),
             arrivals,
             vec![],
-        );
+        )
+        .run();
         let outcomes = report.all_outcomes();
         assert_eq!(outcomes.len(), 6);
         assert!(outcomes.iter().all(|o| o.completion.is_some()));
@@ -997,7 +869,7 @@ mod tests {
             }
         }
         let outage = ClusterOutage::permanent(0, SimTime::from_secs_f64(0.5));
-        let report = run_fleet(two_clusters(), PinFirstUp, arrivals, vec![outage]);
+        let report = FleetSim::new(two_clusters(), PinFirstUp, arrivals, vec![outage]).run();
         assert!(report.rerouted > 0, "queued fresh work must be re-routed");
         assert_eq!(report.clusters[1].rerouted_in, report.rerouted);
         // Everything re-routed to cluster 1 completes there.
@@ -1014,80 +886,11 @@ mod tests {
         // An impossible deadline is infeasible on every cluster → shed at
         // the fleet level, never reaching a cluster.
         let arrivals = vec![spec(0, 0.0, 0.001)];
-        let report = run_fleet(two_clusters(), DeadlineAwareRouter::new(), arrivals, vec![]);
+        let report =
+            FleetSim::new(two_clusters(), DeadlineAwareRouter::new(), arrivals, vec![]).run();
         assert_eq!(report.fleet_shed.len(), 1);
         assert!(report.fleet_shed[0].shed);
         assert_eq!(report.clusters[0].routed + report.clusters[1].routed, 0);
-    }
-
-    #[test]
-    fn parallel_matches_serial_digests() {
-        // A contended scenario with a transient outage so re-routes,
-        // retries and fault events all cross the drain windows. The
-        // parallel lockstep must reproduce the serial driver bit for bit.
-        let scenario = || {
-            let arrivals: Vec<RequestSpec> =
-                (0..24).map(|i| spec(i, i as f64 * 0.15, 12.0)).collect();
-            let outage = ClusterOutage::transient(
-                0,
-                SimTime::from_secs_f64(0.8),
-                SimTime::from_secs_f64(2.5),
-            );
-            (arrivals, vec![outage])
-        };
-        let (arrivals, outages) = scenario();
-        let serial = run_fleet(
-            two_clusters(),
-            DeadlineAwareRouter::new(),
-            arrivals,
-            outages,
-        );
-        let (arrivals, outages) = scenario();
-        let parallel = run_fleet_parallel(
-            two_clusters(),
-            DeadlineAwareRouter::new(),
-            arrivals,
-            outages,
-        );
-        assert_eq!(serial.routing_digest, parallel.routing_digest);
-        assert_eq!(serial.outcome_digest, parallel.outcome_digest);
-        assert_eq!(serial.migration_digest, parallel.migration_digest);
-        assert_eq!(serial.peak_backlog, parallel.peak_backlog);
-        assert_eq!(serial.rerouted, parallel.rerouted);
-        assert!(serial.peak_backlog > 0, "scenario must build a backlog");
-    }
-
-    #[test]
-    fn parallel_matches_serial_with_rebalancer() {
-        use crate::rebalance::EdfRebalancer;
-        use tetriserve_costmodel::interconnect::InterClusterLink;
-        let run = |parallel: bool| {
-            let arrivals: Vec<RequestSpec> =
-                (0..20).map(|i| spec(i, i as f64 * 0.2, 10.0)).collect();
-            let outage = ClusterOutage::transient(
-                1,
-                SimTime::from_secs_f64(0.5),
-                SimTime::from_secs_f64(2.0),
-            );
-            let mut sim = FleetSim::new(
-                two_clusters(),
-                DeadlineAwareRouter::new(),
-                arrivals,
-                vec![outage],
-            )
-            .with_rebalancer(Box::new(EdfRebalancer::new()), InterClusterLink::default());
-            if parallel {
-                sim = sim.with_parallel_lockstep();
-            }
-            sim.run()
-        };
-        let (serial, parallel) = (run(false), run(true));
-        assert_eq!(serial.routing_digest, parallel.routing_digest);
-        assert_eq!(serial.outcome_digest, parallel.outcome_digest);
-        assert_eq!(serial.migration_digest, parallel.migration_digest);
-        assert_eq!(serial.peak_backlog, parallel.peak_backlog);
-        assert_eq!(serial.migrations, parallel.migrations);
-        assert_eq!(serial.rescues, parallel.rescues);
     }
 
     #[test]
@@ -1100,12 +903,13 @@ mod tests {
                 SimTime::from_secs_f64(1.0),
                 SimTime::from_secs_f64(3.0),
             );
-            run_fleet(
+            FleetSim::new(
                 two_clusters(),
                 DeadlineAwareRouter::new(),
                 arrivals,
                 vec![outage],
             )
+            .run()
         };
         let (a, b) = (run(), run());
         assert_eq!(a.routing_digest, b.routing_digest);

@@ -37,7 +37,7 @@
 //! ```
 //! use tetriserve_core::{Policy, RequestSpec, TetriServePolicy};
 //! use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution, StageProfile};
-//! use tetriserve_fleet::{run_fleet, FleetCluster, RoundRobinRouter};
+//! use tetriserve_fleet::{FleetCluster, FleetSim, RoundRobinRouter};
 //! use tetriserve_simulator::time::SimTime;
 //! use tetriserve_simulator::trace::{RequestId, TenantId};
 //!
@@ -55,12 +55,13 @@
 //!     total_steps: 50,
 //!     stages: StageProfile::FLAT,
 //! }];
-//! let report = run_fleet(
+//! let report = FleetSim::new(
 //!     vec![cluster("a"), cluster("b")],
 //!     RoundRobinRouter::new(),
 //!     arrivals,
 //!     vec![],
-//! );
+//! )
+//! .run();
 //! assert_eq!(report.total_requests(), 1);
 //! assert_eq!(report.sar(), 1.0);
 //! ```
@@ -73,10 +74,7 @@ pub mod rebalance;
 pub mod router;
 
 pub use admission::{coordinate, RescuePlan, MAX_RESCUE_MOVES};
-pub use driver::{
-    run_fleet, run_fleet_parallel, run_fleet_rebalanced, run_fleet_streaming, ArrivalSource,
-    FleetCluster, FleetSim, ReplaySource,
-};
+pub use driver::{ArrivalSource, FleetCluster, FleetSim, ReplaySource};
 pub use rebalance::{
     EdfRebalancer, FleetOracle, MigrationCandidate, MigrationDecision, Rebalancer, DEFAULT_CADENCE,
 };

@@ -60,19 +60,15 @@ pub struct WorkspaceGraph<'a> {
     pub edges: Vec<Vec<usize>>,
 }
 
-/// Entry-point sets for the three taint passes.
+/// Entry-point sets for the two taint passes.
 #[derive(Debug, Default)]
 pub struct EntryPoints {
     /// Decision-path roots: `Policy::schedule` impls, `Router::route`
     /// impls, `Rebalancer::plan` impls, and the fleet admission
     /// coordinator.
     pub determinism: Vec<usize>,
-    /// Per-round hot-path roots: every fn defined in a hot-path module,
-    /// plus the parallel-lockstep roots (a panic on a worker thread
-    /// poisons the whole scope).
+    /// Per-round hot-path roots: every fn defined in a hot-path module.
     pub panic: Vec<usize>,
-    /// Parallel-lockstep roots: fns that spawn scoped threads.
-    pub parallel: Vec<usize>,
 }
 
 impl<'a> WorkspaceGraph<'a> {
@@ -97,9 +93,9 @@ impl<'a> WorkspaceGraph<'a> {
     }
 
     /// Discover the taint entry points. Discovery is structural (trait
-    /// names, spawn calls, hot basenames), so a rename that orphans an
-    /// entry point empties the set — the `workspace_graph` self-check
-    /// fails rather than silently passing a hollow analysis.
+    /// names, hot basenames), so a rename that orphans an entry point
+    /// empties the set — the `workspace_graph` self-check fails rather
+    /// than silently passing a hollow analysis.
     pub fn entry_points(&self) -> EntryPoints {
         let mut ep = EntryPoints::default();
         for n in 0..self.nodes.len() {
@@ -117,17 +113,7 @@ impl<'a> WorkspaceGraph<'a> {
             if deterministic_root {
                 ep.determinism.push(n);
             }
-            let spawns = f.calls.iter().any(|c| {
-                matches!(
-                    &c.target,
-                    CallTarget::Method { name, .. } if name == "spawn"
-                ) || matches!(&c.target, CallTarget::Free(name) if name == "spawn")
-                    || matches!(&c.target, CallTarget::Qualified { name, .. } if name == "spawn")
-            });
-            if spawns {
-                ep.parallel.push(n);
-            }
-            if ROUND_LOOP_FILES.contains(&basename) || spawns {
+            if ROUND_LOOP_FILES.contains(&basename) {
                 ep.panic.push(n);
             }
         }
@@ -399,14 +385,19 @@ mod tests {
             ),
             (
                 "crates/fleet/src/driver.rs",
-                "impl FleetSim {\n    fn drain_internal(&mut self) { std::thread::scope(|s| { s.spawn(|| {}); }); }\n}",
+                "impl FleetSim {\n    fn run(&mut self) {}\n}",
+            ),
+            (
+                "crates/bench/src/experiment.rs",
+                "fn run_policies() { std::thread::scope(|s| { s.spawn(|| {}); }); }",
             ),
         ]);
         let g = build(&items);
         let ep = g.entry_points();
         assert_eq!(ep.determinism.len(), 5); // schedule, route, plan, coordinate, plan_stage_dispatch
-        assert_eq!(ep.parallel.len(), 1);
-        // Hot file (scheduler.rs) fn + the parallel root.
+
+        // The round-loop files' fns (scheduler.rs, driver.rs); spawning
+        // threads elsewhere roots nothing.
         assert_eq!(ep.panic.len(), 2);
     }
 

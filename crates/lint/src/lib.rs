@@ -47,7 +47,7 @@ pub fn scan_source(file_label: &str, source: &str) -> FileScan {
 }
 
 /// Full analysis over a set of labelled sources: per-file rules, then
-/// the workspace symbol graph and the three interprocedural taint passes
+/// the workspace symbol graph and the two interprocedural taint passes
 /// (DESIGN.md §16). This is `scan_workspace` minus the filesystem, so
 /// fixtures can exercise cross-file chains in-memory.
 pub fn analyze_sources(files: &[(String, String)]) -> LintReport {

@@ -2,17 +2,16 @@
 //!
 //! This is *not* a Rust grammar — it is the minimum item-level structure
 //! the workspace call graph needs: which functions exist (and inside
-//! which `impl`/`trait` block), which calls each body makes, which
-//! modules a file `use`s, and which `static` items it declares. It runs
-//! on the comment/string-stripped token stream, so literal contents can
-//! never fabricate an item or a call edge.
+//! which `impl`/`trait` block), which calls each body makes, and which
+//! modules a file `use`s. It runs on the comment/string-stripped token
+//! stream, so literal contents can never fabricate an item or a call
+//! edge.
 //!
 //! What it deliberately does not model (documented in DESIGN.md §16):
 //! generics and trait bounds (erased), closure boundaries (a closure's
-//! calls are attributed to the enclosing `fn` — exactly what the
-//! parallel-lockstep pass wants), macro-generated items (invisible), and
-//! shadowed local bindings. The graph layer compensates by resolving
-//! names conservatively (over-approximating the callee set).
+//! calls are attributed to the enclosing `fn`), macro-generated items
+//! (invisible), and shadowed local bindings. The graph layer compensates
+//! by resolving names conservatively (over-approximating the callee set).
 
 use crate::tokenizer::{Lexed, Tok, TokKind};
 
@@ -71,17 +70,6 @@ pub struct FnItem {
     pub is_test: bool,
 }
 
-/// One `static` item (`static mut` is the parallel pass's hardest sink).
-#[derive(Debug, Clone)]
-pub struct StaticItem {
-    /// Item name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// `static mut` vs plain `static`.
-    pub is_mut: bool,
-}
-
 /// Everything the graph needs from one file.
 #[derive(Debug, Default)]
 pub struct FileItems {
@@ -91,8 +79,6 @@ pub struct FileItems {
     pub fns: Vec<FnItem>,
     /// `use` paths, `::`-joined (e.g. `tetriserve_core::policy::Policy`).
     pub uses: Vec<String>,
-    /// `static` items at any nesting level.
-    pub statics: Vec<StaticItem>,
 }
 
 /// Keywords that look like calls when followed by `(`.
@@ -168,7 +154,6 @@ impl Parser<'_> {
                     i += 1;
                 }
                 (TokKind::Ident, "use") => i = self.take_use(i),
-                (TokKind::Ident, "static") => i = self.take_static(i),
                 (TokKind::Ident, "impl") | (TokKind::Ident, "trait") => {
                     let (ni, frame) = self.take_impl_header(i, t.text == "trait");
                     // `impl Type;` / `impl Trait for Type;` never occur —
@@ -241,28 +226,6 @@ impl Parser<'_> {
             self.out.uses.push(current.join("::"));
         }
         i + 1
-    }
-
-    /// `static [mut] NAME: …` — the type/initializer is skipped by the
-    /// main loop (no frame needed; initializer calls in consts are not
-    /// decision-path code).
-    fn take_static(&mut self, start: usize) -> usize {
-        let toks = self.toks;
-        let mut i = start + 1;
-        let is_mut = toks.get(i).is_some_and(|t| t.text == "mut");
-        if is_mut {
-            i += 1;
-        }
-        if let Some(name) = toks.get(i).filter(|t| t.kind == TokKind::Ident) {
-            self.out.statics.push(StaticItem {
-                name: name.text.clone(),
-                line: name.line,
-                is_mut,
-            });
-            i + 1
-        } else {
-            start + 1 // `&'static` lifetimes never reach here (Lifetime kind)
-        }
     }
 
     /// Scan an `impl`/`trait` header up to its `{`, extracting the type
@@ -528,14 +491,13 @@ mod tests {
     }
 
     #[test]
-    fn statics_and_static_mut() {
+    fn static_items_are_skipped() {
         let items = parse_src(
             "static TABLE: [u32; 4] = [0; 4];\nstatic mut COUNTER: u64 = 0;\nfn f(s: &'static str) -> &'static str { s }",
         );
-        assert_eq!(items.statics.len(), 2);
-        assert!(!items.statics[0].is_mut);
-        assert!(items.statics[1].is_mut);
-        assert_eq!(items.statics[1].name, "COUNTER");
+        assert_eq!(items.fns.len(), 1);
+        assert_eq!(items.fns[0].name, "f");
+        assert!(items.fns[0].calls.is_empty());
     }
 
     #[test]

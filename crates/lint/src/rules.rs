@@ -45,7 +45,6 @@ pub const RULE_NAMES: &[&str] = &[
     "partial-cmp-unwrap",
     "taint-determinism",
     "taint-panic",
-    "taint-parallel",
     "bad-annotation",
     "unused-allow",
 ];

@@ -1,4 +1,4 @@
-//! Interprocedural taint: three sink classes propagated along call edges.
+//! Interprocedural taint: two sink classes propagated along call edges.
 //!
 //! The per-file engine ([`crate::rules`]) polices each rule inside a
 //! fixed file scope — `unwrap` in hot-path modules, `unordered-iter` in
@@ -11,8 +11,7 @@
 //! | rule                | entries                                  | sinks |
 //! |---------------------|------------------------------------------|-------|
 //! | `taint-determinism` | `Policy::schedule`, `Router::route`, `Rebalancer::plan`, `admission::coordinate` | hash-order iteration in non-decision-path files |
-//! | `taint-panic`       | hot-path fns + parallel-lockstep roots   | `unwrap`/`expect`/bare index in non-hot files |
-//! | `taint-parallel`    | fns spawning scoped threads              | interior mutability (`RefCell`/`Cell`/`UnsafeCell`/`OnceCell`), `static mut` use, `thread_local` |
+//! | `taint-panic`       | hot-path fns                             | `unwrap`/`expect`/bare index in non-hot files |
 //!
 //! Sinks the per-file engine already covers in that file are skipped —
 //! one site, one rule (wall-clock and ambient-rng fire everywhere
@@ -25,17 +24,10 @@ use std::collections::BTreeSet;
 
 use crate::graph::WorkspaceGraph;
 use crate::rules::{self, Allows, ChainHop, Violation};
-use crate::tokenizer::{Lexed, Tok, TokKind};
+use crate::tokenizer::Lexed;
 
-/// Interior-mutability type names that make state thread-unsafe to share
-/// without a lock; reaching one from the lockstep closure means the
-/// parallel section can observe non-`Sync` shared mutation (the compiler
-/// catches actual cross-thread sharing — the lint flags the *reachable
-/// risk* so the justification is written down).
-const INTERIOR_MUT_TYPES: &[&str] = &["RefCell", "Cell", "UnsafeCell", "OnceCell"];
-
-/// Run all three passes. `files` and `allows` are parallel to
-/// `graph.items`; taint findings consume allows at the sink line.
+/// Run both passes. `files` and `allows` are parallel to `graph.items`;
+/// taint findings consume allows at the sink line.
 pub(crate) fn run(
     graph: &WorkspaceGraph<'_>,
     files: &[(String, Lexed)],
@@ -44,16 +36,6 @@ pub(crate) fn run(
     let ep = graph.entry_points();
     let det_parent = graph.reach(&ep.determinism);
     let panic_parent = graph.reach(&ep.panic);
-    let par_parent = graph.reach(&ep.parallel);
-
-    // Workspace-wide `static mut` names (any use is a parallel sink).
-    let static_muts: BTreeSet<&str> = graph
-        .items
-        .iter()
-        .flat_map(|f| f.statics.iter())
-        .filter(|s| s.is_mut)
-        .map(|s| s.name.as_str())
-        .collect();
 
     // Per file: (line range → node) lookup for sink attribution.
     // Innermost fn wins (smallest line span) for nested items.
@@ -143,27 +125,6 @@ pub(crate) fn run(
                 );
             }
         }
-
-        // -- taint-parallel: non-lock shared mutability (no per-file
-        //    analogue; scanned everywhere).
-        let mut hits: Vec<(u32, &'static str, String)> = Vec::new();
-        parallel_sinks(&live, &static_muts, &mut hits);
-        for (line, _, msg) in hits {
-            emit(
-                graph,
-                &fn_spans[fi],
-                &par_parent,
-                fi,
-                line,
-                "taint-parallel",
-                &["taint-parallel"],
-                &msg,
-                "the parallel lockstep section",
-                allows,
-                &mut seen,
-                &mut out,
-            );
-        }
     }
     out
 }
@@ -235,61 +196,4 @@ fn emit(
         rule,
         chain,
     });
-}
-
-/// Parallel-pass sink detector: interior-mutability types in use
-/// (constructor `::` or type-argument `<` position — a bare import never
-/// fires), any reference to a `static mut` item, and `thread_local`
-/// state.
-fn parallel_sinks(
-    toks: &[&Tok],
-    static_muts: &BTreeSet<&str>,
-    out: &mut Vec<(u32, &'static str, String)>,
-) {
-    for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        if INTERIOR_MUT_TYPES.contains(&t.text.as_str()) {
-            let used = toks
-                .get(k + 1)
-                .is_some_and(|n| n.text == "::" || n.text == "<");
-            // `use std::cell::RefCell;` has `::` *before* the name and a
-            // `;` after — only constructor/type positions count.
-            let imported = k >= 1
-                && toks[k - 1].text == "::"
-                && toks
-                    .get(k + 1)
-                    .is_some_and(|n| n.text == ";" || n.text == "," || n.text == "}");
-            if used && !imported {
-                out.push((
-                    t.line,
-                    "taint-parallel",
-                    format!(
-                        "`{}` is non-Sync interior mutability; state shared into the \
-                         parallel lockstep section must be per-cluster or lock-protected",
-                        t.text
-                    ),
-                ));
-            }
-        } else if t.text == "thread_local" {
-            out.push((
-                t.line,
-                "taint-parallel",
-                "`thread_local` state diverges across lockstep worker threads; \
-                 per-cluster state must live in the cluster, not the thread"
-                    .to_string(),
-            ));
-        } else if static_muts.contains(t.text.as_str()) {
-            out.push((
-                t.line,
-                "taint-parallel",
-                format!(
-                    "`{}` is a `static mut` — unsynchronized global state on the \
-                     parallel lockstep path",
-                    t.text
-                ),
-            ));
-        }
-    }
 }

@@ -11,7 +11,7 @@
 //!    discovered in the real workspace. Discovery is by name (`Policy::
 //!    schedule`, `Router::route`, `Rebalancer::plan`, the admission
 //!    coordinator, the stage dispatcher `plan_stage_dispatch`, the
-//!    lockstep spawners), so a rename that orphans an entry point fails
+//!    round-loop files), so a rename that orphans an entry point fails
 //!    here instead of silently hollowing the analysis.
 
 use std::collections::BTreeSet;
@@ -85,7 +85,7 @@ fn fixture_pair_per_file_blind_interprocedural_sees() {
 }
 
 /// The symbol graph must be built from exactly the files the linter
-/// scans, every load-bearing module must contribute nodes, and all three
+/// scans, every load-bearing module must contribute nodes, and both
 /// entry-point classes must be non-empty with their structural anchors
 /// present by name.
 #[test]
@@ -149,12 +149,11 @@ fn workspace_graph_covers_every_file_and_all_entry_classes() {
         );
     }
 
-    // All three entry classes discovered, with their anchors by name. A
+    // Both entry classes discovered, with their anchors by name. A
     // rename (e.g. `schedule` → `plan_round`) must fail one of these.
     let ep = wg.entry_points();
     assert!(!ep.determinism.is_empty(), "no determinism entry points");
     assert!(!ep.panic.is_empty(), "no panic entry points");
-    assert!(!ep.parallel.is_empty(), "no parallel entry points");
 
     let det: BTreeSet<String> = ep.determinism.iter().map(|&n| wg.label_of(n)).collect();
     assert!(
@@ -183,7 +182,7 @@ fn workspace_graph_covers_every_file_and_all_entry_classes() {
     );
 
     // Every hot-path basename present in the workspace roots the panic
-    // pass, and the fleet lockstep spawner is a parallel root.
+    // pass.
     let panic_files: BTreeSet<&str> = ep
         .panic
         .iter()
@@ -198,10 +197,4 @@ fn workspace_graph_covers_every_file_and_all_entry_classes() {
             "hot-path file {base} roots no panic entry: {panic_files:?}"
         );
     }
-    assert!(
-        ep.parallel
-            .iter()
-            .any(|&n| wg.file_of(n) == "crates/fleet/src/driver.rs"),
-        "fleet lockstep spawner is not a parallel root"
-    );
 }

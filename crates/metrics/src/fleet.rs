@@ -73,7 +73,7 @@ pub struct FleetReport {
     pub migration_digest: u64,
     /// High-water mark of the fleet-wide live backlog (admitted requests
     /// queued or running across all clusters), sampled at every routing
-    /// instant — identical between the serial and parallel drivers.
+    /// instant.
     pub peak_backlog: usize,
 }
 

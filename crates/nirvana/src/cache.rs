@@ -66,7 +66,6 @@ impl NirvanaCache {
         if let Some((i, sim)) = best {
             self.hits += 1;
             // Refresh recency: move the hit to the back (most recent).
-            // tetrilint: allow(taint-panic) -- `i` was produced by enumerating `entries` in the scan above, unmodified since
             let e = self.entries.remove(i).expect("index is valid");
             self.entries.push_back(e);
             Some(sim)

@@ -51,7 +51,6 @@ impl SkipPolicy {
 
     /// The minimum similarity that produces any skip.
     pub fn min_useful_similarity(&self) -> f64 {
-        // tetrilint: allow(taint-panic) -- SkipPolicy::new asserts at least one tier
         self.tiers.last().expect("non-empty tiers").0
     }
 

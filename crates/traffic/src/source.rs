@@ -25,7 +25,7 @@ use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::{RequestId, TenantId};
 use tetriserve_workload::arrival::ArrivalProcess;
 use tetriserve_workload::gen::{GeneratedRequest, TraceGen};
-use tetriserve_workload::multiplex::{merge_streams, multiplex, LazyMerge};
+use tetriserve_workload::multiplex::{merge_streams, LazyMerge};
 use tetriserve_workload::prompt::PromptLibrary;
 
 use crate::coupler::{BurstCoupler, CoupledProcess, CouplingSpec};
@@ -114,14 +114,14 @@ impl TrafficModel {
     }
 
     /// Eagerly generates `per_tenant` requests per tenant and merges
-    /// them, exactly like the classic generate-then-[`multiplex`] path.
+    /// them with the same [`merge_streams`] as [`online`](Self::online).
     pub fn offline(&self, per_tenant: usize) -> Vec<GeneratedRequest> {
         let streams = self
             .generators()
             .into_iter()
-            .map(|mut g| g.generate(per_tenant))
+            .map(|mut g| g.generate(per_tenant).into_iter())
             .collect();
-        multiplex(streams)
+        merge_streams(streams).collect()
     }
 }
 

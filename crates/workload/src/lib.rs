@@ -53,7 +53,6 @@ pub mod trace_io;
 pub use arrival::{ArrivalProcess, BurstyProcess, DiurnalProcess, PoissonProcess, UniformProcess};
 pub use gen::{GeneratedRequest, TraceGen, TraceRecord};
 pub use mix::ResolutionMix;
-pub use multiplex::multiplex;
 pub use prompt::{Embedding, Prompt, PromptLibrary};
 pub use slo::SloPolicy;
 pub use trace_io::{from_csv, resolution_for_tokens, to_csv, ParseTraceError};

@@ -106,7 +106,6 @@ impl ResolutionMix {
                 return res;
             }
         }
-        // tetrilint: allow(taint-panic) -- ResolutionMix::new asserts positive total weight, so entries is non-empty
         self.entries.last().expect("non-empty mix").0
     }
 }

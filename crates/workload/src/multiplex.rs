@@ -5,10 +5,10 @@
 //! streams into a single globally-ordered stream with fresh sequential ids
 //! and the originating stream index stamped as the request's tenant; the
 //! fleet router consumes that stream and makes routing decisions per
-//! *arrival*, blind to which tenant produced it. [`multiplex`] is the
-//! eager form (whole `Vec`s in, one `Vec` out); the live traffic frontend
-//! drives the same merge lazily over generators, so both paths share one
-//! ordering contract: (arrival time, stream index, intra-stream position).
+//! *arrival*, blind to which tenant produced it. Offline callers collect
+//! the merge over pre-generated `Vec`s; the live traffic frontend drives
+//! it lazily over generators, so both paths share one ordering contract:
+//! (arrival time, stream index, intra-stream position).
 
 use tetriserve_simulator::trace::TenantId;
 
@@ -25,11 +25,10 @@ struct StreamHead<I> {
 }
 
 /// A lazy k-way merge of per-tenant request streams, ordered by
-/// `(arrival time, stream index, intra-stream position)` — the same fully
-/// deterministic key the eager [`multiplex`] has always used. Ids are
-/// re-assigned sequentially in merged order and each request's `tenant` is
-/// stamped with its originating stream index, so tenant attribution
-/// survives the merge.
+/// `(arrival time, stream index, intra-stream position)` — a fully
+/// deterministic key. Ids are re-assigned sequentially in merged order and
+/// each request's `tenant` is stamped with its originating stream index, so
+/// tenant attribution survives the merge.
 ///
 /// Laziness is the point: the live traffic frontend wraps unbounded
 /// per-tenant generators and pulls one merged arrival at a time as the
@@ -101,25 +100,6 @@ impl<I: Iterator<Item = GeneratedRequest>> Iterator for LazyMerge<I> {
     }
 }
 
-/// Merges per-tenant request streams into one stream ordered by arrival
-/// time (ties break by stream index, then by position within the stream —
-/// fully deterministic). Ids are re-assigned sequentially in the merged
-/// order and each request's `tenant` records its originating stream
-/// index, so the output is indistinguishable from a single generated
-/// trace except that tenant attribution is preserved.
-///
-/// Each input stream must already be sorted by arrival time, which is what
-/// [`crate::gen::TraceGen::generate`] produces. This is the eager shell
-/// around [`merge_streams`] — the one merge contract both the offline
-/// pipeline and the live traffic frontend share.
-///
-/// # Panics
-///
-/// Panics if a stream is not sorted by arrival time.
-pub fn multiplex(streams: Vec<Vec<GeneratedRequest>>) -> Vec<GeneratedRequest> {
-    merge_streams(streams.into_iter().map(Vec::into_iter).collect()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,7 +130,7 @@ mod tests {
     fn merge_orders_by_arrival_and_reassigns_ids() {
         let a = vec![req(0.1, Resolution::R256), req(2.0, Resolution::R512)];
         let b = vec![req(0.5, Resolution::R1024), req(1.5, Resolution::R2048)];
-        let merged = multiplex(vec![a, b]);
+        let merged: Vec<_> = merge_streams(vec![a.into_iter(), b.into_iter()]).collect();
         let arrivals: Vec<f64> = merged.iter().map(|r| r.arrival_s).collect();
         assert_eq!(arrivals, vec![0.1, 0.5, 1.5, 2.0]);
         let ids: Vec<u64> = merged.iter().map(|r| r.id).collect();
@@ -162,16 +142,25 @@ mod tests {
     fn simultaneous_arrivals_break_ties_by_tenant() {
         let a = vec![req(1.0, Resolution::R256)];
         let b = vec![req(1.0, Resolution::R2048)];
-        let merged = multiplex(vec![a, b]);
+        let merged: Vec<_> = merge_streams(vec![a.into_iter(), b.into_iter()]).collect();
         assert_eq!(merged[0].resolution, Resolution::R256, "tenant 0 first");
         assert_eq!(merged[1].resolution, Resolution::R2048);
     }
 
     #[test]
     fn empty_streams_are_fine() {
-        assert!(multiplex(vec![]).is_empty());
+        assert!(
+            merge_streams(Vec::<std::vec::IntoIter<GeneratedRequest>>::new())
+                .next()
+                .is_none()
+        );
         let only = vec![req(0.3, Resolution::R512)];
-        let merged = multiplex(vec![vec![], only, vec![]]);
+        let merged: Vec<_> = merge_streams(vec![
+            vec![].into_iter(),
+            only.into_iter(),
+            vec![].into_iter(),
+        ])
+        .collect();
         assert_eq!(merged.len(), 1);
         assert_eq!(merged[0].id, 0);
     }
@@ -187,13 +176,15 @@ mod tests {
                 seed,
             )
             .generate(n)
+            .into_iter()
         };
         let run = || {
-            multiplex(vec![
+            merge_streams(vec![
                 gen_stream(1, 12.0, 40),
                 gen_stream(2, 6.0, 20),
                 gen_stream(3, 20.0, 60),
             ])
+            .collect::<Vec<_>>()
         };
         let x = run();
         let y = run();
@@ -206,39 +197,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "not sorted")]
     fn unsorted_stream_rejected() {
-        multiplex(vec![vec![
-            req(2.0, Resolution::R256),
-            req(1.0, Resolution::R256),
-        ]]);
+        let stream = vec![req(2.0, Resolution::R256), req(1.0, Resolution::R256)];
+        merge_streams(vec![stream.into_iter()]).for_each(drop);
     }
 
     #[test]
     fn merge_preserves_tenant_attribution() {
         let a = vec![req(0.1, Resolution::R256), req(2.0, Resolution::R512)];
         let b = vec![req(0.5, Resolution::R1024)];
-        let merged = multiplex(vec![a, b]);
+        let merged: Vec<_> = merge_streams(vec![a.into_iter(), b.into_iter()]).collect();
         let tenants: Vec<u32> = merged.iter().map(|r| r.tenant.0).collect();
         assert_eq!(tenants, vec![0, 1, 0]);
         assert!(merged.iter().all(|r| !r.tenant.is_untagged()));
-    }
-
-    #[test]
-    fn lazy_merge_matches_eager_multiplex() {
-        let mk = |seed: u64, rate: f64, n: usize| {
-            TraceGen::new(
-                PoissonProcess::new(rate),
-                ResolutionMix::uniform(),
-                SloPolicy::paper_targets(),
-                PromptLibrary::diffusiondb_like(seed),
-                seed,
-            )
-            .generate(n)
-        };
-        let streams = || vec![mk(10, 12.0, 30), mk(11, 8.0, 20), mk(12, 18.0, 45)];
-        let eager = multiplex(streams());
-        let lazy: Vec<GeneratedRequest> =
-            merge_streams(streams().into_iter().map(Vec::into_iter).collect()).collect();
-        assert_eq!(eager, lazy);
     }
 
     #[test]

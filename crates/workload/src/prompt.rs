@@ -137,7 +137,6 @@ impl PromptLibrary {
             cluster < self.centroids.len(),
             "cluster {cluster} out of range"
         );
-        // tetrilint: allow(taint-panic) -- documented `# Panics` contract: the range assert two lines up names the violated bound
         let centroid = &self.centroids[cluster];
         let v: Vec<f32> = centroid
             .iter()

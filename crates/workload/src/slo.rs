@@ -96,7 +96,6 @@ impl SloPolicy {
         Resolution::PRODUCTION
             .iter()
             .filter(|r| self.base.contains_key(&r.tokens()))
-            // tetrilint: allow(taint-panic) -- the contains_key filter on the line above guarantees the key is present
             .map(|&r| (r, SimDuration::from_secs_f64(self.base[&r.tokens()])))
             .collect()
     }

@@ -5,13 +5,15 @@
 //! the fleet-wide outcome set. Both must be bit-identical across
 //! back-to-back same-seed runs *in one process*: per-instance hasher
 //! seeds, iteration-order leaks, or wall-clock leaking into decisions all
-//! show up here immediately.
+//! show up here immediately. The outage scenario's digests are also
+//! pinned as literals, so a change that moves arbitration order in every
+//! run alike still fails.
 
 use tetriserve::bench::fleet::{run_fleet_perf, run_router, FleetPerfConfig};
 use tetriserve::core::{Policy, RequestSpec, TetriServeConfig, TetriServePolicy};
-use tetriserve::costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
+use tetriserve::costmodel::{ClusterSpec, DitModel, InterClusterLink, Profiler, Resolution};
 use tetriserve::fleet::{
-    run_fleet, ClusterView, DeadlineAwareRouter, FleetCluster, RouteDecision, Router,
+    ClusterView, DeadlineAwareRouter, EdfRebalancer, FleetCluster, FleetSim, RouteDecision, Router,
 };
 use tetriserve::simulator::failure::ClusterOutage;
 use tetriserve::simulator::time::SimTime;
@@ -109,12 +111,13 @@ fn outage_reroutes_queued_work_to_the_surviving_cluster() {
         spec(3, 0.15, 120.0),
     ];
     let outage = ClusterOutage::permanent(0, SimTime::from_secs_f64(0.5));
-    let report = run_fleet(
+    let report = FleetSim::new(
         vec![h100_cluster("a"), h100_cluster("b")],
         PinFirstUp,
         arrivals,
         vec![outage],
-    );
+    )
+    .run();
     assert!(
         report.rerouted > 0,
         "the outage must find queued fresh work to move"
@@ -145,21 +148,36 @@ fn outage_reroutes_queued_work_to_the_surviving_cluster() {
 
 #[test]
 fn outage_rerouting_is_deterministic() {
-    let run = || {
+    let sim = || {
         let arrivals: Vec<RequestSpec> = (0..12)
             .map(|i| spec(i, f64::from(i as u32) * 0.2, 30.0))
             .collect();
         let outage =
             ClusterOutage::transient(0, SimTime::from_secs_f64(1.0), SimTime::from_secs_f64(5.0));
-        run_fleet(
+        FleetSim::new(
             vec![h100_cluster("a"), h100_cluster("b")],
             DeadlineAwareRouter::new(),
             arrivals,
             vec![outage],
         )
     };
-    let (a, b) = (run(), run());
+    let (a, b) = (sim().run(), sim().run());
     assert_eq!(a.routing_digest, b.routing_digest);
     assert_eq!(a.outcome_digest, b.outcome_digest);
     assert_eq!(a.rerouted, b.rerouted);
+    assert_eq!(a.routing_digest, 0xa34e_fd54_3d31_8c11);
+    assert_eq!(a.outcome_digest, 0x4ce5_4881_7b6c_32eb);
+
+    // The same scenario with the rebalancer attached also pins rebalance
+    // ticks, migrations and rescue routing.
+    let r = sim()
+        .with_rebalancer(
+            Box::new(EdfRebalancer::new()),
+            InterClusterLink::datacenter(),
+        )
+        .run();
+    assert_eq!(r.migrations, 2);
+    assert_eq!(r.routing_digest, 0xa34e_fd54_3d31_8c11);
+    assert_eq!(r.outcome_digest, 0xfe81_c784_3ac9_700a);
+    assert_eq!(r.migration_digest, 0x94c8_ec63_a16f_7adb);
 }

@@ -8,8 +8,7 @@ use proptest::prelude::*;
 use tetriserve::core::{Policy, RequestSpec, TetriServeConfig, TetriServePolicy};
 use tetriserve::costmodel::{ClusterSpec, DitModel, InterClusterLink, Profiler, Resolution};
 use tetriserve::fleet::{
-    run_fleet, run_fleet_rebalanced, ClusterView, EdfRebalancer, FleetCluster, RouteDecision,
-    Router,
+    ClusterView, EdfRebalancer, FleetCluster, FleetSim, RouteDecision, Router,
 };
 use tetriserve::metrics::FleetReport;
 use tetriserve::simulator::failure::ClusterOutage;
@@ -65,23 +64,27 @@ fn rescue_workload() -> Vec<RequestSpec> {
 }
 
 fn run_static(arrivals: Vec<RequestSpec>, outages: Vec<ClusterOutage>) -> FleetReport {
-    run_fleet(
+    FleetSim::new(
         vec![h100_cluster("a"), h100_cluster("b")],
         PinFirstUp,
         arrivals,
         outages,
     )
+    .run()
 }
 
 fn run_rebalanced(arrivals: Vec<RequestSpec>, outages: Vec<ClusterOutage>) -> FleetReport {
-    run_fleet_rebalanced(
+    FleetSim::new(
         vec![h100_cluster("a"), h100_cluster("b")],
         PinFirstUp,
         arrivals,
         outages,
+    )
+    .with_rebalancer(
         Box::new(EdfRebalancer::new()),
         InterClusterLink::datacenter(),
     )
+    .run()
 }
 
 #[test]
@@ -217,16 +220,19 @@ fn transient_outage_migrates_partial_work_off_the_down_cluster() {
 #[test]
 fn custom_cadence_is_respected_deterministically() {
     let run = |cadence_ms: u64| {
-        run_fleet_rebalanced(
+        FleetSim::new(
             vec![h100_cluster("a"), h100_cluster("b")],
             PinFirstUp,
             rescue_workload(),
             vec![],
+        )
+        .with_rebalancer(
             Box::new(EdfRebalancer::with_cadence(SimDuration::from_millis(
                 cadence_ms,
             ))),
             InterClusterLink::datacenter(),
         )
+        .run()
     };
     let fast = run(250);
     let slow = run(4_000);
