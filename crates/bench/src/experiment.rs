@@ -15,7 +15,8 @@ use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolutio
 use tetriserve_nirvana::{accelerate_trace, NirvanaConfig};
 use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::{RequestId, TenantId};
-use tetriserve_workload::arrival::{BurstyProcess, DiurnalProcess, PoissonProcess, UniformProcess};
+use tetriserve_traffic::{DiurnalEnvelope, DiurnalModulated};
+use tetriserve_workload::arrival::{BurstyProcess, PoissonProcess, UniformProcess};
 use tetriserve_workload::gen::{GeneratedRequest, TraceGen};
 use tetriserve_workload::mix::ResolutionMix;
 use tetriserve_workload::prompt::PromptLibrary;
@@ -157,7 +158,10 @@ impl Experiment {
             )
             .generate(self.n_requests),
             ArrivalKind::Diurnal => TraceGen::new(
-                DiurnalProcess::new(self.rate_per_min, 0.8, 600.0),
+                DiurnalModulated::new(
+                    PoissonProcess::new(self.rate_per_min),
+                    DiurnalEnvelope::new(0.8, 600.0),
+                ),
                 self.mix.clone(),
                 slo,
                 prompts,

@@ -1,21 +1,28 @@
 //! EDF cumulative-demand feasibility — the admission machinery behind
-//! deadline-aware shedding (PR 1) and fleet-level routing.
+//! deadline-aware shedding, the degrade ladder and fleet-level routing.
 //!
 //! The test is the classic earliest-deadline-first capacity argument:
 //! walk live requests in deadline order accumulating each one's cheapest
 //! deadline-respecting GPU-second demand; the backlog is infeasible the
 //! moment the running total exceeds what the healthy GPUs can deliver by
-//! that deadline. Single-cluster admission control uses the scan to pick
-//! shedding victims ([`crate::server`]); the fleet router uses the pure
-//! boolean form ([`edf_feasible`]) to ask "could this cluster still take
-//! one more request" before committing an arrival to it.
+//! that deadline. `edf_violations` is that scan, written once, and every
+//! decision built on it calls it: the admission verdict for "this backlog
+//! plus one more request" (`ClusterSim::feasible_with` over
+//! `live_entries_with`, behind the fleet router's and rebalancer's
+//! probes), the at-risk prefix the rebalancer migrates from
+//! (`edf_at_risk_len`), and the serving loop's degrade-before-shed
+//! ladder (`degrade_or_shed`).
+
+use std::cmp::Ordering;
 
 use tetriserve_costmodel::{CostTable, Resolution, StageProfile};
 use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::RequestId;
 
 use crate::config::ROUND_HEADROOM;
-use crate::tracker::{Phase, RequestTracker};
+use crate::degrade::DegradePolicy;
+use crate::request::RequestSpec;
+use crate::tracker::{Phase, RequestTracker, TrackedRequest};
 
 /// Fraction of raw healthy GPU-seconds the admission test counts as
 /// deliverable. A real round-based schedule never converts 100% of the EDF
@@ -128,53 +135,57 @@ pub fn demand_entry(
     }
 }
 
+/// The demand entry of a request arriving fresh at `now` with its whole
+/// step budget ahead of it — the admission probe's hypothetical extra.
+pub fn arrival_entry(costs: &CostTable, spec: &RequestSpec, now: SimTime) -> DemandEntry {
+    demand_entry(
+        costs,
+        spec.id,
+        spec.resolution,
+        spec.stages,
+        spec.total_steps,
+        spec.deadline,
+        now,
+        true,
+    )
+}
+
+fn tracked_entry(r: &TrackedRequest, now: SimTime, costs: &CostTable) -> DemandEntry {
+    demand_entry(
+        costs,
+        r.spec.id,
+        r.spec.resolution,
+        r.spec.stages,
+        r.remaining_steps,
+        r.spec.deadline,
+        now,
+        // Degraded-but-unstarted still counts as fresh: no executed
+        // steps means shedding or re-routing it wastes no work.
+        r.phase == Phase::Queued && r.steps_executed() == 0,
+    )
+}
+
 /// Demand entries for every live (queued or running, work remaining)
-/// request in the tracker, sorted by (deadline, id) — EDF scan order.
+/// request in the tracker, in (deadline, id) — EDF scan — order.
 ///
 /// Iterates the tracker's incremental live index (already in scan order,
 /// so no sort), making each scan O(live backlog) instead of O(every
-/// request ever admitted). In debug builds the result is cross-checked
-/// bit-for-bit against [`live_entries_full`].
-pub fn live_entries(tracker: &RequestTracker, now: SimTime, costs: &CostTable) -> Vec<DemandEntry> {
-    let mut out = Vec::with_capacity(tracker.live_len());
-    fill_live_entries(tracker, now, costs, &mut out);
-    out
-}
-
-/// Fills `out` (cleared first) with the live demand entries in EDF scan
-/// order — the allocation-free form of [`live_entries`] used by the
-/// serving loop's reusable scratch.
-pub fn fill_live_entries(
-    tracker: &RequestTracker,
+/// request ever admitted). Lazy, so a scan that stops at its first
+/// violation prices no entry past it. [`FeasScratch::fill`] cross-checks
+/// the result bit-for-bit against [`live_entries_full`] in debug builds.
+pub fn live_entries<'a>(
+    tracker: &'a RequestTracker,
     now: SimTime,
-    costs: &CostTable,
-    out: &mut Vec<DemandEntry>,
-) {
-    out.clear();
-    out.extend(tracker.live().map(|r| {
-        demand_entry(
-            costs,
-            r.spec.id,
-            r.spec.resolution,
-            r.spec.stages,
-            r.remaining_steps,
-            r.spec.deadline,
-            now,
-            // Degraded-but-unstarted still counts as fresh: no executed
-            // steps means shedding or re-routing it wastes no work.
-            r.phase == Phase::Queued && r.steps_executed() == 0,
-        )
-    }));
-    debug_assert!(
-        entries_bit_identical(out, &live_entries_full(tracker, now, costs)),
-        "incremental live index diverged from the full recompute"
-    );
+    costs: &'a CostTable,
+) -> impl Iterator<Item = DemandEntry> + 'a {
+    tracker.live().map(move |r| tracked_entry(r, now, costs))
 }
 
 /// The pre-index full recompute of [`live_entries`]: scans *every*
 /// tracked request and sorts. Kept as the ground truth the incremental
-/// index is cross-checked against (`debug_assert` above, plus the
-/// proptest in `crate::proptests`); verdicts must stay bit-identical.
+/// index is cross-checked against (`debug_assert` in
+/// [`FeasScratch::fill`], plus the proptest in `crate::proptests`);
+/// verdicts must stay bit-identical.
 pub fn live_entries_full(
     tracker: &RequestTracker,
     now: SimTime,
@@ -183,18 +194,7 @@ pub fn live_entries_full(
     let mut live: Vec<DemandEntry> = tracker
         .iter()
         .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running) && r.remaining_steps > 0)
-        .map(|r| {
-            demand_entry(
-                costs,
-                r.spec.id,
-                r.spec.resolution,
-                r.spec.stages,
-                r.remaining_steps,
-                r.spec.deadline,
-                now,
-                r.phase == Phase::Queued && r.steps_executed() == 0,
-            )
-        })
+        .map(|r| tracked_entry(r, now, costs))
         .collect();
     sort_entries(&mut live);
     live
@@ -214,13 +214,12 @@ pub fn entries_bit_identical(a: &[DemandEntry], b: &[DemandEntry]) -> bool {
         })
 }
 
-/// Reusable demand-entry scratch for the serving loop's per-pass EDF
-/// scans (`rescue_pass` and friends in [`crate::server`]), with the same
-/// counter discipline as the packer's `PackScratch`: after
-/// [`warm_up`](FeasScratch::warm_up) (or one cold pass at the
-/// high-water backlog), every refill reuses the buffer — zero heap
-/// allocations in the steady-state event loop, and `grow_events` counts
-/// the exceptions.
+/// Reusable demand-entry scratch for the serving loop's rescue ladder
+/// (`degrade_or_shed`), with the same counter discipline as the
+/// packer's `PackScratch`: after [`warm_up`](FeasScratch::warm_up) (or
+/// one cold pass at the high-water backlog), every refill reuses the
+/// buffer — zero heap allocations in the steady-state event loop, and
+/// `grow_events` counts the exceptions.
 #[derive(Debug, Default)]
 pub struct FeasScratch {
     entries: Vec<DemandEntry>,
@@ -257,31 +256,12 @@ impl FeasScratch {
         if cap >= tracker.live_len() {
             self.allocations_avoided += 1;
         }
-        fill_live_entries(tracker, now, costs, &mut self.entries);
-        if self.entries.capacity() > cap {
-            self.grow_events += 1;
-        }
-        &self.entries
-    }
-
-    /// Refills like [`fill`](FeasScratch::fill), then appends `extra` and
-    /// re-sorts into scan order — the admission probe's "backlog plus one
-    /// hypothetical request" form.
-    pub fn fill_with(
-        &mut self,
-        tracker: &RequestTracker,
-        now: SimTime,
-        costs: &CostTable,
-        extra: DemandEntry,
-    ) -> &[DemandEntry] {
-        self.calls += 1;
-        let cap = self.entries.capacity();
-        if cap > tracker.live_len() {
-            self.allocations_avoided += 1;
-        }
-        fill_live_entries(tracker, now, costs, &mut self.entries);
-        self.entries.push(extra);
-        sort_entries(&mut self.entries);
+        self.entries.clear();
+        self.entries.extend(live_entries(tracker, now, costs));
+        debug_assert!(
+            entries_bit_identical(&self.entries, &live_entries_full(tracker, now, costs)),
+            "incremental live index diverged from the full recompute"
+        );
         if self.entries.capacity() > cap {
             self.grow_events += 1;
         }
@@ -310,101 +290,190 @@ pub fn sort_entries(entries: &mut [DemandEntry]) {
     entries.sort_by(|a, b| a.deadline.cmp(&b.deadline).then(a.id.cmp(&b.id)));
 }
 
-/// Whether the cumulative-demand scan stays within what `healthy` GPUs can
-/// deliver (derated by [`ADMISSION_UTILIZATION`]) at every deadline.
-/// `entries` must already be in EDF scan order.
-pub fn edf_feasible(entries: &[DemandEntry], now: SimTime, healthy: usize) -> bool {
-    edf_feasible_with_extra(entries, now, healthy, 0.0)
-}
-
-/// [`edf_feasible`] against a *fractional* capacity in nominal-GPU units —
-/// the degradation-aware form. A cluster whose GPUs are throttled delivers
-/// fewer nominal GPU-seconds per wall-second than its healthy count
-/// suggests; callers pass `FailurePlan::effective_capacity` here so
-/// admission stays honest under slowdown faults. Demand entries remain in
-/// nominal GPU-seconds, which is the same currency. Passing
-/// `healthy as f64` is bit-identical to [`edf_feasible`].
-pub fn edf_feasible_capacity(entries: &[DemandEntry], now: SimTime, capacity: f64) -> bool {
-    edf_feasible_with_extra_capacity(entries, now, capacity, 0.0)
-}
-
-/// [`edf_feasible_with_extra`] against a fractional capacity (see
-/// [`edf_feasible_capacity`]).
-pub fn edf_feasible_with_extra_capacity(
-    entries: &[DemandEntry],
+/// The EDF cumulative-demand scan — the one place the capacity test is
+/// written. Walks `entries` (in EDF scan order) accumulating demand from
+/// `committed` GPU-seconds, and yields `(index, overshoot)` for every
+/// entry at whose deadline the running total exceeds what `capacity`
+/// nominal GPUs deliver, derated by [`ADMISSION_UTILIZATION`].
+///
+/// `capacity` is fractional: callers pass `FailurePlan::effective_capacity`
+/// to keep admission honest under slowdown faults (demand stays in
+/// nominal GPU-seconds, the same currency), or a whole healthy count.
+/// `committed` is work promised to this capacity that `entries` does not
+/// hold yet — the fleet rebalancer's migrations already committed to a
+/// target *within the same tick* land before any scanned deadline, so
+/// they compete for the same capacity. `committed = 0.0` is bit-identical
+/// to an unseeded scan. Lazy: a verdict stops at the first violation.
+pub(crate) fn edf_violations<I>(
+    entries: I,
     now: SimTime,
     capacity: f64,
-    extra: f64,
-) -> bool {
-    let mut demand = extra;
-    for e in entries {
+    committed: f64,
+) -> impl Iterator<Item = (usize, f64)>
+where
+    I: IntoIterator<Item = DemandEntry>,
+{
+    let mut demand = committed;
+    entries.into_iter().enumerate().filter_map(move |(i, e)| {
         demand += e.demand;
         let deliverable =
             capacity * e.deadline.saturating_since(now).as_secs_f64() * ADMISSION_UTILIZATION;
-        if demand > deliverable {
-            return false;
-        }
-    }
-    true
+        (demand > deliverable).then_some((i, demand - deliverable))
+    })
 }
 
-/// [`edf_feasible`] with the demand accumulator seeded at `extra`
-/// GPU-seconds. The fleet rebalancer uses this to account for migrations
-/// it has already committed to a target cluster *within the same
-/// rebalance tick*: the in-flight work is not in the target's tracker
-/// yet, but it will land before any of the scanned deadlines, so it
-/// competes for the same capacity. `extra = 0.0` is bit-identical to the
-/// plain scan (the accumulator starts at `0.0 + 0.0`).
-pub fn edf_feasible_with_extra(
-    entries: &[DemandEntry],
-    now: SimTime,
-    healthy: usize,
-    extra: f64,
-) -> bool {
-    edf_feasible_with_extra_capacity(entries, now, healthy as f64, extra)
-}
-
-/// The ids of every entry inside the violating EDF prefix: if the
-/// cumulative-demand scan last exceeds capacity at index `j`, all of
-/// `entries[..=j]` are "at risk" — the backlog through deadline `j`
-/// cannot be delivered, and any of those requests is a candidate to be
-/// moved elsewhere (moving a later one frees capacity for the whole
-/// prefix). Empty when the backlog is feasible. A cluster with zero
-/// healthy GPUs has zero capacity, so every entry with positive demand
-/// is at risk — which is exactly what the fleet rebalancer wants during
-/// a whole-cluster outage. `entries` must be in EDF scan order.
-pub fn edf_at_risk(entries: &[DemandEntry], now: SimTime, healthy: usize) -> Vec<RequestId> {
-    edf_at_risk_capacity(entries, now, healthy as f64)
-}
-
-/// [`edf_at_risk`] against a fractional capacity (see
-/// [`edf_feasible_capacity`]). Passing `healthy as f64` is bit-identical
-/// to the integer form.
-pub fn edf_at_risk_capacity(
-    entries: &[DemandEntry],
+/// Length of the violating EDF prefix: if the scan last exceeds capacity
+/// at index `j`, all of `entries[..=j]` are "at risk" — the backlog
+/// through deadline `j` cannot be delivered, and any of those requests is
+/// a candidate to be moved elsewhere (moving a later one frees capacity
+/// for the whole prefix). Zero when the backlog is feasible. Zero
+/// capacity puts every entry with positive demand at risk — which is
+/// exactly what the fleet rebalancer wants during a whole-cluster outage.
+pub(crate) fn edf_at_risk_len(
+    entries: impl IntoIterator<Item = DemandEntry>,
     now: SimTime,
     capacity: f64,
-) -> Vec<RequestId> {
-    let mut demand = 0.0;
-    let mut last_violation = None;
-    for (i, e) in entries.iter().enumerate() {
-        demand += e.demand;
-        let deliverable =
-            capacity * e.deadline.saturating_since(now).as_secs_f64() * ADMISSION_UTILIZATION;
-        if demand > deliverable {
-            last_violation = Some(i);
+) -> usize {
+    edf_violations(entries, now, capacity, 0.0)
+        .last()
+        .map_or(0, |(j, _)| j + 1)
+}
+
+/// The tracker's live entries at `now`, minus the `exclude`d requests,
+/// with `extra` merged in at its `(deadline, id)` slot — the "backlog
+/// plus one request" the admission probe scans, without collecting the
+/// backlog, pushing and re-sorting. On a full key tie `extra` goes after
+/// the live entry, exactly where a stable sort of the pushed vector puts
+/// it.
+pub(crate) fn live_entries_with<'a>(
+    tracker: &'a RequestTracker,
+    now: SimTime,
+    costs: &'a CostTable,
+    extra: DemandEntry,
+    exclude: &'a [RequestId],
+) -> impl Iterator<Item = DemandEntry> + 'a {
+    let key = |e: &DemandEntry| (e.deadline, e.id);
+    let mut live = live_entries(tracker, now, costs)
+        .filter(|e| !exclude.contains(&e.id))
+        .peekable();
+    let mut extra = Some(extra);
+    std::iter::from_fn(move || {
+        let live_first = match (&extra, live.peek()) {
+            (Some(x), Some(e)) => key(e) <= key(x),
+            (Some(_), None) => false,
+            (None, _) => true,
+        };
+        if live_first {
+            live.next()
+        } else {
+            extra.take()
+        }
+    })
+}
+
+/// One rung's relief at a capacity violation.
+enum Relief {
+    /// Shrink a queued request's remaining budget by this many steps.
+    Degrade(RequestId, u32),
+    /// Drop a not-yet-started request whole.
+    Shed(RequestId),
+}
+
+/// Victim order on both rungs: least slack first; on ties the newest
+/// admission goes (reject the incoming request rather than break an
+/// older commitment).
+fn least_salvageable(a: &DemandEntry, b: &DemandEntry) -> Ordering {
+    a.slack.total_cmp(&b.slack).then(b.id.cmp(&a.id))
+}
+
+/// The rescue ladder (DESIGN.md §14), run by the serving loop whenever
+/// the backlog may have turned infeasible: at admission, on a fault
+/// transition, and when a migration lands.
+///
+/// At each violation of the scan, in deadline order, the first rung (only
+/// with a `degrade` policy) shrinks a queued prefix member's step budget
+/// toward its class quality floor — enough steps to cover the overshoot,
+/// never past the floor. The second (only if `shed_at_floor`, i.e. the
+/// admission policy drops requests at all) sheds the least salvageable
+/// *not-yet-started* request in the prefix: requests holding
+/// checkpointed steps are never shed, since dropping them would waste
+/// finished work. A violation neither rung can relieve is left standing
+/// and the scan moves on to one it can. After every action the backlog is
+/// rescanned, until it is feasible or nothing more can be relieved.
+pub(crate) fn degrade_or_shed(
+    tracker: &mut RequestTracker,
+    now: SimTime,
+    capacity: f64,
+    costs: &CostTable,
+    degrade: Option<&DegradePolicy>,
+    shed_at_floor: bool,
+    scratch: &mut FeasScratch,
+) {
+    loop {
+        let live = scratch.fill(tracker, now, costs);
+        let relief =
+            edf_violations(live.iter().copied(), now, capacity, 0.0).find_map(|(i, overshoot)| {
+                let prefix = live.iter().take(i + 1);
+                if let Some(relief) =
+                    degrade.and_then(|p| degrade_victim(tracker, prefix.clone(), p, overshoot))
+                {
+                    return Some(relief);
+                }
+                if !shed_at_floor {
+                    return None;
+                }
+                prefix
+                    .filter(|e| e.fresh)
+                    .min_by(|a, b| least_salvageable(a, b))
+                    .map(|e| Relief::Shed(e.id))
+            });
+        match relief {
+            Some(Relief::Degrade(id, steps)) => tracker.shed_steps(id, steps),
+            Some(Relief::Shed(id)) => tracker.shed(id),
+            None => break,
         }
     }
-    match last_violation {
-        Some(j) => entries.iter().take(j + 1).map(|e| e.id).collect(),
-        None => Vec::new(),
-    }
+}
+
+/// The ladder's first rung at one violation: the least salvageable queued
+/// member of `prefix` with steps above its floor, and how many to shed.
+/// Running requests are pinned (their dispatch already holds its step
+/// count); queued ones may shed down to `max(floor − executed, 1)`
+/// remaining steps.
+fn degrade_victim<'a>(
+    tracker: &RequestTracker,
+    prefix: impl Iterator<Item = &'a DemandEntry>,
+    policy: &DegradePolicy,
+    overshoot: f64,
+) -> Option<Relief> {
+    let (e, sheddable, remaining) = prefix
+        .filter_map(|e| {
+            let r = tracker.get(e.id)?;
+            if r.phase != Phase::Queued {
+                return None;
+            }
+            let min_steps = policy.min_steps(r.spec.resolution, r.spec.total_steps);
+            let floor_remaining = min_steps.saturating_sub(r.steps_executed()).max(1);
+            let sheddable = r.remaining_steps.saturating_sub(floor_remaining);
+            (sheddable > 0).then_some((e, sheddable, r.remaining_steps))
+        })
+        .min_by(|(a, ..), (b, ..)| least_salvageable(a, b))?;
+    // Shed just enough of the victim's steps to cover the overshoot at
+    // its cheapest per-step demand, clamped to the floor; the rescan sheds
+    // more (or picks the next victim) if that was not enough.
+    let per_step = e.demand / f64::from(remaining);
+    let needed = (overshoot / per_step).ceil();
+    let steps = if needed >= f64::from(sheddable) {
+        sheddable
+    } else {
+        (needed as u32).max(1)
+    };
+    Some(Relief::Degrade(e.id, steps))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::RequestSpec;
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler};
     use tetriserve_simulator::trace::TenantId;
 
@@ -428,14 +497,18 @@ mod tests {
         t
     }
 
+    fn live(t: &RequestTracker, c: &CostTable) -> Vec<DemandEntry> {
+        live_entries(t, SimTime::ZERO, c).collect()
+    }
+
     #[test]
     fn relaxed_backlog_is_feasible() {
         let c = costs();
         let t = tracked(&[(0, 60.0), (1, 70.0)]);
-        let entries = live_entries(&t, SimTime::ZERO, &c);
+        let entries = live(&t, &c);
         assert_eq!(entries.len(), 2);
         assert!(entries.windows(2).all(|w| w[0].deadline <= w[1].deadline));
-        assert!(edf_feasible(&entries, SimTime::ZERO, 8));
+        assert_eq!(edf_violations(entries, SimTime::ZERO, 8.0, 0.0).count(), 0);
     }
 
     #[test]
@@ -443,10 +516,12 @@ mod tests {
         let c = costs();
         let ids: Vec<(u64, f64)> = (0..40).map(|i| (i, 3.0)).collect();
         let t = tracked(&ids);
-        let entries = live_entries(&t, SimTime::ZERO, &c);
-        assert!(!edf_feasible(&entries, SimTime::ZERO, 1));
+        let entries = live(&t, &c);
+        let violations =
+            |capacity| edf_violations(entries.iter().copied(), SimTime::ZERO, capacity, 0.0);
+        assert!(violations(1.0).next().is_some());
         // The same backlog on a vastly bigger node would be fine.
-        assert!(edf_feasible(&entries, SimTime::ZERO, 4096));
+        assert!(violations(4096.0).next().is_none());
     }
 
     #[test]
@@ -508,35 +583,30 @@ mod tests {
         let c = costs();
         let ids: Vec<(u64, f64)> = (0..40).map(|i| (i, 3.0)).collect();
         let t = tracked(&ids);
-        let entries = live_entries(&t, SimTime::ZERO, &c);
+        let entries = live(&t, &c);
+        let risk = |capacity| edf_at_risk_len(entries.iter().copied(), SimTime::ZERO, capacity);
         // Feasible backlog: nothing at risk.
-        assert!(edf_at_risk(&entries, SimTime::ZERO, 4096).is_empty());
-        // Infeasible on one GPU: the at-risk set is a non-empty prefix in
-        // scan order.
-        let risk = edf_at_risk(&entries, SimTime::ZERO, 1);
-        assert!(!risk.is_empty());
-        assert_eq!(
-            risk,
-            entries[..risk.len()]
-                .iter()
-                .map(|e| e.id)
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(risk(4096.0), 0);
+        // Infeasible on one GPU: the prefix through the last violation.
+        let last = edf_violations(entries.iter().copied(), SimTime::ZERO, 1.0, 0.0).last();
+        assert_eq!(risk(1.0), last.expect("one GPU is overloaded").0 + 1);
         // Zero healthy GPUs: everything with demand is at risk.
-        let all = edf_at_risk(&entries, SimTime::ZERO, 0);
-        assert_eq!(all.len(), entries.len());
+        assert_eq!(risk(0.0), entries.len());
     }
 
     #[test]
     fn extra_demand_tightens_the_scan() {
         let c = costs();
         let t = tracked(&[(0, 30.0), (1, 30.0)]);
-        let entries = live_entries(&t, SimTime::ZERO, &c);
-        assert!(edf_feasible(&entries, SimTime::ZERO, 8));
-        assert!(edf_feasible_with_extra(&entries, SimTime::ZERO, 8, 0.0));
+        let entries = live(&t, &c);
+        let violations =
+            |committed| edf_violations(entries.iter().copied(), SimTime::ZERO, 8.0, committed);
+        assert_eq!(violations(0.0).count(), 0);
         // A huge in-flight migration load makes the same backlog
-        // infeasible.
-        assert!(!edf_feasible_with_extra(&entries, SimTime::ZERO, 8, 1e9));
+        // infeasible at the very first deadline.
+        let (first, overshoot) = violations(1e9).next().expect("committed demand overflows");
+        assert_eq!(first, 0);
+        assert!(overshoot > 0.0);
     }
 
     #[test]

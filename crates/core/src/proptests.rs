@@ -87,8 +87,10 @@ proptest! {
     }
 
     /// The incremental live index and the full-tracker recompute agree —
-    /// bit-identical demand entries, the same feasibility verdict, and
-    /// the same at-risk prefix — under arbitrary interleavings of every
+    /// bit-identical demand entries, the same EDF violations (so the same
+    /// verdict and at-risk prefix), and the same merged entries and
+    /// admission-probe verdict for the backlog plus one request — under
+    /// arbitrary interleavings of every
     /// tracker mutation (admit, dispatch, abort, fail, shed, degrade,
     /// migrate out/in, complete), with terminal requests accumulating in
     /// the tracker exactly as they do over a long serving run.
@@ -96,6 +98,7 @@ proptest! {
     fn prop_incremental_feasibility_matches_full_recompute(
         ops in proptest::collection::vec((0u8..10, any::<u32>()), 1..60),
         capacity in 1.0f64..16.0,
+        committed in (0u32..5).prop_map(|k| f64::from(k) * 10.0),
     ) {
         let c = costs();
         let mut tracker = RequestTracker::new();
@@ -213,20 +216,57 @@ proptest! {
             }
 
             prop_assert!(tracker.index_is_consistent(), "index drifted after op {op}");
-            let inc = feasibility::live_entries(&tracker, now, &c);
+            let inc: Vec<_> = feasibility::live_entries(&tracker, now, &c).collect();
             let full = feasibility::live_entries_full(&tracker, now, &c);
             prop_assert!(
                 feasibility::entries_bit_identical(&inc, &full),
                 "incremental {inc:?} != full {full:?}"
             );
-            prop_assert_eq!(
-                feasibility::edf_feasible_capacity(&inc, now, capacity),
-                feasibility::edf_feasible_capacity(&full, now, capacity)
+            let violations = |entries: &[feasibility::DemandEntry]| {
+                feasibility::edf_violations(entries.iter().copied(), now, capacity, 0.0)
+                    .map(|(i, overshoot)| (i, overshoot.to_bits()))
+                    .collect::<Vec<_>>()
+            };
+            prop_assert_eq!(violations(&inc), violations(&full));
+
+            // The merged admission probe against collect-push-sort-scan:
+            // one extra request whose deadline ties a live entry's (when
+            // there is one) and whose id may sort before, after or onto
+            // it, an exclude set, and committed demand.
+            let deadline = full
+                .get(r as usize % full.len().max(1))
+                .map_or(now + SimDuration::from_millis(500), |e| e.deadline);
+            let extra = feasibility::demand_entry(
+                &c,
+                RequestId(u64::from(r) % (next_id + 1)),
+                Resolution::PRODUCTION[(r % 4) as usize],
+                StageProfile::FLAT,
+                1 + r % 50,
+                deadline,
+                now,
+                true,
             );
-            prop_assert_eq!(
-                feasibility::edf_at_risk_capacity(&inc, now, capacity),
-                feasibility::edf_at_risk_capacity(&full, now, capacity)
+            let exclude: Vec<RequestId> = full
+                .iter()
+                .map(|e| e.id)
+                .filter(|id| (id.0 + u64::from(r)) % 3 == 0)
+                .collect();
+            let mut pushed: Vec<_> =
+                full.iter().copied().filter(|e| !exclude.contains(&e.id)).collect();
+            pushed.push(extra);
+            feasibility::sort_entries(&mut pushed);
+            let merged: Vec<_> =
+                feasibility::live_entries_with(&tracker, now, &c, extra, &exclude).collect();
+            prop_assert!(
+                feasibility::entries_bit_identical(&merged, &pushed),
+                "merged {merged:?} != pushed and sorted {pushed:?}"
             );
+            let verdict = |entries: Vec<feasibility::DemandEntry>| {
+                feasibility::edf_violations(entries, now, capacity, committed)
+                    .next()
+                    .is_none()
+            };
+            prop_assert_eq!(verdict(merged), verdict(pushed));
         }
     }
 

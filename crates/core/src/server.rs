@@ -27,22 +27,20 @@ use tetriserve_simulator::trace::{RequestId, Trace, TraceEvent};
 use crate::config::AdmissionPolicy;
 use crate::degrade::DegradePolicy;
 use crate::feasibility::{self, DemandEntry};
-use crate::policy::{validate_plans, Policy, PolicyEvent, SchedContext};
+use crate::policy::{validate_plans, DispatchPlan, Policy, PolicyEvent, SchedContext};
 use crate::request::{RequestOutcome, RequestSpec};
 use crate::stage::{plan_stage_dispatch, PoolLayout};
 use crate::tracker::{MigratedRequest, Phase, RequestTracker};
+
+/// Hard cap on the events one cluster processes, guarding against
+/// non-terminating policies.
+const MAX_EVENTS: u64 = 50_000_000;
 
 /// Server behaviour knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Engine behaviour (noise, stalls, warm-up, memory, injected faults).
     pub engine: EngineConfig,
-    /// Validate every plan batch against the context (cheap; catches policy
-    /// bugs at the source).
-    pub validate_plans: bool,
-    /// Hard cap on processed events, guarding against non-terminating
-    /// policies.
-    pub max_events: u64,
     /// What to do when the backlog is infeasible under healthy capacity.
     pub admission: AdmissionPolicy,
     /// Fault-abort retries allowed per request before it is terminally
@@ -68,8 +66,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             engine: EngineConfig::default(),
-            validate_plans: true,
-            max_events: 50_000_000,
             admission: AdmissionPolicy::AdmitAll,
             max_retries: 3,
             degrade: None,
@@ -545,15 +541,6 @@ impl<P: Policy> ClusterSim<P> {
         failures.effective_capacity(healthy, at)
     }
 
-    /// The live backlog's demand entries in EDF scan order, as of `at` —
-    /// the raw material for fleet-level feasibility questions ("could this
-    /// cluster absorb one more request / a migrated-in request"). Pure
-    /// read; pairs with [`healthy_count_at`](ClusterSim::healthy_count_at).
-    pub fn feasibility_entries(&self, at: SimTime) -> Vec<DemandEntry> {
-        let at = at.max(self.cursor);
-        feasibility::live_entries(&self.tracker, at, &self.costs)
-    }
-
     /// Every queued request with work remaining, in id order, as
     /// `(spec, remaining_steps)` — the movable set a fleet rebalancer may
     /// migrate (running requests are pinned to their dispatch). The live
@@ -577,13 +564,12 @@ impl<P: Policy> ClusterSim<P> {
     pub fn at_risk_queued(&self, at: SimTime) -> Vec<RequestId> {
         let at = at.max(self.cursor);
         let entries = feasibility::live_entries(&self.tracker, at, &self.costs);
-        feasibility::edf_at_risk_capacity(&entries, at, self.effective_capacity_at(at))
-            .into_iter()
-            .filter(|&id| {
-                self.tracker
-                    .get(id)
-                    .is_some_and(|r| r.phase == Phase::Queued)
-            })
+        let at_risk = feasibility::edf_at_risk_len(entries, at, self.effective_capacity_at(at));
+        self.tracker
+            .live()
+            .take(at_risk)
+            .filter(|r| r.phase == Phase::Queued)
+            .map(|r| r.spec.id)
             .collect()
     }
 
@@ -609,7 +595,6 @@ impl<P: Policy> ClusterSim<P> {
         let running = self.tracker.running_count();
         let backlog_steps = self.tracker.live_backlog_steps();
         let backlog_gpu_seconds = feasibility::live_entries(&self.tracker, at, &self.costs)
-            .iter()
             .map(|e| e.demand)
             .sum();
         ClusterLoad {
@@ -630,23 +615,38 @@ impl<P: Policy> ClusterSim<P> {
     }
 
     /// Whether the cluster could take `spec` on top of its live backlog and
-    /// still meet every deadline under the EDF cumulative-demand test —
-    /// the router-facing form of the PR 1 admission machinery.
+    /// still meet every deadline under the EDF cumulative-demand test,
+    /// against the slowdown-derated capacity — the router-facing form of
+    /// the admission machinery.
     pub fn admission_feasible(&self, spec: &RequestSpec, at: SimTime) -> bool {
         let at = at.max(self.cursor);
-        let mut entries = feasibility::live_entries(&self.tracker, at, &self.costs);
-        entries.push(feasibility::demand_entry(
-            &self.costs,
-            spec.id,
-            spec.resolution,
-            spec.stages,
-            spec.total_steps,
-            spec.deadline,
-            at,
-            true,
-        ));
-        feasibility::sort_entries(&mut entries);
-        feasibility::edf_feasible_capacity(&entries, at, self.effective_capacity_at(at))
+        let entry = feasibility::arrival_entry(&self.costs, spec, at);
+        self.feasible_with(at, entry, &[], 0.0, self.effective_capacity_at(at))
+    }
+
+    /// The fleet's admission probe: whether the live backlog at `at`,
+    /// minus the `exclude`d requests, plus the hypothetical `extra`, stays
+    /// EDF-feasible with `committed` GPU-seconds already promised to this
+    /// cluster, against `capacity` nominal GPUs. `extra` is merged into
+    /// the live index at its `(deadline, id)` slot rather than pushed and
+    /// sorted. Pure read, allocation-free.
+    ///
+    /// `at` must not lie before [`now`](ClusterSim::now), and `extra` must
+    /// be priced at that same instant.
+    pub fn feasible_with(
+        &self,
+        at: SimTime,
+        extra: DemandEntry,
+        exclude: &[RequestId],
+        committed: f64,
+        capacity: f64,
+    ) -> bool {
+        debug_assert!(at >= self.cursor, "feasibility probe in the cluster's past");
+        let entries =
+            feasibility::live_entries_with(&self.tracker, at, &self.costs, extra, exclude);
+        feasibility::edf_violations(entries, at, capacity, committed)
+            .next()
+            .is_none()
     }
 
     /// Removes and returns every queued request that has made no progress
@@ -685,12 +685,9 @@ impl<P: Policy> ClusterSim<P> {
         ids.len()
     }
 
-    /// The degrade-before-shed ladder (DESIGN.md §14), run whenever the
-    /// backlog may have turned infeasible: at admission, on a fault
-    /// transition, and when a migration lands. With a degrade policy
-    /// configured, the EDF scan first shrinks step budgets toward the
-    /// per-class quality floors; whole-request shedding (when the
-    /// admission policy allows it) is the last rung. Capacity is the
+    /// Runs the rescue ladder ([`feasibility::degrade_or_shed`]) whenever
+    /// the backlog may have turned infeasible: at admission, on a fault
+    /// transition, and when a migration lands. Capacity is the
     /// slowdown-derated effective count, so throttled GPUs trigger the
     /// ladder exactly like lost ones.
     fn rescue_pass(&mut self, now: SimTime) {
@@ -700,26 +697,15 @@ impl<P: Policy> ClusterSim<P> {
         }
         let healthy = GpuSet::first_n(self.denoise_gpus).difference(self.down);
         let capacity = self.config.engine.failures.effective_capacity(healthy, now);
-        match &self.config.degrade {
-            Some(policy) => {
-                degrade_or_shed(
-                    &mut self.tracker,
-                    now,
-                    capacity,
-                    &self.costs,
-                    policy,
-                    shed,
-                    &mut self.feas,
-                );
-            }
-            None => shed_infeasible(
-                &mut self.tracker,
-                now,
-                capacity,
-                &self.costs,
-                &mut self.feas,
-            ),
-        }
+        feasibility::degrade_or_shed(
+            &mut self.tracker,
+            now,
+            capacity,
+            &self.costs,
+            self.config.degrade.as_ref(),
+            shed,
+            &mut self.feas,
+        );
     }
 
     /// Schedules an arriving request's condition-encode stage on the
@@ -765,15 +751,15 @@ impl<P: Policy> ClusterSim<P> {
     ///
     /// # Panics
     ///
-    /// Panics if a policy emits an invalid plan (with validation enabled),
-    /// or the event cap is exceeded.
+    /// Panics if a policy emits an invalid plan, or the event cap is
+    /// exceeded.
     pub fn step(&mut self) -> bool {
         let Some((now, event)) = self.events.pop() else {
             return false;
         };
         self.processed += 1;
         assert!(
-            self.processed <= self.config.max_events,
+            self.processed <= MAX_EVENTS,
             "event cap exceeded: the policy appears not to terminate"
         );
         self.cursor = self.cursor.max(now);
@@ -786,274 +772,324 @@ impl<P: Policy> ClusterSim<P> {
         }
 
         let trigger = match event {
-            Event::Arrival(spec) => {
-                self.tracker.admit(spec);
-                // Every Arrival event was counted by push_arrival; a zero
-                // count here means an arrival was double-processed or the
-                // counter was decremented on a path that never queued one
-                // (the classic underflow when a migration lands after its
-                // source already accounted it).
-                debug_assert!(
-                    self.arrivals_pending > 0,
-                    "arrivals_pending underflow processing an Arrival"
-                );
-                self.arrivals_pending -= 1;
-                if spec.stages.encode {
-                    self.dispatch_encode(spec, now);
-                }
-                self.rescue_pass(now);
-                Some(PolicyEvent::Arrival)
-            }
-            Event::StageReady(id) => {
-                // The request's encode gate just opened (set at dispatch
-                // time); wake event-driven policies so it gets planned.
-                debug_assert!(
-                    self.tracker.get(id).is_none_or(|r| r.encode_ready <= now),
-                    "stage-ready event fired before its encode gate opened"
-                );
-                Some(PolicyEvent::Arrival)
-            }
-            Event::DispatchDone { gpus, requests } => {
-                // A fault opening exactly as the dispatch ends keeps the
-                // GPU out of the pool (windows are half-open, so the
-                // dispatch itself still completes).
-                self.free = self.free.union(gpus).difference(self.down);
-                for id in requests {
-                    self.tracker.finish_dispatch(id);
-                    if self.tracker.get(id).is_some_and(|r| r.remaining_steps == 0) {
-                        // Uniform stage transition: the denoise stage is
-                        // over. Unified layouts already priced the fused
-                        // decode into the dispatch timeline; disaggregated
-                        // ones hand off to a decode-pool slot here.
-                        self.tracker.note_denoise_done(id, now);
-                        if !self.decode_pool.is_empty() {
-                            self.dispatch_decode(id, now);
-                        }
-                    }
-                }
-                Some(PolicyEvent::DispatchDone)
-            }
+            Event::Arrival(spec) => self.on_arrival(spec, now),
+            Event::Migration { m, bytes, delay } => self.on_migration(m, bytes, delay, now),
+            Event::StageReady(id) => self.on_stage_ready(id, now),
+            Event::DispatchDone { gpus, requests } => self.on_dispatch_done(gpus, &requests, now),
             Event::DispatchAborted {
                 gpus,
                 requests,
                 lost_steps,
-            } => {
-                self.free = self.free.union(gpus).difference(self.down);
-                for id in requests {
-                    self.tracker.abort_dispatch(id, gpus, lost_steps);
-                    if self
-                        .tracker
-                        .get(id)
-                        .is_some_and(|r| r.retries > self.config.max_retries)
-                    {
-                        self.tracker.fail(id);
-                    }
-                }
-                Some(PolicyEvent::DispatchDone)
-            }
-            Event::GpuDown => {
-                // Recompute from the plan rather than toggling one GPU:
-                // overlapping fault windows on the same GPU stay down
-                // until the *last* window closes.
-                self.down = self.config.engine.failures.down_gpus(now);
-                self.free = self.free.difference(self.down);
-                self.rescue_pass(now);
-                // Wake event-driven policies so queued work re-plans
-                // around the shrunk capacity at once; round-driven
-                // policies pick it up at the next tick.
-                Some(PolicyEvent::DispatchDone)
-            }
-            Event::GpuUp => {
-                let was = self.down;
-                self.down = self.config.engine.failures.down_gpus(now);
-                // A GPU can only return idle: while down it is excluded
-                // from every plan, so no dispatch holds it at `up_at`.
-                let newly_up = was.difference(self.down);
-                self.free = self.free.union(newly_up).difference(self.down);
-                Some(PolicyEvent::DispatchDone)
-            }
-            Event::Complete(id) => {
-                self.tracker.complete(id, now);
-                None
-            }
-            Event::Migration { m, bytes, delay } => {
-                // Counted by inject_request when the hand-off was
-                // scheduled; see the Arrival arm for the underflow rationale.
-                debug_assert!(
-                    self.arrivals_pending > 0,
-                    "arrivals_pending underflow processing a Migration landing"
-                );
-                self.arrivals_pending -= 1;
-                self.engine.record(TraceEvent::MigrationIn {
-                    time: now,
-                    request: m.spec.id,
-                    bytes,
-                    delay,
-                });
-                self.tracker.admit_migrated(m);
-                // Same admission discipline as a fresh arrival: the
-                // migrated request itself holds progress and is immune to
-                // shedding, but its demand may push *fresh* queued work
-                // over the feasibility edge.
-                self.rescue_pass(now);
-                Some(PolicyEvent::Arrival)
-            }
-            Event::Tick => {
-                self.tick_pending = false;
-                if self.arrivals_pending > 0 || self.tracker.active_count() > 0 {
-                    if let Some(next) = self.policy.next_tick(now) {
-                        assert!(next > now, "round ticks must advance time");
-                        self.events.push(next, Event::Tick);
-                        self.tick_pending = true;
-                    }
-                }
-                Some(PolicyEvent::RoundTick)
-            }
+            } => self.on_dispatch_aborted(gpus, &requests, lost_steps),
+            Event::GpuDown => self.on_gpu_down(now),
+            Event::GpuUp => self.on_gpu_up(now),
+            Event::Complete(id) => self.on_complete(id, now),
+            Event::Tick => self.on_tick(now),
         };
-
-        let Some(trigger) = trigger else {
-            return true;
-        };
-        if !self.policy.reacts_to(trigger) {
-            return true;
-        }
-
-        let plans = {
-            let ctx = SchedContext {
-                now,
-                free: self.free,
-                healthy: GpuSet::first_n(self.denoise_gpus).difference(self.down),
-                n_gpus: self.denoise_gpus,
-                tracker: &self.tracker,
-                costs: &self.costs,
-                failures: &self.config.engine.failures,
-            };
-            // tetrilint: allow(wall-clock) -- measures the host-side
-            // control-plane cost of Policy::schedule (Table 6); the
-            // value feeds SchedPass telemetry, never a decision.
-            let started = std::time::Instant::now();
-            let plans = self.policy.schedule(&ctx);
-            let elapsed = started.elapsed();
-            self.sched_wall += elapsed;
-            self.sched_calls += 1;
-            self.engine.record(TraceEvent::SchedPass {
-                time: now,
-                queue_depth: self.tracker.active_count(),
-                plans: plans.len(),
-                wall: elapsed,
-            });
-            if self.config.validate_plans {
-                if let Err(e) = validate_plans(&plans, &ctx) {
-                    panic!("policy {} emitted invalid plans: {e}", self.policy.name());
-                }
-            }
-            plans
-        };
-
-        for plan in plans {
-            let model = self.costs.model();
-            let cluster = self.costs.cluster();
-            // A plan with no requests (or one referencing an id the
-            // tracker no longer holds) schedules nothing; skipping it
-            // leaves the work queued for the rescue pass rather than
-            // panicking mid-round.
-            let Some(resolution) = plan
-                .requests
-                .first()
-                .and_then(|&id| self.tracker.get(id))
-                .map(|r| r.spec.resolution)
-            else {
-                continue;
-            };
-            let batch = plan.batch();
-            // Video requests denoise every frame: the dispatch's wall
-            // clock scales by the widest frame count in the batch.
-            // Integer-exact, so single-frame batches are untouched.
-            let frames = plan
-                .requests
-                .iter()
-                .filter_map(|&id| self.tracker.get(id))
-                .map(|r| r.spec.stages.frames)
-                .max()
-                .unwrap_or(1);
-            let per_step = step_time_on(
-                model,
-                resolution,
-                plan.gpus,
-                batch,
-                cluster,
-                &self.topology,
-                self.costs.scheme(),
-            ) * u64::from(frames);
-            let finishing: Vec<RequestId> = plan
-                .requests
-                .iter()
-                .copied()
-                .filter(|&id| {
-                    self.tracker
-                        .get(id)
-                        .is_some_and(|r| r.remaining_steps == plan.steps)
-                })
-                .collect();
-            // Unified layouts fuse the frame-scaled VAE decode onto the
-            // finishing gang (the engine serializes them on its decoder);
-            // disaggregated layouts hand finishers to the decode pool at
-            // `DispatchDone`, freeing the denoise gang immediately.
-            let decode_after = if finishing.is_empty() || !self.decode_pool.is_empty() {
-                None
-            } else {
-                Some(model.decode_time_frames(resolution, cluster.gpu.effective_tflops(), frames))
-            };
-            let dispatch = StepDispatch {
-                requests: plan.requests.clone(),
-                gpus: plan.gpus,
-                steps: plan.steps,
-                per_step,
-                latent_bytes: model.latent_bytes(resolution),
-                activation_bytes_per_gpu: model.activation_bytes_per_gpu(
-                    resolution,
-                    plan.gpus.len(),
-                    batch,
-                ),
-                decode_after,
-                finishing,
-            };
-            let outcome = self
-                .engine
-                .submit(now, &dispatch)
-                .unwrap_or_else(|e| panic!("engine rejected a validated plan: {e}"));
-
-            // Accounting: GPU-seconds split evenly across the batch.
-            let span = outcome.gpus_free_at.saturating_since(now).as_secs_f64();
-            let gpu_seconds = plan.gpus.len() as f64 * span / f64::from(batch);
-            for &id in &plan.requests {
-                self.tracker
-                    .start_dispatch(id, plan.gpus, plan.steps, gpu_seconds);
-            }
-            self.free = self.free.difference(plan.gpus);
-            if let Some(abort) = outcome.aborted {
-                self.events.push(
-                    abort.time,
-                    Event::DispatchAborted {
-                        gpus: plan.gpus,
-                        requests: plan.requests.clone(),
-                        lost_steps: plan.steps - abort.completed_steps,
-                    },
-                );
-            } else {
-                self.events.push(
-                    outcome.gpus_free_at,
-                    Event::DispatchDone {
-                        gpus: plan.gpus,
-                        requests: plan.requests.clone(),
-                    },
-                );
-            }
-            for (id, done) in outcome.request_done {
-                self.events.push(done, Event::Complete(id));
+        if trigger.is_some_and(|t| self.policy.reacts_to(t)) {
+            for plan in self.schedule(now) {
+                self.submit(plan, now);
             }
         }
         true
+    }
+
+    fn on_arrival(&mut self, spec: RequestSpec, now: SimTime) -> Option<PolicyEvent> {
+        self.tracker.admit(spec);
+        if spec.stages.encode {
+            self.dispatch_encode(spec, now);
+        }
+        self.admitted(now)
+    }
+
+    fn on_migration(
+        &mut self,
+        m: MigratedRequest,
+        bytes: u64,
+        delay: SimDuration,
+        now: SimTime,
+    ) -> Option<PolicyEvent> {
+        self.engine.record(TraceEvent::MigrationIn {
+            time: now,
+            request: m.spec.id,
+            bytes,
+            delay,
+        });
+        // Same admission discipline as a fresh arrival: the migrated
+        // request itself holds progress and is immune to shedding, but its
+        // demand may push *fresh* queued work over the feasibility edge.
+        self.tracker.admit_migrated(m);
+        self.admitted(now)
+    }
+
+    /// The admit tail Arrival and Migration share: settle the pending
+    /// count, run the rescue ladder against the grown backlog, and wake
+    /// the policy.
+    fn admitted(&mut self, now: SimTime) -> Option<PolicyEvent> {
+        // push_arrival / inject_request counted every Arrival and
+        // Migration event; a zero count here means one was processed
+        // twice or the counter was decremented on a path that never
+        // queued one (the classic underflow when a migration lands after
+        // its source already accounted it).
+        debug_assert!(
+            self.arrivals_pending > 0,
+            "arrivals_pending underflow admitting an arrival or migration"
+        );
+        self.arrivals_pending -= 1;
+        self.rescue_pass(now);
+        Some(PolicyEvent::Arrival)
+    }
+
+    fn on_stage_ready(&self, id: RequestId, now: SimTime) -> Option<PolicyEvent> {
+        // The request's encode gate just opened (set at dispatch time);
+        // wake event-driven policies so it gets planned.
+        debug_assert!(
+            self.tracker.get(id).is_none_or(|r| r.encode_ready <= now),
+            "stage-ready event fired before its encode gate opened"
+        );
+        Some(PolicyEvent::Arrival)
+    }
+
+    fn on_dispatch_done(
+        &mut self,
+        gpus: GpuSet,
+        requests: &[RequestId],
+        now: SimTime,
+    ) -> Option<PolicyEvent> {
+        // A fault opening exactly as the dispatch ends keeps the GPU out
+        // of the pool (windows are half-open, so the dispatch itself still
+        // completes).
+        self.free = self.free.union(gpus).difference(self.down);
+        for &id in requests {
+            self.tracker.finish_dispatch(id);
+            if self.tracker.get(id).is_some_and(|r| r.remaining_steps == 0) {
+                // Uniform stage transition: the denoise stage is over.
+                // Unified layouts already priced the fused decode into the
+                // dispatch timeline; disaggregated ones hand off to a
+                // decode-pool slot here.
+                self.tracker.note_denoise_done(id, now);
+                if !self.decode_pool.is_empty() {
+                    self.dispatch_decode(id, now);
+                }
+            }
+        }
+        Some(PolicyEvent::DispatchDone)
+    }
+
+    fn on_dispatch_aborted(
+        &mut self,
+        gpus: GpuSet,
+        requests: &[RequestId],
+        lost_steps: u32,
+    ) -> Option<PolicyEvent> {
+        self.free = self.free.union(gpus).difference(self.down);
+        for &id in requests {
+            self.tracker.abort_dispatch(id, gpus, lost_steps);
+            if self
+                .tracker
+                .get(id)
+                .is_some_and(|r| r.retries > self.config.max_retries)
+            {
+                self.tracker.fail(id);
+            }
+        }
+        Some(PolicyEvent::DispatchDone)
+    }
+
+    fn on_gpu_down(&mut self, now: SimTime) -> Option<PolicyEvent> {
+        self.refresh_health(now);
+        self.rescue_pass(now);
+        // Wake event-driven policies so queued work re-plans around the
+        // shrunk capacity at once; round-driven policies pick it up at the
+        // next tick.
+        Some(PolicyEvent::DispatchDone)
+    }
+
+    fn on_gpu_up(&mut self, now: SimTime) -> Option<PolicyEvent> {
+        self.refresh_health(now);
+        Some(PolicyEvent::DispatchDone)
+    }
+
+    /// The health refresh GpuDown and GpuUp share: re-read the down set
+    /// from the failure plan at `now` and return every denoise-pool GPU
+    /// that left it to the free pool, `free = (free ∪ (was \ down)) \ down`.
+    ///
+    /// Recomputing rather than toggling one GPU keeps overlapping fault
+    /// windows on one GPU down until the *last* one closes, and one event
+    /// settles every transition at its instant: a window closing exactly
+    /// when another GPU's opens is returned by whichever of the coincident
+    /// events fires first, so the other finds nothing left to do. A GPU
+    /// can only return idle: while down it is excluded from every plan,
+    /// so no dispatch holds it at `up_at`.
+    fn refresh_health(&mut self, now: SimTime) {
+        let was = self.down;
+        self.down = self.config.engine.failures.down_gpus(now);
+        // Only denoise-pool GPUs are ever free: a recovered encode or
+        // decode pool GPU must not reach the packer.
+        let recovered = was
+            .difference(self.down)
+            .intersection(GpuSet::first_n(self.denoise_gpus));
+        self.free = self.free.union(recovered).difference(self.down);
+    }
+
+    fn on_complete(&mut self, id: RequestId, now: SimTime) -> Option<PolicyEvent> {
+        self.tracker.complete(id, now);
+        None
+    }
+
+    fn on_tick(&mut self, now: SimTime) -> Option<PolicyEvent> {
+        self.tick_pending = false;
+        if self.arrivals_pending > 0 || self.tracker.active_count() > 0 {
+            if let Some(next) = self.policy.next_tick(now) {
+                assert!(next > now, "round ticks must advance time");
+                self.events.push(next, Event::Tick);
+                self.tick_pending = true;
+            }
+        }
+        Some(PolicyEvent::RoundTick)
+    }
+
+    /// One scheduling pass: asks the policy for plans at `now`, records
+    /// the pass (with its host wall time) in the trace, and validates the
+    /// plans against the context the policy saw.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy emits an invalid plan.
+    fn schedule(&mut self, now: SimTime) -> Vec<DispatchPlan> {
+        let ctx = SchedContext {
+            now,
+            free: self.free,
+            healthy: GpuSet::first_n(self.denoise_gpus).difference(self.down),
+            n_gpus: self.denoise_gpus,
+            tracker: &self.tracker,
+            costs: &self.costs,
+            failures: &self.config.engine.failures,
+        };
+        // tetrilint: allow(wall-clock) -- measures the host-side
+        // control-plane cost of Policy::schedule (Table 6); the
+        // value feeds SchedPass telemetry, never a decision.
+        let started = std::time::Instant::now();
+        let plans = self.policy.schedule(&ctx);
+        let elapsed = started.elapsed();
+        self.sched_wall += elapsed;
+        self.sched_calls += 1;
+        self.engine.record(TraceEvent::SchedPass {
+            time: now,
+            queue_depth: self.tracker.active_count(),
+            plans: plans.len(),
+            wall: elapsed,
+        });
+        if let Err(e) = validate_plans(&plans, &ctx) {
+            panic!("policy {} emitted invalid plans: {e}", self.policy.name());
+        }
+        plans
+    }
+
+    /// Turns one plan into an engine dispatch at `now`: prices its
+    /// placement-accurate per-step time (frame-scaled for video) and tail
+    /// decode, charges the GPU-seconds, and queues the dispatch's end
+    /// (done or aborted) and its requests' completions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the engine rejects the plan, which validation rules out.
+    fn submit(&mut self, plan: DispatchPlan, now: SimTime) {
+        let model = self.costs.model();
+        let cluster = self.costs.cluster();
+        // A plan with no requests (or one referencing an id the tracker no
+        // longer holds) schedules nothing; skipping it leaves the work
+        // queued for the rescue pass rather than panicking mid-round.
+        let Some(resolution) = plan
+            .requests
+            .first()
+            .and_then(|&id| self.tracker.get(id))
+            .map(|r| r.spec.resolution)
+        else {
+            return;
+        };
+        let batch = plan.batch();
+        // Video requests denoise every frame: the dispatch's wall clock
+        // scales by the widest frame count in the batch. Integer-exact, so
+        // single-frame batches are untouched.
+        let frames = plan
+            .requests
+            .iter()
+            .filter_map(|&id| self.tracker.get(id))
+            .map(|r| r.spec.stages.frames)
+            .max()
+            .unwrap_or(1);
+        let per_step = step_time_on(
+            model,
+            resolution,
+            plan.gpus,
+            batch,
+            cluster,
+            &self.topology,
+            self.costs.scheme(),
+        ) * u64::from(frames);
+        let finishing: Vec<RequestId> = plan
+            .requests
+            .iter()
+            .copied()
+            .filter(|&id| {
+                self.tracker
+                    .get(id)
+                    .is_some_and(|r| r.remaining_steps == plan.steps)
+            })
+            .collect();
+        // Unified layouts fuse the frame-scaled VAE decode onto the
+        // finishing gang (the engine serializes them on its decoder);
+        // disaggregated layouts hand finishers to the decode pool at
+        // `DispatchDone`, freeing the denoise gang immediately.
+        let decode_after = if finishing.is_empty() || !self.decode_pool.is_empty() {
+            None
+        } else {
+            Some(model.decode_time_frames(resolution, cluster.gpu.effective_tflops(), frames))
+        };
+        let dispatch = StepDispatch {
+            requests: plan.requests,
+            gpus: plan.gpus,
+            steps: plan.steps,
+            per_step,
+            latent_bytes: model.latent_bytes(resolution),
+            activation_bytes_per_gpu: model.activation_bytes_per_gpu(
+                resolution,
+                plan.gpus.len(),
+                batch,
+            ),
+            decode_after,
+            finishing,
+        };
+        let outcome = self
+            .engine
+            .submit(now, &dispatch)
+            .unwrap_or_else(|e| panic!("engine rejected a validated plan: {e}"));
+
+        // Accounting: GPU-seconds split evenly across the batch.
+        let span = outcome.gpus_free_at.saturating_since(now).as_secs_f64();
+        let gpu_seconds = plan.gpus.len() as f64 * span / f64::from(batch);
+        for &id in &dispatch.requests {
+            self.tracker
+                .start_dispatch(id, plan.gpus, plan.steps, gpu_seconds);
+        }
+        self.free = self.free.difference(plan.gpus);
+        let (gpus, requests) = (plan.gpus, dispatch.requests);
+        if let Some(abort) = outcome.aborted {
+            let lost_steps = plan.steps - abort.completed_steps;
+            let ended = Event::DispatchAborted {
+                gpus,
+                requests,
+                lost_steps,
+            };
+            self.events.push(abort.time, ended);
+        } else {
+            self.events
+                .push(outcome.gpus_free_at, Event::DispatchDone { gpus, requests });
+        }
+        for (id, done) in outcome.request_done {
+            self.events.push(done, Event::Complete(id));
+        }
     }
 
     /// Consumes the simulation and produces the final report.
@@ -1128,8 +1164,8 @@ impl<P: Policy> Server<P> {
     ///
     /// # Panics
     ///
-    /// Panics if a policy emits an invalid plan (with validation enabled),
-    /// or the event cap is exceeded.
+    /// Panics if a policy emits an invalid plan, or the event cap is
+    /// exceeded.
     pub fn run<I: IntoIterator<Item = RequestSpec>>(self, specs: I) -> ServeReport {
         let mut sim = ClusterSim::new(self.costs, self.policy, self.config);
         for spec in specs {
@@ -1138,151 +1174,6 @@ impl<P: Policy> Server<P> {
         sim.start();
         while sim.step() {}
         sim.finish()
-    }
-}
-
-/// Deadline-aware admission control (EDF cumulative-demand test).
-///
-/// Scans live requests in deadline order, accumulating each one's
-/// cheapest deadline-respecting GPU-second demand; whenever the running
-/// total exceeds what `capacity` nominal GPUs can deliver by that
-/// deadline, the least salvageable *not-yet-started* request in the
-/// prefix is shed and the test restarts. Requests that already hold
-/// checkpointed steps are never shed — dropping them would waste
-/// finished work. `capacity` is fractional (slowdown-derated); passing a
-/// whole healthy count is bit-identical to the pre-slowdown behaviour.
-fn shed_infeasible(
-    tracker: &mut RequestTracker,
-    now: SimTime,
-    capacity: f64,
-    costs: &CostTable,
-    scratch: &mut feasibility::FeasScratch,
-) {
-    loop {
-        let live: &[DemandEntry] = scratch.fill(tracker, now, costs);
-
-        let mut demand = 0.0;
-        let mut shed = None;
-        for (i, c) in live.iter().enumerate() {
-            demand += c.demand;
-            let deliverable = capacity
-                * c.deadline.saturating_since(now).as_secs_f64()
-                * feasibility::ADMISSION_UTILIZATION;
-            if demand > deliverable {
-                // Least slack first; on ties the newest admission goes
-                // (reject the incoming request rather than break an
-                // older commitment). Started requests are immune, so an
-                // all-started prefix leaves this violation standing and
-                // the scan moves on to ones it can still relieve.
-                shed = live
-                    .iter()
-                    .take(i + 1)
-                    .filter(|c| c.fresh)
-                    .min_by(|a, b| a.slack.total_cmp(&b.slack).then(b.id.cmp(&a.id)))
-                    .map(|c| c.id);
-                if shed.is_some() {
-                    break;
-                }
-            }
-        }
-        match shed {
-            Some(id) => tracker.shed(id),
-            None => break,
-        }
-    }
-}
-
-/// The degrade-before-shed ladder: like [`shed_infeasible`], but at each
-/// capacity violation the first rung shrinks a queued prefix member's
-/// step budget toward its class quality floor ([`DegradePolicy`]) —
-/// enough steps to cover the overshoot, never past the floor. Only when
-/// no prefix member has sheddable steps left does the ladder fall through
-/// to whole-request shedding (and only if `shed_at_floor` — i.e. the
-/// admission policy — allows dropping requests at all). Victim order on
-/// both rungs matches [`shed_infeasible`]: least slack first, newest id
-/// on ties.
-fn degrade_or_shed(
-    tracker: &mut RequestTracker,
-    now: SimTime,
-    capacity: f64,
-    costs: &CostTable,
-    policy: &DegradePolicy,
-    shed_at_floor: bool,
-    scratch: &mut feasibility::FeasScratch,
-) {
-    enum Action {
-        Degrade(RequestId, u32),
-        Shed(RequestId),
-    }
-    loop {
-        let live: &[DemandEntry] = scratch.fill(tracker, now, costs);
-
-        let mut demand = 0.0;
-        let mut action = None;
-        for (i, c) in live.iter().enumerate() {
-            demand += c.demand;
-            let deliverable = capacity
-                * c.deadline.saturating_since(now).as_secs_f64()
-                * feasibility::ADMISSION_UTILIZATION;
-            if demand > deliverable {
-                let overshoot = demand - deliverable;
-                // Rung 1: degrade. Running requests are pinned (their
-                // dispatch already holds its step count); queued ones may
-                // shed steps down to max(floor − executed, 1) remaining.
-                let victim = live
-                    .iter()
-                    .take(i + 1)
-                    .filter_map(|e| {
-                        let r = tracker.get(e.id)?;
-                        if r.phase != Phase::Queued {
-                            return None;
-                        }
-                        let min_steps = policy.min_steps(r.spec.resolution, r.spec.total_steps);
-                        let floor_remaining = min_steps.saturating_sub(r.steps_executed()).max(1);
-                        let sheddable = r.remaining_steps.saturating_sub(floor_remaining);
-                        (sheddable > 0).then_some((e, sheddable, r.remaining_steps))
-                    })
-                    .min_by(|(a, _, _), (b, _, _)| {
-                        a.slack.total_cmp(&b.slack).then(b.id.cmp(&a.id))
-                    });
-                if let Some((e, sheddable, remaining)) = victim {
-                    // Shed just enough of the victim's steps to cover the
-                    // overshoot at its cheapest per-step demand, clamped
-                    // to the floor; the re-scan sheds more (or picks the
-                    // next victim) if that was not enough.
-                    let per_step = e.demand / f64::from(remaining);
-                    let needed = (overshoot / per_step).ceil();
-                    let steps = if needed >= f64::from(sheddable) {
-                        sheddable
-                    } else {
-                        (needed as u32).max(1)
-                    };
-                    action = Some(Action::Degrade(e.id, steps));
-                    break;
-                }
-                // Rung 2: every prefix member is at its floor (or
-                // running) — shed a whole fresh request if allowed.
-                if shed_at_floor {
-                    let shed = live
-                        .iter()
-                        .take(i + 1)
-                        .filter(|c| c.fresh)
-                        .min_by(|a, b| a.slack.total_cmp(&b.slack).then(b.id.cmp(&a.id)))
-                        .map(|c| c.id);
-                    if let Some(id) = shed {
-                        action = Some(Action::Shed(id));
-                        break;
-                    }
-                }
-                // No relief available at this violation; keep scanning —
-                // a later violation may still have degradable members.
-            }
-        }
-        match action {
-            Some(Action::Degrade(id, steps)) => tracker.shed_steps(id, steps),
-            Some(Action::Shed(id)) => tracker.shed(id),
-            None => break,
-        }
     }
 }
 
@@ -1644,6 +1535,63 @@ mod tests {
     }
 
     #[test]
+    fn coincident_health_events_return_every_recovered_gpu() {
+        use tetriserve_simulator::failure::{FailurePlan, GpuFault};
+        use tetriserve_simulator::gpuset::GpuId;
+        // GPU 0 dies at 1 s exactly as GPU 1's window closes. Whichever
+        // of the coincident GpuDown and GpuUp fires first must hand GPU 1
+        // back: 7 free GPUs in either fault order.
+        let secs = SimTime::from_secs_f64;
+        let free_after = |faults: &[GpuFault]| {
+            let c = costs();
+            let policy = TetriServePolicy::with_defaults(&c);
+            let mut config = ServerConfig::default();
+            config.engine.failures = faults
+                .iter()
+                .fold(FailurePlan::none(), |plan, &f| plan.with_fault(f));
+            let mut sim = ClusterSim::new(c, policy, config);
+            sim.start();
+            while sim.step() {}
+            sim.load(sim.now()).free_gpus
+        };
+        let faults = [
+            GpuFault::permanent(GpuId(0), secs(1.0)),
+            GpuFault::transient(GpuId(1), secs(0.5), secs(1.0)),
+        ];
+        assert_eq!(free_after(&faults), 7);
+        assert_eq!(free_after(&[faults[1], faults[0]]), 7);
+    }
+
+    #[test]
+    fn recovered_pool_gpu_stays_out_of_the_denoise_pool() {
+        use tetriserve_simulator::failure::{FailurePlan, GpuFault};
+        use tetriserve_simulator::gpuset::GpuId;
+        // GPU 7 belongs to the disaggregated decode pool. When its fault
+        // window closes it must not join the denoise packer's free set,
+        // or the next plan would place denoise steps on it.
+        let c = costs();
+        let policy = TetriServePolicy::with_defaults(&c);
+        let mut config = ServerConfig {
+            pool: PoolLayout::disaggregated_default(),
+            ..ServerConfig::default()
+        };
+        config.engine.failures = FailurePlan::none().with_fault(GpuFault::transient(
+            GpuId(7),
+            SimTime::from_secs_f64(0.5),
+            SimTime::from_secs_f64(1.0),
+        ));
+        let mut sim = ClusterSim::new(c, policy, config);
+        for i in 0..3 {
+            sim.push_arrival(spec(i, Resolution::R1024, 1.0 + 0.1 * i as f64, 60.0));
+        }
+        sim.start();
+        while sim.step() {
+            assert!(sim.load(sim.now()).free_gpus <= 5);
+        }
+        assert!(sim.finish().outcomes.iter().all(|o| o.met_slo()));
+    }
+
+    #[test]
     fn retry_budget_exhaustion_fails_the_request() {
         use tetriserve_simulator::failure::GpuFault;
         use tetriserve_simulator::gpuset::GpuId;
@@ -1937,6 +1885,12 @@ mod tests {
         // No deadline horizon at all → zero capacity by any deadline.
         let hopeless = spec(1, Resolution::R2048, 0.0, 0.0);
         assert!(!sim.admission_feasible(&hopeless, SimTime::ZERO));
+        // The fleet's probe underneath: the caller supplies committed
+        // demand and capacity.
+        let entry = feasibility::arrival_entry(sim.costs(), &easy, SimTime::ZERO);
+        assert!(sim.feasible_with(SimTime::ZERO, entry, &[], 0.0, 8.0));
+        assert!(!sim.feasible_with(SimTime::ZERO, entry, &[], 1e9, 8.0));
+        assert!(!sim.feasible_with(SimTime::ZERO, entry, &[], 0.0, 0.0));
     }
 
     #[test]

@@ -45,7 +45,8 @@
 
 use std::collections::VecDeque;
 
-use tetriserve_core::{feasibility, ClusterSim, Policy, RequestOutcome, RequestSpec, ServerConfig};
+use tetriserve_core::feasibility::{self, DemandEntry};
+use tetriserve_core::{ClusterSim, Policy, RequestOutcome, RequestSpec, ServerConfig};
 use tetriserve_costmodel::interconnect::{handoff_time, InterClusterLink};
 use tetriserve_costmodel::CostTable;
 use tetriserve_metrics::{ClusterReport, FleetReport};
@@ -205,6 +206,28 @@ impl DriverOracle<'_> {
                 .latent_bytes(c.spec.resolution)
         }
     }
+
+    /// The probe instant on cluster `to` and a migration candidate's
+    /// demand entry there, priced with `to`'s own cost table. The migrated
+    /// request cannot start on `to` until the hand-off lands, so its
+    /// effective deadline tightens by the delay (saturating: an
+    /// already-blown deadline stays blown).
+    fn candidate_entry(&self, to: usize, c: &MigrationCandidate) -> (SimTime, DemandEntry) {
+        let delay = self.handoff_delay(c);
+        let sim = &self.clusters[to];
+        let at = self.now.max(sim.now());
+        let entry = feasibility::demand_entry(
+            sim.costs(),
+            c.spec.id,
+            c.spec.resolution,
+            c.spec.stages,
+            c.remaining_steps,
+            c.spec.deadline - delay,
+            at,
+            c.is_fresh(),
+        );
+        (at, entry)
+    }
 }
 
 impl FleetOracle for DriverOracle<'_> {
@@ -249,69 +272,26 @@ impl FleetOracle for DriverOracle<'_> {
         c: &MigrationCandidate,
         extra_gpu_seconds: f64,
     ) -> bool {
-        let delay = self.handoff_delay(c);
         let sim = &self.clusters[to];
-        let at = self.now.max(sim.now());
-        let mut entries = sim.feasibility_entries(at);
-        // The migrated request cannot start on `to` until the hand-off
-        // lands, so its effective deadline tightens by the delay
-        // (saturating: an already-blown deadline stays blown).
-        entries.push(feasibility::demand_entry(
-            sim.costs(),
-            c.spec.id,
-            c.spec.resolution,
-            c.spec.stages,
-            c.remaining_steps,
-            c.spec.deadline - delay,
+        let (at, entry) = self.candidate_entry(to, c);
+        sim.feasible_with(
             at,
-            c.is_fresh(),
-        ));
-        feasibility::sort_entries(&mut entries);
-        feasibility::edf_feasible_with_extra(
-            &entries,
-            at,
-            sim.healthy_count_at(at),
+            entry,
+            &[],
             extra_gpu_seconds,
+            sim.healthy_count_at(at) as f64,
         )
     }
 
     fn candidate_demand_on(&self, to: usize, c: &MigrationCandidate) -> f64 {
-        let delay = self.handoff_delay(c);
-        let sim = &self.clusters[to];
-        let at = self.now.max(sim.now());
-        feasibility::demand_entry(
-            sim.costs(),
-            c.spec.id,
-            c.spec.resolution,
-            c.spec.stages,
-            c.remaining_steps,
-            c.spec.deadline - delay,
-            at,
-            c.is_fresh(),
-        )
-        .demand
+        self.candidate_entry(to, c).1.demand
     }
 
     fn spec_feasible_on(&self, to: usize, spec: &RequestSpec, exclude: &[RequestId]) -> bool {
         let sim = &self.clusters[to];
         let at = self.now.max(sim.now());
-        let mut entries: Vec<_> = sim
-            .feasibility_entries(at)
-            .into_iter()
-            .filter(|e| !exclude.contains(&e.id))
-            .collect();
-        entries.push(feasibility::demand_entry(
-            sim.costs(),
-            spec.id,
-            spec.resolution,
-            spec.stages,
-            spec.total_steps,
-            spec.deadline,
-            at,
-            true,
-        ));
-        feasibility::sort_entries(&mut entries);
-        feasibility::edf_feasible(&entries, at, sim.healthy_count_at(at))
+        let entry = feasibility::arrival_entry(sim.costs(), spec, at);
+        sim.feasible_with(at, entry, exclude, 0.0, sim.healthy_count_at(at) as f64)
     }
 }
 
@@ -797,6 +777,8 @@ mod tests {
     use crate::router::{DeadlineAwareRouter, JoinShortestQueueRouter, RoundRobinRouter};
     use tetriserve_core::TetriServePolicy;
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
+    use tetriserve_simulator::failure::{FailurePlan, GpuFault};
+    use tetriserve_simulator::gpuset::GpuId;
     use tetriserve_simulator::trace::{RequestId, TenantId};
 
     fn h100x8(name: &str) -> FleetCluster {
@@ -891,6 +873,33 @@ mod tests {
         assert_eq!(report.fleet_shed.len(), 1);
         assert!(report.fleet_shed[0].shed);
         assert_eq!(report.clusters[0].routed + report.clusters[1].routed, 0);
+    }
+
+    #[test]
+    fn gpu_fault_opening_as_an_outage_lifts_keeps_the_other_gpus() {
+        // The driver appends an outage's per-GPU faults after the
+        // cluster's own, so GPU 3's GpuDown at 5 s fires before the
+        // outage's eight GpuUps at that instant. Every GPU but 3 must
+        // still return: an urgent 2048² request arriving after the outage
+        // needs the whole node to make its 5 s deadline, and its
+        // 6 s one-GPU window has closed by then.
+        let secs = SimTime::from_secs_f64;
+        let mut cluster = h100x8("h100x8-a");
+        cluster.config.engine.failures =
+            FailurePlan::none().with_fault(GpuFault::transient(GpuId(3), secs(5.0), secs(6.0)));
+        let urgent = RequestSpec {
+            resolution: Resolution::R2048,
+            ..spec(0, 10.0, 5.0)
+        };
+        let outage = ClusterOutage::transient(0, secs(1.0), secs(5.0));
+        let report = FleetSim::new(
+            vec![cluster],
+            RoundRobinRouter::new(),
+            vec![urgent],
+            vec![outage],
+        )
+        .run();
+        assert_eq!(report.sar(), 1.0, "{:?}", report.all_outcomes());
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub struct EngineConfig {
     pub hbm_capacity_bytes: u64,
     /// Seed for step jitter.
     pub seed: u64,
-    /// Injected degradations (stragglers and hard GPU faults); empty by
+    /// Injected degradations (slowdowns and hard GPU faults); empty by
     /// default.
     pub failures: crate::failure::FailurePlan,
     /// Bandwidth for re-materialising a latent from host checkpoint after
@@ -715,11 +715,11 @@ mod tests {
 
     #[test]
     fn straggler_slows_whole_group_dispatches() {
-        use crate::failure::{FailurePlan, Straggler};
+        use crate::failure::{FailurePlan, PerfFault};
         use crate::gpuset::GpuId;
         let config = EngineConfig {
             step_noise_cv: 0.0,
-            failures: FailurePlan::none().with_straggler(Straggler::new(
+            failures: FailurePlan::none().with_perf_fault(PerfFault::straggler(
                 GpuId(1),
                 2.0,
                 SimTime::ZERO,
@@ -745,13 +745,13 @@ mod tests {
 
     #[test]
     fn straggler_opening_mid_dispatch_slows_only_tail_steps() {
-        use crate::failure::{FailurePlan, Straggler};
+        use crate::failure::{FailurePlan, PerfFault};
         use crate::gpuset::GpuId;
         // Window opens at 200 ms, halfway through a 4×100 ms dispatch: the
         // first two steps run at full speed, the last two at half.
         let config = EngineConfig {
             step_noise_cv: 0.0,
-            failures: FailurePlan::none().with_straggler(Straggler::new(
+            failures: FailurePlan::none().with_perf_fault(PerfFault::straggler(
                 GpuId(0),
                 2.0,
                 SimTime::from_millis(200),

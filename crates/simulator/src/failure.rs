@@ -5,17 +5,14 @@
 //! the bus entirely. The serving stack should degrade gracefully rather
 //! than collapse. This module injects two failure classes:
 //!
-//! * **Stragglers** — per-GPU multiplicative slowdowns active during a time
-//!   window — which the engine folds into dispatch execution: a
-//!   sequence-parallel step runs at the pace of its slowest member, so one
-//!   throttled GPU drags every group it joins (exactly why placement
-//!   matters).
-//! * **Performance faults** ([`PerfFault`]) — the generalised slowdown
-//!   taxonomy: a transient *straggler* (ECC retries, a neighbour on the
-//!   switch), a *throttle* (thermal/power capping) or a permanent
-//!   *brownout* (a device that will run slow until it is swapped,
-//!   `until = None`). All three degrade through the same multiplicative
-//!   factor and compose with [`Straggler`]s by max.
+//! * **Performance faults** ([`PerfFault`]) — per-GPU multiplicative
+//!   slowdowns over a time window: a transient *straggler* (ECC retries, a
+//!   neighbour on the switch), a *throttle* (thermal/power capping) or a
+//!   permanent *brownout* (a device that will run slow until it is
+//!   swapped, `until = None`). All three degrade through the same factor,
+//!   which the engine folds into dispatch execution: a sequence-parallel
+//!   step runs at the pace of its slowest member, so one slow GPU drags
+//!   every group it joins (exactly why placement matters).
 //! * **Hard faults** ([`GpuFault`]) — a GPU goes *down* at a point in time,
 //!   either transiently (XID reset, driver restart: it recovers at
 //!   `up_at`) or permanently (`up_at = None`). A dispatch whose group
@@ -26,49 +23,9 @@ use crate::gpuset::{GpuId, GpuSet};
 use crate::time::SimTime;
 
 /// Whether a `[from, until)` window covers `time` (half-open semantics
-/// shared by stragglers and fault outages).
+/// shared by slowdowns and fault outages).
 pub fn is_active_at(from: SimTime, until: Option<SimTime>, time: SimTime) -> bool {
     time >= from && until.is_none_or(|u| time < u)
-}
-
-/// A per-GPU slowdown over a time window.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Straggler {
-    /// The degraded GPU.
-    pub gpu: GpuId,
-    /// Multiplicative step-time factor (> 1 = slower). A factor of 2.0
-    /// halves the GPU's effective throughput.
-    pub slowdown: f64,
-    /// When the degradation begins.
-    pub from: SimTime,
-    /// When the degradation ends (exclusive).
-    pub until: SimTime,
-}
-
-impl Straggler {
-    /// Creates a straggler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slowdown < 1.0` or the window is empty.
-    pub fn new(gpu: GpuId, slowdown: f64, from: SimTime, until: SimTime) -> Self {
-        assert!(
-            slowdown >= 1.0 && slowdown.is_finite(),
-            "slowdown must be ≥ 1.0, got {slowdown}"
-        );
-        assert!(from < until, "straggler window must be non-empty");
-        Straggler {
-            gpu,
-            slowdown,
-            from,
-            until,
-        }
-    }
-
-    /// Whether the straggler affects `gpu` at `time`.
-    pub fn affects(&self, gpu: GpuId, time: SimTime) -> bool {
-        self.gpu == gpu && is_active_at(self.from, Some(self.until), time)
-    }
 }
 
 /// The physical cause of a [`PerfFault`]. All kinds degrade identically
@@ -84,11 +41,10 @@ pub enum PerfFaultKind {
     Brownout,
 }
 
-/// A multiplicative slowdown on one GPU over a time window — the
-/// generalisation of [`Straggler`] that also covers open-ended windows
-/// (`until = None`: a permanent brownout).
+/// A multiplicative slowdown on one GPU over a time window, open-ended
+/// (`until = None`) for a permanent brownout.
 ///
-/// Composes with [`Straggler`]s and other `PerfFault`s by *max* inside
+/// Composes with other `PerfFault`s by *max* inside
 /// [`FailurePlan::group_slowdown`]; the factor is validated at
 /// construction to be finite and ≥ 1.0, so the effective speed
 /// `1.0 / factor` is always in `(0, 1]`.
@@ -275,7 +231,6 @@ impl ClusterOutage {
 /// A set of injected degradations and outages.
 #[derive(Debug, Clone, Default)]
 pub struct FailurePlan {
-    stragglers: Vec<Straggler>,
     perf_faults: Vec<PerfFault>,
     faults: Vec<GpuFault>,
 }
@@ -284,12 +239,6 @@ impl FailurePlan {
     /// An empty plan (no failures).
     pub fn none() -> Self {
         FailurePlan::default()
-    }
-
-    /// Adds a straggler.
-    pub fn with_straggler(mut self, s: Straggler) -> Self {
-        self.stragglers.push(s);
-        self
     }
 
     /// Adds a performance fault.
@@ -306,26 +255,20 @@ impl FailurePlan {
 
     /// Whether any degradation or outage is configured.
     pub fn is_empty(&self) -> bool {
-        self.stragglers.is_empty() && self.perf_faults.is_empty() && self.faults.is_empty()
+        self.perf_faults.is_empty() && self.faults.is_empty()
     }
 
-    /// Whether any slowdown (straggler or perf fault) is configured at
-    /// all; cheap gate for schedulers that want to skip the
-    /// effective-speed machinery on fault-free runs.
+    /// Whether any slowdown is configured at all; cheap gate for
+    /// schedulers that want to skip the effective-speed machinery on
+    /// fault-free runs.
     pub fn has_slowdowns(&self) -> bool {
-        !self.stragglers.is_empty() || !self.perf_faults.is_empty()
+        !self.perf_faults.is_empty()
     }
 
     /// The slowdown of a single GPU at `time`: the maximum over its
-    /// active stragglers and perf faults, base 1.0. Always finite and
-    /// ≥ 1.0.
+    /// active perf faults, base 1.0. Always finite and ≥ 1.0.
     pub fn slowdown(&self, gpu: GpuId, time: SimTime) -> f64 {
         let mut factor = 1.0f64;
-        for s in &self.stragglers {
-            if s.affects(gpu, time) {
-                factor = factor.max(s.slowdown);
-            }
-        }
         for p in &self.perf_faults {
             if p.affects(gpu, time) {
                 factor = factor.max(p.factor);
@@ -358,15 +301,9 @@ impl FailurePlan {
 
     /// The execution slowdown of a group dispatch running at `time`:
     /// the *maximum* member slowdown, because a sequence-parallel step
-    /// synchronises on its slowest shard. Stragglers and perf faults
-    /// compose by the same max.
+    /// synchronises on its slowest shard.
     pub fn group_slowdown(&self, gpus: GpuSet, time: SimTime) -> f64 {
         let mut factor = 1.0f64;
-        for s in &self.stragglers {
-            if gpus.iter().any(|g| s.affects(g, time)) {
-                factor = factor.max(s.slowdown);
-            }
-        }
         for p in &self.perf_faults {
             if gpus.iter().any(|g| p.affects(g, time)) {
                 factor = factor.max(p.factor);
@@ -420,11 +357,6 @@ impl FailurePlan {
         earliest
     }
 
-    /// The configured stragglers.
-    pub fn stragglers(&self) -> &[Straggler] {
-        &self.stragglers
-    }
-
     /// The configured performance faults.
     pub fn perf_faults(&self) -> &[PerfFault] {
         &self.perf_faults
@@ -446,22 +378,11 @@ mod tests {
     }
 
     #[test]
-    fn straggler_window_semantics() {
-        let (from, until) = window(100, 200);
-        let s = Straggler::new(GpuId(3), 2.0, from, until);
-        assert!(!s.affects(GpuId(3), SimTime::from_millis(99)));
-        assert!(s.affects(GpuId(3), SimTime::from_millis(100)));
-        assert!(s.affects(GpuId(3), SimTime::from_millis(199)));
-        assert!(!s.affects(GpuId(3), SimTime::from_millis(200)));
-        assert!(!s.affects(GpuId(2), SimTime::from_millis(150)));
-    }
-
-    #[test]
     fn group_takes_the_slowest_member() {
         let (from, until) = window(0, 1000);
         let plan = FailurePlan::none()
-            .with_straggler(Straggler::new(GpuId(0), 1.5, from, until))
-            .with_straggler(Straggler::new(GpuId(1), 3.0, from, until));
+            .with_perf_fault(PerfFault::straggler(GpuId(0), 1.5, from, until))
+            .with_perf_fault(PerfFault::straggler(GpuId(1), 3.0, from, until));
         let both = GpuSet::contiguous(0, 2);
         assert_eq!(plan.group_slowdown(both, SimTime::from_millis(10)), 3.0);
         let only_first = GpuSet::single(GpuId(0));
@@ -486,20 +407,6 @@ mod tests {
             plan.first_down_within(GpuSet::first_n(8), SimTime::ZERO, SimTime::MAX),
             None
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_window_rejected() {
-        let t = SimTime::from_millis(5);
-        Straggler::new(GpuId(0), 2.0, t, t);
-    }
-
-    #[test]
-    #[should_panic(expected = "≥ 1.0")]
-    fn speedups_rejected() {
-        let (from, until) = window(0, 1);
-        Straggler::new(GpuId(0), 0.5, from, until);
     }
 
     #[test]
@@ -594,8 +501,8 @@ mod tests {
             let (a1, b1) = (SimTime::from_millis(f1), SimTime::from_millis(f1 + w1));
             let (a2, b2) = (SimTime::from_millis(f2), SimTime::from_millis(f2 + w2));
             let plan = FailurePlan::none()
-                .with_straggler(Straggler::new(GpuId(0), sl1, a1, b1))
-                .with_straggler(Straggler::new(GpuId(0), sl2, a2, b2));
+                .with_perf_fault(PerfFault::straggler(GpuId(0), sl1, a1, b1))
+                .with_perf_fault(PerfFault::straggler(GpuId(0), sl2, a2, b2));
             let time = SimTime::from_millis(t);
             let mut expect = 1.0f64;
             if is_active_at(a1, Some(b1), time) {
@@ -617,7 +524,7 @@ mod tests {
             ff in 0u64..1000, fw in 1u64..1000, t in 0u64..2200,
         ) {
             let plan = FailurePlan::none()
-                .with_straggler(Straggler::new(
+                .with_perf_fault(PerfFault::straggler(
                     GpuId(3),
                     1.0 + sd as f64 / 100.0,
                     SimTime::from_millis(sf),
@@ -667,7 +574,7 @@ mod tests {
                     1.0 + pf2 as f64 / 100.0,
                     SimTime::from_millis(pfrom2),
                 ))
-                .with_straggler(Straggler::new(
+                .with_perf_fault(PerfFault::straggler(
                     GpuId(2),
                     1.0 + sf as f64 / 100.0,
                     SimTime::from_millis(sfrom),
@@ -763,7 +670,7 @@ mod tests {
     fn perf_faults_and_stragglers_compose_by_max() {
         let (from, until) = window(0, 1000);
         let plan = FailurePlan::none()
-            .with_straggler(Straggler::new(GpuId(0), 1.5, from, until))
+            .with_perf_fault(PerfFault::straggler(GpuId(0), 1.5, from, until))
             .with_perf_fault(PerfFault::throttle(GpuId(0), 2.5, from, until))
             .with_perf_fault(PerfFault::brownout(
                 GpuId(1),
@@ -843,7 +750,7 @@ mod tests {
     fn fault_and_straggler_compose_on_the_same_gpu() {
         let (from, until) = window(0, 1000);
         let plan = FailurePlan::none()
-            .with_straggler(Straggler::new(GpuId(0), 2.0, from, until))
+            .with_perf_fault(PerfFault::straggler(GpuId(0), 2.0, from, until))
             .with_fault(GpuFault::transient(
                 GpuId(0),
                 SimTime::from_millis(500),

@@ -1,11 +1,11 @@
 //! The diurnal rate envelope: a sinusoidal time-warp over *any* base
-//! arrival process.
+//! arrival process — the repository's one diurnal model.
 //!
-//! `tetriserve_workload::arrival::DiurnalProcess` models a daily cycle by
-//! thinning a dominating Poisson process — correct, but inherently
-//! Poisson: it cannot put a diurnal envelope *on top of* an MMPP tenant
-//! or a coupled flash-crowd tenant. The envelope here instead warps the
-//! base process's arrival times through the cumulative intensity
+//! Thinning a dominating Poisson process would model a daily cycle too,
+//! but only a Poisson one: it cannot put a diurnal envelope *on top of*
+//! an MMPP tenant or a coupled flash-crowd tenant. The envelope instead
+//! warps the base process's arrival times through the cumulative
+//! intensity
 //!
 //! ```text
 //! Λ(t) = t − (a·T / 2π) · (cos(2πt/T) − 1),   Λ'(t) = 1 + a·sin(2πt/T)
@@ -173,7 +173,7 @@ mod tests {
 
     #[test]
     fn envelope_modulates_an_mmpp_base() {
-        // The whole point over the thinning DiurnalProcess: an MMPP base
+        // The whole point over thinning a Poisson process: an MMPP base
         // keeps its bursts *and* gains the diurnal cycle. Count arrivals
         // in the peak and trough half-periods.
         let e = DiurnalEnvelope::new(0.9, 1200.0);

@@ -219,73 +219,6 @@ impl ArrivalProcess for BurstyProcess {
     }
 }
 
-/// Sinusoidally modulated Poisson arrivals (diurnal load pattern),
-/// generated by thinning a dominating Poisson process.
-///
-/// The instantaneous rate is
-/// `λ(t) = mean · (1 + amplitude · sin(2πt / period))`, which averages to
-/// the mean rate over whole periods — a standard model for daily traffic
-/// cycles scaled down to experiment length.
-#[derive(Debug, Clone)]
-pub struct DiurnalProcess {
-    mean_rate_per_min: f64,
-    amplitude: f64,
-    period_secs: f64,
-    now: f64,
-}
-
-impl DiurnalProcess {
-    /// Creates a diurnal process.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 ≤ amplitude < 1` and the rate and period are
-    /// positive and finite.
-    pub fn new(mean_rate_per_min: f64, amplitude: f64, period_secs: f64) -> Self {
-        assert!(
-            mean_rate_per_min.is_finite() && mean_rate_per_min > 0.0,
-            "rate must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&amplitude),
-            "amplitude must be in [0, 1), got {amplitude}"
-        );
-        assert!(
-            period_secs.is_finite() && period_secs > 0.0,
-            "period must be positive"
-        );
-        DiurnalProcess {
-            mean_rate_per_min,
-            amplitude,
-            period_secs,
-            now: 0.0,
-        }
-    }
-
-    fn rate_at(&self, t: f64) -> f64 {
-        let phase = 2.0 * std::f64::consts::PI * t / self.period_secs;
-        self.mean_rate_per_min / 60.0 * (1.0 + self.amplitude * phase.sin())
-    }
-}
-
-impl ArrivalProcess for DiurnalProcess {
-    fn next_gap(&mut self, rng: &mut SimRng) -> f64 {
-        // Thinning: propose from the peak rate, accept with λ(t)/λ_max.
-        let lambda_max = self.mean_rate_per_min / 60.0 * (1.0 + self.amplitude);
-        let start = self.now;
-        loop {
-            self.now += rng.exponential(1.0 / lambda_max);
-            if rng.uniform() <= self.rate_at(self.now) / lambda_max {
-                return self.now - start;
-            }
-        }
-    }
-
-    fn mean_rate_per_min(&self) -> f64 {
-        self.mean_rate_per_min
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,60 +290,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_rate_rejected() {
         PoissonProcess::new(0.0);
-    }
-
-    #[test]
-    fn diurnal_preserves_long_run_mean() {
-        let mut p = DiurnalProcess::new(12.0, 0.8, 600.0);
-        let m = mean_gap(&mut p, 100_000, 21);
-        assert!((m - 5.0).abs() < 0.2, "mean gap {m}");
-    }
-
-    #[test]
-    fn diurnal_rate_oscillates() {
-        let p = DiurnalProcess::new(12.0, 0.5, 600.0);
-        let peak = p.rate_at(150.0); // quarter period: sin = 1
-        let trough = p.rate_at(450.0); // three quarters: sin = -1
-        assert!((peak / trough - 3.0).abs() < 1e-9, "{peak} vs {trough}");
-    }
-
-    #[test]
-    fn diurnal_is_burstier_than_poisson_at_window_scale() {
-        // Counting arrivals in period-length windows shows super-Poisson
-        // variance (index of dispersion > 1).
-        let dispersion = |p: &mut dyn ArrivalProcess, seed| {
-            let mut rng = SimRng::seed_from_u64(seed);
-            let mut t = 0.0;
-            let window = 150.0;
-            let mut counts = vec![0u64; 400];
-            while let Some(c) = {
-                t += p.next_gap(&mut rng);
-                let w = (t / window) as usize;
-                (w < counts.len()).then_some(w)
-            } {
-                counts[c] += 1;
-            }
-            let n = counts.len() as f64;
-            let mean = counts.iter().sum::<u64>() as f64 / n;
-            let var = counts
-                .iter()
-                .map(|&c| (c as f64 - mean).powi(2))
-                .sum::<f64>()
-                / n;
-            var / mean
-        };
-        let mut poisson = PoissonProcess::new(12.0);
-        let mut diurnal = DiurnalProcess::new(12.0, 0.8, 600.0);
-        let d_p = dispersion(&mut poisson, 31);
-        let d_d = dispersion(&mut diurnal, 31);
-        assert!(d_p < 1.5, "poisson dispersion {d_p}");
-        assert!(d_d > d_p, "diurnal {d_d} vs poisson {d_p}");
-    }
-
-    #[test]
-    #[should_panic(expected = "amplitude")]
-    fn diurnal_rejects_full_amplitude() {
-        DiurnalProcess::new(12.0, 1.0, 600.0);
     }
 
     /// A process that emits a fixed (possibly pathological) gap sequence.

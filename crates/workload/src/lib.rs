@@ -3,8 +3,9 @@
 //! Workload generation for the TetriServe reproduction, matching §6.1 of
 //! the paper:
 //!
-//! * [`arrival`] — Poisson (default 12 req/min), deterministic, bursty
-//!   (MMPP) and diurnal (sinusoidal) arrival processes;
+//! * [`arrival`] — Poisson (default 12 req/min), deterministic and bursty
+//!   (MMPP) arrival processes (the diurnal envelope over any of them is
+//!   `tetriserve_traffic::DiurnalModulated`);
 //! * [`mix`] — Uniform, Skewed (`p_i ∝ exp(α·L_i/L_max)`), homogeneous and
 //!   custom resolution mixes;
 //! * [`slo`] — the per-resolution latency targets (1.5/2/3/5 s) with the
@@ -50,7 +51,7 @@ pub mod scenarios;
 pub mod slo;
 pub mod trace_io;
 
-pub use arrival::{ArrivalProcess, BurstyProcess, DiurnalProcess, PoissonProcess, UniformProcess};
+pub use arrival::{ArrivalProcess, BurstyProcess, PoissonProcess, UniformProcess};
 pub use gen::{GeneratedRequest, TraceGen, TraceRecord};
 pub use mix::ResolutionMix;
 pub use prompt::{Embedding, Prompt, PromptLibrary};

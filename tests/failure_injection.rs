@@ -6,7 +6,7 @@
 use tetriserve::baselines::FixedSpPolicy;
 use tetriserve::core::{Policy, RequestSpec, ServeReport, Server, TetriServePolicy};
 use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler};
-use tetriserve::simulator::failure::{FailurePlan, GpuFault, Straggler};
+use tetriserve::simulator::failure::{FailurePlan, GpuFault, PerfFault};
 use tetriserve::simulator::gpuset::GpuId;
 use tetriserve::simulator::time::SimTime;
 use tetriserve::workload::{PoissonProcess, PromptLibrary, ResolutionMix, SloPolicy, TraceGen};
@@ -40,7 +40,7 @@ fn workload(n: usize, slo_scale: f64) -> Vec<RequestSpec> {
 
 /// One GPU at 3× slowdown for the first ten minutes.
 fn throttled_plan() -> FailurePlan {
-    FailurePlan::none().with_straggler(Straggler::new(
+    FailurePlan::none().with_perf_fault(PerfFault::straggler(
         GpuId(5),
         3.0,
         SimTime::ZERO,
