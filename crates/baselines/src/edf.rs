@@ -61,7 +61,8 @@ impl Policy for EdfRsspPolicy {
 
         // EDF with hopeless-deferral: savable requests (deadline still
         // reachable if started now) sorted by deadline, then the rest.
-        let mut queue = ctx.tracker.schedulable_ids(ctx.now);
+        let mut queue = Vec::new();
+        ctx.tracker.schedulable_ids_into(ctx.now, &mut queue);
         queue.sort_by_key(|id| {
             let r = ctx.tracker.get(*id).expect("tracked");
             let k = self.degree_for(r.spec.resolution);
@@ -74,11 +75,7 @@ impl Policy for EdfRsspPolicy {
         for id in queue {
             let r = ctx.tracker.get(id).expect("tracked");
             let k = self.degree_for(r.spec.resolution);
-            let Some(block) = topo
-                .aligned_blocks(k)
-                .into_iter()
-                .find(|b| free.is_superset_of(*b))
-            else {
+            let Some(block) = topo.aligned_blocks(k).find(|b| free.is_superset_of(*b)) else {
                 // Unlike FIFO, EDF skips a request whose block size is
                 // unavailable and tries narrower later arrivals.
                 continue;

@@ -64,7 +64,8 @@ impl Policy for FixedSpPolicy {
         let mut free = ctx.free;
         // FIFO by request id (ids are assigned in arrival order by the
         // workload generator).
-        let queue = ctx.tracker.schedulable_ids(ctx.now);
+        let mut queue = Vec::new();
+        ctx.tracker.schedulable_ids_into(ctx.now, &mut queue);
         for id in queue {
             // First statically partitioned slot that is entirely free.
             let Some(slot) = self

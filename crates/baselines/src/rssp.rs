@@ -103,17 +103,15 @@ impl Policy for RsspPolicy {
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<DispatchPlan> {
         let mut plans = Vec::new();
         let mut free = ctx.free;
-        for id in ctx.tracker.schedulable_ids(ctx.now) {
+        let mut queue = Vec::new();
+        ctx.tracker.schedulable_ids_into(ctx.now, &mut queue);
+        for id in queue {
             let r = ctx.tracker.get(id).expect("schedulable id is tracked");
             let k = self.degree_for(r.spec.resolution);
             // Aligned block of the needed size; FIFO blocks if the head's
             // block size is unavailable (no skipping).
             let topo = ctx.costs.cluster().topology();
-            let Some(block) = topo
-                .aligned_blocks(k)
-                .into_iter()
-                .find(|b| free.is_superset_of(*b))
-            else {
+            let Some(block) = topo.aligned_blocks(k).find(|b| free.is_superset_of(*b)) else {
                 break;
             };
             free = free.difference(block);

@@ -35,6 +35,7 @@ fn make_options(costs: &CostTable, queue: usize) -> Vec<RequestOptions> {
                 None,
                 SimDuration::ZERO,
                 true,
+                Vec::new(),
             )
         })
         .collect()

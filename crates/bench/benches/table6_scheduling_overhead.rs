@@ -84,6 +84,7 @@ fn main() {
                         None,
                         SimDuration::ZERO,
                         true,
+                        Vec::new(),
                     )
                 })
                 .collect();

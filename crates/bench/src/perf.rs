@@ -174,6 +174,7 @@ fn run_round_loop(
                     None,
                     SimDuration::ZERO,
                     true,
+                    Vec::new(),
                 );
                 opts.progress = f64::from(50 - remaining) / 50.0;
                 opts

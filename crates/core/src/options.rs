@@ -79,6 +79,10 @@ impl RequestOptions {
 /// step so slow requests are never starved; backfill passes disable it so
 /// opportunistic work never holds GPUs into the next round's packing.
 ///
+/// `buf` becomes the returned option list: it is cleared first, so a
+/// scheduler can hand back the list of an earlier round and build the
+/// option set without allocating (`Vec::new()` when there is none).
+///
 /// # Panics
 ///
 /// Panics if the plan has no segments.
@@ -95,8 +99,10 @@ pub fn build_options(
     prev_width: Option<usize>,
     reconfig_allowance: SimDuration,
     allow_boundary_crossing: bool,
+    buf: Vec<RoundOption>,
 ) -> RequestOptions {
-    assert!(!plan.segments.is_empty(), "allocation plan has no segments");
+    let segments = plan.segments();
+    assert!(!segments.is_empty(), "allocation plan has no segments");
     let t_min = costs.t_min(resolution);
     let remaining: u32 = plan.total_steps();
 
@@ -106,14 +112,16 @@ pub fn build_options(
     };
 
     // Option "none": no progress this round.
-    let mut options = vec![RoundOption {
+    let mut options = buf;
+    options.clear();
+    options.push(RoundOption {
         segment: None,
         width: 0,
         steps: 0,
         survives: survives_with(remaining),
-    }];
+    });
 
-    for (m, seg) in plan.segments.iter().enumerate() {
+    for (m, seg) in segments.iter().enumerate() {
         if seg.steps == 0 || seg.degree > n_gpus {
             continue;
         }
@@ -129,8 +137,7 @@ pub fn build_options(
         // deadline still holds (it merely costs extra GPU-hours). Without
         // this, a nearly exhausted fast segment strands its last steps
         // into an extra round and the quantisation misses the deadline.
-        let absorbable: u32 = plan
-            .segments
+        let absorbable: u32 = segments
             .iter()
             .filter(|s| s.degree <= seg.degree)
             .map(|s| s.steps)
@@ -142,7 +149,7 @@ pub fn build_options(
             // fits in a full round, where we still allow a single
             // boundary-crossing step so very slow requests are not starved
             // forever. Backfill passes never cross the boundary.
-            let any_fits = plan.segments.iter().any(|s| {
+            let any_fits = segments.iter().any(|s| {
                 s.steps > 0 && tau_eff.div_floor(costs.step_time(resolution, s.degree, 1)) >= 1
             });
             if any_fits || !allow_boundary_crossing {
@@ -200,6 +207,7 @@ mod tests {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         assert_eq!(opts.options[0].segment, None);
         assert_eq!(opts.options[0].width, 0);
@@ -223,6 +231,7 @@ mod tests {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         // Plan is [50 @ SP1]; q = min(50, ⌊τ/T(1)⌋).
         let expect_q = (t.div_floor(c.step_time(Resolution::R256, 1, 1)) as u32).min(50);
@@ -262,6 +271,7 @@ mod tests {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         assert!(!opts.options[0].survives, "idling misses");
         assert!(opts.options[1].survives, "running survives");
@@ -286,6 +296,7 @@ mod tests {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         assert!(!opts.any_survives());
     }
@@ -294,7 +305,7 @@ mod tests {
     fn wide_segments_are_dropped_on_small_nodes() {
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R2048, 50, SimDuration::from_secs(5), &c);
-        assert!(plan.segments.iter().any(|s| s.degree == 8));
+        assert!(plan.segments().iter().any(|s| s.degree == 8));
         let t = tau(&c);
         // On a 4-GPU budget any SP=8 segment is unusable (A_i^m ≤ N fails).
         let opts = build_options(
@@ -309,6 +320,7 @@ mod tests {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         assert!(
             opts.options.iter().all(|o| o.width <= 4),
@@ -323,7 +335,7 @@ mod tests {
         // request must still be runnable (best-effort requests run at SP=1).
         let c = costs();
         let plan = min_gpu_hour_plan(Resolution::R2048, 10, SimDuration::from_secs(3600), &c);
-        assert_eq!(plan.segments[0].degree, 1);
+        assert_eq!(plan.segments()[0].degree, 1);
         let small_tau = c.t_min(Resolution::R2048); // < T(2048, SP=1)
         let opts = build_options(
             RequestId(5),
@@ -337,6 +349,7 @@ mod tests {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         let run = opts.options.iter().find(|o| o.segment.is_some()).unwrap();
         assert_eq!(run.steps, 1, "one boundary-crossing step allowed");

@@ -55,7 +55,8 @@ pub struct Assignment {
 ///
 /// # Panics
 ///
-/// Panics if the requested widths exceed the free pool (a packer bug).
+/// Panics if the requested widths exceed the free pool (a packer bug) or
+/// there are more than [`GpuSet::MAX_GPUS`] requests.
 pub fn place(
     requests: &[PlacementRequest],
     mut free: GpuSet,
@@ -68,8 +69,15 @@ pub fn place(
         "placement demand {demand} exceeds free pool {}",
         free.len()
     );
-
-    let mut placed: Vec<Option<GpuSet>> = vec![None; requests.len()];
+    // Every request takes at least one GPU of a node, so the per-request
+    // scratch fits on the stack.
+    let n = requests.len();
+    assert!(
+        n <= GpuSet::MAX_GPUS,
+        "placement of {n} requests exceeds {} GPUs",
+        GpuSet::MAX_GPUS
+    );
+    let mut placed = [None::<GpuSet>; GpuSet::MAX_GPUS];
 
     if preserve {
         // Pass 1: exact preservation.
@@ -84,12 +92,14 @@ pub fn place(
     }
 
     // Pass 2: everyone else, widest first so big aligned blocks are still
-    // available for wide requests.
-    let mut order: Vec<usize> = (0..requests.len())
-        .filter(|&i| placed[i].is_none())
-        .collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(requests[i].width));
-    for i in order {
+    // available for wide requests; equal widths keep request order.
+    let mut order: [usize; GpuSet::MAX_GPUS] = std::array::from_fn(|i| i);
+    let order = &mut order[..n];
+    order.sort_unstable_by_key(|&i| (std::cmp::Reverse(requests[i].width), i));
+    for &i in order.iter() {
+        if placed[i].is_some() {
+            continue; // kept its previous set in pass 1
+        }
         let r = &requests[i];
         let set = if preserve {
             choose_set(r.width, r.previous, free, topology)

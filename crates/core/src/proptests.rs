@@ -51,8 +51,8 @@ proptest! {
         let slack = SimDuration::from_millis(slack_ms);
         let plan = min_gpu_hour_plan(res, steps, slack, &c);
         prop_assert_eq!(plan.total_steps(), steps);
-        let degrees = useful_degrees(res, &c);
-        for seg in &plan.segments {
+        let degrees: Vec<usize> = useful_degrees(res, &c).collect();
+        for seg in plan.segments() {
             prop_assert!(degrees.contains(&seg.degree));
         }
         if plan.feasible {
@@ -115,7 +115,7 @@ proptest! {
         let pick = |v: &[RequestId], r: u32| v[r as usize % v.len()];
 
         for (op, r) in ops {
-            now = now + SimDuration::from_millis(u64::from(r % 200));
+            now += SimDuration::from_millis(u64::from(r % 200));
             let queued = ids_in(&tracker, |p| *p == Phase::Queued);
             let running = ids_in(&tracker, |p| *p == Phase::Running);
             match op {
@@ -337,6 +337,7 @@ proptest! {
             None,
             SimDuration::ZERO,
             true,
+            Vec::new(),
         );
         prop_assert_eq!(opts.options[0].width, 0);
         prop_assert_eq!(opts.options[0].steps, 0);
@@ -344,7 +345,7 @@ proptest! {
         for o in &opts.options {
             prop_assert!(o.steps <= steps);
             if o.segment.is_some() {
-                prop_assert!(plan.segments.iter().any(|s| s.degree == o.width));
+                prop_assert!(plan.segments().iter().any(|s| s.degree == o.width));
                 prop_assert!(o.steps >= 1);
             }
             // sv_i(o) = [t_next + (remaining - q)·T_min <= D_i]

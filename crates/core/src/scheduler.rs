@@ -33,6 +33,11 @@ use crate::placement::{place, Assignment, PlacementRequest};
 use crate::policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
 
 /// The TetriServe deadline-aware round-based scheduler.
+///
+/// Every working buffer of a scheduling pass is owned by the policy and
+/// reused, so once the buffers have grown to the largest backlog seen, a
+/// pass allocates only the plans it returns. Each buffer is cleared before
+/// it is read, so no state carries from one pass to the next.
 #[derive(Debug, Clone)]
 pub struct TetriServePolicy {
     config: TetriServeConfig,
@@ -41,6 +46,17 @@ pub struct TetriServePolicy {
     /// step performs no heap allocation (see [`PackScratch`]).
     scratch: PackScratch,
     packing: Packing,
+    /// Ids schedulable this pass.
+    ids: Vec<RequestId>,
+    /// Option sets of packable requests. A pass overwrites a prefix,
+    /// handing each slot's option list back to [`build_options`]; slots
+    /// past it are stale and never read, but keep their lists for the
+    /// next pass with a longer backlog.
+    packable: Vec<RequestOptions>,
+    /// Late requests as `(deadline, id)`: sorted, the best-effort EDF order.
+    best_effort: Vec<(SimTime, RequestId)>,
+    /// Width-only requests the packer chose to run.
+    placement: Vec<PlacementRequest>,
 }
 
 impl TetriServePolicy {
@@ -51,6 +67,10 @@ impl TetriServePolicy {
             tau: config.round_length(costs),
             scratch: PackScratch::new(),
             packing: Packing::default(),
+            ids: Vec::new(),
+            packable: Vec::new(),
+            best_effort: Vec::new(),
+            placement: Vec::new(),
         }
     }
 
@@ -125,24 +145,26 @@ impl Policy for TetriServePolicy {
         };
         let t_next = now + window;
         let costs = ctx.costs;
-        let topology = costs.cluster().topology();
 
         // Health view: never plan around parallelism that down GPUs cannot
-        // provide. With everything down there is nothing to schedule.
-        if ctx.healthy.is_empty() {
+        // provide. With everything down, or every GPU busy, there is
+        // nothing to schedule: a zero-capacity pack selects no option and
+        // best effort needs a free GPU.
+        if ctx.healthy.is_empty() || ctx.free.is_empty() {
             return Vec::new();
         }
         let healthy_cap = ctx.healthy.len().min(ctx.n_gpus);
 
         // ── 1+2: allocation plans and option sets. ──────────────────────
-        let mut packable: Vec<RequestOptions> = Vec::new();
-        let mut best_effort: Vec<RequestId> = Vec::new();
-        for id in ctx.tracker.schedulable_ids(now) {
+        let mut n_packable = 0;
+        self.best_effort.clear();
+        ctx.tracker.schedulable_ids_into(now, &mut self.ids);
+        for &id in &self.ids {
             // tetrilint: allow(unwrap) -- id came from this tracker's own
-            // schedulable_ids() one line up.
+            // schedulable_ids_into() one statement up.
             let r = ctx.tracker.get(id).expect("schedulable id is tracked");
             if r.is_past_deadline(now) {
-                best_effort.push(id);
+                self.best_effort.push((r.spec.deadline, id));
                 continue;
             }
             // Budget for the tail VAE decode (it is on the completion path
@@ -182,7 +204,7 @@ impl Policy for TetriServePolicy {
                     healthy_cap,
                 );
                 if !plan.feasible {
-                    best_effort.push(id);
+                    self.best_effort.push((r.spec.deadline, id));
                     continue;
                 }
             }
@@ -198,24 +220,33 @@ impl Policy for TetriServePolicy {
                 r.last_gpus.map(|g| g.len()),
                 self.config.reconfig_allowance,
                 at_boundary,
+                self.packable
+                    .get_mut(n_packable)
+                    .map(|slot| std::mem::take(&mut slot.options))
+                    .unwrap_or_default(),
             );
             opts.progress =
                 f64::from(r.spec.total_steps - r.remaining_steps) / f64::from(r.spec.total_steps);
-            packable.push(opts);
+            match self.packable.get_mut(n_packable) {
+                Some(slot) => *slot = opts,
+                None => self.packable.push(opts),
+            }
+            n_packable += 1;
         }
+        let packable = self.packable.get(..n_packable).unwrap_or_default();
 
         // ── 3: group-knapsack packing over the free capacity. ───────────
         pack_round_into(
-            &packable,
+            packable,
             ctx.free.len(),
             &mut self.scratch,
             &mut self.packing,
         );
-        let packing = &self.packing;
 
         // ── 4: placement with preservation. ─────────────────────────────
-        let mut placement_reqs: Vec<PlacementRequest> = Vec::new();
-        for (opts, choice) in packable.iter().zip(&packing.choices) {
+        let topology = costs.cluster().topology();
+        self.placement.clear();
+        for (opts, choice) in packable.iter().zip(&self.packing.choices) {
             let option = opts.option(choice.option_index);
             if option.segment.is_none() {
                 continue;
@@ -223,7 +254,7 @@ impl Policy for TetriServePolicy {
             // tetrilint: allow(unwrap) -- packable was built from tracked
             // ids in pass 1 and the tracker is not mutated in between.
             let r = ctx.tracker.get(opts.id).expect("packed id is tracked");
-            placement_reqs.push(PlacementRequest {
+            self.placement.push(PlacementRequest {
                 id: opts.id,
                 resolution: opts.resolution,
                 width: option.width,
@@ -233,7 +264,7 @@ impl Policy for TetriServePolicy {
             });
         }
         let mut assignments = place(
-            &placement_reqs,
+            &self.placement,
             ctx.free,
             self.config.placement_preservation,
             &topology,
@@ -253,18 +284,13 @@ impl Policy for TetriServePolicy {
         // cascades into collapse. Without elastic scale-up nothing widens
         // the head, so the late requests run 1 GPU each in parallel (the
         // paper's literal reading).
-        best_effort.sort_by_key(|id| {
-            // tetrilint: allow(unwrap) -- best_effort holds tracked ids
-            // collected in pass 1.
-            let r = ctx.tracker.get(*id).expect("tracked");
-            (r.spec.deadline, *id)
-        });
+        self.best_effort.sort_unstable();
         let late_cap = if self.config.elastic_scale_up {
             1
         } else {
             usize::MAX
         };
-        for id in best_effort.into_iter().take(late_cap) {
+        for &(_, id) in self.best_effort.iter().take(late_cap) {
             let Some(gpu_lowest) = free.lowest() else {
                 break;
             };
@@ -297,8 +323,9 @@ impl Policy for TetriServePolicy {
             });
         }
 
-        // ── 6: selective continuous batching. ───────────────────────────
-        if self.config.selective_batching {
+        // ── 6: selective continuous batching (a lone assignment has
+        // nothing to merge with). ─────────────────────────────────────────
+        if self.config.selective_batching && assignments.len() >= 2 {
             let deadlines: HashMap<RequestId, BatchDeadline> = assignments
                 .iter()
                 .flat_map(|a| a.requests.iter())
@@ -350,6 +377,8 @@ mod tests {
     use crate::tracker::RequestTracker;
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution, StageProfile};
     use tetriserve_simulator::failure::FailurePlan;
+    use tetriserve_simulator::gpuset::GpuId;
+    use tetriserve_simulator::rng::SimRng;
     use tetriserve_simulator::time::SimDuration;
     use tetriserve_simulator::trace::TenantId;
 
@@ -641,6 +670,129 @@ mod tests {
         };
         let plans = policy.schedule(&ctx);
         assert!(plans.is_empty(), "{plans:?}");
+    }
+
+    /// One tracker snapshot for the warm-versus-fresh test: requests at
+    /// every stage of life on an 8-GPU node or a 5-GPU disaggregated
+    /// denoise pool, some running (their GPUs busy), some with a previous
+    /// placement, some past their deadline.
+    fn random_snapshot(
+        rng: &mut SimRng,
+        snap: u64,
+        tau: SimDuration,
+    ) -> (RequestTracker, SimTime, GpuSet, GpuSet, usize) {
+        let boundary = SimTime::ZERO + tau * (1 + rng.below(40) as u64);
+        // Round boundaries, mid-round backfills and end-of-round slivers.
+        let now = match snap % 3 {
+            0 => boundary,
+            1 => {
+                boundary
+                    + SimDuration::from_micros(1 + rng.below(tau.as_micros() as usize - 1) as u64)
+            }
+            _ => boundary + tau - SimDuration::from_millis(1),
+        };
+        let pool = if snap % 4 == 3 { 5 } else { 8 };
+        let mut healthy = GpuSet::first_n(pool);
+        if snap.is_multiple_of(5) {
+            healthy = healthy.difference(GpuSet::single(GpuId(rng.below(pool))));
+        }
+        let mut tracker = RequestTracker::new();
+        let mut busy = GpuSet::EMPTY;
+        for id in 0..rng.below(10) as u64 {
+            let arrival =
+                SimTime::from_micros(now.as_micros().saturating_sub(rng.below(8_000_000) as u64));
+            // SLOs from 0.5 s to 20 s: requests that arrived long ago with
+            // a short SLO are past their deadline.
+            let slo = SimDuration::from_micros(500_000 + rng.below(19_500_000) as u64);
+            tracker.admit(RequestSpec {
+                tenant: TenantId::UNTAGGED,
+                id: RequestId(id),
+                resolution: Resolution::PRODUCTION[rng.below(4)],
+                arrival,
+                deadline: arrival + slo,
+                total_steps: 50,
+                stages: StageProfile::FLAT,
+            });
+            let width = 1 << rng.below(3);
+            let steps = 1 + rng.below(30) as u32;
+            match rng.below(3) {
+                // Ran earlier: fewer steps left and a previous placement.
+                0 => {
+                    let block = GpuSet::contiguous(width * rng.below(pool / width), width);
+                    tracker.start_dispatch(RequestId(id), block, steps, 0.0);
+                    tracker.finish_dispatch(RequestId(id));
+                }
+                // Running now: its GPUs are busy.
+                1 => {
+                    if let Some(gpus) = healthy.difference(busy).take_lowest(width) {
+                        tracker.start_dispatch(RequestId(id), gpus, steps, 0.0);
+                        busy = busy.union(gpus);
+                    }
+                }
+                _ => {}
+            }
+        }
+        (tracker, now, healthy.difference(busy), healthy, pool)
+    }
+
+    #[test]
+    fn warm_policy_plans_exactly_like_a_fresh_one() {
+        // A policy reuses its per-pass buffers; none of that state may
+        // reach a decision. Drive one long-lived policy per config through
+        // a seeded sequence of unrelated snapshots and compare every pass
+        // with a policy built fresh for that snapshot.
+        let c = costs();
+        let configs = [
+            TetriServeConfig::default(),
+            TetriServeConfig {
+                elastic_scale_up: false,
+                ..TetriServeConfig::default()
+            },
+        ];
+        let mut warm: Vec<TetriServePolicy> = configs
+            .iter()
+            .map(|&cfg| TetriServePolicy::new(cfg, &c))
+            .collect();
+        let tau = warm[0].tau();
+        let failures = FailurePlan::none();
+        let mut rng = SimRng::seed_from_u64(0x7e7215e7);
+        let (mut with_plans, mut without, mut late, mut busy) = (0, 0, 0, 0);
+        for snap in 0..300 {
+            let (tracker, now, free, healthy, n_gpus) = random_snapshot(&mut rng, snap, tau);
+            if tracker
+                .live()
+                .any(|r| r.is_schedulable(now) && r.is_past_deadline(now))
+            {
+                late += 1;
+            }
+            if free != healthy {
+                busy += 1;
+            }
+            let ctx = SchedContext {
+                now,
+                free,
+                healthy,
+                n_gpus,
+                tracker: &tracker,
+                costs: &c,
+                failures: &failures,
+            };
+            for (policy, &cfg) in warm.iter_mut().zip(&configs) {
+                let plans = policy.schedule(&ctx);
+                crate::policy::validate_plans(&plans, &ctx).expect("valid plans");
+                let fresh = TetriServePolicy::new(cfg, &c).schedule(&ctx);
+                assert_eq!(plans, fresh, "snapshot {snap} at {now}");
+                if plans.is_empty() {
+                    without += 1;
+                } else {
+                    with_plans += 1;
+                }
+            }
+        }
+        assert!(
+            with_plans > 100 && without > 100 && late > 50 && busy > 50,
+            "{with_plans} with plans, {without} without, {late} late, {busy} busy"
+        );
     }
 
     #[test]

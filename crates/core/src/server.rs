@@ -1834,7 +1834,7 @@ mod tests {
             // Inject every arrival due before (or at) the next internal
             // event, mirroring the fleet driver's arbitration.
             while let Some(next) = pending.front() {
-                let due = sim.next_event_time().map_or(true, |t| next.arrival <= t);
+                let due = sim.next_event_time().is_none_or(|t| next.arrival <= t);
                 if due {
                     let spec = pending.pop_front().expect("front exists");
                     sim.push_arrival(spec);

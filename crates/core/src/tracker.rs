@@ -213,19 +213,21 @@ impl RequestTracker {
         self.requests.get(&id)
     }
 
-    /// Ids of requests schedulable at `now`, in admission (id) order.
-    /// Schedulable requests are a subset of the live index (queued with
-    /// steps remaining), so this is O(live backlog), not O(all requests).
-    pub fn schedulable_ids(&self, now: SimTime) -> Vec<RequestId> {
-        let mut ids: Vec<RequestId> = self
-            .live
-            .iter()
-            // tetrilint: allow(taint-panic) -- live-index ids are inserted and removed in lockstep with the requests map
-            .filter(|&&(_, id)| self.requests[&id].is_schedulable(now))
-            .map(|&(_, id)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+    /// Replaces the contents of `out` with the ids of requests schedulable
+    /// at `now`, in admission (id) order. Schedulable requests are a subset
+    /// of the live index (queued with steps remaining), so this is O(live
+    /// backlog), not O(all requests); a caller that reuses `out` across
+    /// calls allocates only when the backlog outgrows it.
+    pub fn schedulable_ids_into(&self, now: SimTime, out: &mut Vec<RequestId>) {
+        out.clear();
+        out.extend(
+            self.live
+                .iter()
+                // tetrilint: allow(taint-panic) -- live-index ids are inserted and removed in lockstep with the requests map
+                .filter(|&&(_, id)| self.requests[&id].is_schedulable(now))
+                .map(|&(_, id)| id),
+        );
+        out.sort_unstable();
     }
 
     /// Marks the request as running a dispatch of `steps` steps at the
@@ -657,18 +659,24 @@ mod tests {
         }
     }
 
+    fn schedulable(t: &RequestTracker, now: SimTime) -> Vec<RequestId> {
+        let mut ids = Vec::new();
+        t.schedulable_ids_into(now, &mut ids);
+        ids
+    }
+
     #[test]
     fn lifecycle_round_trip() {
         let mut t = RequestTracker::new();
         t.admit(spec(1));
         assert_eq!(t.active_count(), 1);
         // Not schedulable before arrival.
-        assert!(t.schedulable_ids(SimTime::ZERO).is_empty());
+        assert!(schedulable(&t, SimTime::ZERO).is_empty());
         let now = SimTime::from_secs_f64(1.0);
-        assert_eq!(t.schedulable_ids(now), vec![RequestId(1)]);
+        assert_eq!(schedulable(&t, now), vec![RequestId(1)]);
 
         t.start_dispatch(RequestId(1), GpuSet::contiguous(0, 2), 4, 0.5);
-        assert!(t.schedulable_ids(now).is_empty(), "running requests hidden");
+        assert!(schedulable(&t, now).is_empty(), "running requests hidden");
         t.finish_dispatch(RequestId(1));
         assert_eq!(t.get(RequestId(1)).unwrap().remaining_steps, 6);
         assert_eq!(t.get(RequestId(1)).unwrap().sp_degree_step_sum, 8);
@@ -695,11 +703,11 @@ mod tests {
         });
         let arrival = SimTime::from_secs_f64(1.0);
         // Until the encode completes, the gate sits at the arrival.
-        assert_eq!(t.schedulable_ids(arrival), vec![RequestId(1)]);
+        assert_eq!(schedulable(&t, arrival), vec![RequestId(1)]);
         let encoded = SimTime::from_secs_f64(1.2);
         t.set_encode_ready(RequestId(1), encoded);
-        assert!(t.schedulable_ids(arrival).is_empty(), "gated on encode");
-        assert_eq!(t.schedulable_ids(encoded), vec![RequestId(1)]);
+        assert!(schedulable(&t, arrival).is_empty(), "gated on encode");
+        assert_eq!(schedulable(&t, encoded), vec![RequestId(1)]);
 
         t.start_dispatch(RequestId(1), GpuSet::contiguous(0, 2), 10, 1.0);
         t.finish_dispatch(RequestId(1));
@@ -739,7 +747,7 @@ mod tests {
         for id in [3u64, 1, 2] {
             t.admit(spec(id));
         }
-        let ids = t.schedulable_ids(SimTime::from_secs_f64(1.0));
+        let ids = schedulable(&t, SimTime::from_secs_f64(1.0));
         assert_eq!(ids, vec![RequestId(1), RequestId(2), RequestId(3)]);
     }
 
@@ -786,7 +794,7 @@ mod tests {
         // GPU-seconds burned before the fault stay charged.
         assert!((r.gpu_seconds - 0.8).abs() < 1e-12);
         let now = SimTime::from_secs_f64(1.0);
-        assert_eq!(t.schedulable_ids(now), vec![RequestId(1)]);
+        assert_eq!(schedulable(&t, now), vec![RequestId(1)]);
     }
 
     #[test]
@@ -801,7 +809,7 @@ mod tests {
         assert_eq!(t.active_count(), 0, "terminal phases are not active");
         assert_eq!(t.shed_count(), 1);
         let now = SimTime::from_secs_f64(1.0);
-        assert!(t.schedulable_ids(now).is_empty());
+        assert!(schedulable(&t, now).is_empty());
         let out = t.outcomes();
         let shed = out.iter().find(|o| o.id == RequestId(1)).unwrap();
         assert!(shed.shed && shed.completion.is_none());

@@ -168,6 +168,8 @@ pub struct FleetSim<R: Router> {
     /// High-water mark of Σ per-cluster live backlogs, sampled at every
     /// routing instant.
     peak_backlog: usize,
+    /// The per-cluster snapshot the router reads, refilled on every route.
+    views: Vec<ClusterView>,
     clock: GlobalClock,
     routed: Vec<usize>,
     rerouted_in: Vec<usize>,
@@ -371,6 +373,7 @@ impl<R: Router> FleetSim<R> {
             reroutes: VecDeque::new(),
             rebalance: None,
             peak_backlog: 0,
+            views: Vec::with_capacity(n),
             clock: GlobalClock::new(),
             routed: vec![0; n],
             rerouted_in: vec![0; n],
@@ -629,21 +632,16 @@ impl<R: Router> FleetSim<R> {
         let at = self.clock.now();
         let backlog: usize = self.clusters.iter().map(|c| c.live_backlog()).sum();
         self.peak_backlog = self.peak_backlog.max(backlog);
-        let views: Vec<ClusterView> = self
-            .clusters
-            .iter()
-            .enumerate()
-            .map(|(i, c)| ClusterView {
+        let outages = &self.outages;
+        self.views.clear();
+        self.views
+            .extend(self.clusters.iter().enumerate().map(|(i, c)| ClusterView {
                 index: i,
-                up: !self
-                    .outages
-                    .iter()
-                    .any(|o| o.cluster == i && o.is_down_at(at)),
+                up: !outages.iter().any(|o| o.cluster == i && o.is_down_at(at)),
                 feasible: c.admission_feasible(&spec, at),
                 load: c.load(at),
-            })
-            .collect();
-        let decision = self.router.route(&spec, &views);
+            }));
+        let decision = self.router.route(&spec, &self.views);
 
         self.routing_digest.push(spec.id.0);
         self.routing_digest.push(spec.arrival.as_micros());
@@ -651,12 +649,12 @@ impl<R: Router> FleetSim<R> {
         match decision {
             RouteDecision::To(i) => {
                 assert!(
-                    i < views.len(),
+                    i < self.views.len(),
                     "router chose cluster {i} of {}",
-                    views.len()
+                    self.views.len()
                 );
                 assert!(
-                    views[i].up,
+                    self.views[i].up,
                     "router sent request {} to down cluster {i}",
                     spec.id.0
                 );

@@ -70,14 +70,14 @@ pub fn diff(report: &LintReport, baseline: &BTreeMap<(String, String), usize>) -
     // Count per group first so we forgive from the front of each group.
     let mut remaining: BTreeMap<(&str, &str), usize> = BTreeMap::new();
     for v in &report.violations {
-        let key = (v.file.as_str(), v.rule);
-        if !remaining.contains_key(&key) {
-            let allowance = baseline
-                .get(&(v.file.clone(), v.rule.to_string()))
-                .copied()
-                .unwrap_or(0);
-            remaining.insert(key, allowance);
-        }
+        remaining
+            .entry((v.file.as_str(), v.rule))
+            .or_insert_with(|| {
+                baseline
+                    .get(&(v.file.clone(), v.rule.to_string()))
+                    .copied()
+                    .unwrap_or(0)
+            });
     }
     let mut out = Vec::new();
     for v in &report.violations {

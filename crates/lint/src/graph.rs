@@ -29,6 +29,7 @@
 //! edge hides a real taint path, a spurious edge only costs a reviewed
 //! allow at a sink that needed one anyway.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use crate::parser::{CallTarget, FileItems, FnItem};
@@ -128,15 +129,15 @@ impl<'a> WorkspaceGraph<'a> {
         let mut parent: BTreeMap<usize, Option<usize>> = BTreeMap::new();
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         for &e in entries {
-            if !parent.contains_key(&e) {
-                parent.insert(e, None);
+            if let Entry::Vacant(slot) = parent.entry(e) {
+                slot.insert(None);
                 queue.push_back(e);
             }
         }
         while let Some(n) = queue.pop_front() {
             for &m in &self.edges[n] {
-                if !parent.contains_key(&m) {
-                    parent.insert(m, Some(n));
+                if let Entry::Vacant(slot) = parent.entry(m) {
+                    slot.insert(Some(n));
                     queue.push_back(m);
                 }
             }

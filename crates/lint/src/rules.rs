@@ -594,14 +594,14 @@ fn hash_bindings<'a>(toks: &[&'a Tok]) -> Vec<&'a str> {
             continue;
         }
         let mut depth = 0usize;
-        for j in p + 2..toks.len() {
-            match toks[j].text.as_str() {
+        for tok in toks.iter().skip(p + 2) {
+            match tok.text.as_str() {
                 "(" | "[" | "{" => depth += 1,
                 ")" | "]" | "}" => depth = depth.saturating_sub(1),
                 ";" if depth == 0 => break,
                 _ => {
-                    if toks[j].kind == TokKind::Ident
-                        && (toks[j].text == "HashMap" || toks[j].text == "HashSet")
+                    if tok.kind == TokKind::Ident
+                        && (tok.text == "HashMap" || tok.text == "HashSet")
                         && !bindings.contains(&name.text.as_str())
                     {
                         bindings.push(&name.text);

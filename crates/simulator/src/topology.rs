@@ -150,34 +150,24 @@ impl Topology {
     ///
     /// Panics if the group contains GPUs outside the node.
     pub fn group_bandwidth_gbps(&self, group: GpuSet) -> f64 {
-        let members: Vec<GpuId> = group.iter().collect();
-        if let Some(max) = members.last() {
+        if let Some(max) = group.iter().last() {
             assert!(
                 max.0 < self.n_gpus,
                 "group {group:?} contains GPUs outside the {}-GPU node",
                 self.n_gpus
             );
         }
-        if members.len() < 2 {
+        if group.len() < 2 {
             return f64::INFINITY;
         }
-        let mut min_bw = f64::INFINITY;
-        for (i, &a) in members.iter().enumerate() {
-            for &b in members.iter().skip(i + 1) {
-                min_bw = min_bw.min(self.link(a, b).effective_bandwidth_gbps());
-            }
-        }
-        min_bw
+        pairs(group).fold(f64::INFINITY, |min_bw, (a, b)| {
+            min_bw.min(self.link(a, b).effective_bandwidth_gbps())
+        })
     }
 
     /// Whether a group avoids every PCIe crossing (A40 "good placement").
     pub fn group_is_nvlink_only(&self, group: GpuSet) -> bool {
-        let members: Vec<GpuId> = group.iter().collect();
-        members.iter().enumerate().all(|(i, &a)| {
-            members[i + 1..]
-                .iter()
-                .all(|&b| self.link(a, b) != LinkKind::Pcie)
-        })
+        pairs(group).all(|(a, b)| self.link(a, b) != LinkKind::Pcie)
     }
 
     /// Enumerates the *aligned* candidate placements of size `k` (a power of
@@ -186,15 +176,25 @@ impl Topology {
     /// On the paired layout these blocks are exactly the placements that
     /// maximise NVLink usage for their size; on a switched layout alignment
     /// is irrelevant but harmless.
-    pub fn aligned_blocks(&self, k: usize) -> Vec<GpuSet> {
+    ///
+    /// # Panics
+    ///
+    /// Panics (when called, not when iterated) if `k` is not a power of two.
+    pub fn aligned_blocks(&self, k: usize) -> impl Iterator<Item = GpuSet> {
         assert!(
             k > 0 && k.is_power_of_two(),
             "block size {k} must be a power of two"
         );
-        (0..self.n_gpus / k)
-            .map(|i| GpuSet::contiguous(i * k, k))
-            .collect()
+        (0..self.n_gpus / k).map(move |i| GpuSet::contiguous(i * k, k))
     }
+}
+
+/// Every unordered pair `(a, b)` of distinct group members, `a < b`.
+fn pairs(group: GpuSet) -> impl Iterator<Item = (GpuId, GpuId)> {
+    group
+        .iter()
+        .enumerate()
+        .flat_map(move |(i, a)| group.iter().skip(i + 1).map(move |b| (a, b)))
 }
 
 #[cfg(test)]
@@ -244,19 +244,19 @@ mod tests {
     #[test]
     fn aligned_blocks_tile_the_node() {
         let t = Topology::h100_nvlink(8);
-        let blocks = t.aligned_blocks(2);
+        let blocks: Vec<GpuSet> = t.aligned_blocks(2).collect();
         assert_eq!(blocks.len(), 4);
         assert_eq!(blocks[0], GpuSet::contiguous(0, 2));
         assert_eq!(blocks[3], GpuSet::contiguous(6, 2));
         let union = blocks.iter().fold(GpuSet::EMPTY, |acc, b| acc.union(*b));
         assert_eq!(union, t.all_gpus());
-        assert_eq!(t.aligned_blocks(8).len(), 1);
+        assert_eq!(t.aligned_blocks(8).count(), 1);
     }
 
     #[test]
     #[should_panic(expected = "power of two")]
     fn aligned_blocks_rejects_non_power_of_two() {
-        Topology::h100_nvlink(8).aligned_blocks(3);
+        let _ = Topology::h100_nvlink(8).aligned_blocks(3);
     }
 
     #[test]
