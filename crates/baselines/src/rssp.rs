@@ -41,9 +41,7 @@ impl RsspPolicy {
             let slo = *slo_targets
                 .get(&res)
                 .unwrap_or_else(|| panic!("no SLO target for {res}"));
-            let decode = costs
-                .model()
-                .decode_time(res, costs.cluster().gpu.effective_tflops());
+            let decode = costs.decode_time(res, 1);
             let chosen = costs
                 .degrees()
                 .iter()

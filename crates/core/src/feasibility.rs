@@ -6,16 +6,18 @@
 //! deadline-respecting GPU-second demand; the backlog is infeasible the
 //! moment the running total exceeds what the healthy GPUs can deliver by
 //! that deadline. `edf_violations` is that scan, written once, and every
-//! decision built on it calls it: the admission verdict for "this backlog
-//! plus one more request" (`ClusterSim::feasible_with` over
-//! `live_entries_with`, behind the fleet router's and rebalancer's
-//! probes), the at-risk prefix the rebalancer migrates from
-//! (`edf_at_risk_len`), and the serving loop's degrade-before-shed
-//! ladder (`degrade_or_shed`).
+//! decision built on it calls it: the fleet router's admission verdict for
+//! "this backlog plus one more request" (`scan_backlog`, the one walk of
+//! the live index that also yields a route view's counts and backlog
+//! demand), the rebalancer's probes (`ClusterSim::feasible_with` over
+//! `live_entries_with`, sharing the same merge), the at-risk prefix the
+//! rebalancer migrates from (`edf_at_risk_len`), and the serving loop's
+//! degrade-before-shed ladder (`degrade_or_shed`).
 
 use std::cmp::Ordering;
 
-use tetriserve_costmodel::{CostTable, Resolution, StageProfile};
+use tetriserve_costmodel::stage::frame_scaled;
+use tetriserve_costmodel::{CostTable, Resolution, ResolutionRow, StageProfile};
 use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::RequestId;
 
@@ -57,54 +59,39 @@ pub struct DemandEntry {
 /// it, falls back to the fastest degree; the caller's negative slack
 /// makes such a request the first shedding victim anyway.
 ///
-/// For [`StageProfile::FLAT`] every stage term is the exact identity
-/// (`frames = 1`, encode = `0.0`), so verdicts are bit-identical to the
-/// pre-stage formula.
+/// Every input comes precomputed from the resolution's cost-table `row`
+/// (`CostTable::row`). For [`StageProfile::FLAT`] every stage term is the
+/// exact identity (`frames = 1`, encode = `0.0`), so verdicts are
+/// bit-identical to the pre-stage formula.
 pub fn cheapest_step_demand(
-    costs: &CostTable,
-    res: Resolution,
+    row: &ResolutionRow<'_>,
     stages: StageProfile,
     remaining: u32,
     horizon: f64,
 ) -> f64 {
     let remaining_f = f64::from(remaining);
     let frames_f = stages.frame_factor();
-    let tflops = costs.cluster().gpu.effective_tflops();
-    let decode = costs
-        .model()
-        .decode_time_frames(res, tflops, stages.frames)
-        .as_secs_f64();
+    let decode = frame_scaled(row.decode, stages.frames).as_secs_f64();
     let encode = if stages.encode {
-        costs.model().encode_time(res, tflops).as_secs_f64()
+        row.encode.as_secs_f64()
     } else {
         0.0
     };
-    let per_step = costs
-        .degrees()
+    // Demand is denominated in nominal GPU-seconds; the capacity side of
+    // the EDF scan carries the slowdown derating.
+    let per_step = row
+        .step_secs
         .iter()
-        .filter(|&&k| {
-            // Demand is denominated in nominal GPU-seconds; the capacity
-            // side of the EDF scan carries the slowdown derating.
-            // tetrilint: allow(nominal-step-time) -- demand side is nominal by convention
-            remaining_f * costs.step_time(res, k, 1).as_secs_f64() * ROUND_HEADROOM * frames_f
-                + decode
-                + encode
-                <= horizon
+        .zip(row.gpu_secs)
+        .filter(|&(&step, _)| {
+            remaining_f * step * ROUND_HEADROOM * frames_f + decode + encode <= horizon
         })
-        .map(|&k| costs.gpu_seconds(res, k))
+        .map(|(_, &gpu_secs)| gpu_secs)
         .fold(f64::INFINITY, f64::min);
     if per_step.is_finite() {
         per_step
     } else {
-        let fastest = costs
-            .degrees()
-            .iter()
-            .copied()
-            // tetrilint: allow(nominal-step-time) -- degree ordering only; factor cancels
-            .min_by_key(|&k| costs.step_time(res, k, 1))
-            // tetrilint: allow(taint-panic) -- CostTable construction asserts a non-empty degree axis
-            .expect("cost table has at least one degree");
-        costs.gpu_seconds(res, fastest)
+        row.fastest_gpu_secs
     }
 }
 
@@ -122,15 +109,17 @@ pub fn demand_entry(
     now: SimTime,
     fresh: bool,
 ) -> DemandEntry {
+    let row = costs.row(res);
     let horizon = deadline.saturating_since(now).as_secs_f64();
-    let per_step = cheapest_step_demand(costs, res, stages, remaining, horizon);
+    let per_step = cheapest_step_demand(&row, stages, remaining, horizon);
     let frames_f = stages.frame_factor();
     DemandEntry {
         id,
         deadline,
         demand: f64::from(remaining) * per_step * frames_f,
-        // tetrilint: allow(nominal-step-time) -- slack ranks victims; nominal keeps ranking stable
-        slack: horizon - f64::from(remaining) * costs.t_min(res).as_secs_f64() * frames_f,
+        // Nominal `T^min`: slack ranks victims, and nominal keeps the
+        // ranking stable under slowdowns.
+        slack: horizon - f64::from(remaining) * row.t_min.as_secs_f64() * frames_f,
         fresh,
     }
 }
@@ -339,23 +328,84 @@ pub(crate) fn edf_at_risk_len(
         .map_or(0, |(j, _)| j + 1)
 }
 
-/// The tracker's live entries at `now`, minus the `exclude`d requests,
-/// with `extra` merged in at its `(deadline, id)` slot — the "backlog
-/// plus one request" the admission probe scans, without collecting the
-/// backlog, pushing and re-sorting. On a full key tie `extra` goes after
-/// the live entry, exactly where a stable sort of the pushed vector puts
-/// it.
-pub(crate) fn live_entries_with<'a>(
-    tracker: &'a RequestTracker,
+/// What one walk of a cluster's live index yields at a routing instant
+/// ([`scan_backlog`]): the counts and backlog demand of a route view, and
+/// the admission verdict for the routed request.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct BacklogScan {
+    /// Live requests waiting for GPUs.
+    pub queued: usize,
+    /// Live queued requests still gated on their condition encode
+    /// (`encode_ready` after the instant).
+    pub encode_gated: usize,
+    /// Requests executing a dispatch, including final dispatches with no
+    /// steps remaining (the tracker's O(1) count; they are not live).
+    pub running: usize,
+    /// Cheapest deadline-respecting GPU-second demand of the live backlog,
+    /// summed in EDF order from `-0.0` as `Iterator::sum` does, so an
+    /// empty backlog reads `-0.0`.
+    pub gpu_seconds: f64,
+    /// Whether the backlog plus the probed arrival passes the EDF test;
+    /// `true` when no arrival was probed.
+    pub feasible: bool,
+}
+
+/// One walk of the tracker's live index at `now`: prices every live
+/// request once and folds the prices into a route view's counts, its
+/// backlog GPU-seconds and — when `probe` carries an arrival entry priced
+/// at `now` and a capacity — the admission verdict for the backlog plus
+/// that arrival. The arrival is merged at its `(deadline, id)` slot and
+/// the merged stream goes through [`edf_violations`]; the walk runs on
+/// past a violation so the counts and the sum cover the whole backlog.
+/// Pure read, allocation-free.
+pub(crate) fn scan_backlog(
+    tracker: &RequestTracker,
     now: SimTime,
-    costs: &'a CostTable,
+    costs: &CostTable,
+    probe: Option<(DemandEntry, f64)>,
+) -> BacklogScan {
+    let mut queued = 0;
+    let mut encode_gated = 0;
+    // `Sum for f64` folds from −0.0: an empty backlog keeps that sign,
+    // which the router's `total_cmp` on pressure sees.
+    let mut gpu_seconds = -0.0;
+    let mut live = tracker.live().map(|r| {
+        if r.phase == Phase::Queued {
+            queued += 1;
+            encode_gated += usize::from(r.encode_ready > now);
+        }
+        let e = tracked_entry(r, now, costs);
+        gpu_seconds += e.demand;
+        e
+    });
+    let feasible = probe.is_none_or(|(arrival, capacity)| {
+        edf_violations(merge_at_slot(live.by_ref(), arrival), now, capacity, 0.0)
+            .next()
+            .is_none()
+    });
+    // The verdict stops pulling at the first violation; the counts and the
+    // sum still need the rest of the backlog.
+    live.for_each(drop);
+    BacklogScan {
+        queued,
+        encode_gated,
+        running: tracker.running_count(),
+        gpu_seconds,
+        feasible,
+    }
+}
+
+/// `live` (in EDF scan order) with `extra` merged in at its
+/// `(deadline, id)` slot — "the backlog plus one request" without
+/// collecting the backlog, pushing and re-sorting. On a full key tie
+/// `extra` goes after the live entry, exactly where a stable sort of the
+/// pushed vector puts it.
+fn merge_at_slot(
+    live: impl Iterator<Item = DemandEntry>,
     extra: DemandEntry,
-    exclude: &'a [RequestId],
-) -> impl Iterator<Item = DemandEntry> + 'a {
+) -> impl Iterator<Item = DemandEntry> {
     let key = |e: &DemandEntry| (e.deadline, e.id);
-    let mut live = live_entries(tracker, now, costs)
-        .filter(|e| !exclude.contains(&e.id))
-        .peekable();
+    let mut live = live.peekable();
     let mut extra = Some(extra);
     std::iter::from_fn(move || {
         let live_first = match (&extra, live.peek()) {
@@ -369,6 +419,22 @@ pub(crate) fn live_entries_with<'a>(
             extra.take()
         }
     })
+}
+
+/// The tracker's live entries at `now`, minus the `exclude`d requests,
+/// with `extra` merged in at its `(deadline, id)` slot — the rebalancer's
+/// admission probe (see [`merge_at_slot`]).
+pub(crate) fn live_entries_with<'a>(
+    tracker: &'a RequestTracker,
+    now: SimTime,
+    costs: &'a CostTable,
+    extra: DemandEntry,
+    exclude: &'a [RequestId],
+) -> impl Iterator<Item = DemandEntry> + 'a {
+    merge_at_slot(
+        live_entries(tracker, now, costs).filter(|e| !exclude.contains(&e.id)),
+        extra,
+    )
 }
 
 /// One rung's relief at a capacity violation.
@@ -475,6 +541,7 @@ fn degrade_victim<'a>(
 mod tests {
     use super::*;
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler};
+    use tetriserve_simulator::time::SimDuration;
     use tetriserve_simulator::trace::TenantId;
 
     fn costs() -> CostTable {
@@ -530,8 +597,9 @@ mod tests {
         // With an impossible horizon the fallback charges the fastest
         // degree, which costs at least as many GPU-seconds per step as the
         // relaxed-case optimum.
-        let relaxed = cheapest_step_demand(&c, Resolution::R2048, StageProfile::FLAT, 50, 1e9);
-        let hopeless = cheapest_step_demand(&c, Resolution::R2048, StageProfile::FLAT, 50, 0.001);
+        let row = c.row(Resolution::R2048);
+        let relaxed = cheapest_step_demand(&row, StageProfile::FLAT, 50, 1e9);
+        let hopeless = cheapest_step_demand(&row, StageProfile::FLAT, 50, 0.001);
         assert!(hopeless >= relaxed);
     }
 
@@ -571,8 +639,8 @@ mod tests {
         };
         for res in [Resolution::R256, Resolution::R1024, Resolution::R2048] {
             for horizon in [0.5, 5.0, 500.0] {
-                let a = cheapest_step_demand(&c, res, StageProfile::FLAT, 50, horizon);
-                let b = cheapest_step_demand(&c, res, explicit, 50, horizon);
+                let a = cheapest_step_demand(&c.row(res), StageProfile::FLAT, 50, horizon);
+                let b = cheapest_step_demand(&c.row(res), explicit, 50, horizon);
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -634,5 +702,131 @@ mod tests {
         );
         assert!(e50.demand > e10.demand);
         assert!(e50.slack < e10.slack);
+    }
+
+    /// The pre-row [`cheapest_step_demand`], which took the table and a
+    /// resolution and re-derived every degree's step time, the decode and
+    /// the encode from the table and the model on each call: the
+    /// reference the row-based pricing must match bit for bit.
+    fn reference_step_demand(
+        costs: &CostTable,
+        res: Resolution,
+        stages: StageProfile,
+        remaining: u32,
+        horizon: f64,
+    ) -> f64 {
+        let remaining_f = f64::from(remaining);
+        let frames_f = stages.frame_factor();
+        let tflops = costs.cluster().gpu.effective_tflops();
+        let decode = costs
+            .model()
+            .decode_time_frames(res, tflops, stages.frames)
+            .as_secs_f64();
+        let encode = if stages.encode {
+            costs.model().encode_time(res, tflops).as_secs_f64()
+        } else {
+            0.0
+        };
+        let per_step = costs
+            .degrees()
+            .iter()
+            .filter(|&&k| {
+                remaining_f * costs.step_time(res, k, 1).as_secs_f64() * ROUND_HEADROOM * frames_f
+                    + decode
+                    + encode
+                    <= horizon
+            })
+            .map(|&k| costs.gpu_seconds(res, k))
+            .fold(f64::INFINITY, f64::min);
+        if per_step.is_finite() {
+            per_step
+        } else {
+            let fastest = costs
+                .degrees()
+                .iter()
+                .copied()
+                .min_by_key(|&k| costs.step_time(res, k, 1))
+                .expect("cost table has at least one degree");
+            costs.gpu_seconds(res, fastest)
+        }
+    }
+
+    fn a40_costs() -> CostTable {
+        Profiler::new(DitModel::sd3_medium(), ClusterSpec::a40x4()).analytic()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// Row-based pricing returns exactly the reference's demand on
+        /// both production tables, for every production resolution, the
+        /// flat, encode-gated and 8-frame profiles and 1..=50 remaining
+        /// steps, at a random horizon and at each degree's knife edge
+        /// ±1 µs — both as a raw `f64` horizon and on the microsecond
+        /// deadline grid `demand_entry` prices from.
+        #[test]
+        fn prop_row_pricing_matches_reference(
+            a40 in proptest::prelude::any::<bool>(),
+            res_idx in 0usize..4,
+            stages_idx in 0usize..3,
+            remaining in 1u32..=50,
+            horizon_us in 0u64..=120_000_000,
+        ) {
+            let c = if a40 { a40_costs() } else { costs() };
+            let res = Resolution::PRODUCTION[res_idx];
+            let stages =
+                [StageProfile::FLAT, StageProfile::with_encode(), StageProfile::video(8)][stages_idx];
+            let tflops = c.cluster().gpu.effective_tflops();
+            let tail = c.model().decode_time_frames(res, tflops, stages.frames).as_secs_f64()
+                + if stages.encode {
+                    c.model().encode_time(res, tflops).as_secs_f64()
+                } else {
+                    0.0
+                };
+            let edges: Vec<f64> = c
+                .degrees()
+                .iter()
+                .map(|&k| {
+                    f64::from(remaining)
+                        * c.step_time(res, k, 1).as_secs_f64()
+                        * ROUND_HEADROOM
+                        * stages.frame_factor()
+                        + tail
+                })
+                .collect();
+            let raw = edges.iter().flat_map(|&e| [e - 1e-6, e, e + 1e-6]);
+            let grid: Vec<u64> = std::iter::once(horizon_us)
+                .chain(edges.iter().flat_map(|&e| {
+                    let us = (e * 1e6).round() as u64;
+                    [us.saturating_sub(1), us, us + 1]
+                }))
+                .collect();
+            let on_grid = grid.iter().map(|&us| SimDuration::from_micros(us).as_secs_f64());
+            for horizon in raw.chain(on_grid) {
+                let got = cheapest_step_demand(&c.row(res), stages, remaining, horizon);
+                let want = reference_step_demand(&c, res, stages, remaining, horizon);
+                proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "horizon {}", horizon);
+            }
+            let frames_f = stages.frame_factor();
+            for &us in &grid {
+                let deadline = SimTime::from_micros(us);
+                let e = demand_entry(
+                    &c,
+                    RequestId(7),
+                    res,
+                    stages,
+                    remaining,
+                    deadline,
+                    SimTime::ZERO,
+                    true,
+                );
+                let horizon = deadline.saturating_since(SimTime::ZERO).as_secs_f64();
+                let per_step = reference_step_demand(&c, res, stages, remaining, horizon);
+                let demand = f64::from(remaining) * per_step * frames_f;
+                let slack = horizon - f64::from(remaining) * c.t_min(res).as_secs_f64() * frames_f;
+                proptest::prop_assert_eq!(e.demand.to_bits(), demand.to_bits());
+                proptest::prop_assert_eq!(e.slack.to_bits(), slack.to_bits());
+            }
+        }
     }
 }

@@ -92,11 +92,13 @@ proptest! {
     /// admission-probe verdict for the backlog plus one request — under
     /// arbitrary interleavings of every
     /// tracker mutation (admit, dispatch, abort, fail, shed, degrade,
-    /// migrate out/in, complete), with terminal requests accumulating in
-    /// the tracker exactly as they do over a long serving run.
+    /// migrate out/in, complete, encode gating), with terminal requests
+    /// accumulating in the tracker exactly as they do over a long serving
+    /// run. The one walk a route view is built from (`scan_backlog`)
+    /// matches the separate reads it replaced, bit for bit.
     #[test]
     fn prop_incremental_feasibility_matches_full_recompute(
-        ops in proptest::collection::vec((0u8..10, any::<u32>()), 1..60),
+        ops in proptest::collection::vec((0u8..11, any::<u32>()), 1..60),
         capacity in 1.0f64..16.0,
         committed in (0u32..5).prop_map(|k| f64::from(k) * 10.0),
     ) {
@@ -199,6 +201,12 @@ proptest! {
                         tracker.complete(pick(&done_ready, r), now);
                     }
                 }
+                // Gate a queued request on a condition encode that
+                // finishes after `now`.
+                8 if !queued.is_empty() => {
+                    let until = now + SimDuration::from_millis(1 + u64::from(r % 500));
+                    tracker.set_encode_ready(pick(&queued, r), until);
+                }
                 // Default (and fall-through when a pool was empty): admit.
                 _ => {
                     let res = Resolution::PRODUCTION[(r % 4) as usize];
@@ -209,7 +217,11 @@ proptest! {
                         arrival: now,
                         deadline: now + SimDuration::from_millis(100 + u64::from(r % 9000)),
                         total_steps: 1 + r % 50,
-                        stages: StageProfile::FLAT,
+                        stages: [
+                            StageProfile::FLAT,
+                            StageProfile::with_encode(),
+                            StageProfile::video(8),
+                        ][(r / 7 % 3) as usize],
                     });
                     next_id += 1;
                 }
@@ -267,6 +279,41 @@ proptest! {
                     .is_none()
             };
             prop_assert_eq!(verdict(merged), verdict(pushed));
+
+            // The route view's one walk against the reads it replaced: the
+            // live-index counts, the running counter, the `Sum` of the
+            // live demand (−0.0 on an empty backlog) and the merged probe
+            // through `edf_violations`.
+            let queued_live = tracker.live().filter(|r| r.phase == Phase::Queued).count();
+            let encode_gated = tracker
+                .live()
+                .filter(|r| r.phase == Phase::Queued && r.encode_ready > now)
+                .count();
+            let running_now = tracker.iter().filter(|r| r.phase == Phase::Running).count();
+            let gpu_seconds: f64 = feasibility::live_entries(&tracker, now, &c)
+                .map(|e| e.demand)
+                .sum();
+            let feasible = feasibility::edf_violations(
+                feasibility::live_entries_with(&tracker, now, &c, extra, &[]),
+                now,
+                capacity,
+                0.0,
+            )
+            .next()
+            .is_none();
+            let probed = feasibility::scan_backlog(&tracker, now, &c, Some((extra, capacity)));
+            let unprobed = feasibility::scan_backlog(&tracker, now, &c, None);
+            for scan in [probed, unprobed] {
+                prop_assert_eq!(scan.queued, queued_live);
+                prop_assert_eq!(scan.encode_gated, encode_gated);
+                prop_assert_eq!(scan.running, running_now);
+                prop_assert_eq!(scan.gpu_seconds.to_bits(), gpu_seconds.to_bits());
+            }
+            if tracker.live_len() == 0 {
+                prop_assert_eq!(probed.gpu_seconds.to_bits(), (-0.0f64).to_bits());
+            }
+            prop_assert_eq!(probed.feasible, feasible);
+            prop_assert!(unprobed.feasible);
         }
     }
 

@@ -172,11 +172,7 @@ impl Policy for TetriServePolicy {
             // step times by the round headroom so the plan retains exactly
             // the margin round quantisation will consume.
             let frames = r.spec.stages.frames;
-            let decode = costs.model().decode_time_frames(
-                r.spec.resolution,
-                costs.cluster().gpu.effective_tflops(),
-                frames,
-            );
+            let decode = costs.decode_time(r.spec.resolution, frames);
             // Planning works in single-frame step times; a video request's
             // dispatches run `frames`× longer, so shrink the slack budget by
             // the same factor (exact identity at frames = 1).

@@ -576,60 +576,61 @@ impl<P: Policy> ClusterSim<P> {
     /// Snapshot of the cluster's load as of `at` (≥ the local clock), for
     /// router decisions.
     pub fn load(&self, at: SimTime) -> ClusterLoad {
+        self.snapshot(at, None).0
+    }
+
+    /// The router's view of this cluster for one arrival: the load
+    /// snapshot as of `at` (≥ the local clock), and whether the cluster
+    /// could take `spec` on top of its live backlog and still meet every
+    /// deadline under the EDF cumulative-demand test, against the
+    /// slowdown-derated capacity. One walk of the live index builds both.
+    pub fn route_view(&self, spec: &RequestSpec, at: SimTime) -> (ClusterLoad, bool) {
+        self.snapshot(at, Some(spec))
+    }
+
+    /// [`load`](ClusterSim::load) plus, for an `arrival`, its admission
+    /// verdict (`true` without one). The healthy set and the derated
+    /// capacity are read once; everything else is O(1) or the one
+    /// [`feasibility::scan_backlog`] walk of the tracker's live index — a
+    /// route must not scan every request ever admitted.
+    fn snapshot(&self, at: SimTime, arrival: Option<&RequestSpec>) -> (ClusterLoad, bool) {
         let at = at.max(self.cursor);
-        // All O(live) or O(1) off the tracker's incremental index — the
-        // route-time snapshot must not scan every request ever admitted.
-        // `queued` counts live queued requests (remaining > 0, exactly the
-        // old `Queued && remaining > 0` filter); `running` includes final
-        // dispatches with zero steps remaining, as the full scan did.
-        let queued = self
-            .tracker
-            .live()
-            .filter(|r| r.phase == Phase::Queued)
-            .count();
-        let encode_backlog = self
-            .tracker
-            .live()
-            .filter(|r| r.phase == Phase::Queued && r.encode_ready > at)
-            .count();
-        let running = self.tracker.running_count();
-        let backlog_steps = self.tracker.live_backlog_steps();
-        let backlog_gpu_seconds = feasibility::live_entries(&self.tracker, at, &self.costs)
-            .map(|e| e.demand)
-            .sum();
-        ClusterLoad {
+        let failures = &self.config.engine.failures;
+        let healthy = GpuSet::first_n(self.denoise_gpus).difference(failures.down_gpus(at));
+        let effective_gpus = failures.effective_capacity(healthy, at);
+        let probe = arrival.map(|spec| {
+            (
+                feasibility::arrival_entry(&self.costs, spec, at),
+                effective_gpus,
+            )
+        });
+        let scan = feasibility::scan_backlog(&self.tracker, at, &self.costs, probe);
+        let load = ClusterLoad {
             at,
             n_gpus: self.n_gpus,
-            healthy_gpus: self.healthy_count_at(at),
-            effective_gpus: self.effective_capacity_at(at),
+            healthy_gpus: healthy.len(),
+            effective_gpus,
             free_gpus: self.free.len(),
-            queued,
-            running,
-            backlog_steps,
-            backlog_gpu_seconds,
-            encode_backlog,
+            queued: scan.queued,
+            running: scan.running,
+            backlog_steps: self.tracker.live_backlog_steps(),
+            backlog_gpu_seconds: scan.gpu_seconds,
+            encode_backlog: scan.encode_gated,
             // Active but no longer live: past the final queued denoise
             // step, i.e. in or awaiting the decode tail.
             decode_backlog: self.tracker.active_count() - self.tracker.live_len(),
-        }
+        };
+        (load, scan.feasible)
     }
 
-    /// Whether the cluster could take `spec` on top of its live backlog and
-    /// still meet every deadline under the EDF cumulative-demand test,
-    /// against the slowdown-derated capacity — the router-facing form of
-    /// the admission machinery.
-    pub fn admission_feasible(&self, spec: &RequestSpec, at: SimTime) -> bool {
-        let at = at.max(self.cursor);
-        let entry = feasibility::arrival_entry(&self.costs, spec, at);
-        self.feasible_with(at, entry, &[], 0.0, self.effective_capacity_at(at))
-    }
-
-    /// The fleet's admission probe: whether the live backlog at `at`,
-    /// minus the `exclude`d requests, plus the hypothetical `extra`, stays
-    /// EDF-feasible with `committed` GPU-seconds already promised to this
-    /// cluster, against `capacity` nominal GPUs. `extra` is merged into
-    /// the live index at its `(deadline, id)` slot rather than pushed and
-    /// sorted. Pure read, allocation-free.
+    /// The fleet rebalancer's admission probe: whether the live backlog at
+    /// `at`, minus the `exclude`d requests, plus the hypothetical `extra`,
+    /// stays EDF-feasible with `committed` GPU-seconds already promised to
+    /// this cluster, against `capacity` nominal GPUs. `extra` is merged
+    /// into the live index at its `(deadline, id)` slot rather than pushed
+    /// and sorted — the same merge the router's verdict in
+    /// [`route_view`](ClusterSim::route_view) uses. Pure read,
+    /// allocation-free.
     ///
     /// `at` must not lie before [`now`](ClusterSim::now), and `extra` must
     /// be priced at that same instant.
@@ -712,10 +713,7 @@ impl<P: Policy> ClusterSim<P> {
     /// encode pool: earliest-free slot, gate the denoise on its
     /// completion, and wake the policy when the gate opens.
     fn dispatch_encode(&mut self, spec: RequestSpec, now: SimTime) {
-        let duration = self
-            .costs
-            .model()
-            .encode_time(spec.resolution, self.costs.cluster().gpu.effective_tflops());
+        let duration = self.costs.encode_time(spec.resolution);
         let (slot, _start, done) = plan_stage_dispatch(&self.encode_pool, now, duration);
         // tetrilint: allow(taint-panic) -- slot was computed from this very pool one line up
         self.encode_pool[slot] = done;
@@ -731,11 +729,9 @@ impl<P: Policy> ClusterSim<P> {
     fn dispatch_decode(&mut self, id: RequestId, now: SimTime) {
         // tetrilint: allow(taint-panic) -- caller just observed the id in the tracker
         let r = self.tracker.get(id).expect("decoding an unknown request");
-        let duration = self.costs.model().decode_time_frames(
-            r.spec.resolution,
-            self.costs.cluster().gpu.effective_tflops(),
-            r.spec.stages.frames,
-        );
+        let duration = self
+            .costs
+            .decode_time(r.spec.resolution, r.spec.stages.frames);
         let (slot, _start, done) = plan_stage_dispatch(&self.decode_pool, now, duration);
         // tetrilint: allow(taint-panic) -- slot was computed from this very pool one line up
         self.decode_pool[slot] = done;
@@ -1045,7 +1041,7 @@ impl<P: Policy> ClusterSim<P> {
         let decode_after = if finishing.is_empty() || !self.decode_pool.is_empty() {
             None
         } else {
-            Some(model.decode_time_frames(resolution, cluster.gpu.effective_tflops(), frames))
+            Some(self.costs.decode_time(resolution, frames))
         };
         let dispatch = StepDispatch {
             requests: plan.requests,
@@ -1875,16 +1871,30 @@ mod tests {
         assert!(load.backlog_steps > 0);
         assert!(load.backlog_gpu_seconds > 0.0);
         assert!(load.pressure() > 0.0);
+        // A route view carries the same snapshot; only the verdict is extra.
+        let (view, _) = sim.route_view(&spec(2, Resolution::R512, 0.0, 20.0), sim.now());
+        assert_eq!(format!("{view:?}"), format!("{load:?}"));
     }
 
     #[test]
-    fn admission_feasible_tracks_capacity() {
+    fn empty_backlog_reads_negative_zero_demand() {
+        // The backlog demand is summed from −0.0 as `Iterator::sum` does;
+        // the router orders pressure with `total_cmp`, which tells −0.0
+        // from +0.0.
+        let sim = stepwise(costs());
+        let load = sim.load(SimTime::ZERO);
+        assert_eq!(load.backlog_gpu_seconds.to_bits(), (-0.0f64).to_bits());
+        assert_eq!(load.pressure().to_bits(), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn route_view_verdict_tracks_capacity() {
         let sim = stepwise(costs());
         let easy = spec(0, Resolution::R256, 0.0, 60.0);
-        assert!(sim.admission_feasible(&easy, SimTime::ZERO));
+        assert!(sim.route_view(&easy, SimTime::ZERO).1);
         // No deadline horizon at all → zero capacity by any deadline.
         let hopeless = spec(1, Resolution::R2048, 0.0, 0.0);
-        assert!(!sim.admission_feasible(&hopeless, SimTime::ZERO));
+        assert!(!sim.route_view(&hopeless, SimTime::ZERO).1);
         // The fleet's probe underneath: the caller supplies committed
         // demand and capacity.
         let entry = feasibility::arrival_entry(sim.costs(), &easy, SimTime::ZERO);

@@ -61,6 +61,6 @@ pub use flops::FlopsModel;
 pub use hardware::{ClusterSpec, GpuKind};
 pub use interconnect::{handoff_time, InterClusterLink};
 pub use model::DitModel;
-pub use profiler::{measure_step_cv, CostRow, CostTable, Profiler};
+pub use profiler::{measure_step_cv, CostRow, CostTable, Profiler, ResolutionRow};
 pub use resolution::Resolution;
 pub use stage::{StageKind, StageProfile};

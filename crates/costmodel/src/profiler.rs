@@ -47,11 +47,13 @@ pub struct CostRow {
 ///
 /// Storage is a *dense* `(resolution × degree × batch)` grid so the round
 /// loop's lookups are flat array reads, and every per-resolution derived
-/// value (`T^min`, fastest degree, cheapest degree, `k·T(k)`) is computed
-/// once at construction. The hot path — `step_time`, `t_min`,
-/// `gpu_seconds` called per request per round — therefore never re-walks
-/// the degree list or re-runs the float pipeline behind
-/// [`step_time_canonical`].
+/// value (`T^min`, fastest degree, cheapest degree, `k·T(k)`, batch-1
+/// step seconds, and the VAE-decode and condition-encode times at the
+/// cluster's effective TFLOPs) is computed once at construction. The hot
+/// path — `step_time`, `t_min`, `gpu_seconds`, [`CostTable::row`] and the
+/// stage times, called per request per round or per route — therefore
+/// never re-walks the degree list or re-runs the float pipelines behind
+/// [`step_time_canonical`] and the model's stage formulas.
 #[derive(Debug, Clone)]
 pub struct CostTable {
     model: DitModel,
@@ -69,12 +71,39 @@ pub struct CostTable {
     grid: Vec<SimDuration>,
     /// Per-resolution `k · T(k, batch 1)`, laid out `[ri * degrees.len() + di]`.
     gpu_secs: Vec<f64>,
+    /// Per-resolution batch-1 step seconds, laid out like `gpu_secs`.
+    step_secs: Vec<f64>,
     /// Per-resolution fastest batch-1 step time (Algorithm 1's `T_i^min`).
     t_min: Vec<SimDuration>,
-    /// Per-resolution degree achieving `t_min`.
+    /// Per-resolution index (into `degrees`) of the degree achieving `t_min`.
     fastest: Vec<usize>,
     /// Per-resolution degree minimising `k · T(k)`.
     cheapest: Vec<usize>,
+    /// Per-resolution single-frame VAE decode at the cluster's effective
+    /// TFLOPs.
+    decode: Vec<SimDuration>,
+    /// Per-resolution condition encode at the cluster's effective TFLOPs.
+    encode: Vec<SimDuration>,
+}
+
+/// One profiled resolution's pricing inputs, all precomputed by the
+/// [`CostTable`]: what pricing a request's remaining work reads, behind a
+/// single resolution lookup. The slices are parallel to
+/// [`CostTable::degrees`].
+#[derive(Debug, Clone, Copy)]
+pub struct ResolutionRow<'a> {
+    /// Batch-1 step seconds per degree: `step_time(res, k, 1)` in seconds.
+    pub step_secs: &'a [f64],
+    /// GPU-seconds per step per degree: `gpu_seconds(res, k)`.
+    pub gpu_secs: &'a [f64],
+    /// GPU-seconds per step at the fastest degree (the first one on a tie).
+    pub fastest_gpu_secs: f64,
+    /// The fastest batch-1 step time, [`CostTable::t_min`].
+    pub t_min: SimDuration,
+    /// Single-frame VAE decode, [`CostTable::decode_time`] at one frame.
+    pub decode: SimDuration,
+    /// Condition encode, [`CostTable::encode_time`].
+    pub encode: SimDuration,
 }
 
 const NO_DEGREE: u8 = u8::MAX;
@@ -117,6 +146,7 @@ impl CostTable {
         // on-demand scans did: `Iterator::min`/`min_by` keep the *first*
         // minimum, i.e. the smallest degree (degrees are ascending).
         let mut gpu_secs = Vec::with_capacity(resolutions.len() * nd);
+        let mut step_secs = Vec::with_capacity(resolutions.len() * nd);
         let mut t_min = Vec::with_capacity(resolutions.len());
         let mut fastest = Vec::with_capacity(resolutions.len());
         let mut cheapest = Vec::with_capacity(resolutions.len());
@@ -124,13 +154,14 @@ impl CostTable {
             let step1 = |di: usize| grid[(ri * nd + di) * nb];
             for (di, &k) in degrees.iter().enumerate() {
                 gpu_secs.push(k as f64 * step1(di).as_secs_f64());
+                step_secs.push(step1(di).as_secs_f64());
             }
             let (best_di, best_t) = (0..nd)
                 .map(|di| (di, step1(di)))
                 .min_by_key(|&(_, t)| t)
                 .expect("at least one degree");
             t_min.push(best_t);
-            fastest.push(degrees[best_di]);
+            fastest.push(best_di);
             // total_cmp matches partial_cmp on these always-finite costs
             // and needs no NaN panic path.
             let cheap_di = (0..nd)
@@ -138,6 +169,15 @@ impl CostTable {
                 .expect("at least one degree");
             cheapest.push(degrees[cheap_di]);
         }
+        let tflops = cluster.gpu.effective_tflops();
+        let decode = resolutions
+            .iter()
+            .map(|&res| model.decode_time(res, tflops))
+            .collect();
+        let encode = resolutions
+            .iter()
+            .map(|&res| model.encode_time(res, tflops))
+            .collect();
         CostTable {
             model,
             cluster,
@@ -149,9 +189,12 @@ impl CostTable {
             max_batch,
             grid,
             gpu_secs,
+            step_secs,
             t_min,
             fastest,
             cheapest,
+            decode,
+            encode,
         }
     }
 
@@ -245,7 +288,7 @@ impl CostTable {
     #[inline]
     pub fn fastest_degree(&self, res: Resolution) -> usize {
         match self.res_index(res) {
-            Some(ri) => self.fastest[ri],
+            Some(ri) => self.degrees[self.fastest[ri]],
             None => {
                 let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
                 unreachable!()
@@ -267,6 +310,59 @@ impl CostTable {
                 let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
                 unreachable!()
             }
+        }
+    }
+
+    /// The pricing row of `res`: every per-degree and stage value EDF
+    /// demand pricing reads, precomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `res` was not profiled.
+    #[inline]
+    pub fn row(&self, res: Resolution) -> ResolutionRow<'_> {
+        let Some(ri) = self.res_index(res) else {
+            let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
+            unreachable!()
+        };
+        let nd = self.degrees.len();
+        let gpu_secs = &self.gpu_secs[ri * nd..(ri + 1) * nd];
+        ResolutionRow {
+            step_secs: &self.step_secs[ri * nd..(ri + 1) * nd],
+            gpu_secs,
+            fastest_gpu_secs: gpu_secs[self.fastest[ri]],
+            t_min: self.t_min[ri],
+            decode: self.decode[ri],
+            encode: self.encode[ri],
+        }
+    }
+
+    /// VAE-decode latency of `frames` output frames at `res` on this
+    /// table's cluster: exactly the model's
+    /// [`decode_time_frames`](DitModel::decode_time_frames) at the
+    /// cluster's effective TFLOPs, read from the table for profiled
+    /// resolutions.
+    #[inline]
+    pub fn decode_time(&self, res: Resolution, frames: u32) -> SimDuration {
+        let one = match self.res_index(res) {
+            Some(ri) => self.decode[ri],
+            None => self
+                .model
+                .decode_time(res, self.cluster.gpu.effective_tflops()),
+        };
+        crate::stage::frame_scaled(one, frames)
+    }
+
+    /// Condition-encode latency at `res` on this table's cluster: exactly
+    /// the model's [`encode_time`](DitModel::encode_time) at the cluster's
+    /// effective TFLOPs, read from the table for profiled resolutions.
+    #[inline]
+    pub fn encode_time(&self, res: Resolution) -> SimDuration {
+        match self.res_index(res) {
+            Some(ri) => self.encode[ri],
+            None => self
+                .model
+                .encode_time(res, self.cluster.gpu.effective_tflops()),
         }
     }
 
@@ -638,6 +734,40 @@ mod tests {
             t.t_min(Resolution::R2048),
             t.step_time(Resolution::R2048, 8, 1)
         );
+    }
+
+    #[test]
+    fn precomputed_rows_match_the_lookups_and_the_model() {
+        let a40 = Profiler::new(DitModel::sd3_medium(), ClusterSpec::a40x4()).analytic();
+        for t in [table(), a40] {
+            let tflops = t.cluster().gpu.effective_tflops();
+            for res in Resolution::PRODUCTION {
+                let row = t.row(res);
+                for (di, &k) in t.degrees().iter().enumerate() {
+                    let step = t.step_time(res, k, 1).as_secs_f64();
+                    assert_eq!(row.step_secs[di].to_bits(), step.to_bits());
+                    assert_eq!(row.gpu_secs[di].to_bits(), t.gpu_seconds(res, k).to_bits());
+                }
+                let fastest = t.gpu_seconds(res, t.fastest_degree(res));
+                assert_eq!(row.fastest_gpu_secs.to_bits(), fastest.to_bits());
+                assert_eq!(row.t_min, t.t_min(res));
+                for frames in [1, 2, 8, 16] {
+                    let model = t.model().decode_time_frames(res, tflops, frames);
+                    assert_eq!(t.decode_time(res, frames), model, "{res} x{frames}");
+                }
+                assert_eq!(row.decode, t.decode_time(res, 1));
+                assert_eq!(t.encode_time(res), t.model().encode_time(res, tflops));
+                assert_eq!(row.encode, t.encode_time(res));
+            }
+            // Outside the profiled resolutions the stage times fall back
+            // to the model.
+            let odd = Resolution::new(768, 768);
+            assert_eq!(
+                t.decode_time(odd, 3),
+                t.model().decode_time_frames(odd, tflops, 3)
+            );
+            assert_eq!(t.encode_time(odd), t.model().encode_time(odd, tflops));
+        }
     }
 
     #[test]

@@ -635,11 +635,14 @@ impl<R: Router> FleetSim<R> {
         let outages = &self.outages;
         self.views.clear();
         self.views
-            .extend(self.clusters.iter().enumerate().map(|(i, c)| ClusterView {
-                index: i,
-                up: !outages.iter().any(|o| o.cluster == i && o.is_down_at(at)),
-                feasible: c.admission_feasible(&spec, at),
-                load: c.load(at),
+            .extend(self.clusters.iter().enumerate().map(|(i, c)| {
+                let (load, feasible) = c.route_view(&spec, at);
+                ClusterView {
+                    index: i,
+                    up: !outages.iter().any(|o| o.cluster == i && o.is_down_at(at)),
+                    feasible,
+                    load,
+                }
             }));
         let decision = self.router.route(&spec, &self.views);
 

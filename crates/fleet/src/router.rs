@@ -150,12 +150,12 @@ impl Router for PowerOfTwoRouter {
     }
 
     fn route(&mut self, _spec: &RequestSpec, views: &[ClusterView]) -> RouteDecision {
-        let up: Vec<&ClusterView> = views.iter().filter(|v| v.up).collect();
-        match up.as_slice() {
-            [] => RouteDecision::Shed,
-            [only] => RouteDecision::To(only.index),
-            up => {
-                let n = up.len();
+        // Picks by position among the up clusters without collecting them.
+        let nth_up = |j: usize| views.iter().filter(|v| v.up).nth(j);
+        match views.iter().filter(|v| v.up).count() {
+            0 => RouteDecision::Shed,
+            1 => nth_up(0).map_or(RouteDecision::Shed, |v| RouteDecision::To(v.index)),
+            n => {
                 let a = (self.rng.next_u64() % n as u64) as usize;
                 // Sample the second choice from the remaining n−1 slots so
                 // the pair is always distinct.
@@ -163,8 +163,11 @@ impl Router for PowerOfTwoRouter {
                 if b >= a {
                     b += 1;
                 }
-                // tetrilint: allow(taint-panic) -- `a` and `b` are reduced modulo `n` above and the shift keeps `b` < n and distinct from `a`
-                let (x, y) = (up[a], up[b]);
+                // `a` and `b` are reduced modulo `n` above and the shift
+                // keeps `b` < n and distinct from `a`, so both exist.
+                let (Some(x), Some(y)) = (nth_up(a), nth_up(b)) else {
+                    return RouteDecision::Shed;
+                };
                 let pick = if (x.load.depth(), x.index) <= (y.load.depth(), y.index) {
                     x
                 } else {

@@ -91,15 +91,26 @@ impl FleetReport {
         out
     }
 
+    /// Requests that met their SLO, counted in place over the clusters'
+    /// outcomes and the fleet-level sheds.
+    fn met_slo_count(&self) -> usize {
+        self.clusters
+            .iter()
+            .flat_map(|c| &c.report.outcomes)
+            .chain(&self.fleet_shed)
+            .filter(|o| o.met_slo())
+            .count()
+    }
+
     /// Fleet-wide SLO attainment: met-SLO requests over *all* requests,
     /// including fleet-shed ones (they count against attainment exactly
     /// like cluster-shed requests do in [`ServeReport::sar`]).
     pub fn sar(&self) -> f64 {
-        let outcomes = self.all_outcomes();
-        if outcomes.is_empty() {
+        let total = self.total_requests();
+        if total == 0 {
             return 1.0;
         }
-        outcomes.iter().filter(|o| o.met_slo()).count() as f64 / outcomes.len() as f64
+        self.met_slo_count() as f64 / total as f64
     }
 
     /// The fleet makespan: the latest cluster makespan (all clusters share
@@ -114,11 +125,13 @@ impl FleetReport {
 
     /// Fleet goodput: SLO-met requests per second of fleet makespan.
     pub fn goodput(&self) -> f64 {
-        let met = self.all_outcomes().iter().filter(|o| o.met_slo()).count();
-        met as f64 / self.makespan().as_secs_f64().max(f64::MIN_POSITIVE)
+        self.met_slo_count() as f64 / self.makespan().as_secs_f64().max(f64::MIN_POSITIVE)
     }
 
     /// Per-tenant slices of the fleet run, in ascending tenant-id order.
+    /// Reads the id-sorted [`all_outcomes`](FleetReport::all_outcomes):
+    /// the per-tenant GPU-second sums are float sums, so their bits depend
+    /// on that order.
     pub fn tenant_summaries(&self) -> Vec<crate::tenancy::TenantSummary> {
         crate::tenancy::tenant_summaries(&self.all_outcomes(), self.makespan())
     }

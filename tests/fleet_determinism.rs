@@ -5,9 +5,9 @@
 //! the fleet-wide outcome set. Both must be bit-identical across
 //! back-to-back same-seed runs *in one process*: per-instance hasher
 //! seeds, iteration-order leaks, or wall-clock leaking into decisions all
-//! show up here immediately. The outage scenario's digests are also
-//! pinned as literals, so a change that moves arbitration order in every
-//! run alike still fails.
+//! show up here immediately. The smoke fleet's and the outage scenario's
+//! digests are also pinned as literals, so a change that moves
+//! arbitration order in every run alike still fails.
 
 use tetriserve::bench::fleet::{run_fleet_perf, run_router, FleetPerfConfig};
 use tetriserve::core::{Policy, RequestSpec, TetriServeConfig, TetriServePolicy};
@@ -44,12 +44,31 @@ fn same_seed_fleet_digests_are_bit_identical_in_process() {
     // routing digest AND outcome digest must match bit for bit. This is
     // the fleet analogue of the single-cluster `determinism_digests`
     // suite and catches per-instance hash seeding anywhere in the
-    // routing or aggregation path.
+    // routing or aggregation path. The heterogeneous smoke fleet (2×H100
+    // plus 1×A40, where deadline-aware sheds 4 of 60 requests) pins each
+    // router's (routing, outcome) digests as literals too.
+    let pinned = [
+        ("round-robin", 0x34f5_06c4_b9dc_b939, 0x58de_49ac_d6b9_0641),
+        (
+            "join-shortest-queue",
+            0x7bc3_9afb_5846_b283,
+            0x423d_c8c7_fa43_8ecb,
+        ),
+        ("power-of-two", 0x684d_62fd_192d_6227, 0x1108_46a2_6c29_f010),
+        (
+            "deadline-aware",
+            0xe3cd_1aab_808e_bce5,
+            0x73b7_e76c_447b_b91e,
+        ),
+    ];
     let config = FleetPerfConfig::smoke();
     let a = run_fleet_perf(&config, "smoke");
     let b = run_fleet_perf(&config, "smoke");
     assert_eq!(a.routers.len(), 4);
-    for (ra, rb) in a.routers.iter().zip(&b.routers) {
+    for ((ra, rb), (name, routing, outcome)) in a.routers.iter().zip(&b.routers).zip(pinned) {
+        assert_eq!(ra.router, name);
+        assert_eq!(ra.routing_digest, routing, "{name}: routing digest moved");
+        assert_eq!(ra.outcome_digest, outcome, "{name}: outcome digest moved");
         assert_eq!(ra.router, rb.router);
         assert_eq!(
             ra.routing_digest, rb.routing_digest,
