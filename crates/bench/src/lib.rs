@@ -2,7 +2,10 @@
 //!
 //! The experiment harness that regenerates every table and figure of the
 //! paper's evaluation. Each `benches/` target is one artefact (`cargo
-//! bench` runs them all); [`experiment`] holds the shared runner.
+//! bench` runs them all); [`experiment`] holds the shared runner and
+//! [`figures`] the shared figure panels. Behaviour gates — who must beat
+//! whom, with digests pinned — are tests in the root package, and host
+//! cost is measured by `fleetbench/`.
 //!
 //! Absolute numbers will not match the authors' hardware — the substrate
 //! is a calibrated simulator — but the comparative *shapes* (who wins, by
@@ -12,18 +15,7 @@
 
 #![warn(missing_docs)]
 
-pub mod chaos;
 pub mod experiment;
 pub mod figures;
-pub mod fleet;
-pub mod perf;
-pub mod sim;
-pub mod stages;
-pub mod traffic;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use experiment::{ArrivalKind, Experiment, PolicyKind, SLO_SCALES};
-pub use fleet::{run_fleet_perf, FleetPerfConfig, FleetPerfReport};
-pub use perf::{run_perf, PerfConfig, PerfReport};
-pub use sim::{run_sim_perf, SimPerfConfig, SimPerfReport};
-pub use stages::{run_stages_perf, StagesPerfConfig, StagesPerfReport};

@@ -3,7 +3,7 @@
 // tetrilint: allow-file(slice-index) -- the DP/choice buffers are sized
 // to requests × (capacity+1) at entry (PackScratch::ensure) and every
 // index below is bounded by those two dimensions; bounds checks here are
-// the hot path the perf harness measures.
+// on the scheduling hot path.
 //!
 //! Each request is a *group*: choose at most one of its options (a GPU
 //! allocation for this round, or *none*). An option consumes `w_i(o)` GPUs
@@ -64,9 +64,8 @@ pub struct Packing {
 ///
 /// The round loop calls the packer every boundary and backfill pass; with a
 /// warm scratch the packer performs **zero heap allocations** per call. The
-/// scratch also counts its own behaviour so the perf harness can assert the
-/// steady-state invariant and report how much allocation churn the reuse
-/// avoids.
+/// scratch also counts its own behaviour so tests can assert that
+/// steady-state invariant.
 #[derive(Debug, Clone, Default)]
 pub struct PackScratch {
     /// `dp[c]`: best prefix score at exactly `c` GPUs.
@@ -81,11 +80,6 @@ pub struct PackScratch {
     early_exits: u64,
     /// Calls in which some buffer had to grow (0 once warm).
     grow_events: u64,
-    /// Heap allocations avoided relative to the pre-scratch implementation
-    /// (which allocated `2·R + 3` vectors per call: `dp`, the outer choice
-    /// vector, one inner choice row and one `next` buffer per request, and
-    /// the output choices).
-    allocations_avoided: u64,
 }
 
 impl PackScratch {
@@ -109,11 +103,6 @@ impl PackScratch {
     /// allocates nothing.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
-    }
-
-    /// Heap allocations avoided versus the scratch-free implementation.
-    pub fn allocations_avoided(&self) -> u64 {
-        self.allocations_avoided
     }
 
     /// Pre-sizes every buffer for instances up to `max_requests` requests
@@ -275,7 +264,7 @@ pub fn pack_round_into(
     if fits {
         scratch.early_exits += 1;
         finalise(requests, out);
-        scratch.note_call(requests.len(), grew);
+        scratch.grow_events += u64::from(grew);
         return;
     }
 
@@ -351,7 +340,7 @@ pub fn pack_round_into(
     debug_assert_eq!(c, 0, "reconstruction must consume exactly best_c GPUs");
 
     finalise(requests, out);
-    scratch.note_call(requests.len(), grew);
+    scratch.grow_events += u64::from(grew);
 }
 
 /// Fills the derived `survivors` / `gpus_used` fields from the choices.
@@ -366,18 +355,6 @@ fn finalise(requests: &[RequestOptions], out: &mut Packing) {
         .zip(&out.choices)
         .map(|(r, ch)| r.options[ch.option_index].width)
         .sum();
-}
-
-impl PackScratch {
-    /// Books one call's accounting: the scratch-free implementation paid
-    /// `2·R + 3` heap allocations per call; a warm scratch pays none.
-    fn note_call(&mut self, n_requests: usize, grew: bool) {
-        if grew {
-            self.grow_events += 1;
-        } else {
-            self.allocations_avoided += 2 * n_requests as u64 + 3;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -536,10 +513,6 @@ mod tests {
             "steady-state rounds must not grow any scratch buffer"
         );
         assert_eq!(scratch.calls(), 51);
-        assert!(
-            scratch.allocations_avoided() >= 50 * (2 * 10 + 3),
-            "each warm call avoids the 2R+3 allocations the old path paid"
-        );
     }
 
     #[test]

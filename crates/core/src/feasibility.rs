@@ -214,7 +214,6 @@ pub struct FeasScratch {
     entries: Vec<DemandEntry>,
     calls: u64,
     grow_events: u64,
-    allocations_avoided: u64,
 }
 
 impl FeasScratch {
@@ -242,9 +241,6 @@ impl FeasScratch {
     ) -> &[DemandEntry] {
         self.calls += 1;
         let cap = self.entries.capacity();
-        if cap >= tracker.live_len() {
-            self.allocations_avoided += 1;
-        }
         self.entries.clear();
         self.entries.extend(live_entries(tracker, now, costs));
         debug_assert!(
@@ -265,12 +261,6 @@ impl FeasScratch {
     /// Buffer growths — zero in steady state once warmed up.
     pub fn grow_events(&self) -> u64 {
         self.grow_events
-    }
-
-    /// Heap allocations the buffer reuse avoided vs the allocate-per-scan
-    /// implementation.
-    pub fn allocations_avoided(&self) -> u64 {
-        self.allocations_avoided
     }
 }
 

@@ -88,18 +88,6 @@ impl TetriServePolicy {
     pub fn config(&self) -> &TetriServeConfig {
         &self.config
     }
-
-    /// Packing-step counters accumulated since construction: `(calls,
-    /// early_exits, grow_events, allocations_avoided)`. The perf harness
-    /// asserts `grow_events` stops increasing once the scratch is warm.
-    pub fn pack_stats(&self) -> (u64, u64, u64, u64) {
-        (
-            self.scratch.calls(),
-            self.scratch.early_exits(),
-            self.scratch.grow_events(),
-            self.scratch.allocations_avoided(),
-        )
-    }
 }
 
 impl Policy for TetriServePolicy {

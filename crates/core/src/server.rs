@@ -107,8 +107,6 @@ pub struct ServeReport {
     /// Scratch buffer growths — zero in steady state once warmed up
     /// (the zero-allocation hot-path invariant, like `PackScratch`).
     pub feas_grow_events: u64,
-    /// Heap allocations the scratch reuse avoided vs allocate-per-scan.
-    pub feas_allocations_avoided: u64,
     /// The pool layout the run served under.
     pub pool: PoolLayout,
     /// Busy-seconds accumulated on the condition-encode pool (zero when
@@ -368,7 +366,8 @@ impl<P: Policy> ClusterSim<P> {
 
     /// Pre-sizes the EDF scratch for a live backlog of up to `max_live`
     /// requests so even the first rescue pass allocates nothing
-    /// (the perf harness gates `feas_grow_events == 0` after this).
+    /// (`tests/fleet_determinism.rs` gates `feas_grow_events == 0` after
+    /// this).
     pub fn warm_up_scratch(&mut self, max_live: usize) {
         self.feas.warm_up(max_live);
     }
@@ -376,12 +375,6 @@ impl<P: Policy> ClusterSim<P> {
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.processed
-    }
-
-    /// Live requests (queued or running with steps remaining) — the
-    /// instantaneous backlog, O(1) off the tracker's live index.
-    pub fn live_backlog(&self) -> usize {
-        self.tracker.live_len()
     }
 
     /// Queues a future arrival. May be called before `start` (batch mode)
@@ -1113,7 +1106,6 @@ impl<P: Policy> ClusterSim<P> {
             events: self.processed,
             feas_calls: self.feas.calls(),
             feas_grow_events: self.feas.grow_events(),
-            feas_allocations_avoided: self.feas.allocations_avoided(),
             pool: self.config.pool,
             encode_busy_seconds: self.encode_busy.as_secs_f64(),
             decode_busy_seconds: self.decode_busy.as_secs_f64(),

@@ -165,9 +165,6 @@ pub struct FleetSim<R: Router> {
     /// Periodic migration planning; `None` reproduces the static driver
     /// bit for bit.
     rebalance: Option<Rebalancing>,
-    /// High-water mark of Σ per-cluster live backlogs, sampled at every
-    /// routing instant.
-    peak_backlog: usize,
     /// The per-cluster snapshot the router reads, refilled on every route.
     views: Vec<ClusterView>,
     clock: GlobalClock,
@@ -372,7 +369,6 @@ impl<R: Router> FleetSim<R> {
             source,
             reroutes: VecDeque::new(),
             rebalance: None,
-            peak_backlog: 0,
             views: Vec::with_capacity(n),
             clock: GlobalClock::new(),
             routed: vec![0; n],
@@ -410,7 +406,7 @@ impl<R: Router> FleetSim<R> {
 
     /// Pre-sizes every cluster's feasibility scratch for up to `max_live`
     /// concurrently live requests, so the steady-state event loop makes no
-    /// heap allocations (the `perf_sim` bench gates on this).
+    /// heap allocations (`tests/fleet_determinism.rs` gates on this).
     pub fn warm_up_scratch(&mut self, max_live: usize) {
         for c in &mut self.clusters {
             c.warm_up_scratch(max_live);
@@ -630,8 +626,6 @@ impl<R: Router> FleetSim<R> {
     /// become synthetic outcomes that never reached any cluster.
     fn route(&mut self, spec: RequestSpec, reroute: bool) {
         let at = self.clock.now();
-        let backlog: usize = self.clusters.iter().map(|c| c.live_backlog()).sum();
-        self.peak_backlog = self.peak_backlog.max(backlog);
         let outages = &self.outages;
         self.views.clear();
         self.views
@@ -758,10 +752,8 @@ impl<R: Router> FleetSim<R> {
             routing_digest: self.routing_digest.value(),
             outcome_digest: 0,
             migration_digest: self.migration_digest.value(),
-            peak_backlog: self.peak_backlog,
         };
-        // Same fold as the single-cluster perf harness: (id, completion µs
-        // or MAX) over id-sorted outcomes.
+        // Fold (id, completion µs or MAX) over id-sorted outcomes.
         let mut digest = Digest::new();
         for o in report.all_outcomes() {
             digest.push(o.id.0);

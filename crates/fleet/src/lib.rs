@@ -30,7 +30,7 @@
 //! [`FleetReport`](tetriserve_metrics::FleetReport) carrying three FNV-1a
 //! digests — the routing-decision stream, the fleet-wide outcome set and
 //! the enacted-migration stream — that are bit-identical across same-seed
-//! runs; the determinism suites and the `perf_fleet` bench pin them.
+//! runs; the determinism suites pin them.
 //!
 //! # Examples
 //!

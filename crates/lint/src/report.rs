@@ -1,7 +1,7 @@
 //! Workspace-level report: human text and a machine-readable JSON form
 //! (`tetrilint/v2` — v1 plus a per-violation `chain` field for the
-//! interprocedural taint findings) that CI archives next to
-//! `BENCH_scheduler.json`.
+//! interprocedural taint findings) that CI archives as a build
+//! artifact.
 
 use crate::rules::{AllowRecord, Violation};
 

@@ -1,8 +1,8 @@
 //! The rule engine: three rule families over the token stream.
 //!
 //! Every rule exists because the reproduction's headline claim — the
-//! simulator is a faithful, *deterministic* substrate and the perf
-//! harness's FNV-1a decision digests are comparable across runs — is a
+//! simulator is a faithful, *deterministic* substrate and the pinned
+//! FNV-1a decision digests are comparable across runs — is a
 //! property of the whole codebase, not of any one module. See DESIGN.md
 //! §11 for the rule-by-rule rationale.
 //!

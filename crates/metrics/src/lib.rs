@@ -14,13 +14,12 @@
 //! * [`quality`] — quality-debt accounting for degraded serving (steps
 //!   shed by the deadline-rescue ladder, full-quality SAR, mean delivered
 //!   quality);
-//! * [`fleet`] — multi-cluster aggregation: fleet SAR/goodput, routing
-//!   counts and cross-cluster load imbalance;
-//! * [`tenancy`] — per-tenant SAR/goodput slices plus fleet fairness
-//!   (Jain's index over per-tenant SAR, worst-tenant SAR);
-//! * [`stages`] — per-stage latency breakdown
-//!   (encode/denoise/decode), stage share of the SLO budget, and
-//!   stage-pool utilisation under disaggregated layouts;
+//! * [`fleet`] — multi-cluster aggregation: fleet SAR/goodput and
+//!   routing counts;
+//! * [`tenancy`] — per-tenant SAR/goodput slices and the worst-tenant
+//!   SAR;
+//! * [`stages`] — stage share of the SLO budget (encode/denoise/decode)
+//!   and stage-pool utilisation under disaggregated layouts;
 //! * [`report`] — plain-text tables and ASCII charts used by the benchmark
 //!   harness to print paper-style artefacts.
 //!
@@ -47,7 +46,7 @@ pub mod timeseries;
 pub mod utilization;
 
 pub use batching::{batching_stats, BatchingStats};
-pub use fleet::{load_imbalance, ClusterReport, FleetReport, HANDOFF_HISTOGRAM_EDGES};
+pub use fleet::{ClusterReport, FleetReport};
 pub use latency::{cdf_at, latency_cdf, mean_latency, percentile, LatencySummary};
 pub use quality::{
     degraded_completions, full_quality_sar, mean_delivered_quality, quality_debt_by_resolution,
@@ -55,7 +54,7 @@ pub use quality::{
 };
 pub use report::{bar_chart, fmt_sar, series, TextTable};
 pub use sar::{mean_gpu_seconds, sar, sar_by_resolution};
-pub use stages::{pool_utilization, stage_latency_breakdown, stage_slo_share, StageBreakdown};
-pub use tenancy::{jains_index, sar_fairness, tenant_summaries, worst_tenant_sar, TenantSummary};
+pub use stages::{pool_utilization, stage_slo_share};
+pub use tenancy::{tenant_summaries, worst_tenant_sar, TenantSummary};
 pub use timeseries::{inflight_series, mean_sp_degree_series, windowed_sar};
 pub use utilization::{busy_gpu_series, gpu_utilization, UtilizationReport};

@@ -1,4 +1,4 @@
-//! Per-stage latency breakdown and stage-pool utilisation.
+//! Per-stage SLO-budget shares and stage-pool utilisation.
 //!
 //! The stage pipeline (`CondEncode → Denoise → VaeDecode`) makes "where
 //! did the SLO budget go?" a first-class question: a request that misses
@@ -7,9 +7,6 @@
 //! stage timestamps ([`RequestOutcome::stage_breakdown`]) into run-level
 //! views:
 //!
-//! * [`stage_latency_breakdown`] — mean seconds spent per stage across
-//!   completed requests (stage queueing included in the stage that
-//!   waited), which by construction sum to the mean end-to-end latency;
 //! * [`stage_slo_share`] — the mean *fraction of each request's SLO
 //!   budget* consumed per stage, the normalised view that compares
 //!   across resolutions with very different budgets;
@@ -17,59 +14,6 @@
 //!   from a [`ServeReport`]'s accumulated busy-seconds.
 
 use tetriserve_core::{PoolLayout, RequestOutcome, ServeReport};
-
-/// Mean seconds per stage over completed requests, plus the count they
-/// were averaged over.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StageBreakdown {
-    /// Completed requests contributing to the means.
-    pub completed: usize,
-    /// Mean seconds in the condition-encode stage (0 for flat requests).
-    pub encode_s: f64,
-    /// Mean seconds in the denoise stage (queueing included).
-    pub denoise_s: f64,
-    /// Mean seconds in the VAE-decode stage.
-    pub decode_s: f64,
-}
-
-impl StageBreakdown {
-    /// Mean end-to-end latency — always the exact sum of the three
-    /// stage means (conservation is per request, so it survives the
-    /// average).
-    pub fn total_s(&self) -> f64 {
-        self.encode_s + self.denoise_s + self.decode_s
-    }
-}
-
-/// Aggregates [`RequestOutcome::stage_breakdown`] over all completed
-/// requests. With no completions, all means are zero.
-pub fn stage_latency_breakdown(outcomes: &[RequestOutcome]) -> StageBreakdown {
-    let mut n = 0usize;
-    let (mut e, mut d, mut v) = (0.0f64, 0.0f64, 0.0f64);
-    for o in outcomes {
-        if let Some((encode, denoise, decode)) = o.stage_breakdown() {
-            n += 1;
-            e += encode.as_secs_f64();
-            d += denoise.as_secs_f64();
-            v += decode.as_secs_f64();
-        }
-    }
-    if n == 0 {
-        return StageBreakdown {
-            completed: 0,
-            encode_s: 0.0,
-            denoise_s: 0.0,
-            decode_s: 0.0,
-        };
-    }
-    let nf = n as f64;
-    StageBreakdown {
-        completed: n,
-        encode_s: e / nf,
-        denoise_s: d / nf,
-        decode_s: v / nf,
-    }
-}
 
 /// Mean fraction of each completed request's SLO budget spent per stage
 /// `(encode, denoise, decode)`. A sum above 1.0 means the average
@@ -153,26 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_means_conserve_mean_latency() {
-        let outcomes = vec![
-            outcome(0, 0.0, 4.0, Some(0.5), Some(2.5), Some(3.0)),
-            outcome(1, 1.0, 4.0, None, Some(3.0), Some(3.2)),
-            outcome(2, 2.0, 4.0, None, None, None), // unserved: excluded
-        ];
-        let b = stage_latency_breakdown(&outcomes);
-        assert_eq!(b.completed, 2);
-        // Request 0: encode 0.5, denoise 2.0, decode 0.5 (latency 3.0).
-        // Request 1: encode 0.0, denoise 2.0, decode 0.2 (latency 2.2).
-        assert!((b.encode_s - 0.25).abs() < 1e-9);
-        assert!((b.denoise_s - 2.0).abs() < 1e-9);
-        assert!((b.decode_s - 0.35).abs() < 1e-9);
-        assert!((b.total_s() - 2.6).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_and_unserved_runs_are_all_zero() {
-        assert_eq!(stage_latency_breakdown(&[]).completed, 0);
-        assert_eq!(stage_latency_breakdown(&[]).total_s(), 0.0);
         assert_eq!(stage_slo_share(&[]), (0.0, 0.0, 0.0));
     }
 

@@ -2,11 +2,10 @@
 //!
 //! Tenant identity rides every [`RequestOutcome`] from generation through
 //! routing to completion, so a fleet run can be sliced per tenant:
-//! SAR, goodput and shed counts for each tenant, plus two fairness
-//! scalars over the per-tenant SAR vector — Jain's index (1 = perfectly
-//! even attainment, → 1/n as one tenant starves) and worst-tenant SAR
-//! (the paper's "nobody left behind" gate). Untagged outcomes group
-//! under [`TenantId::UNTAGGED`] so legacy replay traces still report.
+//! SAR, goodput and shed counts for each tenant, plus the worst-tenant
+//! SAR over them (the paper's "nobody left behind" gate). Untagged
+//! outcomes group under [`TenantId::UNTAGGED`] so legacy replay traces
+//! still report.
 
 use std::collections::BTreeMap;
 
@@ -56,22 +55,6 @@ pub fn tenant_summaries(outcomes: &[RequestOutcome], makespan: SimTime) -> Vec<T
         .collect()
 }
 
-/// Jain's fairness index over a vector of non-negative allocations:
-/// `(Σx)² / (n·Σx²)`. Ranges from `1/n` (one tenant takes everything)
-/// to `1.0` (perfect equality). Empty or all-zero input counts as
-/// perfectly fair.
-pub fn jains_index(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = values.iter().sum();
-    let sum_sq: f64 = values.iter().map(|v| v * v).sum();
-    if sum_sq <= 0.0 {
-        return 1.0;
-    }
-    (sum * sum) / (values.len() as f64 * sum_sq)
-}
-
 /// The minimum per-tenant SAR — the fairness floor a router is judged
 /// on. Empty input counts as perfect attainment.
 pub fn worst_tenant_sar(summaries: &[TenantSummary]) -> f64 {
@@ -80,12 +63,6 @@ pub fn worst_tenant_sar(summaries: &[TenantSummary]) -> f64 {
         .map(|s| s.sar)
         .min_by(|a, b| a.total_cmp(b))
         .unwrap_or(1.0)
-}
-
-/// Jain's index over the per-tenant SAR vector.
-pub fn sar_fairness(summaries: &[TenantSummary]) -> f64 {
-    let sars: Vec<f64> = summaries.iter().map(|s| s.sar).collect();
-    jains_index(&sars)
 }
 
 #[cfg(test)]
@@ -150,17 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn jains_index_bounds() {
-        assert!((jains_index(&[]) - 1.0).abs() < 1e-12);
-        assert!((jains_index(&[0.0, 0.0]) - 1.0).abs() < 1e-12);
-        assert!((jains_index(&[0.5, 0.5, 0.5]) - 1.0).abs() < 1e-12);
-        // One tenant takes everything: 1/n.
-        assert!((jains_index(&[1.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
-        let mid = jains_index(&[1.0, 0.5]);
-        assert!(mid > 0.5 && mid < 1.0, "{mid}");
-    }
-
-    #[test]
     fn worst_tenant_sar_is_the_floor() {
         let outcomes = vec![
             outcome(0, 0, true, false),
@@ -170,7 +136,5 @@ mod tests {
         let s = tenant_summaries(&outcomes, SimTime::from_secs_f64(1.0));
         assert!((worst_tenant_sar(&s) - 0.5).abs() < 1e-12);
         assert!(worst_tenant_sar(&[]) == 1.0);
-        let fairness = sar_fairness(&s);
-        assert!(fairness > 0.8 && fairness < 1.0, "{fairness}");
     }
 }

@@ -1,11 +1,11 @@
-//! Deterministic digests and seed expansion shared by the bench harnesses
-//! and the fleet layer.
+//! Deterministic digests and seed expansion shared by the tests, the
+//! benches and the fleet layer.
 //!
 //! Every reproducibility check in this workspace pins behaviour to a
 //! 64-bit FNV-1a digest over the decision stream (scheduling choices,
 //! routing decisions, per-request completions). Keeping the algorithm in
-//! one place guarantees the single-cluster (`BENCH_scheduler.json`) and
-//! fleet (`BENCH_fleet.json`) digests use byte-for-byte the same hash.
+//! one place guarantees the single-cluster and fleet digests pinned by the
+//! determinism tests use byte-for-byte the same hash.
 
 /// FNV-1a 64-bit offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;

@@ -122,8 +122,8 @@ pub enum TraceEvent {
         duration: SimDuration,
     },
     /// One scheduler pass ran (round boundary, arrival, or completion
-    /// backfill). The perf harness aggregates these into per-round
-    /// wall-clock figures (Table 6); `wall` is *host* time — the only
+    /// backfill). [`Trace::sched_wall_total`] sums them into the host
+    /// time spent scheduling (Table 6); `wall` is *host* time — the only
     /// field in the trace measured off the simulated clock.
     SchedPass {
         /// Simulated time of the pass.

@@ -1,11 +1,17 @@
 //! Graceful-degradation tests: inject a straggler GPU mid-run and verify
 //! the serving stack keeps functioning — every request still completes,
 //! determinism is preserved, and TetriServe's adaptivity limits the damage
-//! relative to a static policy.
+//! relative to a static policy. Seeded mixed fault schedules then serve
+//! shed-only and with the degrade ladder under the run-level invariants,
+//! and a pinned straggler scenario gates the ladder's SAR win.
 
 use tetriserve::baselines::FixedSpPolicy;
-use tetriserve::core::{Policy, RequestSpec, ServeReport, Server, TetriServePolicy};
-use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler};
+use tetriserve::bench::{ArrivalKind, Experiment};
+use tetriserve::core::{
+    AdmissionPolicy, DegradePolicy, Policy, RequestSpec, ServeReport, Server, TetriServePolicy,
+};
+use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution};
+use tetriserve::simulator::digest::{fnv1a, SplitMix, FNV_OFFSET};
 use tetriserve::simulator::failure::{FailurePlan, GpuFault, PerfFault};
 use tetriserve::simulator::gpuset::GpuId;
 use tetriserve::simulator::time::SimTime;
@@ -241,4 +247,205 @@ fn fault_traces_still_audit_clean() {
     let report = serve_with_failures(TetriServePolicy::with_defaults(&c), crash_plan(), 60);
     let violations = audit(&report.trace, &report.outcomes);
     assert!(violations.is_empty(), "{violations:#?}");
+}
+
+// ---------------------------------------------------------------------------
+// Mixed hard + slowdown fault schedules, shed-only vs the degrade ladder.
+// ---------------------------------------------------------------------------
+
+/// Derives the mixed fault schedule for one seed. Deterministic in
+/// `(seed, n_gpus, horizon_s)`; hard faults touch at most a quarter of
+/// the node so the cluster always retains serving capacity.
+fn chaos_plan(seed: u64, n_gpus: usize, horizon_s: f64) -> FailurePlan {
+    let mut rng = SplitMix(seed ^ 0x00c4_a05f_a017_5eed);
+    let mut plan = FailurePlan::none();
+    let span = |r: u64, lo: f64, hi: f64| lo + (r & 0xffff) as f64 / 65535.0 * (hi - lo);
+
+    // Hard faults: 1–2 distinct GPUs, mostly transient.
+    let n_hard = 1 + (rng.next_u64() % 2) as usize;
+    for i in 0..n_hard {
+        let r = rng.next_u64();
+        // Distinct by construction: hard faults stride the lower GPUs.
+        let gpu = GpuId((r % (n_gpus as u64 / 2)) as usize / 2 + i * 2);
+        let from = SimTime::from_secs_f64(span(r >> 16, 0.1, 0.5) * horizon_s);
+        if r.is_multiple_of(4) {
+            plan = plan.with_fault(GpuFault::permanent(gpu, from));
+        } else {
+            let width = span(r >> 32, 0.05, 0.3) * horizon_s;
+            let up = SimTime::from_secs_f64(from.as_secs_f64() + width);
+            plan = plan.with_fault(GpuFault::transient(gpu, from, up));
+        }
+    }
+
+    // Slowdown faults: 2–4 draws across the three kinds, anywhere on the
+    // node (they may overlap each other and the hard faults — the engine
+    // takes the max slowdown, and a down GPU simply never dispatches).
+    let n_perf = 2 + (rng.next_u64() % 3) as usize;
+    for _ in 0..n_perf {
+        let r = rng.next_u64();
+        let gpu = GpuId((r % n_gpus as u64) as usize);
+        let from = SimTime::from_secs_f64(span(r >> 8, 0.0, 0.6) * horizon_s);
+        let width = span(r >> 24, 0.1, 0.4) * horizon_s;
+        let until = SimTime::from_secs_f64(from.as_secs_f64() + width);
+        plan = plan.with_perf_fault(match r % 3 {
+            0 => PerfFault::straggler(gpu, span(r >> 40, 1.2, 2.5), from, until),
+            1 => PerfFault::throttle(gpu, span(r >> 40, 1.5, 3.0), from, until),
+            _ => PerfFault::brownout(gpu, span(r >> 40, 1.2, 1.8), from),
+        });
+    }
+    plan
+}
+
+/// Serves `specs` under TetriServe with `ShedInfeasible` admission, the
+/// fault `plan` and an optional degrade ladder.
+fn serve_faulted(
+    specs: Vec<RequestSpec>,
+    plan: &FailurePlan,
+    degrade: Option<DegradePolicy>,
+) -> ServeReport {
+    let c = costs();
+    let mut server = Server::new(c.clone(), TetriServePolicy::with_defaults(&c));
+    let cfg = server.config_mut();
+    cfg.engine.failures = plan.clone();
+    cfg.admission = AdmissionPolicy::ShedInfeasible;
+    cfg.degrade = degrade;
+    server.run(specs)
+}
+
+/// FNV-1a over per-request (id, completion µs or MAX, executed steps,
+/// shed steps).
+fn chaos_digest(report: &ServeReport) -> u64 {
+    let mut d = FNV_OFFSET;
+    for o in &report.outcomes {
+        d = fnv1a(d, o.id.0);
+        d = fnv1a(d, o.completion.map_or(u64::MAX, |t| t.as_micros()));
+        d = fnv1a(d, u64::from(o.steps_executed));
+        d = fnv1a(d, u64::from(o.steps_shed));
+    }
+    d
+}
+
+/// The invariants every serving run keeps, fault schedule or not: one
+/// outcome per request, a clean audit, exact step accounting, no
+/// completion below its quality floor, and goodput at most the offered
+/// rate.
+fn assert_serving_invariants(
+    label: &str,
+    report: &ServeReport,
+    n_requests: usize,
+    floors: Option<&DegradePolicy>,
+) {
+    assert_eq!(report.outcomes.len(), n_requests, "{label}: conservation");
+    let violations = tetriserve::core::audit::audit(&report.trace, &report.outcomes);
+    assert!(violations.is_empty(), "{label}: {violations:#?}");
+    for o in &report.outcomes {
+        let accounted = o.steps_executed + o.steps_shed;
+        assert!(accounted <= 50, "{label}: {o:?} over-accounts steps");
+        if o.completion.is_some() {
+            assert_eq!(accounted, 50, "{label}: {o:?} under-accounts steps");
+            if let Some(policy) = floors {
+                assert!(
+                    o.steps_executed >= policy.min_steps(o.resolution, 50),
+                    "{label}: {o:?} pierced its quality floor"
+                );
+            }
+        }
+    }
+    // Goodput and the offered rate divide by the same makespan, so this
+    // reduces to met ≤ offered, checked in the published ratio form.
+    let offered = report.outcomes.len() as f64 / report.makespan.as_secs_f64().max(f64::EPSILON);
+    assert!(
+        report.goodput() <= offered + 1e-9,
+        "{label}: goodput {} exceeds offered {offered}",
+        report.goodput()
+    );
+}
+
+#[test]
+fn seeded_fault_schedules_keep_every_serving_invariant() {
+    // Each seed draws one fault schedule over a 40-request Poisson
+    // workload at 18 req/min, served shed-only, with the paper's degrade
+    // classes, and once more with them to pin replay determinism.
+    let pinned = [
+        (0xc4a0_5001, 0x05f7_6b7d_c4ec_6b3a, 0xd97c_8c4b_c4de_04ad),
+        (0xc4a0_5002, 0xb80a_6c66_74f3_2557, 0xc8a0_b989_755b_d30d),
+        (0xc4a0_5003, 0xb506_a13d_e437_6b8a, 0x1c3e_a943_9298_321f),
+    ];
+    for (seed, shed_only_digest, degrade_digest) in pinned {
+        let exp = Experiment {
+            n_requests: 40,
+            rate_per_min: 18.0,
+            arrival: ArrivalKind::Poisson,
+            seed,
+            ..Experiment::paper_default()
+        };
+        let specs = exp.to_specs(&exp.generate_requests());
+        // The schedule spans the arrival window plus drain room.
+        let horizon = specs
+            .iter()
+            .map(|s| s.deadline.as_secs_f64())
+            .fold(0.0, f64::max);
+        let plan = chaos_plan(seed, exp.cluster.topology().n_gpus(), horizon);
+        let ladder = DegradePolicy::paper_classes();
+
+        let shed_only = serve_faulted(specs.clone(), &plan, None);
+        let degraded = serve_faulted(specs.clone(), &plan, Some(ladder.clone()));
+        let replay = serve_faulted(specs, &plan, Some(ladder.clone()));
+        assert_serving_invariants("shed-only", &shed_only, 40, None);
+        assert_serving_invariants("degrade", &degraded, 40, Some(&ladder));
+        assert_eq!(
+            chaos_digest(&degraded),
+            chaos_digest(&replay),
+            "seed {seed:#x}: degrade replay diverged"
+        );
+        assert_eq!(
+            chaos_digest(&shed_only),
+            shed_only_digest,
+            "seed {seed:#x}: shed-only digest moved"
+        );
+        assert_eq!(
+            chaos_digest(&degraded),
+            degrade_digest,
+            "seed {seed:#x}: degrade digest moved"
+        );
+    }
+}
+
+#[test]
+fn degrade_ladder_beats_shed_only_on_the_pinned_straggler() {
+    // Two hero images against a node where every GPU straggles at 1.6×
+    // step time for the whole run. At nominal speed both fit; derated,
+    // the EDF scan can deliver ~60 nominal GPU-seconds by the deadline —
+    // less than the ~69 two full-quality requests demand, but more than
+    // the ~52 left after degrading the second one toward its floor.
+    // Shed-only has no middle rung: it drops the second request whole.
+    let specs: Vec<RequestSpec> = (0..2)
+        .map(|i| RequestSpec {
+            tenant: TenantId::UNTAGGED,
+            id: RequestId(i),
+            resolution: Resolution::R2048,
+            arrival: SimTime::ZERO,
+            deadline: SimTime::from_secs_f64(15.0),
+            total_steps: 50,
+            stages: tetriserve::costmodel::StageProfile::FLAT,
+        })
+        .collect();
+    let plan = (0..8).fold(FailurePlan::none(), |plan, g| {
+        plan.with_perf_fault(PerfFault::straggler(
+            GpuId(g),
+            1.6,
+            SimTime::ZERO,
+            SimTime::from_secs_f64(600.0),
+        ))
+    });
+    let shed_only = serve_faulted(specs.clone(), &plan, None);
+    let degraded = serve_faulted(specs, &plan, Some(DegradePolicy::uniform(0.5)));
+    let debt = degraded.quality_debt_steps();
+    assert!(
+        degraded.sar() > shed_only.sar() && debt <= 200,
+        "degrade SAR {} must strictly beat shed-only {} within 200 debt steps (spent {debt})",
+        degraded.sar(),
+        shed_only.sar()
+    );
+    assert_eq!((degraded.sar(), shed_only.sar(), debt), (1.0, 0.5, 10));
 }
