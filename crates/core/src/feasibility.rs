@@ -411,20 +411,16 @@ fn merge_at_slot(
     })
 }
 
-/// The tracker's live entries at `now`, minus the `exclude`d requests,
-/// with `extra` merged in at its `(deadline, id)` slot — the rebalancer's
-/// admission probe (see [`merge_at_slot`]).
+/// The tracker's live entries at `now` with `extra` merged in at its
+/// `(deadline, id)` slot — the rebalancer's admission probe (see
+/// [`merge_at_slot`]).
 pub(crate) fn live_entries_with<'a>(
     tracker: &'a RequestTracker,
     now: SimTime,
     costs: &'a CostTable,
     extra: DemandEntry,
-    exclude: &'a [RequestId],
 ) -> impl Iterator<Item = DemandEntry> + 'a {
-    merge_at_slot(
-        live_entries(tracker, now, costs).filter(|e| !exclude.contains(&e.id)),
-        extra,
-    )
+    merge_at_slot(live_entries(tracker, now, costs), extra)
 }
 
 /// One rung's relief at a capacity violation.

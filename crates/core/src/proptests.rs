@@ -244,7 +244,7 @@ proptest! {
             // The merged admission probe against collect-push-sort-scan:
             // one extra request whose deadline ties a live entry's (when
             // there is one) and whose id may sort before, after or onto
-            // it, an exclude set, and committed demand.
+            // it, and committed demand.
             let deadline = full
                 .get(r as usize % full.len().max(1))
                 .map_or(now + SimDuration::from_millis(500), |e| e.deadline);
@@ -258,17 +258,10 @@ proptest! {
                 now,
                 true,
             );
-            let exclude: Vec<RequestId> = full
-                .iter()
-                .map(|e| e.id)
-                .filter(|id| (id.0 + u64::from(r)) % 3 == 0)
-                .collect();
-            let mut pushed: Vec<_> =
-                full.iter().copied().filter(|e| !exclude.contains(&e.id)).collect();
+            let mut pushed = full;
             pushed.push(extra);
             feasibility::sort_entries(&mut pushed);
-            let merged: Vec<_> =
-                feasibility::live_entries_with(&tracker, now, &c, extra, &exclude).collect();
+            let merged: Vec<_> = feasibility::live_entries_with(&tracker, now, &c, extra).collect();
             prop_assert!(
                 feasibility::entries_bit_identical(&merged, &pushed),
                 "merged {merged:?} != pushed and sorted {pushed:?}"
@@ -294,7 +287,7 @@ proptest! {
                 .map(|e| e.demand)
                 .sum();
             let feasible = feasibility::edf_violations(
-                feasibility::live_entries_with(&tracker, now, &c, extra, &[]),
+                feasibility::live_entries_with(&tracker, now, &c, extra),
                 now,
                 capacity,
                 0.0,

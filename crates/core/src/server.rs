@@ -510,11 +510,6 @@ impl<P: Policy> ClusterSim<P> {
         self.policy.name()
     }
 
-    /// GPUs in this cluster.
-    pub fn n_gpus(&self) -> usize {
-        self.n_gpus
-    }
-
     /// Denoise-pool GPUs not hard-faulted at `at` per the static failure
     /// plan — the capacity the EDF feasibility scans run against. Under
     /// the unified layout the denoise pool is the whole cluster.
@@ -617,13 +612,12 @@ impl<P: Policy> ClusterSim<P> {
     }
 
     /// The fleet rebalancer's admission probe: whether the live backlog at
-    /// `at`, minus the `exclude`d requests, plus the hypothetical `extra`,
-    /// stays EDF-feasible with `committed` GPU-seconds already promised to
-    /// this cluster, against `capacity` nominal GPUs. `extra` is merged
-    /// into the live index at its `(deadline, id)` slot rather than pushed
-    /// and sorted — the same merge the router's verdict in
-    /// [`route_view`](ClusterSim::route_view) uses. Pure read,
-    /// allocation-free.
+    /// `at` plus the hypothetical `extra` stays EDF-feasible with
+    /// `committed` GPU-seconds already promised to this cluster, against
+    /// `capacity` nominal GPUs. `extra` is merged into the live index at
+    /// its `(deadline, id)` slot rather than pushed and sorted — the same
+    /// merge the router's verdict in [`route_view`](ClusterSim::route_view)
+    /// uses. Pure read, allocation-free.
     ///
     /// `at` must not lie before [`now`](ClusterSim::now), and `extra` must
     /// be priced at that same instant.
@@ -631,13 +625,11 @@ impl<P: Policy> ClusterSim<P> {
         &self,
         at: SimTime,
         extra: DemandEntry,
-        exclude: &[RequestId],
         committed: f64,
         capacity: f64,
     ) -> bool {
         debug_assert!(at >= self.cursor, "feasibility probe in the cluster's past");
-        let entries =
-            feasibility::live_entries_with(&self.tracker, at, &self.costs, extra, exclude);
+        let entries = feasibility::live_entries_with(&self.tracker, at, &self.costs, extra);
         feasibility::edf_violations(entries, at, capacity, committed)
             .next()
             .is_none()
@@ -1890,9 +1882,9 @@ mod tests {
         // The fleet's probe underneath: the caller supplies committed
         // demand and capacity.
         let entry = feasibility::arrival_entry(sim.costs(), &easy, SimTime::ZERO);
-        assert!(sim.feasible_with(SimTime::ZERO, entry, &[], 0.0, 8.0));
-        assert!(!sim.feasible_with(SimTime::ZERO, entry, &[], 1e9, 8.0));
-        assert!(!sim.feasible_with(SimTime::ZERO, entry, &[], 0.0, 0.0));
+        assert!(sim.feasible_with(SimTime::ZERO, entry, 0.0, 8.0));
+        assert!(!sim.feasible_with(SimTime::ZERO, entry, 1e9, 8.0));
+        assert!(!sim.feasible_with(SimTime::ZERO, entry, 0.0, 0.0));
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! cluster advances next by comparing four kinds of pending work:
 //!
 //! 1. **cluster-internal events** (dispatch completions, round ticks,
-//!    fault transitions, migration landings) — via
-//!    [`lockstep::next_source`], earliest time wins, ties break to the
-//!    lowest cluster index;
+//!    fault transitions, migration landings) — via [`next_source`],
+//!    earliest time wins, ties break to the lowest cluster index;
 //! 2. **whole-cluster outage drains** — at an outage's `down_from`,
 //!    queued work that has made no progress is extracted and re-routed;
 //! 3. **rebalance ticks** (only with a [`Rebalancer`] configured) — the
@@ -24,7 +23,9 @@
 //! never routed into it. Rebalance before arrivals means an arrival at a
 //! planning instant is routed against post-migration queues. Without a
 //! rebalancer there are never rank-2 candidates, so the arbitration — and
-//! every digest — is bit-identical to the static PR 4 driver.
+//! every digest — is bit-identical to the static driver. Those planning
+//! ticks are all a rebalancer adds: admission is the router's alone, so
+//! the fleet sheds exactly the requests its router sheds.
 //!
 //! Fresh workload is pulled lazily from an [`ArrivalSource`] — an offline
 //! trace replays through [`ReplaySource`]; the live traffic frontend
@@ -56,7 +57,6 @@ use tetriserve_simulator::lockstep::{next_source, GlobalClock};
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::trace::RequestId;
 
-use crate::admission;
 use crate::rebalance::{FleetOracle, MigrationCandidate, MigrationDecision, Rebalancer};
 use crate::router::{ClusterView, RouteDecision, Router};
 
@@ -173,7 +173,6 @@ pub struct FleetSim<R: Router> {
     rerouted: usize,
     migrated_in: Vec<usize>,
     migrations: usize,
-    rescues: usize,
     migrated_gpu_seconds: f64,
     handoff_delays: Vec<SimDuration>,
     fleet_shed: Vec<RequestOutcome>,
@@ -181,11 +180,11 @@ pub struct FleetSim<R: Router> {
     migration_digest: Digest,
 }
 
-/// The read-only window a [`Rebalancer`] (and coordinated admission) gets
-/// onto the live fleet: feasibility questions answered with the target
-/// cluster's own cost table, hand-off delays priced on the configured
-/// link, and a migrated candidate's deadline tightened by its transfer
-/// time — so "move" only wins when it beats waiting.
+/// The read-only window a [`Rebalancer`] gets onto the live fleet:
+/// feasibility questions answered with the target cluster's own cost
+/// table, hand-off delays priced on the configured link, and a migrated
+/// candidate's deadline tightened by its transfer time — so "move" only
+/// wins when it beats waiting.
 struct DriverOracle<'a> {
     clusters: &'a [ClusterSim<Box<dyn Policy>>],
     outages: &'a [ClusterOutage],
@@ -194,16 +193,18 @@ struct DriverOracle<'a> {
 }
 
 impl DriverOracle<'_> {
-    /// Bytes on the wire for a candidate: fresh requests ship no latent.
-    fn bytes_for(&self, c: &MigrationCandidate) -> u64 {
-        if c.is_fresh() {
+    /// The latent hand-off delay to move `c` anywhere: fresh candidates
+    /// ship no latent and pay only the link's launch latency.
+    fn handoff_delay(&self, c: &MigrationCandidate) -> SimDuration {
+        let bytes = if c.is_fresh() {
             0
         } else {
             self.clusters[c.from]
                 .costs()
                 .model()
                 .latent_bytes(c.spec.resolution)
-        }
+        };
+        handoff_time(bytes, &self.link)
     }
 
     /// The probe instant on cluster `to` and a migration candidate's
@@ -261,10 +262,6 @@ impl FleetOracle for DriverOracle<'_> {
         self.clusters[i].at_risk_queued(self.now)
     }
 
-    fn handoff_delay(&self, c: &MigrationCandidate) -> SimDuration {
-        handoff_time(self.bytes_for(c), &self.link)
-    }
-
     fn candidate_feasible_on(
         &self,
         to: usize,
@@ -276,7 +273,6 @@ impl FleetOracle for DriverOracle<'_> {
         sim.feasible_with(
             at,
             entry,
-            &[],
             extra_gpu_seconds,
             sim.healthy_count_at(at) as f64,
         )
@@ -284,13 +280,6 @@ impl FleetOracle for DriverOracle<'_> {
 
     fn candidate_demand_on(&self, to: usize, c: &MigrationCandidate) -> f64 {
         self.candidate_entry(to, c).1.demand
-    }
-
-    fn spec_feasible_on(&self, to: usize, spec: &RequestSpec, exclude: &[RequestId]) -> bool {
-        let sim = &self.clusters[to];
-        let at = self.now.max(sim.now());
-        let entry = feasibility::arrival_entry(sim.costs(), spec, at);
-        sim.feasible_with(at, entry, exclude, 0.0, sim.healthy_count_at(at) as f64)
     }
 }
 
@@ -376,7 +365,6 @@ impl<R: Router> FleetSim<R> {
             rerouted: 0,
             migrated_in: vec![0; n],
             migrations: 0,
-            rescues: 0,
             migrated_gpu_seconds: 0.0,
             handoff_delays: Vec::new(),
             fleet_shed: Vec::new(),
@@ -386,10 +374,9 @@ impl<R: Router> FleetSim<R> {
     }
 
     /// Attaches a periodic [`Rebalancer`] whose migrations are priced on
-    /// `link`. Also enables fleet-coordinated admission: a request the
-    /// router would shed is first offered to [`admission::coordinate`],
-    /// and only shed if no cluster can serve it even after hypothetical
-    /// rebalancing. The first planning tick fires one cadence after t = 0.
+    /// `link`. The first planning tick fires one cadence after t = 0.
+    /// The planning ticks are all it adds: a request the router sheds is
+    /// shed, with or without a rebalancer.
     pub fn with_rebalancer(
         mut self,
         rebalancer: Box<dyn Rebalancer>,
@@ -525,16 +512,12 @@ impl<R: Router> FleetSim<R> {
     /// Enacts one migration: extracts the request from its source (trace:
     /// `MigrationOut`), prices the latent hand-off on the configured link,
     /// and schedules it to land on the target after that delay (trace:
-    /// `MigrationIn`). Skipped — returning `false` — if the statically
-    /// known outage plan says the target is (or will be, when the hand-off
-    /// lands) inside an outage window: migrating into a dying cluster
-    /// would strand the work all over again.
-    fn enact_migration(
-        &mut self,
-        d: MigrationDecision,
-        now: SimTime,
-        link: InterClusterLink,
-    ) -> bool {
+    /// `MigrationIn`). Skipped if the request is no longer queued at the
+    /// source, or if the statically known outage plan says the target is
+    /// (or will be, when the hand-off lands) inside an outage window:
+    /// migrating into a dying cluster would strand the work all over
+    /// again.
+    fn enact_migration(&mut self, d: MigrationDecision, now: SimTime, link: InterClusterLink) {
         assert!(d.from != d.to, "migration from a cluster to itself");
         assert!(
             d.from < self.clusters.len() && d.to < self.clusters.len(),
@@ -548,9 +531,9 @@ impl<R: Router> FleetSim<R> {
             .into_iter()
             .find(|(s, _)| s.id == d.id)
         else {
-            // The planner named a request that is no longer queued at the
-            // source (e.g. an earlier rescue move this tick took it).
-            return false;
+            // The planner named a request that is not queued at the
+            // source: there is nothing to move.
+            return;
         };
         let fresh = remaining == spec.total_steps;
         let bytes = if fresh {
@@ -568,7 +551,7 @@ impl<R: Router> FleetSim<R> {
             .iter()
             .any(|o| o.cluster == d.to && (o.is_down_at(now) || o.is_down_at(landing)))
         {
-            return false;
+            return;
         }
         let m = self.clusters[d.from].extract_request(d.id, now);
         self.migration_digest.push(now.as_micros());
@@ -581,7 +564,6 @@ impl<R: Router> FleetSim<R> {
         self.handoff_delays.push(delay);
         self.migrated_in[d.to] += 1;
         self.clusters[d.to].inject_request(m, now, bytes, delay);
-        true
     }
 
     /// Handles the earliest pending outage: extracts the dying cluster's
@@ -664,25 +646,6 @@ impl<R: Router> FleetSim<R> {
                 self.clusters[i].push_arrival(spec);
             }
             RouteDecision::Shed => {
-                // Fleet-coordinated admission: with a rebalancer attached,
-                // shedding requires that *no* cluster can serve the
-                // request even after hypothetical rebalancing. When a
-                // rescue plan exists, enact its migrations and route to
-                // the freed cluster instead.
-                if let Some((plan, link)) = self.rescue_plan(&spec, at) {
-                    for d in plan.moves {
-                        self.enact_migration(d, at, link);
-                    }
-                    self.routing_digest.push(plan.to as u64);
-                    self.rescues += 1;
-                    if reroute {
-                        self.rerouted_in[plan.to] += 1;
-                    } else {
-                        self.routed[plan.to] += 1;
-                    }
-                    self.clusters[plan.to].push_arrival(spec);
-                    return;
-                }
                 self.routing_digest.push(u64::MAX);
                 self.fleet_shed.push(RequestOutcome {
                     tenant: spec.tenant,
@@ -704,25 +667,6 @@ impl<R: Router> FleetSim<R> {
         }
     }
 
-    /// Asks [`admission::coordinate`] for a rescue plan for a request the
-    /// router wants to shed, returning it with the link its migrations
-    /// should be priced on. `None` without a rebalancer (coordinated
-    /// admission rides on the same oracle and link).
-    fn rescue_plan(
-        &self,
-        spec: &RequestSpec,
-        at: SimTime,
-    ) -> Option<(admission::RescuePlan, InterClusterLink)> {
-        let reb = self.rebalance.as_ref()?;
-        let oracle = DriverOracle {
-            clusters: &self.clusters,
-            outages: &self.outages,
-            link: reb.link,
-            now: at,
-        };
-        admission::coordinate(spec, &oracle).map(|plan| (plan, reb.link))
-    }
-
     fn finish(self) -> FleetReport {
         let router = match &self.rebalance {
             Some(reb) => format!("{}+{}", self.router.name(), reb.rebalancer.name()),
@@ -730,10 +674,8 @@ impl<R: Router> FleetSim<R> {
         };
         let mut clusters = Vec::with_capacity(self.clusters.len());
         for (i, sim) in self.clusters.into_iter().enumerate() {
-            let n_gpus = sim.n_gpus();
             clusters.push(ClusterReport {
                 name: self.names[i].clone(),
-                n_gpus,
                 routed: self.routed[i],
                 rerouted_in: self.rerouted_in[i],
                 migrated_in: self.migrated_in[i],
@@ -746,7 +688,7 @@ impl<R: Router> FleetSim<R> {
             fleet_shed: self.fleet_shed,
             rerouted: self.rerouted,
             migrations: self.migrations,
-            rescues: self.rescues,
+            rescues: 0,
             migrated_gpu_seconds: self.migrated_gpu_seconds,
             handoff_delays: self.handoff_delays,
             routing_digest: self.routing_digest.value(),

@@ -21,10 +21,8 @@
 //!   work (fresh or partially denoised) off backlogged or down clusters,
 //!   charging every move its real cross-cluster latent hand-off delay
 //!   (`tetriserve_costmodel::interconnect`) so migration is only taken
-//!   when it beats waiting;
-//! * [`admission`] — fleet-coordinated admission: a request is shed only
-//!   if no cluster can feasibly serve it even after hypothetical
-//!   rebalancing ([`coordinate`]).
+//!   when it beats waiting. A rebalancer never admits: the fleet sheds
+//!   exactly the requests its router sheds, with or without one.
 //!
 //! Every fleet run yields a
 //! [`FleetReport`](tetriserve_metrics::FleetReport) carrying three FNV-1a
@@ -68,12 +66,10 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod driver;
 pub mod rebalance;
 pub mod router;
 
-pub use admission::{coordinate, RescuePlan, MAX_RESCUE_MOVES};
 pub use driver::{ArrivalSource, FleetCluster, FleetSim, ReplaySource};
 pub use rebalance::{
     EdfRebalancer, FleetOracle, MigrationCandidate, MigrationDecision, Rebalancer, DEFAULT_CADENCE,

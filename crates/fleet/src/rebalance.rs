@@ -81,11 +81,6 @@ pub trait FleetOracle {
     /// backlog it cannot deliver under current healthy capacity.
     fn at_risk(&self, i: usize) -> Vec<RequestId>;
 
-    /// The latent hand-off delay to move `c` anywhere (fresh candidates
-    /// pay only the launch latency; partial ones add latent volume over
-    /// the inter-cluster link).
-    fn handoff_delay(&self, c: &MigrationCandidate) -> SimDuration;
-
     /// Whether cluster `to` passes the EDF feasibility test with `c`
     /// added — `c`'s deadline tightened by the hand-off delay — on top of
     /// `extra_gpu_seconds` of demand already committed to `to` this tick.
@@ -99,10 +94,6 @@ pub trait FleetOracle {
     /// `c`'s cheapest deadline-respecting GPU-second demand priced on
     /// cluster `to` (the amount to accumulate into `extra_gpu_seconds`).
     fn candidate_demand_on(&self, to: usize, c: &MigrationCandidate) -> f64;
-
-    /// Whether cluster `to` could feasibly serve the fresh request `spec`
-    /// if the requests in `exclude` were first migrated off it.
-    fn spec_feasible_on(&self, to: usize, spec: &RequestSpec, exclude: &[RequestId]) -> bool;
 }
 
 /// A pluggable rebalancing policy: called on every fleet-clock tick with
@@ -225,7 +216,7 @@ impl Rebalancer for EdfRebalancer {
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use tetriserve_costmodel::Resolution;
     use tetriserve_simulator::trace::TenantId;
@@ -233,17 +224,17 @@ pub(crate) mod tests {
     /// A mock fleet with scalar demand accounting: each candidate costs
     /// `remaining_steps` GPU-seconds everywhere, and cluster `i` is
     /// feasible while committed demand stays within `cap[i]`.
-    pub(crate) struct MockFleet {
-        pub up: Vec<bool>,
-        pub pressure: Vec<f64>,
-        pub used: Vec<f64>,
-        pub cap: Vec<f64>,
-        pub movable: Vec<Vec<MigrationCandidate>>,
-        pub at_risk: Vec<Vec<RequestId>>,
+    struct MockFleet {
+        up: Vec<bool>,
+        pressure: Vec<f64>,
+        used: Vec<f64>,
+        cap: Vec<f64>,
+        movable: Vec<Vec<MigrationCandidate>>,
+        at_risk: Vec<Vec<RequestId>>,
     }
 
     impl MockFleet {
-        pub fn idle(n: usize, cap: f64) -> Self {
+        fn idle(n: usize, cap: f64) -> Self {
             MockFleet {
                 up: vec![true; n],
                 pressure: vec![0.0; n],
@@ -255,12 +246,7 @@ pub(crate) mod tests {
         }
     }
 
-    pub(crate) fn cand(
-        id: u64,
-        from: usize,
-        deadline_s: f64,
-        remaining: u32,
-    ) -> MigrationCandidate {
+    fn cand(id: u64, from: usize, deadline_s: f64, remaining: u32) -> MigrationCandidate {
         MigrationCandidate {
             spec: RequestSpec {
                 tenant: TenantId::UNTAGGED,
@@ -292,9 +278,6 @@ pub(crate) mod tests {
         fn at_risk(&self, i: usize) -> Vec<RequestId> {
             self.at_risk[i].clone()
         }
-        fn handoff_delay(&self, _c: &MigrationCandidate) -> SimDuration {
-            SimDuration::from_micros(250)
-        }
         fn candidate_feasible_on(
             &self,
             to: usize,
@@ -305,14 +288,6 @@ pub(crate) mod tests {
         }
         fn candidate_demand_on(&self, _to: usize, c: &MigrationCandidate) -> f64 {
             f64::from(c.remaining_steps)
-        }
-        fn spec_feasible_on(&self, to: usize, spec: &RequestSpec, exclude: &[RequestId]) -> bool {
-            let freed: f64 = self.movable[to]
-                .iter()
-                .filter(|c| exclude.contains(&c.spec.id))
-                .map(|c| f64::from(c.remaining_steps))
-                .sum();
-            self.used[to] - freed + f64::from(spec.total_steps) <= self.cap[to]
         }
     }
 

@@ -14,7 +14,7 @@
 //!   (`Box<dyn Policy>`, `Box<dyn Router>`) must reach every impl anyway.
 //! * `Type::name(…)` resolves to methods of `Type` when such an impl
 //!   exists, else to free fns named `name` in files whose stem is
-//!   `type`'s snake case (module calls like `admission::coordinate`).
+//!   `type`'s snake case (module calls like `feasibility::scan_backlog`).
 //! * `name(…)` resolves to every free fn named `name`.
 //!
 //! All resolution is additionally gated by **import visibility**: a call
@@ -64,9 +64,9 @@ pub struct WorkspaceGraph<'a> {
 /// Entry-point sets for the two taint passes.
 #[derive(Debug, Default)]
 pub struct EntryPoints {
-    /// Decision-path roots: `Policy::schedule` impls, `Router::route`
-    /// impls, `Rebalancer::plan` impls, and the fleet admission
-    /// coordinator.
+    /// Decision-path roots: `Policy::schedule`, `Router::route`,
+    /// `Rebalancer::plan` and `ArrivalSource::next_spec` impls, and the
+    /// stage dispatcher `plan_stage_dispatch`.
     pub determinism: Vec<usize>,
     /// Per-round hot-path roots: every fn defined in a hot-path module.
     pub panic: Vec<usize>,
@@ -108,7 +108,6 @@ impl<'a> WorkspaceGraph<'a> {
             let deterministic_root = (f.name == "schedule" && in_trait("Policy"))
                 || (f.name == "route" && in_trait("Router"))
                 || (f.name == "plan" && in_trait("Rebalancer"))
-                || (f.name == "coordinate" && f.owner.is_none() && basename == "admission.rs")
                 || (f.name == "next_spec" && in_trait("ArrivalSource"))
                 || (f.name == "plan_stage_dispatch" && f.owner.is_none() && basename == "stage.rs");
             if deterministic_root {
@@ -379,7 +378,6 @@ mod tests {
                 "crates/fleet/src/rebalance.rs",
                 "impl Rebalancer for EdfRebalancer {\n    fn plan(&mut self) {}\n}",
             ),
-            ("crates/fleet/src/admission.rs", "pub fn coordinate() {}"),
             (
                 "crates/core/src/stage.rs",
                 "pub fn plan_stage_dispatch() {}",
@@ -395,7 +393,7 @@ mod tests {
         ]);
         let g = build(&items);
         let ep = g.entry_points();
-        assert_eq!(ep.determinism.len(), 5); // schedule, route, plan, coordinate, plan_stage_dispatch
+        assert_eq!(ep.determinism.len(), 4); // schedule, route, plan, plan_stage_dispatch
 
         // The round-loop files' fns (scheduler.rs, driver.rs); spawning
         // threads elsewhere roots nothing.

@@ -10,7 +10,7 @@
 //!
 //! | rule                | entries                                  | sinks |
 //! |---------------------|------------------------------------------|-------|
-//! | `taint-determinism` | `Policy::schedule`, `Router::route`, `Rebalancer::plan`, `admission::coordinate` | hash-order iteration in non-decision-path files |
+//! | `taint-determinism` | `Policy::schedule`, `Router::route`, `Rebalancer::plan`, `ArrivalSource::next_spec`, `stage::plan_stage_dispatch` | hash-order iteration in non-decision-path files |
 //! | `taint-panic`       | hot-path fns                             | `unwrap`/`expect`/bare index in non-hot files |
 //!
 //! Sinks the per-file engine already covers in that file are skipped —

@@ -14,8 +14,6 @@ use tetriserve_simulator::time::{SimDuration, SimTime};
 pub struct ClusterReport {
     /// Human-readable cluster label (e.g. `"h100x8-a"`).
     pub name: String,
-    /// GPUs in the cluster, for capacity-normalised comparisons.
-    pub n_gpus: usize,
     /// Requests the router sent to this cluster at arrival time.
     pub routed: usize,
     /// Requests re-routed *onto* this cluster after another cluster's
@@ -41,11 +39,11 @@ pub struct FleetReport {
     pub fleet_shed: Vec<RequestOutcome>,
     /// Requests re-routed between clusters after outages.
     pub rerouted: usize,
-    /// Migrations the rebalancer enacted (periodic ticks plus rescue
-    /// moves).
+    /// Migrations the rebalancer enacted on its planning ticks.
     pub migrations: usize,
-    /// Requests the router would have shed that coordinated admission
-    /// placed instead.
+    /// Always 0: the fleet sheds exactly the requests its router sheds,
+    /// so no request is ever rescued from a router `Shed`. Kept for the
+    /// benchmark's report, which still reads it.
     pub rescues: usize,
     /// GPU-seconds of already-executed work carried across clusters by
     /// migrations (partially-denoised requests keep their progress).

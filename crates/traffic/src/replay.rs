@@ -5,8 +5,7 @@
 //! ([`tetriserve_workload::trace_io`]); this module closes the loop by
 //! turning a saved trace into the same artefacts the generative
 //! [`TrafficModel`](crate::TrafficModel) produces — a sorted
-//! [`RequestSpec`] vector or a fleet
-//! [`ReplaySource`](tetriserve_fleet::ReplaySource) — so a captured
+//! [`RequestSpec`] vector or a fleet [`ReplaySource`] — so a captured
 //! production day can be replayed against any cluster or fleet
 //! configuration bit-for-bit.
 //!

