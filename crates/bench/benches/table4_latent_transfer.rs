@@ -34,7 +34,6 @@ fn main() {
                 steps: 2,
                 per_step,
                 latent_bytes: model.latent_bytes(res) * u64::from(batch),
-                activation_bytes_per_gpu: model.activation_bytes_per_gpu(res, 4, batch),
                 decode_after: None,
                 finishing: Vec::new(),
             };

@@ -325,9 +325,6 @@ pub(crate) fn edf_at_risk_len(
 pub(crate) struct BacklogScan {
     /// Live requests waiting for GPUs.
     pub queued: usize,
-    /// Live queued requests still gated on their condition encode
-    /// (`encode_ready` after the instant).
-    pub encode_gated: usize,
     /// Requests executing a dispatch, including final dispatches with no
     /// steps remaining (the tracker's O(1) count; they are not live).
     pub running: usize,
@@ -355,15 +352,11 @@ pub(crate) fn scan_backlog(
     probe: Option<(DemandEntry, f64)>,
 ) -> BacklogScan {
     let mut queued = 0;
-    let mut encode_gated = 0;
     // `Sum for f64` folds from −0.0: an empty backlog keeps that sign,
     // which the router's `total_cmp` on pressure sees.
     let mut gpu_seconds = -0.0;
     let mut live = tracker.live().map(|r| {
-        if r.phase == Phase::Queued {
-            queued += 1;
-            encode_gated += usize::from(r.encode_ready > now);
-        }
+        queued += usize::from(r.phase == Phase::Queued);
         let e = tracked_entry(r, now, costs);
         gpu_seconds += e.demand;
         e
@@ -378,7 +371,6 @@ pub(crate) fn scan_backlog(
     live.for_each(drop);
     BacklogScan {
         queued,
-        encode_gated,
         running: tracker.running_count(),
         gpu_seconds,
         feasible,

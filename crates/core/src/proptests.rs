@@ -278,10 +278,6 @@ proptest! {
             // live demand (−0.0 on an empty backlog) and the merged probe
             // through `edf_violations`.
             let queued_live = tracker.live().filter(|r| r.phase == Phase::Queued).count();
-            let encode_gated = tracker
-                .live()
-                .filter(|r| r.phase == Phase::Queued && r.encode_ready > now)
-                .count();
             let running_now = tracker.iter().filter(|r| r.phase == Phase::Running).count();
             let gpu_seconds: f64 = feasibility::live_entries(&tracker, now, &c)
                 .map(|e| e.demand)
@@ -298,7 +294,6 @@ proptest! {
             let unprobed = feasibility::scan_backlog(&tracker, now, &c, None);
             for scan in [probed, unprobed] {
                 prop_assert_eq!(scan.queued, queued_live);
-                prop_assert_eq!(scan.encode_gated, encode_gated);
                 prop_assert_eq!(scan.running, running_now);
                 prop_assert_eq!(scan.gpu_seconds.to_bits(), gpu_seconds.to_bits());
             }

@@ -39,7 +39,7 @@ const MAX_EVENTS: u64 = 50_000_000;
 /// Server behaviour knobs.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Engine behaviour (noise, stalls, warm-up, memory, injected faults).
+    /// Engine behaviour (noise, stalls, warm-up, injected faults).
     pub engine: EngineConfig,
     /// What to do when the backlog is infeasible under healthy capacity.
     pub admission: AdmissionPolicy,
@@ -89,10 +89,6 @@ pub struct ServeReport {
     pub policy: String,
     /// Number of scheduling passes the policy executed.
     pub sched_calls: u64,
-    /// Total *host* wall-clock time spent inside `Policy::schedule` — the
-    /// control-plane cost the paper bounds at < 10 ms per decision
-    /// (Table 6 / Appendix B).
-    pub sched_wall: std::time::Duration,
     /// Dispatches killed mid-flight by hard GPU faults.
     pub aborted_dispatches: usize,
     /// GPU-seconds burned by aborted dispatches without producing a
@@ -176,15 +172,6 @@ impl ServeReport {
             .count() as f64
             / self.outcomes.len() as f64
     }
-
-    /// Mean host wall-clock per scheduling pass.
-    pub fn mean_sched_latency(&self) -> std::time::Duration {
-        if self.sched_calls == 0 {
-            std::time::Duration::ZERO
-        } else {
-            self.sched_wall / u32::try_from(self.sched_calls).unwrap_or(u32::MAX)
-        }
-    }
 }
 
 /// A router-visible snapshot of one cluster's instantaneous load, exported
@@ -193,33 +180,17 @@ impl ServeReport {
 /// simulation.
 #[derive(Debug, Clone, Copy)]
 pub struct ClusterLoad {
-    /// The instant the snapshot describes.
-    pub at: SimTime,
-    /// Total GPUs in the cluster (including any currently down).
-    pub n_gpus: usize,
-    /// GPUs not hard-faulted at `at` (per the static failure plan).
-    pub healthy_gpus: usize,
-    /// Effective serving capacity in nominal-GPU units: the healthy set
-    /// derated by active slowdown faults. Exactly `healthy_gpus as f64`
-    /// when no slowdown is active.
+    /// Effective serving capacity in nominal-GPU units: the healthy
+    /// denoise set derated by active slowdown faults. Exactly the healthy
+    /// GPU count when no slowdown is active.
     pub effective_gpus: f64,
-    /// GPUs idle right now.
-    pub free_gpus: usize,
     /// Live requests waiting for GPUs.
     pub queued: usize,
     /// Live requests currently executing a dispatch.
     pub running: usize,
-    /// Diffusion steps outstanding across all live requests.
-    pub backlog_steps: u64,
     /// Cheapest deadline-respecting GPU-second demand of the live backlog
     /// (the EDF admission currency; see [`crate::feasibility`]).
     pub backlog_gpu_seconds: f64,
-    /// Live requests still gated on their condition-encode stage (their
-    /// `encode_ready` lies after the snapshot instant).
-    pub encode_backlog: usize,
-    /// Requests past their final queued denoise step: final dispatch in
-    /// flight or awaiting the VAE decode's `Complete`.
-    pub decode_backlog: usize,
 }
 
 impl ClusterLoad {
@@ -257,13 +228,8 @@ enum Event {
     GpuDown,
     GpuUp,
     /// A cross-cluster migration's latent hand-off completes and the
-    /// request re-enters this cluster's queue. `bytes`/`delay` are carried
-    /// only for the trace record.
-    Migration {
-        m: MigratedRequest,
-        bytes: u64,
-        delay: SimDuration,
-    },
+    /// request re-enters this cluster's queue.
+    Migration(MigratedRequest),
 }
 
 /// One cluster's serving loop as an explicitly steppable state machine.
@@ -278,7 +244,6 @@ pub struct ClusterSim<P: Policy> {
     policy: P,
     config: ServerConfig,
     topology: Topology,
-    n_gpus: usize,
     /// GPUs the denoise packer plans over: all of them under
     /// [`PoolLayout::Unified`], the carve-out remainder under
     /// [`PoolLayout::Disaggregated`].
@@ -301,7 +266,6 @@ pub struct ClusterSim<P: Policy> {
     processed: u64,
     last_time: SimTime,
     sched_calls: u64,
-    sched_wall: std::time::Duration,
     /// High-water mark of event times processed so far — the cluster's
     /// local clock. Never decreases.
     cursor: SimTime,
@@ -323,7 +287,6 @@ impl<P: Policy> ClusterSim<P> {
     /// pass runs.
     pub fn new(costs: CostTable, policy: P, config: ServerConfig) -> Self {
         let topology = costs.cluster().topology();
-        let n_gpus = topology.n_gpus();
         let engine = Engine::new(topology.clone(), config.engine.clone());
         let mut events: EventQueue<Event> = EventQueue::new();
         for fault in config.engine.failures.faults() {
@@ -332,14 +295,13 @@ impl<P: Policy> ClusterSim<P> {
                 events.push(up, Event::GpuUp);
             }
         }
-        let denoise_gpus = config.pool.denoise_gpus(n_gpus);
+        let denoise_gpus = config.pool.denoise_gpus(topology.n_gpus());
         let (encode_slots, decode_slots) = config.pool.pool_sizes();
         ClusterSim {
             costs,
             policy,
             config,
             topology,
-            n_gpus,
             denoise_gpus,
             // Even the unified layout owns one encode unit: encode-staged
             // requests serialize on it, mirroring the fused decoder.
@@ -356,7 +318,6 @@ impl<P: Policy> ClusterSim<P> {
             processed: 0,
             last_time: SimTime::ZERO,
             sched_calls: 0,
-            sched_wall: std::time::Duration::ZERO,
             cursor: SimTime::ZERO,
             started: false,
             tick_pending: false,
@@ -456,13 +417,7 @@ impl<P: Policy> ClusterSim<P> {
     /// # Panics
     ///
     /// Panics if the hand-off would complete in this cluster's past.
-    pub fn inject_request(
-        &mut self,
-        m: MigratedRequest,
-        at: SimTime,
-        bytes: u64,
-        delay: SimDuration,
-    ) {
+    pub fn inject_request(&mut self, m: MigratedRequest, at: SimTime, delay: SimDuration) {
         let ready = at + delay;
         assert!(
             ready >= self.cursor,
@@ -470,8 +425,7 @@ impl<P: Policy> ClusterSim<P> {
             ready,
             self.cursor
         );
-        self.events
-            .push(ready, Event::Migration { m, bytes, delay });
+        self.events.push(ready, Event::Migration(m));
         self.arrivals_pending += 1;
         self.reseed_tick_at(ready);
     }
@@ -594,19 +548,10 @@ impl<P: Policy> ClusterSim<P> {
         });
         let scan = feasibility::scan_backlog(&self.tracker, at, &self.costs, probe);
         let load = ClusterLoad {
-            at,
-            n_gpus: self.n_gpus,
-            healthy_gpus: healthy.len(),
             effective_gpus,
-            free_gpus: self.free.len(),
             queued: scan.queued,
             running: scan.running,
-            backlog_steps: self.tracker.live_backlog_steps(),
             backlog_gpu_seconds: scan.gpu_seconds,
-            encode_backlog: scan.encode_gated,
-            // Active but no longer live: past the final queued denoise
-            // step, i.e. in or awaiting the decode tail.
-            decode_backlog: self.tracker.active_count() - self.tracker.live_len(),
         };
         (load, scan.feasible)
     }
@@ -721,10 +666,6 @@ impl<P: Policy> ClusterSim<P> {
         // tetrilint: allow(taint-panic) -- slot was computed from this very pool one line up
         self.decode_pool[slot] = done;
         self.decode_busy += duration;
-        self.engine.record(TraceEvent::RequestDone {
-            time: done,
-            request: id,
-        });
         self.events.push(done, Event::Complete(id));
     }
 
@@ -754,7 +695,7 @@ impl<P: Policy> ClusterSim<P> {
 
         let trigger = match event {
             Event::Arrival(spec) => self.on_arrival(spec, now),
-            Event::Migration { m, bytes, delay } => self.on_migration(m, bytes, delay, now),
+            Event::Migration(m) => self.on_migration(m, now),
             Event::StageReady(id) => self.on_stage_ready(id, now),
             Event::DispatchDone { gpus, requests } => self.on_dispatch_done(gpus, &requests, now),
             Event::DispatchAborted {
@@ -783,19 +724,7 @@ impl<P: Policy> ClusterSim<P> {
         self.admitted(now)
     }
 
-    fn on_migration(
-        &mut self,
-        m: MigratedRequest,
-        bytes: u64,
-        delay: SimDuration,
-        now: SimTime,
-    ) -> Option<PolicyEvent> {
-        self.engine.record(TraceEvent::MigrationIn {
-            time: now,
-            request: m.spec.id,
-            bytes,
-            delay,
-        });
+    fn on_migration(&mut self, m: MigratedRequest, now: SimTime) -> Option<PolicyEvent> {
         // Same admission discipline as a fresh arrival: the migrated
         // request itself holds progress and is immune to shedding, but its
         // demand may push *fresh* queued work over the feasibility edge.
@@ -930,9 +859,9 @@ impl<P: Policy> ClusterSim<P> {
         Some(PolicyEvent::RoundTick)
     }
 
-    /// One scheduling pass: asks the policy for plans at `now`, records
-    /// the pass (with its host wall time) in the trace, and validates the
-    /// plans against the context the policy saw.
+    /// One scheduling pass: asks the policy for plans at `now`, counts
+    /// the pass, and validates the plans against the context the policy
+    /// saw.
     ///
     /// # Panics
     ///
@@ -947,20 +876,8 @@ impl<P: Policy> ClusterSim<P> {
             costs: &self.costs,
             failures: &self.config.engine.failures,
         };
-        // tetrilint: allow(wall-clock) -- measures the host-side
-        // control-plane cost of Policy::schedule (Table 6); the
-        // value feeds SchedPass telemetry, never a decision.
-        let started = std::time::Instant::now();
         let plans = self.policy.schedule(&ctx);
-        let elapsed = started.elapsed();
-        self.sched_wall += elapsed;
         self.sched_calls += 1;
-        self.engine.record(TraceEvent::SchedPass {
-            time: now,
-            queue_depth: self.tracker.active_count(),
-            plans: plans.len(),
-            wall: elapsed,
-        });
         if let Err(e) = validate_plans(&plans, &ctx) {
             panic!("policy {} emitted invalid plans: {e}", self.policy.name());
         }
@@ -1034,11 +951,6 @@ impl<P: Policy> ClusterSim<P> {
             steps: plan.steps,
             per_step,
             latent_bytes: model.latent_bytes(resolution),
-            activation_bytes_per_gpu: model.activation_bytes_per_gpu(
-                resolution,
-                plan.gpus.len(),
-                batch,
-            ),
             decode_after,
             finishing,
         };
@@ -1091,7 +1003,6 @@ impl<P: Policy> ClusterSim<P> {
             makespan,
             policy,
             sched_calls: self.sched_calls,
-            sched_wall: self.sched_wall,
             aborted_dispatches,
             wasted_gpu_seconds,
             shed_requests,
@@ -1113,16 +1024,12 @@ pub struct Server<P: Policy> {
 }
 
 impl<P: Policy> Server<P> {
-    /// Creates a server with default configuration; engine memory limits
-    /// are derived from the cost table's model and cluster.
+    /// Creates a server with default configuration.
     pub fn new(costs: CostTable, policy: P) -> Self {
-        let mut config = ServerConfig::default();
-        config.engine.weights_bytes_per_gpu = costs.model().weights_bytes();
-        config.engine.hbm_capacity_bytes = costs.cluster().gpu.hbm_bytes();
         Server {
             costs,
             policy,
-            config,
+            config: ServerConfig::default(),
         }
     }
 
@@ -1267,27 +1174,12 @@ mod tests {
     }
 
     #[test]
-    fn scheduling_cost_is_accounted_and_tiny() {
+    fn scheduling_passes_are_counted() {
         let report = serve(vec![
             spec(0, Resolution::R1024, 0.0, 3.0),
             spec(1, Resolution::R512, 0.2, 2.0),
         ]);
         assert!(report.sched_calls > 0);
-        // The paper bounds TetriServe's decision latency at < 10 ms; ours
-        // is microseconds even in debug builds.
-        assert!(
-            report.mean_sched_latency() < std::time::Duration::from_millis(10),
-            "{:?}",
-            report.mean_sched_latency()
-        );
-        // Every schedule call leaves a SchedPass record in the trace, and
-        // the per-pass walls sum to the aggregate counter.
-        assert_eq!(
-            report.trace.sched_pass_count() as u64,
-            report.sched_calls,
-            "one trace record per scheduler pass"
-        );
-        assert_eq!(report.trace.sched_wall_total(), report.sched_wall);
     }
 
     #[test]
@@ -1532,7 +1424,7 @@ mod tests {
             let mut sim = ClusterSim::new(c, policy, config);
             sim.start();
             while sim.step() {}
-            sim.load(sim.now()).free_gpus
+            sim.free.len()
         };
         let faults = [
             GpuFault::permanent(GpuId(0), secs(1.0)),
@@ -1566,7 +1458,7 @@ mod tests {
         }
         sim.start();
         while sim.step() {
-            assert!(sim.load(sim.now()).free_gpus <= 5);
+            assert!(sim.free.len() <= 5);
         }
         assert!(sim.finish().outcomes.iter().all(|o| o.met_slo()));
     }
@@ -1790,10 +1682,7 @@ mod tests {
 
     fn stepwise(costs: CostTable) -> ClusterSim<TetriServePolicy> {
         let policy = TetriServePolicy::with_defaults(&costs);
-        let mut config = ServerConfig::default();
-        config.engine.weights_bytes_per_gpu = costs.model().weights_bytes();
-        config.engine.hbm_capacity_bytes = costs.cluster().gpu.hbm_bytes();
-        ClusterSim::new(costs, policy, config)
+        ClusterSim::new(costs, policy, ServerConfig::default())
     }
 
     #[test]
@@ -1849,10 +1738,7 @@ mod tests {
             assert!(sim.step());
         }
         let load = sim.load(sim.now());
-        assert_eq!(load.n_gpus, 8);
-        assert_eq!(load.healthy_gpus, 8);
         assert_eq!(load.depth(), 2, "{load:?}");
-        assert!(load.backlog_steps > 0);
         assert!(load.backlog_gpu_seconds > 0.0);
         assert!(load.pressure() > 0.0);
         // A route view carries the same snapshot; only the verdict is extra.
@@ -1997,7 +1883,7 @@ mod tests {
         assert!(!movable.is_empty(), "need queued work to migrate");
         let id = movable[0].0.id;
         let m = a.extract_request(id, now);
-        b.inject_request(m, now, 1 << 20, SimDuration::from_millis(250));
+        b.inject_request(m, now, SimDuration::from_millis(250));
         // Path 2: drain the remaining fresh queued work and re-route it to
         // B as ordinary arrivals (the outage re-route path).
         for mut s in a.drain_queued_fresh() {
@@ -2059,7 +1945,7 @@ mod tests {
         let mut target = ClusterSim::new(c, policy, config);
         target.start();
         // Hand-off dispatched at t = 0, landing at t = 10 s.
-        target.inject_request(m, SimTime::ZERO, 1 << 20, SimDuration::from_secs_f64(10.0));
+        target.inject_request(m, SimTime::ZERO, SimDuration::from_secs_f64(10.0));
         while target.step() {}
         let report = target.finish();
         assert!(

@@ -138,10 +138,6 @@ pub struct RequestTracker {
     active: usize,
     /// Requests currently executing a dispatch (any remaining count).
     running: usize,
-    /// Requests shed by admission control.
-    shed: usize,
-    /// Σ remaining_steps over the live index.
-    live_steps: u64,
 }
 
 impl RequestTracker {
@@ -176,7 +172,6 @@ impl RequestTracker {
         assert!(prev.is_none(), "request {} admitted twice", spec.id);
         self.live.insert((spec.deadline, spec.id));
         self.active += 1;
-        self.live_steps += u64::from(spec.total_steps);
     }
 
     /// Records the condition-encode stage's completion: the request
@@ -256,7 +251,6 @@ impl RequestTracker {
         let key = (r.spec.deadline, id);
         let emptied = r.remaining_steps == 0;
         self.running += 1;
-        self.live_steps -= u64::from(steps);
         if emptied {
             self.live.remove(&key);
         }
@@ -310,7 +304,6 @@ impl RequestTracker {
         let key = (r.spec.deadline, id);
         let revived = was_empty && r.remaining_steps > 0;
         self.running -= 1;
-        self.live_steps += u64::from(lost_steps);
         if revived {
             self.live.insert(key);
         }
@@ -339,7 +332,6 @@ impl RequestTracker {
             }
             if r.remaining_steps > 0 {
                 self.live.remove(&(r.spec.deadline, id));
-                self.live_steps -= u64::from(r.remaining_steps);
             }
         }
     }
@@ -364,9 +356,7 @@ impl RequestTracker {
         );
         r.phase = Phase::Shed;
         self.active -= 1;
-        self.shed += 1;
         self.live.remove(&(r.spec.deadline, id));
-        self.live_steps -= u64::from(r.remaining_steps);
     }
 
     /// Removes `steps` denoise steps from a queued request's remaining
@@ -391,11 +381,10 @@ impl RequestTracker {
             "{id}: shedding {steps} of {} remaining steps would leave no work",
             r.remaining_steps
         );
-        r.remaining_steps -= steps;
-        r.steps_shed += steps;
         // Still live (the assert above guarantees remaining > 0): the index
         // key is deadline-based, so shrinking the budget leaves it alone.
-        self.live_steps -= u64::from(steps);
+        r.remaining_steps -= steps;
+        r.steps_shed += steps;
     }
 
     /// Removes a fresh, still-queued request from the tracker entirely and
@@ -420,7 +409,6 @@ impl RequestTracker {
         );
         self.active -= 1;
         self.live.remove(&(r.spec.deadline, id));
-        self.live_steps -= u64::from(r.remaining_steps);
         // The unchanged spec ships: re-routing to a cluster with headroom
         // forgives any degradation this cluster had planned.
         r.spec
@@ -444,7 +432,6 @@ impl RequestTracker {
         self.active -= 1;
         if r.remaining_steps > 0 {
             self.live.remove(&(r.spec.deadline, id));
-            self.live_steps -= u64::from(r.remaining_steps);
         }
         MigratedRequest {
             spec: r.spec,
@@ -498,7 +485,6 @@ impl RequestTracker {
         assert!(prev.is_none(), "request {} admitted twice", m.spec.id);
         self.live.insert((m.spec.deadline, m.spec.id));
         self.active += 1;
-        self.live_steps += u64::from(m.remaining_steps);
     }
 
     /// Marks the request fully complete (after VAE decode).
@@ -530,11 +516,6 @@ impl RequestTracker {
         self.active
     }
 
-    /// Number of requests shed by admission control. O(1).
-    pub fn shed_count(&self) -> usize {
-        self.shed
-    }
-
     /// Requests currently executing a dispatch, including ones on their
     /// final dispatch (zero steps remaining). O(1).
     pub fn running_count(&self) -> usize {
@@ -552,11 +533,6 @@ impl RequestTracker {
     /// Size of the live index. O(1).
     pub fn live_len(&self) -> usize {
         self.live.len()
-    }
-
-    /// Σ remaining steps over the live index. O(1).
-    pub fn live_backlog_steps(&self) -> u64 {
-        self.live_steps
     }
 
     /// Full-recompute cross-check of the incremental index and counters:
@@ -581,22 +557,7 @@ impl RequestTracker {
             .values()
             .filter(|r| r.phase == Phase::Running)
             .count();
-        let shed = self
-            .requests
-            .values()
-            .filter(|r| r.phase == Phase::Shed)
-            .count();
-        let steps: u64 = self
-            .requests
-            .values()
-            .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running))
-            .map(|r| u64::from(r.remaining_steps))
-            .sum();
-        expect == self.live
-            && active == self.active
-            && running == self.running
-            && shed == self.shed
-            && steps == self.live_steps
+        expect == self.live && active == self.active && running == self.running
     }
 
     /// Iterates over all tracked requests in id order.
@@ -807,7 +768,6 @@ mod tests {
         t.abort_dispatch(RequestId(2), GpuSet::contiguous(0, 1), 2);
         t.fail(RequestId(2));
         assert_eq!(t.active_count(), 0, "terminal phases are not active");
-        assert_eq!(t.shed_count(), 1);
         let now = SimTime::from_secs_f64(1.0);
         assert!(schedulable(&t, now).is_empty());
         let out = t.outcomes();

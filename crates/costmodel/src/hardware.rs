@@ -34,14 +34,6 @@ impl GpuKind {
         self.peak_tflops() * self.mfu_max()
     }
 
-    /// HBM capacity in bytes.
-    pub fn hbm_bytes(self) -> u64 {
-        match self {
-            GpuKind::H100 => 80 << 30,
-            GpuKind::A40 => 48 << 30,
-        }
-    }
-
     /// Human-readable name.
     pub fn name(self) -> &'static str {
         match self {

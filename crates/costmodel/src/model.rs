@@ -73,11 +73,6 @@ impl DitModel {
         }
     }
 
-    /// Model weights footprint per GPU in bytes (bf16).
-    pub fn weights_bytes(&self) -> u64 {
-        (self.params_b * 2e9) as u64
-    }
-
     /// Per-step TFLOPs at a resolution, for the default schedule.
     pub fn step_tflops(&self, res: Resolution) -> f64 {
         self.flops.per_step_tflops(res.tokens(), self.steps)
@@ -86,17 +81,6 @@ impl DitModel {
     /// Latent tensor size for a resolution.
     pub fn latent_bytes(&self, res: Resolution) -> u64 {
         res.tokens() * LATENT_BYTES_PER_TOKEN
-    }
-
-    /// Transient activation bytes per GPU while a step executes at
-    /// sequence-parallel degree `k` with the given batch size.
-    ///
-    /// Scales with the per-GPU token shard times the hidden dimension, with
-    /// a fixed depth factor for live activations across blocks.
-    pub fn activation_bytes_per_gpu(&self, res: Resolution, k: usize, batch: u32) -> u64 {
-        const LIVE_DEPTH_FACTOR: u64 = 24;
-        let shard_tokens = res.tokens().div_ceil(k as u64);
-        shard_tokens * self.hidden * 2 * LIVE_DEPTH_FACTOR * u64::from(batch)
     }
 
     /// VAE decode latency for one image, scaled to the hardware's effective
@@ -200,7 +184,6 @@ mod tests {
     fn flux_spec_matches_paper() {
         let m = DitModel::flux_dev();
         assert_eq!(m.steps, 50);
-        assert_eq!(m.weights_bytes(), 24_000_000_000);
         // 2048² per-step compute ≈ 24 964.72 / 50 TFLOPs.
         let s = m.step_tflops(Resolution::R2048);
         assert!((s - 24_964.72 / 50.0).abs() / s < 1e-3, "step tflops {s}");
@@ -220,16 +203,6 @@ mod tests {
         let m = DitModel::flux_dev();
         // 2048²: 16 384 tokens × 128 B = 2 MiB — tiny, per §5/Table 4.
         assert_eq!(m.latent_bytes(Resolution::R2048), 2 << 20);
-    }
-
-    #[test]
-    fn activation_shrinks_with_parallelism() {
-        let m = DitModel::flux_dev();
-        let a1 = m.activation_bytes_per_gpu(Resolution::R2048, 1, 1);
-        let a8 = m.activation_bytes_per_gpu(Resolution::R2048, 8, 1);
-        assert_eq!(a1, a8 * 8);
-        let a_b4 = m.activation_bytes_per_gpu(Resolution::R2048, 1, 4);
-        assert_eq!(a_b4, a1 * 4);
     }
 
     #[test]

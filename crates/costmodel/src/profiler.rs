@@ -532,9 +532,10 @@ impl Profiler {
     }
 
     /// Builds the table by *measuring the engine*, as the paper's offline
-    /// profiling pass does: for each (resolution, degree, batch) it runs
-    /// `measure_steps` steps on a canonical placement and records the mean
-    /// observed step latency (jitter included).
+    /// profiling pass does: for each (resolution, degree, batch) it runs a
+    /// `warmup_steps` dispatch and then a back-to-back `measure_steps`
+    /// dispatch on a canonical placement, and records the measured
+    /// dispatch's mean step latency (jitter included).
     pub fn profile(&self) -> CostTable {
         let mut entries = BTreeMap::new();
         let degrees = self.cluster.sp_degrees();
@@ -552,37 +553,26 @@ impl Profiler {
                         &topo,
                         self.scheme,
                     );
-                    let mut engine = Engine::new(
-                        self.cluster.topology(),
-                        EngineConfig {
-                            weights_bytes_per_gpu: self.model.weights_bytes(),
-                            hbm_capacity_bytes: self.cluster.gpu.hbm_bytes(),
-                            ..EngineConfig::default()
-                        },
-                    );
-                    let steps = self.warmup_steps + self.measure_steps;
-                    let dispatch = StepDispatch {
+                    let mut engine = Engine::new(self.cluster.topology(), EngineConfig::default());
+                    let mut dispatch = StepDispatch {
                         requests: vec![RequestId(u64::MAX)],
                         gpus,
-                        steps,
+                        steps: self.warmup_steps,
                         per_step: expected,
                         latent_bytes: self.model.latent_bytes(res),
-                        activation_bytes_per_gpu: self
-                            .model
-                            .activation_bytes_per_gpu(res, k, batch),
                         decode_after: None,
                         finishing: Vec::new(),
                     };
-                    let out = engine
+                    let warm = engine
                         .submit(SimTime::ZERO, &dispatch)
                         .expect("profiling dispatch is well-formed");
-                    let first_measured = self.warmup_steps as usize;
-                    let window_start = if first_measured == 0 {
-                        out.start
-                    } else {
-                        out.step_done[first_measured - 1]
-                    };
-                    let span = out.gpus_free_at.saturating_since(window_start);
+                    // The measured dispatch starts the instant the warm-up
+                    // ends: same request, same warm group, so no stall.
+                    dispatch.steps = self.measure_steps;
+                    let out = engine
+                        .submit(warm.gpus_free_at, &dispatch)
+                        .expect("profiling dispatch is well-formed");
+                    let span = out.gpus_free_at.saturating_since(out.start);
                     let mean = span / u64::from(self.measure_steps);
                     entries.insert((res.tokens(), k, batch), mean);
                 }
@@ -626,7 +616,9 @@ impl Profiler {
 }
 
 /// Measures the coefficient of variation of per-step latency over
-/// `steps` engine-executed steps (Table 1's stability experiment).
+/// `steps` engine-executed steps (Table 1's stability experiment), each
+/// its own single-step dispatch submitted the instant the previous one
+/// ends.
 ///
 /// # Examples
 ///
@@ -657,29 +649,26 @@ pub fn measure_step_cv(
         cluster.topology(),
         EngineConfig {
             seed,
-            weights_bytes_per_gpu: model.weights_bytes(),
-            hbm_capacity_bytes: cluster.gpu.hbm_bytes(),
             ..EngineConfig::default()
         },
     );
     let dispatch = StepDispatch {
         requests: vec![RequestId(u64::MAX)],
         gpus: GpuSet::contiguous(0, k),
-        steps,
+        steps: 1,
         per_step: expected,
         latent_bytes: model.latent_bytes(res),
-        activation_bytes_per_gpu: model.activation_bytes_per_gpu(res, k, 1),
         decode_after: None,
         finishing: Vec::new(),
     };
-    let out = engine
-        .submit(SimTime::ZERO, &dispatch)
-        .expect("CV dispatch is well-formed");
     let mut durations = Vec::with_capacity(steps as usize);
-    let mut prev = out.start;
-    for &t in &out.step_done {
-        durations.push(t.saturating_since(prev).as_secs_f64());
-        prev = t;
+    let mut at = SimTime::ZERO;
+    for _ in 0..steps {
+        let out = engine
+            .submit(at, &dispatch)
+            .expect("CV dispatch is well-formed");
+        durations.push(out.gpus_free_at.saturating_since(out.start).as_secs_f64());
+        at = out.gpus_free_at;
     }
     let n = durations.len() as f64;
     let mean = durations.iter().sum::<f64>() / n;

@@ -511,8 +511,8 @@ impl<R: Router> FleetSim<R> {
 
     /// Enacts one migration: extracts the request from its source (trace:
     /// `MigrationOut`), prices the latent hand-off on the configured link,
-    /// and schedules it to land on the target after that delay (trace:
-    /// `MigrationIn`). Skipped if the request is no longer queued at the
+    /// and schedules it to land on the target after that delay. Skipped if
+    /// the request is no longer queued at the
     /// source, or if the statically known outage plan says the target is
     /// (or will be, when the hand-off lands) inside an outage window:
     /// migrating into a dying cluster would strand the work all over
@@ -563,7 +563,7 @@ impl<R: Router> FleetSim<R> {
         self.migrated_gpu_seconds += m.gpu_seconds;
         self.handoff_delays.push(delay);
         self.migrated_in[d.to] += 1;
-        self.clusters[d.to].inject_request(m, now, bytes, delay);
+        self.clusters[d.to].inject_request(m, now, delay);
     }
 
     /// Handles the earliest pending outage: extracts the dying cluster's

@@ -241,17 +241,10 @@ mod tests {
             up,
             feasible,
             load: ClusterLoad {
-                at: SimTime::ZERO,
-                n_gpus: 8,
-                healthy_gpus: 8,
                 effective_gpus: 8.0,
-                free_gpus: 8,
                 queued: depth,
                 running: 0,
-                backlog_steps: depth as u64 * 50,
                 backlog_gpu_seconds: pressure * 8.0,
-                encode_backlog: 0,
-                decode_backlog: 0,
             },
         }
     }

@@ -8,8 +8,6 @@
 //!   (Figure 9, Table 5);
 //! * [`timeseries`] — windowed SAR over time (Figure 10) and mean
 //!   sequence-parallel degree over time (Figure 11);
-//! * [`utilization`] — per-GPU busy fractions and cluster-occupancy series
-//!   reconstructed from execution traces;
 //! * [`batching`] — selective-batching statistics from traces (§5);
 //! * [`quality`] — quality-debt accounting for degraded serving (steps
 //!   shed by the deadline-rescue ladder, full-quality SAR, mean delivered
@@ -43,7 +41,6 @@ pub mod sar;
 pub mod stages;
 pub mod tenancy;
 pub mod timeseries;
-pub mod utilization;
 
 pub use batching::{batching_stats, BatchingStats};
 pub use fleet::{ClusterReport, FleetReport};
@@ -56,5 +53,4 @@ pub use report::{bar_chart, fmt_sar, series, TextTable};
 pub use sar::{mean_gpu_seconds, sar, sar_by_resolution};
 pub use stages::{pool_utilization, stage_slo_share};
 pub use tenancy::{tenant_summaries, worst_tenant_sar, TenantSummary};
-pub use timeseries::{inflight_series, mean_sp_degree_series, windowed_sar};
-pub use utilization::{busy_gpu_series, gpu_utilization, UtilizationReport};
+pub use timeseries::{mean_sp_degree_series, windowed_sar};

@@ -10,7 +10,6 @@ use std::collections::BTreeMap;
 
 use tetriserve_core::RequestOutcome;
 use tetriserve_costmodel::Resolution;
-use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::{Trace, TraceEvent};
 
 /// SAR per fixed-length arrival window: `(window_start_s, sar)` for every
@@ -86,32 +85,11 @@ pub fn mean_sp_degree_series(
     out
 }
 
-/// Cluster-wide queue of in-flight requests over time, sampled at request
-/// arrivals and completions (for load inspection).
-pub fn inflight_series(outcomes: &[RequestOutcome]) -> Vec<(f64, i64)> {
-    let mut deltas: Vec<(SimTime, i64)> = Vec::new();
-    for o in outcomes {
-        deltas.push((o.arrival, 1));
-        if let Some(c) = o.completion {
-            deltas.push((c, -1));
-        }
-    }
-    deltas.sort();
-    let mut level = 0;
-    deltas
-        .into_iter()
-        .map(|(t, d)| {
-            level += d;
-            (t.as_secs_f64(), level)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use tetriserve_simulator::gpuset::GpuSet;
-    use tetriserve_simulator::time::SimDuration;
+    use tetriserve_simulator::time::{SimDuration, SimTime};
     use tetriserve_simulator::trace::{DispatchId, RequestId, TenantId};
 
     fn outcome(id: u64, arrival_s: f64, met: bool) -> RequestOutcome {
@@ -183,14 +161,5 @@ mod tests {
         });
         let series = mean_sp_degree_series(&trace, &BTreeMap::new(), 1.0);
         assert!(series.is_empty());
-    }
-
-    #[test]
-    fn inflight_tracks_arrivals_and_completions() {
-        let outcomes = vec![outcome(0, 0.0, true), outcome(1, 0.5, true)];
-        let series = inflight_series(&outcomes);
-        let peak = series.iter().map(|&(_, l)| l).max().unwrap();
-        assert_eq!(peak, 2);
-        assert_eq!(series.last().unwrap().1, 0);
     }
 }

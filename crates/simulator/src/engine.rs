@@ -16,8 +16,7 @@
 //! * it perturbs each step with a small multiplicative jitter whose
 //!   coefficient of variation matches the sub-percent stability the paper
 //!   measures in Table 1;
-//! * it serialises VAE decodes (§5 "VAE Decoder Sequential Execution") and
-//!   accounts activation/NCCL memory.
+//! * it serialises VAE decodes (§5 "VAE Decoder Sequential Execution").
 //!
 //! The engine itself is *passive*: it computes, at submit time, the exact
 //! timeline a dispatch will follow and returns it in a [`DispatchOutcome`].
@@ -34,11 +33,10 @@
 use crate::gpuset::GpuSet;
 use crate::group::ProcessGroupCache;
 use crate::latent::transfer_time;
-use crate::memory::MemoryTracker;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{DispatchId, RequestId, StallReason, Trace, TraceEvent};
+use crate::trace::{DispatchId, RequestId, Trace, TraceEvent};
 
 use std::collections::{HashMap, HashSet};
 
@@ -55,12 +53,6 @@ pub struct EngineConfig {
     /// First-collective latency on a cold process group (NCCL channel
     /// initialisation).
     pub group_warmup: SimDuration,
-    /// Persistent device buffer bytes pinned per member GPU per warm group.
-    pub nccl_buffer_bytes: u64,
-    /// Model weight bytes resident on every GPU.
-    pub weights_bytes_per_gpu: u64,
-    /// HBM capacity per GPU.
-    pub hbm_capacity_bytes: u64,
     /// Seed for step jitter.
     pub seed: u64,
     /// Injected degradations (slowdowns and hard GPU faults); empty by
@@ -77,9 +69,6 @@ impl Default for EngineConfig {
             step_noise_cv: 0.002,
             remap_stall: SimDuration::from_millis(15),
             group_warmup: SimDuration::from_millis(150),
-            nccl_buffer_bytes: 64 << 20,
-            weights_bytes_per_gpu: 24 << 30,
-            hbm_capacity_bytes: 80 << 30,
             seed: 0x7e7215e7,
             failures: crate::failure::FailurePlan::none(),
             host_recovery_gbps: 25.0,
@@ -101,8 +90,6 @@ pub struct StepDispatch {
     pub per_step: SimDuration,
     /// Latent tensor size per request, for hand-off accounting.
     pub latent_bytes: u64,
-    /// Transient activation bytes per member GPU while running.
-    pub activation_bytes_per_gpu: u64,
     /// VAE decode latency applied to each member of `finishing`.
     pub decode_after: Option<SimDuration>,
     /// The subset of `requests` that complete with this dispatch (they run
@@ -113,12 +100,8 @@ pub struct StepDispatch {
 /// The fully resolved timeline of a submitted dispatch.
 #[derive(Debug, Clone)]
 pub struct DispatchOutcome {
-    /// Engine-assigned identifier.
-    pub id: DispatchId,
     /// When execution began (after stalls, warm-up and latent waits).
     pub start: SimTime,
-    /// Completion time of each step, in order.
-    pub step_done: Vec<SimTime>,
     /// When the GPUs become free (completion of the final step).
     pub gpus_free_at: SimTime,
     /// Per-request end-to-end completion (only when `decode_after` was set).
@@ -127,9 +110,8 @@ pub struct DispatchOutcome {
     pub stall: SimDuration,
     /// Longest latent transfer that gated the start.
     pub latent_wait: SimDuration,
-    /// Set when a member GPU went down mid-flight and killed the dispatch.
-    /// `step_done` then holds only the checkpointed steps and
-    /// `gpus_free_at` is the fault instant.
+    /// Set when a member GPU went down mid-flight and killed the dispatch;
+    /// `gpus_free_at` is then the fault instant.
     pub aborted: Option<AbortInfo>,
 }
 
@@ -186,7 +168,6 @@ pub struct Engine {
     topology: Topology,
     config: EngineConfig,
     groups: ProcessGroupCache,
-    memory: MemoryTracker,
     rng: SimRng,
     busy_until: Vec<SimTime>,
     busy_time: Vec<SimDuration>,
@@ -205,27 +186,17 @@ impl Engine {
     /// commonly used, overlapping groups" of §5).
     pub fn new(topology: Topology, config: EngineConfig) -> Self {
         let n = topology.n_gpus();
-        let mut groups = ProcessGroupCache::new(config.group_warmup, config.nccl_buffer_bytes);
-        let mut memory =
-            MemoryTracker::new(n, config.hbm_capacity_bytes, config.weights_bytes_per_gpu);
-        let mut prewarm = Vec::new();
+        let mut groups = ProcessGroupCache::new(config.group_warmup);
         let mut k = 2;
         while k <= n {
-            prewarm.extend(topology.aligned_blocks(k));
+            groups.prewarm(topology.aligned_blocks(k));
             k *= 2;
         }
-        for g in &prewarm {
-            for gpu in g.iter() {
-                memory.commit_static(gpu, config.nccl_buffer_bytes);
-            }
-        }
-        groups.prewarm(prewarm);
         let rng = SimRng::seed_from_u64(config.seed);
         Engine {
             topology,
             config,
             groups,
-            memory,
             rng,
             busy_until: vec![SimTime::ZERO; n],
             busy_time: vec![SimDuration::ZERO; n],
@@ -266,18 +237,6 @@ impl Engine {
 
         // Synchronous pre-delays: group warm-up and remap stall.
         let warmup = self.groups.ensure(dispatch.gpus);
-        if !warmup.is_zero() {
-            for gpu in dispatch.gpus.iter() {
-                self.memory
-                    .commit_static(gpu, self.config.nccl_buffer_bytes);
-            }
-            self.trace.record(TraceEvent::Stall {
-                time: now,
-                dispatch: id,
-                duration: warmup,
-                reason: StallReason::GroupWarmup,
-            });
-        }
         let mut remap = SimDuration::ZERO;
         let mut latent_wait = SimDuration::ZERO;
         for &req in &dispatch.requests {
@@ -296,14 +255,6 @@ impl Engine {
                     });
                 }
             }
-        }
-        if !remap.is_zero() {
-            self.trace.record(TraceEvent::Stall {
-                time: now,
-                dispatch: id,
-                duration: remap,
-                reason: StallReason::Remap,
-            });
         }
         // A request whose previous group died has no resident latent
         // anywhere on the cluster: re-materialise it from the host-side
@@ -340,7 +291,7 @@ impl Engine {
         // mid-dispatch slows only the tail steps; a hard fault inside a
         // step's execution window aborts at the fault instant and the step
         // does not complete.
-        let mut step_done = Vec::with_capacity(dispatch.steps as usize);
+        let mut completed = 0;
         let mut t = start;
         if abort_at.is_none() {
             for _ in 0..dispatch.steps {
@@ -356,7 +307,7 @@ impl Engine {
                     break;
                 }
                 t = end;
-                step_done.push(t);
+                completed += 1;
             }
         }
         let gpus_free_at = abort_at.unwrap_or(t);
@@ -367,10 +318,6 @@ impl Engine {
             self.busy_until[gpu.0] = gpus_free_at;
             self.busy_time[gpu.0] += gpus_free_at.saturating_since(now);
         }
-        self.memory
-            .charge(dispatch.gpus, dispatch.activation_bytes_per_gpu);
-        self.memory
-            .release(dispatch.gpus, dispatch.activation_bytes_per_gpu);
         for &req in &dispatch.requests {
             if abort_at.is_some() {
                 // The group is gone; the latent survives only as a host
@@ -392,22 +339,16 @@ impl Engine {
                     let done = begin + decode;
                     self.decode_free_at = done;
                     request_done.push((req, done));
-                    self.trace.record(TraceEvent::RequestDone {
-                        time: done,
-                        request: req,
-                    });
                     self.last_gpus.remove(&req);
                 }
             }
         }
 
-        // tetrilint: allow(unwrap) -- step_done.len() ≤ dispatch.steps,
-        // which is already a u32.
-        let completed = u32::try_from(step_done.len()).expect("steps fit in u32");
-        let useful_end = step_done.last().copied();
+        // `t` is the end of the last completed step (`start` when none did).
+        let useful_end = (completed > 0).then_some(t);
         let actual_mean = match useful_end {
-            Some(end) if completed > 0 => end.saturating_since(start) / u64::from(completed),
-            _ => SimDuration::ZERO,
+            Some(end) => end.saturating_since(start) / u64::from(completed),
+            None => SimDuration::ZERO,
         };
         // For a pre-start abort the planned start never happened; the
         // traced interval opens at the fault instant so audit intervals
@@ -453,9 +394,7 @@ impl Engine {
         };
 
         Ok(DispatchOutcome {
-            id,
             start,
-            step_done,
             gpus_free_at,
             request_done,
             stall,
@@ -502,12 +441,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Drops engine-side affinity state for `request` (used when a policy
-    /// abandons a request). Subsequent dispatches pay no remap cost.
-    pub fn forget_request(&mut self, request: RequestId) {
-        self.last_gpus.remove(&request);
-    }
-
     /// The GPU set a request last executed on, if it is mid-flight.
     pub fn last_placement(&self, request: RequestId) -> Option<GpuSet> {
         self.last_gpus.get(&request).copied()
@@ -549,8 +482,8 @@ impl Engine {
         &self.trace
     }
 
-    /// Appends an externally produced event (e.g. the server's scheduler
-    /// pass records) to the engine's trace, keeping one merged timeline.
+    /// Appends an externally produced event (the server's migration
+    /// records) to the engine's trace, keeping one merged log.
     pub fn record(&mut self, event: TraceEvent) {
         self.trace.record(event);
     }
@@ -558,11 +491,6 @@ impl Engine {
     /// Consumes the engine and returns its trace.
     pub fn into_trace(self) -> Trace {
         self.trace
-    }
-
-    /// Memory accounting.
-    pub fn memory(&self) -> &MemoryTracker {
-        &self.memory
     }
 }
 
@@ -582,7 +510,6 @@ mod tests {
             steps,
             per_step: SimDuration::from_millis(per_step_ms),
             latent_bytes: 2 << 20,
-            activation_bytes_per_gpu: 1 << 30,
             decode_after: None,
             finishing: Vec::new(),
         }
@@ -593,11 +520,10 @@ mod tests {
         let mut e = engine();
         let d = dispatch(&[1], GpuSet::contiguous(0, 2), 5, 100);
         let out = e.submit(SimTime::ZERO, &d).unwrap();
-        assert_eq!(out.step_done.len(), 5);
+        assert_eq!(out.start, SimTime::ZERO);
         // Jitter is ±0.2% so total is within 2% of 500 ms.
         let total = out.gpus_free_at.as_secs_f64();
         assert!((total - 0.5).abs() < 0.01, "total {total}");
-        assert!(out.step_done.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(out.stall, SimDuration::ZERO, "aligned block is pre-warmed");
     }
 
@@ -748,7 +674,9 @@ mod tests {
         use crate::failure::{FailurePlan, PerfFault};
         use crate::gpuset::GpuId;
         // Window opens at 200 ms, halfway through a 4×100 ms dispatch: the
-        // first two steps run at full speed, the last two at half.
+        // first two steps run at full speed, the last two at half, so the
+        // dispatch ends at 600 ms (800 ms if every step slowed, 400 ms if
+        // none did).
         let config = EngineConfig {
             step_noise_cv: 0.0,
             failures: FailurePlan::none().with_perf_fault(PerfFault::straggler(
@@ -762,11 +690,7 @@ mod tests {
         let mut e = Engine::new(Topology::h100_nvlink(8), config);
         let d = dispatch(&[1], GpuSet::contiguous(0, 2), 4, 100);
         let out = e.submit(SimTime::ZERO, &d).unwrap();
-        let expect: Vec<SimTime> = [100u64, 200, 400, 600]
-            .iter()
-            .map(|&m| SimTime::from_millis(m))
-            .collect();
-        assert_eq!(out.step_done, expect);
+        assert_eq!(out.gpus_free_at, SimTime::from_millis(600));
     }
 
     fn faulty_engine(failures: crate::failure::FailurePlan) -> Engine {
@@ -792,7 +716,6 @@ mod tests {
         assert_eq!(abort.time, SimTime::from_millis(250));
         assert_eq!(abort.completed_steps, 2);
         assert_eq!(abort.down, GpuSet::single(GpuId(1)));
-        assert_eq!(out.step_done.len(), 2);
         assert_eq!(out.gpus_free_at, SimTime::from_millis(250));
         assert!(out.request_done.is_empty());
         // 50 ms of partial step burned on each of 2 GPUs.
@@ -849,7 +772,7 @@ mod tests {
         let abort = out.aborted.expect("fault in warm-up must abort");
         assert_eq!(abort.completed_steps, 0);
         assert_eq!(abort.time, SimTime::from_millis(50));
-        assert!(out.step_done.is_empty());
+        assert_eq!(out.gpus_free_at, SimTime::from_millis(50));
         // 50 ms × 2 GPUs, all wasted.
         assert!((abort.wasted_gpu_seconds - 0.1).abs() < 1e-9);
     }
@@ -879,15 +802,5 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn memory_peaks_include_activations() {
-        let mut e = engine();
-        let d = dispatch(&[1], GpuSet::contiguous(0, 1), 1, 10);
-        e.submit(SimTime::ZERO, &d).unwrap();
-        let peak = e.memory().peak_bytes(GpuId(0));
-        assert!(peak >= (24u64 << 30) + (1 << 30));
-        assert!(!e.memory().oom_occurred());
     }
 }

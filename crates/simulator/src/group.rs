@@ -2,8 +2,7 @@
 //!
 //! Mirrors §5 "Communication Process Groups Warmup" of the paper: creating a
 //! group is free, but the *first* collective on a group initialises NCCL
-//! channels (a latency cost) and allocates persistent device buffers on each
-//! member (a memory cost). TetriServe pre-warms a compact set of commonly
+//! channels (a latency cost). TetriServe pre-warms a compact set of commonly
 //! used groups and defers the rest to on-demand warm-up; both behaviours are
 //! reproduced here.
 
@@ -17,33 +16,24 @@ use crate::time::SimDuration;
 pub struct ProcessGroupCache {
     warmed: HashSet<u64>,
     warmup_cost: SimDuration,
-    buffer_bytes_per_member: u64,
 }
 
 impl ProcessGroupCache {
-    /// Creates a cache with the given first-use warm-up latency and NCCL
-    /// buffer footprint per member GPU.
-    pub fn new(warmup_cost: SimDuration, buffer_bytes_per_member: u64) -> Self {
+    /// Creates a cache with the given first-use warm-up latency.
+    pub fn new(warmup_cost: SimDuration) -> Self {
         ProcessGroupCache {
             warmed: HashSet::new(),
             warmup_cost,
-            buffer_bytes_per_member,
         }
     }
 
     /// Marks `groups` as pre-warmed (start-up warm-up, off the serving path).
-    ///
-    /// Returns the total NCCL buffer bytes committed across all member GPUs,
-    /// so callers can account the memory cost of eager warm-up that §5 warns
-    /// about.
-    pub fn prewarm<I: IntoIterator<Item = GpuSet>>(&mut self, groups: I) -> u64 {
-        let mut bytes = 0;
+    pub fn prewarm<I: IntoIterator<Item = GpuSet>>(&mut self, groups: I) {
         for g in groups {
-            if g.len() >= 2 && self.warmed.insert(g.mask()) {
-                bytes += self.buffer_bytes_per_member * g.len() as u64;
+            if g.len() >= 2 {
+                self.warmed.insert(g.mask());
             }
         }
-        bytes
     }
 
     /// Ensures `group` is warm, returning the latency charged to the first
@@ -69,18 +59,6 @@ impl ProcessGroupCache {
     pub fn warmed_count(&self) -> usize {
         self.warmed.len()
     }
-
-    /// Total NCCL buffer bytes held per member across warmed groups that
-    /// include `gpu_index`.
-    pub fn buffer_bytes_on(&self, gpu_index: usize) -> u64 {
-        // tetrilint: allow(unordered-iter) -- counting matching masks is
-        // order-insensitive; no hash order escapes.
-        self.warmed
-            .iter()
-            .filter(|mask| (*mask >> gpu_index) & 1 == 1)
-            .count() as u64
-            * self.buffer_bytes_per_member
-    }
 }
 
 #[cfg(test)]
@@ -89,7 +67,7 @@ mod tests {
     use crate::gpuset::GpuSet;
 
     fn cache() -> ProcessGroupCache {
-        ProcessGroupCache::new(SimDuration::from_millis(150), 64 << 20)
+        ProcessGroupCache::new(SimDuration::from_millis(150))
     }
 
     #[test]
@@ -111,23 +89,13 @@ mod tests {
     }
 
     #[test]
-    fn prewarm_accounts_memory_once() {
+    fn prewarm_warms_each_group_once() {
         let mut c = cache();
         let g2 = GpuSet::contiguous(0, 2);
         let g4 = GpuSet::contiguous(0, 4);
-        let bytes = c.prewarm([g2, g4, g2]);
-        assert_eq!(bytes, (64 << 20) * 6);
+        c.prewarm([g2, g4, g2]);
         assert_eq!(c.ensure(g2), SimDuration::ZERO);
         assert_eq!(c.warmed_count(), 2);
-    }
-
-    #[test]
-    fn buffer_bytes_counts_groups_containing_gpu() {
-        let mut c = cache();
-        c.prewarm([GpuSet::contiguous(0, 2), GpuSet::contiguous(0, 4)]);
-        assert_eq!(c.buffer_bytes_on(0), (64 << 20) * 2);
-        assert_eq!(c.buffer_bytes_on(3), 64 << 20);
-        assert_eq!(c.buffer_bytes_on(7), 0);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   (NVSwitch-everywhere H100, NVLink-paired A40 with PCIe crossings);
 //! * [`group`] — NCCL process-group warm-up semantics (§5 of the paper);
 //! * [`latent`] — Future-like latent hand-off between groups (§5, Table 4);
-//! * [`memory`] — per-GPU HBM accounting (weights, activations, NCCL
-//!   buffers);
 //! * [`engine`] — the worker pool that executes step dispatches with
 //!   Table 1-calibrated jitter, remap stalls and sequential VAE decode;
 //! * [`failure`] — straggler injection for graceful-degradation testing;
@@ -44,12 +42,11 @@
 //!     steps: 10,
 //!     per_step: SimDuration::from_millis(40),
 //!     latent_bytes: 2 << 20,
-//!     activation_bytes_per_gpu: 1 << 30,
 //!     decode_after: Some(SimDuration::from_millis(30)),
 //!     finishing: vec![RequestId(0)],
 //! };
 //! let outcome = engine.submit(SimTime::ZERO, &dispatch)?;
-//! assert_eq!(outcome.step_done.len(), 10);
+//! assert_eq!(outcome.request_done.len(), 1);
 //! # Ok::<(), tetriserve_simulator::engine::SubmitError>(())
 //! ```
 
@@ -63,7 +60,6 @@ pub mod gpuset;
 pub mod group;
 pub mod latent;
 pub mod lockstep;
-pub mod memory;
 pub mod rng;
 pub mod time;
 pub mod topology;

@@ -1,10 +1,10 @@
 //! Execution trace.
 //!
-//! The engine records everything that happens on the simulated cluster. The
-//! metrics crate post-processes traces into the paper's figures: dispatch
-//! records carry the sequence-parallel degree per executed step (Figure 11),
-//! latent-transfer records carry the per-hand-off overhead (Table 4), and
-//! stall records quantify what GPU placement preservation saves (Table 5).
+//! The engine records what the rest of the system reads back: dispatch
+//! records (audited for double-booking and mined for the sequence-parallel
+//! degree per executed step, Figure 11), latent-transfer records (the
+//! per-hand-off overhead of Table 4) and migration records (the fleet's
+//! migrated-step audit).
 
 use crate::gpuset::GpuSet;
 use crate::time::{SimDuration, SimTime};
@@ -103,13 +103,6 @@ pub enum TraceEvent {
         /// (summed over all member GPUs).
         wasted_gpu_seconds: f64,
     },
-    /// A request finished every diffusion step and its VAE decode.
-    RequestDone {
-        /// End-to-end completion time.
-        time: SimTime,
-        /// The finished request.
-        request: RequestId,
-    },
     /// A latent moved between GPU groups because the placement changed.
     LatentTransfer {
         /// When the transfer started.
@@ -121,23 +114,8 @@ pub enum TraceEvent {
         /// Time the transfer took.
         duration: SimDuration,
     },
-    /// One scheduler pass ran (round boundary, arrival, or completion
-    /// backfill). [`Trace::sched_wall_total`] sums them into the host
-    /// time spent scheduling (Table 6); `wall` is *host* time — the only
-    /// field in the trace measured off the simulated clock.
-    SchedPass {
-        /// Simulated time of the pass.
-        time: SimTime,
-        /// Requests the scheduler could see (active, not finished).
-        queue_depth: usize,
-        /// Dispatch plans the pass emitted.
-        plans: usize,
-        /// Host wall-clock time spent inside `Policy::schedule`.
-        wall: std::time::Duration,
-    },
     /// A queued request left this cluster for another one (fleet
-    /// rebalancing). The paired [`TraceEvent::MigrationIn`] appears in the
-    /// *target* cluster's trace once the latent hand-off completes.
+    /// rebalancing).
     MigrationOut {
         /// When the request was extracted.
         time: SimTime,
@@ -146,43 +124,14 @@ pub enum TraceEvent {
         /// Diffusion steps it still had to run.
         remaining_steps: u32,
     },
-    /// A request migrated in from another cluster finished its latent
-    /// hand-off and re-entered this cluster's queue.
-    MigrationIn {
-        /// When the hand-off completed (extraction time + delay).
-        time: SimTime,
-        /// The migrated request.
-        request: RequestId,
-        /// Latent bytes shipped (0 for a fresh request).
-        bytes: u64,
-        /// The cross-cluster hand-off delay that was charged.
-        delay: SimDuration,
-    },
-    /// A dispatch was delayed before starting (remap stall or group warm-up).
-    Stall {
-        /// When the stall began.
-        time: SimTime,
-        /// The affected dispatch.
-        dispatch: DispatchId,
-        /// Stall length.
-        duration: SimDuration,
-        /// Why the dispatch stalled.
-        reason: StallReason,
-    },
 }
 
-/// Why a dispatch could not start immediately.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StallReason {
-    /// The request moved to a different GPU set and had to re-establish its
-    /// distributed context.
-    Remap,
-    /// First collective on a cold process group (NCCL channel init).
-    GroupWarmup,
-}
-
-/// An append-only log of [`TraceEvent`]s in non-decreasing time order per
-/// producer.
+/// An append-only log of [`TraceEvent`]s in the order they were recorded,
+/// which for dispatch records is submit order. Each record carries the
+/// simulated instant it describes, which may lie after the record that
+/// follows it: the engine records a dispatch's `DispatchDone` when the
+/// dispatch is submitted, stamped with its future end time. Readers key
+/// records by dispatch id or sort them by time.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -212,13 +161,6 @@ impl Trace {
     /// Whether the trace is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// Iterates over dispatch-start records.
-    pub fn dispatch_starts(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::DispatchStart { .. }))
     }
 
     /// Total latent-transfer time charged to `request`.
@@ -258,71 +200,6 @@ impl Trace {
             })
             .fold(0.0, |acc, w| acc + w)
     }
-
-    /// Number of scheduler passes recorded.
-    pub fn sched_pass_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::SchedPass { .. }))
-            .count()
-    }
-
-    /// Total host wall-clock time spent inside the scheduler across all
-    /// recorded passes.
-    pub fn sched_wall_total(&self) -> std::time::Duration {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::SchedPass { wall, .. } => Some(*wall),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Number of requests migrated *out of* this cluster.
-    pub fn migration_out_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::MigrationOut { .. }))
-            .count()
-    }
-
-    /// Number of requests migrated *into* this cluster.
-    pub fn migration_in_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::MigrationIn { .. }))
-            .count()
-    }
-
-    /// Total cross-cluster hand-off delay charged to inbound migrations.
-    pub fn handoff_delay_total(&self) -> SimDuration {
-        self.events
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::MigrationIn { delay, .. } => Some(*delay),
-                _ => None,
-            })
-            .sum()
-    }
-
-    /// Total stall time across all dispatches, broken down by reason.
-    pub fn stall_totals(&self) -> (SimDuration, SimDuration) {
-        let mut remap = SimDuration::ZERO;
-        let mut warmup = SimDuration::ZERO;
-        for e in &self.events {
-            if let TraceEvent::Stall {
-                duration, reason, ..
-            } = e
-            {
-                match reason {
-                    StallReason::Remap => remap += *duration,
-                    StallReason::GroupWarmup => warmup += *duration,
-                }
-            }
-        }
-        (remap, warmup)
-    }
 }
 
 #[cfg(test)]
@@ -353,48 +230,11 @@ mod tests {
             duration: SimDuration::from_micros(99),
         });
         assert_eq!(t.len(), 3);
-        assert_eq!(t.dispatch_starts().count(), 1);
+        assert!(matches!(t.events()[0], TraceEvent::DispatchStart { .. }));
         assert_eq!(
             t.latent_transfer_total(RequestId(1)),
             SimDuration::from_micros(30)
         );
-    }
-
-    #[test]
-    fn stall_totals_split_by_reason() {
-        let mut t = Trace::new();
-        for (d, reason) in [
-            (5u64, StallReason::Remap),
-            (7, StallReason::GroupWarmup),
-            (3, StallReason::Remap),
-        ] {
-            t.record(TraceEvent::Stall {
-                time: SimTime::ZERO,
-                dispatch: DispatchId(0),
-                duration: SimDuration::from_millis(d),
-                reason,
-            });
-        }
-        let (remap, warm) = t.stall_totals();
-        assert_eq!(remap, SimDuration::from_millis(8));
-        assert_eq!(warm, SimDuration::from_millis(7));
-    }
-
-    #[test]
-    fn sched_pass_totals() {
-        let mut t = Trace::new();
-        for (ms, depth, plans) in [(0u64, 4usize, 2usize), (100, 7, 3)] {
-            t.record(TraceEvent::SchedPass {
-                time: SimTime::from_millis(ms),
-                queue_depth: depth,
-                plans,
-                wall: std::time::Duration::from_micros(50),
-            });
-        }
-        assert_eq!(t.sched_pass_count(), 2);
-        assert_eq!(t.sched_wall_total(), std::time::Duration::from_micros(100));
-        // Other accumulators ignore scheduler passes.
-        assert_eq!(t.aborted_count(), 0);
     }
 
     #[test]
@@ -406,33 +246,6 @@ mod tests {
         assert_eq!(t.wasted_gpu_seconds(), 0.0);
         // Positive zero specifically: -0.0 would render as "-0.000".
         assert!(t.wasted_gpu_seconds().is_sign_positive());
-    }
-
-    #[test]
-    fn migration_totals_accumulate() {
-        let mut t = Trace::new();
-        t.record(TraceEvent::MigrationOut {
-            time: SimTime::from_millis(10),
-            request: RequestId(1),
-            remaining_steps: 30,
-        });
-        t.record(TraceEvent::MigrationIn {
-            time: SimTime::from_millis(11),
-            request: RequestId(2),
-            bytes: 1 << 20,
-            delay: SimDuration::from_micros(300),
-        });
-        t.record(TraceEvent::MigrationIn {
-            time: SimTime::from_millis(12),
-            request: RequestId(3),
-            bytes: 0,
-            delay: SimDuration::from_micros(250),
-        });
-        assert_eq!(t.migration_out_count(), 1);
-        assert_eq!(t.migration_in_count(), 2);
-        assert_eq!(t.handoff_delay_total(), SimDuration::from_micros(550));
-        // Migrations are not latent transfers (those are intra-cluster).
-        assert_eq!(t.latent_transfer_total(RequestId(2)), SimDuration::ZERO);
     }
 
     #[test]

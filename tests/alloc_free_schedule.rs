@@ -1,12 +1,14 @@
 //! A warm TetriServe scheduling pass allocates nothing unless it emits
-//! plans.
+//! plans, and a warm engine dispatch allocates only its trace record.
 //!
 //! The serving loop calls `Policy::schedule` at every round boundary and
 //! on every arrival and dispatch completion, and most of those passes
-//! return no plan. This binary installs a counting global allocator that
-//! counts per thread (the test harness runs tests on parallel threads) and
-//! checks, after one warm-up pass has sized the policy's buffers, that
-//! such passes make no heap allocation at all.
+//! return no plan; every plan it does emit becomes one `Engine::submit`.
+//! This binary installs a counting global allocator that counts per thread
+//! (the test harness runs tests on parallel threads) and checks, after one
+//! warm-up pass or dispatch has sized the buffers, that such passes make
+//! no heap allocation at all and that a dispatch that finishes no request
+//! allocates only the request list its `DispatchStart` record copies.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,6 +17,7 @@ use tetriserve::core::{
     DispatchPlan, Policy, RequestSpec, RequestTracker, SchedContext, TetriServePolicy,
 };
 use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution, StageProfile};
+use tetriserve::simulator::engine::{Engine, EngineConfig, StepDispatch};
 use tetriserve::simulator::failure::FailurePlan;
 use tetriserve::simulator::gpuset::{GpuId, GpuSet};
 use tetriserve::simulator::time::{SimDuration, SimTime};
@@ -185,4 +188,37 @@ fn plan_emitting_pass_allocates_only_its_output() {
     assert_eq!(plans.len(), 1);
     assert_eq!(plans[0].degree(), 8);
     assert_eq!(made, 3, "{plans:?}");
+}
+
+#[test]
+fn warm_engine_submit_allocates_only_the_traced_request_list() {
+    // One request stepping on all 8 GPUs, one step per dispatch and never
+    // its last: no decode, no completion list. Each submit copies the
+    // request list into its `DispatchStart` record; the trace itself grows
+    // by doubling, a handful of times over the run.
+    const SUBMITS: u64 = 64;
+    let c = costs();
+    let mut engine = Engine::new(c.cluster().topology(), EngineConfig::default());
+    let dispatch = StepDispatch {
+        requests: vec![RequestId(1)],
+        gpus: GpuSet::first_n(8),
+        steps: 1,
+        per_step: c.step_time(Resolution::R1024, 8, 1),
+        latent_bytes: c.model().latent_bytes(Resolution::R1024),
+        decode_after: None,
+        finishing: Vec::new(),
+    };
+    let mut at = engine
+        .submit(SimTime::ZERO, &dispatch)
+        .expect("warm-up dispatch")
+        .gpus_free_at;
+    let before = allocations();
+    for _ in 0..SUBMITS {
+        at = engine.submit(at, &dispatch).expect("dispatch").gpus_free_at;
+    }
+    let made = allocations() - before;
+    assert!(
+        made <= SUBMITS + 8,
+        "{made} allocations over {SUBMITS} warm submits"
+    );
 }

@@ -13,17 +13,20 @@
 //! catch the leak: this test pins the end-to-end property, the lint keeps
 //! the ways to break it out of the tree.
 //!
-//! Two fixed-seed workloads are digested:
+//! Three fixed-seed workloads are digested:
 //!
 //! * the **round loop** — the Table 6 scenario (allocation plan + option
 //!   build + pack per request) for `ROUNDS` rounds after one warm-up
 //!   round per queue depth, through one [`PackScratch`] pre-sized per
 //!   depth, exactly as the serving loop packs. Every chosen option is
-//!   folded into an FNV-1a decision digest;
+//!   folded into an FNV-1a decision digest. The depth-64 loop is also
+//!   timed against the paper's < 10 ms per-decision bound;
 //! * a 20-request `Experiment::paper_default()` serve under TetriServe,
-//!   folded over per-request completion times.
+//!   folded over per-request completion times;
+//! * the **measured profile** — the engine-measured cost tables and the
+//!   Table 1 step-latency CVs, folded over every row and CV bit pattern.
 //!
-//! Both digests are pinned as literals, so a change that moves decisions
+//! All digests are pinned as literals, so a change that moves decisions
 //! in every run alike still fails.
 
 use tetriserve::bench::{Experiment, PolicyKind};
@@ -31,7 +34,9 @@ use tetriserve::core::allocation::min_gpu_hour_plan;
 use tetriserve::core::dp::{pack_round_into, PackScratch, Packing};
 use tetriserve::core::options::build_options;
 use tetriserve::core::TetriServeConfig;
-use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution};
+use tetriserve::costmodel::{
+    measure_step_cv, ClusterSpec, CostTable, DitModel, Profiler, Resolution,
+};
 use tetriserve::simulator::digest::{fnv1a, SplitMix, FNV_OFFSET};
 use tetriserve::simulator::time::{SimDuration, SimTime};
 use tetriserve::simulator::trace::RequestId;
@@ -127,7 +132,7 @@ fn round_loops(seed: u64, depths: &[usize]) -> Vec<RoundLoop> {
 /// Serves 20 paper-default requests under TetriServe; returns the outcome
 /// digest over (id, completion µs or MAX), the completed count and the
 /// scheduler passes.
-fn serve() -> (u64, usize, usize) {
+fn serve() -> (u64, usize, u64) {
     let exp = Experiment {
         n_requests: 20,
         seed: SEED,
@@ -144,7 +149,7 @@ fn serve() -> (u64, usize, usize) {
         .iter()
         .filter(|o| o.completion.is_some())
         .count();
-    (digest, completed, report.trace.sched_pass_count())
+    (digest, completed, report.sched_calls)
 }
 
 #[test]
@@ -207,4 +212,47 @@ fn decision_digest_depends_on_the_seed() {
         a[0].decision_digest, b[0].decision_digest,
         "the digest must actually depend on the workload"
     );
+}
+
+#[test]
+fn round_loop_stays_under_the_paper_decision_bound() {
+    // Table 6 / Appendix B bound TetriServe's per-decision latency at
+    // < 10 ms. One round of this loop is one decision at queue depth 64:
+    // an allocation plan, an option build and a pack per request.
+    let costs = Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic();
+    let mut scratch = PackScratch::new();
+    let mut packing = Packing::default();
+    let started = std::time::Instant::now();
+    let r = round_loop(&costs, SEED, 64, &mut scratch, &mut packing);
+    let per_round = started.elapsed() / (ROUNDS + 1);
+    assert_eq!(r.decision_digest, 0x5bbc_945a_bcf9_f406);
+    assert!(
+        per_round < std::time::Duration::from_millis(10),
+        "mean round at depth 64 took {per_round:?}"
+    );
+}
+
+#[test]
+fn measured_profile_is_bit_identical() {
+    // The engine-measured cost tables and the Table 1 CVs, for both paper
+    // (model, cluster) pairs.
+    let mut digest = FNV_OFFSET;
+    for (model, cluster) in [
+        (DitModel::flux_dev(), ClusterSpec::h100x8()),
+        (DitModel::sd3_medium(), ClusterSpec::a40x4()),
+    ] {
+        for row in Profiler::new(model.clone(), cluster).profile().to_rows() {
+            digest = fnv1a(digest, row.tokens);
+            digest = fnv1a(digest, row.degree as u64);
+            digest = fnv1a(digest, row.batch.into());
+            digest = fnv1a(digest, row.step_micros);
+        }
+        for res in Resolution::PRODUCTION {
+            for k in [1, 2, 4] {
+                let cv = measure_step_cv(&model, &cluster, res, k, 20, 7);
+                digest = fnv1a(digest, cv.to_bits());
+            }
+        }
+    }
+    assert_eq!(digest, 0x7d24_fdf5_b8c3_cf18, "measured profile moved");
 }
