@@ -15,7 +15,7 @@ use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolutio
 use tetriserve_nirvana::{accelerate_trace, NirvanaConfig};
 use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::{RequestId, TenantId};
-use tetriserve_traffic::{DiurnalEnvelope, DiurnalModulated};
+use tetriserve_traffic::{to_spec, DiurnalEnvelope, DiurnalModulated};
 use tetriserve_workload::arrival::{BurstyProcess, PoissonProcess, UniformProcess};
 use tetriserve_workload::gen::{GeneratedRequest, TraceGen};
 use tetriserve_workload::mix::ResolutionMix;
@@ -184,15 +184,7 @@ impl Experiment {
         requests
             .iter()
             .zip(steps)
-            .map(|(r, total_steps)| RequestSpec {
-                tenant: TenantId::UNTAGGED,
-                id: RequestId(r.id),
-                resolution: r.resolution,
-                arrival: SimTime::from_secs_f64(r.arrival_s),
-                deadline: SimTime::from_secs_f64(r.deadline_s),
-                total_steps,
-                stages: r.stages,
-            })
+            .map(|(r, total_steps)| to_spec(r, total_steps))
             .collect()
     }
 
@@ -403,6 +395,40 @@ mod tests {
             let ba = a.deadline_s - a.arrival_s;
             let bb = b.deadline_s - b.arrival_s;
             assert!((bb / ba - 1.5).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn csv_round_trip_reproduces_to_spec_exactly() {
+        // Generate → to_csv → from_csv → specs_from_records must equal the
+        // direct generator → to_spec path field for field. The CSV prints
+        // six fractional digits of seconds, so times agree on SimTime's
+        // microsecond grid, to within one tick of rounding.
+        use tetriserve_workload::{from_csv, to_csv};
+        let exp = Experiment {
+            n_requests: 120,
+            seed: 42,
+            ..Experiment::paper_default()
+        };
+        let requests = exp.generate_requests();
+        let records: Vec<_> = requests.iter().map(|r| r.to_record()).collect();
+        let parsed = from_csv(&to_csv(&records)).expect("a generated trace parses");
+        let specs = Experiment::specs_from_records(&parsed, 50);
+        assert_eq!(specs.len(), requests.len());
+        for (s, r) in specs.iter().zip(&requests) {
+            let direct = to_spec(r, 50);
+            for (got, want) in [(s.arrival, direct.arrival), (s.deadline, direct.deadline)] {
+                assert!(
+                    got.as_micros().abs_diff(want.as_micros()) <= 1,
+                    "{got} vs {want}"
+                );
+            }
+            let same_times = RequestSpec {
+                arrival: s.arrival,
+                deadline: s.deadline,
+                ..direct
+            };
+            assert_eq!(*s, same_times);
         }
     }
 }

@@ -157,35 +157,22 @@ pub fn min_gpu_hour_plan(
     slack: SimDuration,
     costs: &CostTable,
 ) -> AllocationPlan {
-    min_gpu_hour_plan_with_headroom(res, remaining_steps, slack, costs, 1.0)
+    min_gpu_hour_plan_capped(res, remaining_steps, slack, costs, 1.0, usize::MAX)
 }
 
 /// Like [`min_gpu_hour_plan`], but inflates step times by `headroom` in
-/// every feasibility check.
+/// every feasibility check and considers no degree wider than
+/// `max_degree`.
 ///
 /// Round-based execution loses a small fraction of each round to the bubble
 /// between the last completed step and the round boundary; the scheduler
 /// passes its round headroom here so plans keep exactly the margin that
 /// quantisation will consume. Plan *costs* still use true step times.
 ///
-/// # Panics
-///
-/// Panics if `remaining_steps` is zero or `headroom < 1.0`.
-pub fn min_gpu_hour_plan_with_headroom(
-    res: Resolution,
-    remaining_steps: u32,
-    slack: SimDuration,
-    costs: &CostTable,
-    headroom: f64,
-) -> AllocationPlan {
-    min_gpu_hour_plan_capped(res, remaining_steps, slack, costs, headroom, usize::MAX)
-}
-
-/// Like [`min_gpu_hour_plan_with_headroom`], but considers no degree wider
-/// than `max_degree` — the scheduler passes the healthy GPU count here so
-/// plans never rely on parallelism that hard-faulted GPUs cannot provide.
-/// A plan that was feasible at full width may become infeasible under the
-/// cap; it then falls back to best effort at the widest healthy degree.
+/// The scheduler passes the healthy GPU count as `max_degree` so plans
+/// never rely on parallelism that hard-faulted GPUs cannot provide. A plan
+/// that was feasible at full width may become infeasible under the cap; it
+/// then falls back to best effort at the widest healthy degree.
 ///
 /// # Panics
 ///

@@ -19,14 +19,16 @@ pub struct TetriServeConfig {
     pub elastic_scale_up: bool,
     /// Merge identical small-resolution steps when SLO-safe (§5).
     pub selective_batching: bool,
-    /// Minimum per-round latency saving for an elastic doubling to be worth
-    /// the remap cost it triggers.
-    pub elastic_min_benefit: SimDuration,
-    /// Dispatch-time budget reserved when a request's placement changes
-    /// (remap stall / group re-establishment), subtracted from τ when
-    /// sizing such dispatches so they do not overrun the round boundary.
-    pub reconfig_allowance: SimDuration,
 }
+
+/// Minimum per-round latency saving for an elastic doubling to be worth the
+/// remap cost it triggers.
+pub(crate) const ELASTIC_MIN_BENEFIT: SimDuration = SimDuration::from_millis(30);
+
+/// Dispatch-time budget reserved when a request's placement changes (remap
+/// stall / group re-establishment), subtracted from τ when sizing such
+/// dispatches so they do not overrun the round boundary.
+pub(crate) const RECONFIG_ALLOWANCE: SimDuration = SimDuration::from_millis(20);
 
 impl Default for TetriServeConfig {
     fn default() -> Self {
@@ -35,8 +37,6 @@ impl Default for TetriServeConfig {
             placement_preservation: true,
             elastic_scale_up: true,
             selective_batching: true,
-            elastic_min_benefit: SimDuration::from_millis(30),
-            reconfig_allowance: SimDuration::from_millis(20),
         }
     }
 }

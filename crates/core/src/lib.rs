@@ -65,5 +65,5 @@ pub use policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
 pub use request::{RequestOutcome, RequestSpec};
 pub use scheduler::TetriServePolicy;
 pub use server::{ClusterLoad, ClusterSim, ServeReport, Server, ServerConfig};
-pub use stage::{backpropagate_deadlines, plan_stage_dispatch, PoolLayout, StageDeadline};
+pub use stage::{plan_stage_dispatch, PoolLayout};
 pub use tracker::{MigratedRequest, RequestTracker};

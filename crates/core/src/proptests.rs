@@ -23,9 +23,8 @@ use crate::placement::{place, PlacementRequest};
 use crate::request::RequestSpec;
 use crate::scheduler::TetriServePolicy;
 use crate::server::{Server, ServerConfig};
-use crate::stage::{backpropagate_deadlines, PoolLayout};
+use crate::stage::PoolLayout;
 use crate::tracker::{Phase, RequestTracker};
-use tetriserve_costmodel::stage::StageKind;
 
 fn costs() -> CostTable {
     Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic()
@@ -396,35 +395,6 @@ fn stage_profile_strategy(max_frames: u32) -> impl Strategy<Value = StageProfile
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// EDF backward propagation never places a stage deadline after the
-    /// request deadline, keeps deadlines non-decreasing in execution
-    /// order, and hands the final stage exactly the request deadline.
-    #[test]
-    fn prop_stage_deadlines_bounded_by_request_deadline(
-        deadline_ms in 0u64..600_000,
-        profile in stage_profile_strategy(32),
-        steps in 1u32..80,
-        unit_ms in 1u64..2_000,
-    ) {
-        let deadline = SimTime::from_micros(deadline_ms * 1_000);
-        let chain: Vec<(StageKind, SimDuration)> = profile
-            .chain(steps)
-            .into_iter()
-            .map(|(kind, units)| (kind, SimDuration::from_millis(unit_ms) * u64::from(units)))
-            .collect();
-        let out = backpropagate_deadlines(deadline, &chain);
-        prop_assert_eq!(out.len(), chain.len());
-        let mut prev = SimTime::from_micros(0);
-        for (s, &(kind, duration)) in out.iter().zip(&chain) {
-            prop_assert_eq!(s.kind, kind);
-            prop_assert_eq!(s.duration, duration);
-            prop_assert!(s.deadline <= deadline, "stage deadline after request deadline");
-            prop_assert!(s.deadline >= prev, "stage deadlines must be non-decreasing");
-            prev = s.deadline;
-        }
-        prop_assert_eq!(out.last().unwrap().deadline, deadline);
-    }
 
     /// Frame-count scaling of decode demand is monotone and exactly
     /// integer (`frames == 1` is the flat identity, bit-for-bit).

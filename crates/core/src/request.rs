@@ -1,12 +1,11 @@
 //! Serving requests and their outcomes.
 
-use tetriserve_costmodel::stage::StageKind;
 use tetriserve_costmodel::{Resolution, StageProfile};
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::trace::{RequestId, TenantId};
 
-/// An inbound generation request: a typed stage chain
-/// `CondEncode? → Denoise{total_steps} → VaeDecode{frames}` over one
+/// An inbound generation request: an optional condition encode,
+/// `total_steps` denoise steps and a `frames`-long VAE decode over one
 /// resolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RequestSpec {
@@ -34,11 +33,6 @@ impl RequestSpec {
     /// The SLO budget `deadline − arrival`.
     pub fn slo_budget(&self) -> SimDuration {
         self.deadline.saturating_since(self.arrival)
-    }
-
-    /// The typed stage chain this spec induces, in execution order.
-    pub fn stage_chain(&self) -> Vec<(StageKind, u32)> {
-        self.stages.chain(self.total_steps)
     }
 }
 
@@ -209,20 +203,6 @@ mod tests {
             denoise_done: None,
         };
         assert!(exactly.met_slo());
-    }
-
-    #[test]
-    fn stage_chain_follows_profile() {
-        assert_eq!(
-            spec().stage_chain(),
-            vec![(StageKind::Denoise, 50), (StageKind::VaeDecode, 1)]
-        );
-        let video = RequestSpec {
-            stages: StageProfile::video(8),
-            ..spec()
-        };
-        assert_eq!(video.stage_chain().len(), 3);
-        assert_eq!(video.stage_chain()[0], (StageKind::CondEncode, 1));
     }
 
     #[test]

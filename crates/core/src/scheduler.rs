@@ -25,7 +25,7 @@ use tetriserve_simulator::trace::RequestId;
 
 use crate::allocation::min_gpu_hour_plan_capped;
 use crate::batching::{merge_batches, BatchDeadline};
-use crate::config::TetriServeConfig;
+use crate::config::{TetriServeConfig, ELASTIC_MIN_BENEFIT, RECONFIG_ALLOWANCE};
 use crate::dp::{pack_round_into, PackScratch, Packing};
 use crate::elastic::elastic_scale_up;
 use crate::options::{build_options, RequestOptions};
@@ -202,7 +202,7 @@ impl Policy for TetriServePolicy {
                 costs,
                 healthy_cap,
                 r.last_gpus.map(|g| g.len()),
-                self.config.reconfig_allowance,
+                RECONFIG_ALLOWANCE,
                 at_boundary,
                 self.packable
                     .get_mut(n_packable)
@@ -326,7 +326,7 @@ impl Policy for TetriServePolicy {
                     )
                 })
                 .collect();
-            let tau_eff = window.saturating_sub(self.config.reconfig_allowance);
+            let tau_eff = window.saturating_sub(RECONFIG_ALLOWANCE);
             let freed = merge_batches(&mut assignments, &deadlines, costs, tau_eff, t_next);
             free = free.union(freed);
         }
@@ -338,8 +338,8 @@ impl Policy for TetriServePolicy {
                 &mut free,
                 costs,
                 &topology,
-                window.saturating_sub(self.config.reconfig_allowance),
-                self.config.elastic_min_benefit,
+                window.saturating_sub(RECONFIG_ALLOWANCE),
+                ELASTIC_MIN_BENEFIT,
             );
         }
 

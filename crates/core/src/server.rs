@@ -153,8 +153,7 @@ impl ServeReport {
     }
 
     /// Total steps the degrade ladder removed — the run's quality debt,
-    /// in steps. Pair with a cost table for step-second debt (see
-    /// `tetriserve_metrics::quality`).
+    /// in steps.
     pub fn quality_debt_steps(&self) -> u64 {
         self.outcomes.iter().map(|o| u64::from(o.steps_shed)).sum()
     }
@@ -333,29 +332,26 @@ impl<P: Policy> ClusterSim<P> {
         self.feas.warm_up(max_live);
     }
 
-    /// Events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.processed
-    }
-
-    /// Queues a future arrival. May be called before `start` (batch mode)
-    /// or between steps (fleet mode). If the round-tick chain died while
-    /// the cluster sat idle, this re-seeds it so the new work gets
-    /// scheduled.
+    /// Queues a request that reaches this cluster at `at`. May be called
+    /// before `start` (batch mode) or between steps (fleet mode). A fresh
+    /// request reaches its cluster at `spec.arrival`; a request re-routed
+    /// off a failed cluster reaches its new one later, but keeps its
+    /// arrival for latency and SLO accounting. If the round-tick chain
+    /// died while the cluster sat idle, this re-seeds it so the new work
+    /// gets scheduled.
     ///
     /// # Panics
     ///
-    /// Panics if the arrival lies in the cluster's past.
-    pub fn push_arrival(&mut self, spec: RequestSpec) {
+    /// Panics if `at` lies in the cluster's past.
+    pub fn push_arrival(&mut self, spec: RequestSpec, at: SimTime) {
         assert!(
-            spec.arrival >= self.cursor,
-            "arrival at {} is in the cluster's past (cursor {})",
-            spec.arrival,
+            at >= self.cursor,
+            "arrival at {at} is in the cluster's past (cursor {})",
             self.cursor
         );
-        self.events.push(spec.arrival, Event::Arrival(spec));
+        self.events.push(at, Event::Arrival(spec));
         self.arrivals_pending += 1;
-        self.reseed_tick_at(spec.arrival);
+        self.reseed_tick_at(at);
     }
 
     /// Restarts a dead round-tick chain at the first grid point at or
@@ -457,11 +453,6 @@ impl<P: Policy> ClusterSim<P> {
     /// The cost table this cluster schedules against.
     pub fn costs(&self) -> &CostTable {
         &self.costs
-    }
-
-    /// The policy's display name.
-    pub fn policy_name(&self) -> String {
-        self.policy.name()
     }
 
     /// Denoise-pool GPUs not hard-faulted at `at` per the static failure
@@ -1056,7 +1047,7 @@ impl<P: Policy> Server<P> {
     pub fn run<I: IntoIterator<Item = RequestSpec>>(self, specs: I) -> ServeReport {
         let mut sim = ClusterSim::new(self.costs, self.policy, self.config);
         for spec in specs {
-            sim.push_arrival(spec);
+            sim.push_arrival(spec, spec.arrival);
         }
         sim.start();
         while sim.step() {}
@@ -1454,7 +1445,8 @@ mod tests {
         ));
         let mut sim = ClusterSim::new(c, policy, config);
         for i in 0..3 {
-            sim.push_arrival(spec(i, Resolution::R1024, 1.0 + 0.1 * i as f64, 60.0));
+            let s = spec(i, Resolution::R1024, 1.0 + 0.1 * i as f64, 60.0);
+            sim.push_arrival(s, s.arrival);
         }
         sim.start();
         while sim.step() {
@@ -1593,6 +1585,53 @@ mod tests {
         assert!(ladder.quality_debt_steps() > 0, "the rescue has a price");
     }
 
+    /// A finished outcome for the quality-accounting tests: 50 requested
+    /// steps, `shed_steps` of them removed by the ladder, completing
+    /// before or after a 10 s deadline.
+    fn finished(id: u64, met: bool, shed_steps: u32) -> RequestOutcome {
+        RequestOutcome {
+            tenant: TenantId::UNTAGGED,
+            id: RequestId(id),
+            resolution: Resolution::R512,
+            arrival: SimTime::ZERO,
+            deadline: SimTime::from_secs_f64(10.0),
+            completion: Some(SimTime::from_secs_f64(if met { 5.0 } else { 15.0 })),
+            gpu_seconds: 1.0,
+            steps_executed: 50 - shed_steps,
+            sp_degree_step_sum: u64::from(50 - shed_steps),
+            retries: 0,
+            shed: false,
+            steps_shed: shed_steps,
+            encode_done: None,
+            denoise_done: None,
+        }
+    }
+
+    #[test]
+    fn degraded_accounting_splits_sar() {
+        let mut report = serve(Vec::new());
+        report.outcomes = vec![
+            finished(0, true, 0),  // full-quality hit
+            finished(1, true, 5),  // degraded hit
+            finished(2, false, 5), // degraded miss
+            finished(3, false, 0), // full-quality miss
+        ];
+        assert_eq!(report.rescued_requests(), 2);
+        assert_eq!(report.degraded_completions(), 1);
+        assert_eq!(report.sar(), 0.5);
+        assert_eq!(report.full_quality_sar(), 0.25);
+        assert_eq!(report.quality_debt_steps(), 10);
+    }
+
+    #[test]
+    fn empty_report_is_perfect() {
+        let report = serve(Vec::new());
+        assert!(report.outcomes.is_empty());
+        assert_eq!(report.sar(), 1.0);
+        assert_eq!(report.full_quality_sar(), 1.0);
+        assert_eq!(report.quality_debt_steps(), 0);
+    }
+
     #[test]
     fn degrade_policy_is_inert_on_feasible_load() {
         use crate::degrade::DegradePolicy;
@@ -1706,14 +1745,14 @@ mod tests {
                 let due = sim.next_event_time().is_none_or(|t| next.arrival <= t);
                 if due {
                     let spec = pending.pop_front().expect("front exists");
-                    sim.push_arrival(spec);
+                    sim.push_arrival(spec, spec.arrival);
                 } else {
                     break;
                 }
             }
             if !sim.step() {
                 if let Some(spec) = pending.pop_front() {
-                    sim.push_arrival(spec);
+                    sim.push_arrival(spec, spec.arrival);
                 } else {
                     break;
                 }
@@ -1730,8 +1769,8 @@ mod tests {
     fn load_snapshot_reflects_backlog() {
         let mut sim = stepwise(costs());
         sim.start();
-        sim.push_arrival(spec(0, Resolution::R1024, 0.0, 30.0));
-        sim.push_arrival(spec(1, Resolution::R2048, 0.0, 40.0));
+        sim.push_arrival(spec(0, Resolution::R1024, 0.0, 30.0), SimTime::ZERO);
+        sim.push_arrival(spec(1, Resolution::R2048, 0.0, 40.0), SimTime::ZERO);
         // Process the two arrival events (plus the initial tick) without
         // letting any dispatch finish.
         for _ in 0..3 {
@@ -1870,9 +1909,9 @@ mod tests {
         let mut b = stepwise(costs());
         a.start();
         b.start();
-        a.push_arrival(spec(0, Resolution::R512, 0.0, 30.0));
-        a.push_arrival(spec(1, Resolution::R1024, 0.0, 30.0));
-        a.push_arrival(spec(2, Resolution::R256, 0.0, 30.0));
+        a.push_arrival(spec(0, Resolution::R512, 0.0, 30.0), SimTime::ZERO);
+        a.push_arrival(spec(1, Resolution::R1024, 0.0, 30.0), SimTime::ZERO);
+        a.push_arrival(spec(2, Resolution::R256, 0.0, 30.0), SimTime::ZERO);
         // Admit all three on A without letting any dispatch finish.
         for _ in 0..4 {
             assert!(a.step());
@@ -1886,9 +1925,8 @@ mod tests {
         b.inject_request(m, now, SimDuration::from_millis(250));
         // Path 2: drain the remaining fresh queued work and re-route it to
         // B as ordinary arrivals (the outage re-route path).
-        for mut s in a.drain_queued_fresh() {
-            s.arrival = s.arrival.max(b.now()).max(now);
-            b.push_arrival(s);
+        for s in a.drain_queued_fresh() {
+            b.push_arrival(s, s.arrival.max(b.now()).max(now));
         }
         while a.step() {}
         while b.step() {}
@@ -1971,8 +2009,8 @@ mod tests {
     fn drain_queued_fresh_extracts_unstarted_work() {
         let mut sim = stepwise(costs());
         sim.start();
-        sim.push_arrival(spec(0, Resolution::R512, 0.0, 30.0));
-        sim.push_arrival(spec(1, Resolution::R1024, 0.0, 30.0));
+        sim.push_arrival(spec(0, Resolution::R512, 0.0, 30.0), SimTime::ZERO);
+        sim.push_arrival(spec(1, Resolution::R1024, 0.0, 30.0), SimTime::ZERO);
         // Admit both without scheduling: process only the arrival events
         // (the tick at t = 0 pops first; stop before any dispatch ends).
         for _ in 0..3 {

@@ -1,25 +1,22 @@
-//! Stage-level planning: pool layouts, per-stage deadline
-//! back-propagation, and the deterministic stage dispatcher.
+//! Stage-level planning: pool layouts and the deterministic stage
+//! dispatcher.
 //!
-//! The stage chain (`CondEncode? → Denoise{steps} → VaeDecode`, see
-//! `tetriserve_costmodel::stage`) turns the serving problem into a small
-//! pipeline. This module holds the pieces the scheduler and simulator
-//! share:
+//! A request's stages (encode? → denoise{steps} → decode{frames}, see
+//! `tetriserve_costmodel::stage`) turn the serving problem into a small
+//! pipeline. Planning and EDF pricing read the request's
+//! `StageProfile` and the cost table's stage times directly; there are
+//! no per-stage deadlines. This module holds the pieces the scheduler and
+//! simulator share:
 //!
 //! * [`PoolLayout`] — whether a cluster runs every stage on one GPU pool
 //!   (unified, the paper's layout) or dedicates small GPU subsets to the
 //!   lightweight encode/decode stages so the heavy denoise gang never
 //!   waits behind a VAE decode (disaggregated, GENSERVE-style);
-//! * [`backpropagate_deadlines`] — EDF backward propagation: the request
-//!   deadline minus the summed downstream stage durations gives each
-//!   stage its own latest-safe completion time, never after the request
-//!   deadline;
 //! * [`plan_stage_dispatch`] — the deterministic earliest-free-slot rule
 //!   used for both the encode and decode pools. Pure, allocation-free,
 //!   and input-ordered: the structural determinism anchor for the stage
 //!   planner in `tetrilint`'s interprocedural self-check.
 
-use tetriserve_costmodel::stage::StageKind;
 use tetriserve_simulator::time::{SimDuration, SimTime};
 
 /// How a cluster assigns GPUs to pipeline stages.
@@ -94,50 +91,6 @@ impl PoolLayout {
     }
 }
 
-/// One stage of a request's chain with its EDF-back-propagated deadline:
-/// the latest completion time that still leaves room for every
-/// downstream stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StageDeadline {
-    /// Which stage this entry prices.
-    pub kind: StageKind,
-    /// The stage's total duration (all its units, frame-scaled).
-    pub duration: SimDuration,
-    /// Latest safe completion: request deadline minus the summed
-    /// durations of every later stage. Never after the request deadline.
-    pub deadline: SimTime,
-}
-
-/// EDF backward propagation over a stage chain.
-///
-/// `stages` lists `(kind, duration)` in execution order; the last
-/// stage's deadline is the request deadline, and each earlier stage's
-/// deadline subtracts the downstream durations (saturating at zero), so
-/// every stage deadline is ≤ the request deadline and the sequence is
-/// non-decreasing in execution order.
-pub fn backpropagate_deadlines(
-    request_deadline: SimTime,
-    stages: &[(StageKind, SimDuration)],
-) -> Vec<StageDeadline> {
-    let mut out = Vec::with_capacity(stages.len());
-    let mut downstream = SimDuration::ZERO;
-    for &(kind, duration) in stages.iter().rev() {
-        let deadline = SimTime::from_micros(
-            request_deadline
-                .as_micros()
-                .saturating_sub(downstream.as_micros()),
-        );
-        out.push(StageDeadline {
-            kind,
-            duration,
-            deadline,
-        });
-        downstream += duration;
-    }
-    out.reverse();
-    out
-}
-
 /// Picks a slot in a stage pool for a unit of work arriving at `now`
 /// with the given `duration`, and returns `(slot, start, done)`.
 ///
@@ -204,34 +157,6 @@ mod tests {
             decode_gpus: 4,
         }
         .denoise_gpus(8);
-    }
-
-    #[test]
-    fn backprop_subtracts_downstream_durations() {
-        let chain = [
-            (StageKind::CondEncode, d(1)),
-            (StageKind::Denoise, d(10)),
-            (StageKind::VaeDecode, d(2)),
-        ];
-        let out = backpropagate_deadlines(t(100), &chain);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].deadline, t(88)); // 100 − 10 − 2
-        assert_eq!(out[1].deadline, t(98)); // 100 − 2
-        assert_eq!(out[2].deadline, t(100));
-        for w in out.windows(2) {
-            assert!(w[0].deadline <= w[1].deadline);
-        }
-        for s in &out {
-            assert!(s.deadline <= t(100));
-        }
-    }
-
-    #[test]
-    fn backprop_saturates_at_zero() {
-        let chain = [(StageKind::Denoise, d(50)), (StageKind::VaeDecode, d(50))];
-        let out = backpropagate_deadlines(t(30), &chain);
-        assert_eq!(out[0].deadline, SimTime::ZERO);
-        assert_eq!(out[1].deadline, t(30));
     }
 
     #[test]

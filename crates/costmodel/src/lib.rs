@@ -20,7 +20,7 @@
 //!   fleet rebalancer (α + volume over the datacenter link);
 //! * [`efficiency`] — the occupancy curve behind sublinear scaling
 //!   (Figure 3's shape);
-//! * [`stage`] — the typed request stage chain (condition encode →
+//! * [`stage`] — the request stage profile (condition encode →
 //!   denoise → VAE decode) and the video-DiT frame axis;
 //! * [`steptime`] — the combined `T(resolution, k, batch, placement)`;
 //! * [`profiler`] — the offline profiling pass and the [`CostTable`] lookup
@@ -63,4 +63,4 @@ pub use interconnect::{handoff_time, InterClusterLink};
 pub use model::DitModel;
 pub use profiler::{measure_step_cv, CostRow, CostTable, Profiler, ResolutionRow};
 pub use resolution::Resolution;
-pub use stage::{StageKind, StageProfile};
+pub use stage::StageProfile;

@@ -11,8 +11,8 @@
 //!
 //! [`StageProfile`] is the compact, copyable descriptor carried on every
 //! `RequestSpec`: together with the request's resolution and step count
-//! it fully determines the typed stage chain
-//! `CondEncode? → Denoise{steps} → VaeDecode`. The flat single-image
+//! it fully determines the request's stages, encode? → denoise{steps} →
+//! decode{frames}, and the cost table prices each. The flat single-image
 //! profile ([`StageProfile::FLAT`]) is the identity element of every
 //! cost formula in this crate — frame scaling multiplies by exactly 1
 //! and the encode stage contributes exactly 0 seconds — so pre-stage
@@ -21,37 +21,6 @@
 use crate::resolution::Resolution;
 
 use tetriserve_simulator::time::SimDuration;
-
-/// One stage kind in the request pipeline, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum StageKind {
-    /// Condition encode: text encoder plus latent preparation. Cheap,
-    /// runs once per request regardless of frame count, and gates the
-    /// first denoise step.
-    CondEncode,
-    /// The iterative denoise: `total_steps` diffusion steps, each scaled
-    /// by the frame count.
-    Denoise,
-    /// The VAE decode: one decode per frame, serialized per decoder.
-    VaeDecode,
-}
-
-impl StageKind {
-    /// Short display label for reports.
-    pub fn label(self) -> &'static str {
-        match self {
-            StageKind::CondEncode => "encode",
-            StageKind::Denoise => "denoise",
-            StageKind::VaeDecode => "decode",
-        }
-    }
-}
-
-impl std::fmt::Display for StageKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
 
 /// The per-request stage descriptor: whether the request carries an
 /// explicit condition-encode stage, and how many output frames it
@@ -110,18 +79,6 @@ impl StageProfile {
     pub fn frame_factor(&self) -> f64 {
         f64::from(self.frames)
     }
-
-    /// The typed stage chain this profile induces for a request with
-    /// `total_steps` denoise steps, in execution order.
-    pub fn chain(&self, total_steps: u32) -> Vec<(StageKind, u32)> {
-        let mut chain = Vec::with_capacity(3);
-        if self.encode {
-            chain.push((StageKind::CondEncode, 1));
-        }
-        chain.push((StageKind::Denoise, total_steps));
-        chain.push((StageKind::VaeDecode, self.frames));
-        chain
-    }
 }
 
 impl Default for StageProfile {
@@ -175,26 +132,6 @@ mod tests {
     }
 
     #[test]
-    fn chains_follow_execution_order() {
-        assert_eq!(
-            StageProfile::FLAT.chain(50),
-            vec![(StageKind::Denoise, 50), (StageKind::VaeDecode, 1)]
-        );
-        assert_eq!(
-            StageProfile::video(4).chain(28),
-            vec![
-                (StageKind::CondEncode, 1),
-                (StageKind::Denoise, 28),
-                (StageKind::VaeDecode, 4),
-            ]
-        );
-        assert_eq!(
-            StageProfile::with_encode().chain(10)[0].0,
-            StageKind::CondEncode
-        );
-    }
-
-    #[test]
     fn encode_is_cheaper_than_decode() {
         let h100 = 989.0 * 0.80;
         for res in [Resolution::R256, Resolution::R1024, Resolution::R2048] {
@@ -215,12 +152,5 @@ mod tests {
     #[should_panic(expected = "at least one frame")]
     fn zero_frames_rejected() {
         let _ = StageProfile::video(0);
-    }
-
-    #[test]
-    fn stage_labels_are_stable() {
-        assert_eq!(StageKind::CondEncode.label(), "encode");
-        assert_eq!(StageKind::Denoise.to_string(), "denoise");
-        assert_eq!(StageKind::VaeDecode.label(), "decode");
     }
 }

@@ -157,11 +157,12 @@ pub struct FleetSim<R: Router> {
     /// Fresh workload, pulled lazily (offline traces ride a
     /// [`ReplaySource`]; the live traffic frontend generates on demand).
     source: Box<dyn ArrivalSource>,
-    /// Outage-drained work awaiting re-routing. Re-routes win arrival
-    /// ties against the source: a drained request (arrival reset to the
-    /// drain instant) must route before any fresh arrival at the same
-    /// timestamp, exactly as the old push-onto-the-front queue did.
-    reroutes: VecDeque<RequestSpec>,
+    /// Outage-drained work awaiting re-routing, each request next to its
+    /// drain instant (the spec keeps its original arrival). Re-routes win
+    /// arrival ties against the source: a drained request must route
+    /// before any fresh arrival at its drain instant, exactly as the old
+    /// push-onto-the-front queue did.
+    reroutes: VecDeque<(SimTime, RequestSpec)>,
     /// Periodic migration planning; `None` reproduces the static driver
     /// bit for bit.
     rebalance: Option<Rebalancing>,
@@ -409,11 +410,10 @@ impl<R: Router> FleetSim<R> {
             let outage_t = self.pending_outages.front().map(|o| o.down_from);
             // One arrival candidate covers both queues; re-routes win
             // ties (see the `reroutes` field docs). A source can never
-            // beat a reroute outright: reroute arrivals are stamped with
-            // their drain instant and the source's peek is ≥ the clock,
-            // so `source_t < reroute_t` would need an arrival from the
-            // past.
-            let reroute_t = self.reroutes.front().map(|s| s.arrival);
+            // beat a reroute outright: reroutes are due at their drain
+            // instant and the source's peek is ≥ the clock, so
+            // `source_t < reroute_t` would need an arrival from the past.
+            let reroute_t = self.reroutes.front().map(|&(t, _)| t);
             let source_t = self.source.peek_time();
             let arrival_t = match (reroute_t, source_t) {
                 (Some(r), Some(s)) => Some(r.min(s)),
@@ -469,7 +469,7 @@ impl<R: Router> FleetSim<R> {
                         (r, _) => r.is_some(),
                     };
                     if take_reroute {
-                        if let Some(spec) = self.reroutes.pop_front() {
+                        if let Some((_, spec)) = self.reroutes.pop_front() {
                             self.rerouted += 1;
                             self.route(spec, true);
                         }
@@ -569,7 +569,9 @@ impl<R: Router> FleetSim<R> {
     /// Handles the earliest pending outage: extracts the dying cluster's
     /// fresh queued work (zero steps executed — including dispatches the
     /// outage's fault events just aborted at this same timestamp) and
-    /// queues it for re-routing with the arrival time reset to *now*. For
+    /// queues it for re-routing at *now*, keeping each request's original
+    /// arrival so its latency and SLO budget still count the time it
+    /// queued on the dying cluster (as a migration does). For
     /// a *permanent* outage, requests with checkpointed progress are
     /// terminally failed — their partial work can never resume on a dead
     /// cluster, and leaving them live would keep its round-tick chain
@@ -597,15 +599,16 @@ impl<R: Router> FleetSim<R> {
         if outage.up_at.is_none() {
             self.clusters[outage.cluster].fail_incomplete();
         }
-        for mut spec in drained.into_iter().rev() {
-            spec.arrival = now;
-            self.reroutes.push_front(spec);
+        for spec in drained.into_iter().rev() {
+            self.reroutes.push_front((now, spec));
         }
     }
 
-    /// Routes one request: snapshots every cluster, asks the router, and
-    /// folds the decision into the routing digest. Fleet-shed requests
-    /// become synthetic outcomes that never reached any cluster.
+    /// Routes one request at the current instant: snapshots every
+    /// cluster, asks the router, and folds the decision into the routing
+    /// digest. The digest folds the routing instant, which equals
+    /// `spec.arrival` for every fresh arrival. Fleet-shed requests become
+    /// synthetic outcomes that never reached any cluster.
     fn route(&mut self, spec: RequestSpec, reroute: bool) {
         let at = self.clock.now();
         let outages = &self.outages;
@@ -623,7 +626,7 @@ impl<R: Router> FleetSim<R> {
         let decision = self.router.route(&spec, &self.views);
 
         self.routing_digest.push(spec.id.0);
-        self.routing_digest.push(spec.arrival.as_micros());
+        self.routing_digest.push(at.as_micros());
         self.routing_digest.push(u64::from(reroute));
         match decision {
             RouteDecision::To(i) => {
@@ -643,7 +646,7 @@ impl<R: Router> FleetSim<R> {
                 } else {
                     self.routed[i] += 1;
                 }
-                self.clusters[i].push_arrival(spec);
+                self.clusters[i].push_arrival(spec, at);
             }
             RouteDecision::Shed => {
                 self.routing_digest.push(u64::MAX);
@@ -736,6 +739,26 @@ mod tests {
             total_steps: 50,
             stages: tetriserve_costmodel::StageProfile::FLAT,
         }
+    }
+
+    #[test]
+    fn replay_source_yields_each_peeked_arrival_in_order() {
+        // The `ArrivalSource` contract the driver relies on: `next_spec`
+        // returns exactly the request `peek_time` announced, in
+        // non-decreasing arrival order (ties included), until both report
+        // exhaustion.
+        let specs: Vec<RequestSpec> = (0..25)
+            .map(|i| spec(i, (i / 3) as f64 * 0.4, 30.0))
+            .collect();
+        let mut src = ReplaySource::new(specs.clone());
+        let mut pulled = Vec::new();
+        while let Some(t) = src.peek_time() {
+            let s = src.next_spec().expect("a peeked request is there to pull");
+            assert_eq!(s.arrival, t);
+            pulled.push(s);
+        }
+        assert!(src.next_spec().is_none());
+        assert_eq!(pulled, specs);
     }
 
     #[test]

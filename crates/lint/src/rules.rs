@@ -67,13 +67,7 @@ pub(crate) const HOT_FILES: &[&str] = &["dp.rs", "scheduler.rs", "batching.rs", 
 /// perf faults. A raw `CostTable::step_time`/`t_min` read there assumes
 /// nominal speed; sites that *mean* nominal (e.g. demand accounting in
 /// nominal GPU-seconds) must say so with an allow annotation.
-const SPEED_AWARE_FILES: &[&str] = &[
-    "scheduler.rs",
-    "feasibility.rs",
-    "policy.rs",
-    "server.rs",
-    "quality.rs",
-];
+const SPEED_AWARE_FILES: &[&str] = &["scheduler.rs", "feasibility.rs", "policy.rs", "server.rs"];
 
 /// Modules whose arithmetic spans three time units — integer microseconds
 /// (`SimTime`/`SimDuration::as_micros`), float wall-seconds

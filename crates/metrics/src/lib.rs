@@ -9,9 +9,6 @@
 //! * [`timeseries`] — windowed SAR over time (Figure 10) and mean
 //!   sequence-parallel degree over time (Figure 11);
 //! * [`batching`] — selective-batching statistics from traces (§5);
-//! * [`quality`] — quality-debt accounting for degraded serving (steps
-//!   shed by the deadline-rescue ladder, full-quality SAR, mean delivered
-//!   quality);
 //! * [`fleet`] — multi-cluster aggregation: fleet SAR/goodput and
 //!   routing counts;
 //! * [`tenancy`] — per-tenant SAR/goodput slices and the worst-tenant
@@ -20,6 +17,10 @@
 //!   and stage-pool utilisation under disaggregated layouts;
 //! * [`report`] — plain-text tables and ASCII charts used by the benchmark
 //!   harness to print paper-style artefacts.
+//!
+//! The quality-debt counts of degraded serving (steps shed, rescued
+//! requests, degraded completions, full-quality SAR) are methods on
+//! `tetriserve_core::ServeReport`, not functions here.
 //!
 //! # Examples
 //!
@@ -35,7 +36,6 @@
 pub mod batching;
 pub mod fleet;
 pub mod latency;
-pub mod quality;
 pub mod report;
 pub mod sar;
 pub mod stages;
@@ -45,10 +45,6 @@ pub mod timeseries;
 pub use batching::{batching_stats, BatchingStats};
 pub use fleet::{ClusterReport, FleetReport};
 pub use latency::{cdf_at, latency_cdf, mean_latency, percentile, LatencySummary};
-pub use quality::{
-    degraded_completions, full_quality_sar, mean_delivered_quality, quality_debt_by_resolution,
-    quality_debt_step_seconds, quality_debt_steps, rescued_requests,
-};
 pub use report::{bar_chart, fmt_sar, series, TextTable};
 pub use sar::{mean_gpu_seconds, sar, sar_by_resolution};
 pub use stages::{pool_utilization, stage_slo_share};

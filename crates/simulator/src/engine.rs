@@ -40,38 +40,39 @@ use crate::trace::{DispatchId, RequestId, Trace, TraceEvent};
 
 use std::collections::{HashMap, HashSet};
 
+/// Delay charged when a request resumes on a *different* GPU set than its
+/// previous dispatch (distributed-context re-establishment). GPU placement
+/// preservation exists to avoid exactly this cost.
+pub(crate) const REMAP_STALL: SimDuration = SimDuration::from_millis(15);
+
+/// First-collective latency on a cold process group (NCCL channel
+/// initialisation).
+pub(crate) const GROUP_WARMUP: SimDuration = SimDuration::from_millis(150);
+
+/// Bandwidth, in GB/s, for re-materialising a latent from its host
+/// checkpoint after its GPU group died (PCIe-class, much slower than
+/// NVLink paths).
+pub(crate) const HOST_RECOVERY_GBPS: f64 = 25.0;
+
 /// Tunable engine behaviour.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Coefficient of variation of per-step execution jitter. The paper
     /// measures ≤ 0.7% across all resolutions and SP degrees (Table 1).
     pub step_noise_cv: f64,
-    /// Delay charged when a request resumes on a *different* GPU set than
-    /// its previous dispatch (distributed-context re-establishment). GPU
-    /// placement preservation exists to avoid exactly this cost.
-    pub remap_stall: SimDuration,
-    /// First-collective latency on a cold process group (NCCL channel
-    /// initialisation).
-    pub group_warmup: SimDuration,
     /// Seed for step jitter.
     pub seed: u64,
     /// Injected degradations (slowdowns and hard GPU faults); empty by
     /// default.
     pub failures: crate::failure::FailurePlan,
-    /// Bandwidth for re-materialising a latent from host checkpoint after
-    /// its GPU group died (PCIe-class, much slower than NVLink paths).
-    pub host_recovery_gbps: f64,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             step_noise_cv: 0.002,
-            remap_stall: SimDuration::from_millis(15),
-            group_warmup: SimDuration::from_millis(150),
             seed: 0x7e7215e7,
             failures: crate::failure::FailurePlan::none(),
-            host_recovery_gbps: 25.0,
         }
     }
 }
@@ -186,7 +187,7 @@ impl Engine {
     /// commonly used, overlapping groups" of §5).
     pub fn new(topology: Topology, config: EngineConfig) -> Self {
         let n = topology.n_gpus();
-        let mut groups = ProcessGroupCache::new(config.group_warmup);
+        let mut groups = ProcessGroupCache::new(GROUP_WARMUP);
         let mut k = 2;
         while k <= n {
             groups.prewarm(topology.aligned_blocks(k));
@@ -206,16 +207,6 @@ impl Engine {
             next_dispatch: 0,
             trace: Trace::new(),
         }
-    }
-
-    /// The node topology the engine runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The engine configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Submits a dispatch at simulated time `now` and resolves its timeline.
@@ -242,7 +233,7 @@ impl Engine {
         for &req in &dispatch.requests {
             if let Some(&prev) = self.last_gpus.get(&req) {
                 if prev != dispatch.gpus {
-                    remap = self.config.remap_stall;
+                    remap = REMAP_STALL;
                     let path = prev.union(dispatch.gpus);
                     let bw = self.topology.group_bandwidth_gbps(path);
                     let t = transfer_time(dispatch.latent_bytes, bw);
@@ -261,7 +252,7 @@ impl Engine {
         // step checkpoint over the (slow) recovery path.
         for &req in &dispatch.requests {
             if self.needs_recovery.remove(&req) {
-                let t = transfer_time(dispatch.latent_bytes, self.config.host_recovery_gbps);
+                let t = transfer_time(dispatch.latent_bytes, HOST_RECOVERY_GBPS);
                 latent_wait = latent_wait.max(t);
                 self.trace.record(TraceEvent::LatentTransfer {
                     time: now,
@@ -583,7 +574,7 @@ mod tests {
         // Different set: remap stall + latent transfer.
         let moved = dispatch(&[1], GpuSet::contiguous(4, 4), 2, 50);
         let out3 = e.submit(out2.gpus_free_at, &moved).unwrap();
-        assert_eq!(out3.stall, EngineConfig::default().remap_stall);
+        assert_eq!(out3.stall, REMAP_STALL);
         assert!(!out3.latent_wait.is_zero());
         assert!(out3.start >= out2.gpus_free_at + out3.stall);
         assert!(!e.trace().latent_transfer_total(RequestId(1)).is_zero());
@@ -596,7 +587,7 @@ mod tests {
         let odd = GpuSet::from_mask(0b110);
         let d = dispatch(&[9], odd, 1, 10);
         let out = e.submit(SimTime::ZERO, &d).unwrap();
-        assert_eq!(out.stall, EngineConfig::default().group_warmup);
+        assert_eq!(out.stall, GROUP_WARMUP);
         let d2 = dispatch(&[9], odd, 1, 10);
         let out2 = e.submit(out.gpus_free_at, &d2).unwrap();
         assert_eq!(out2.stall, SimDuration::ZERO);
@@ -728,7 +719,8 @@ mod tests {
         let out2 = e.submit(SimTime::from_millis(300), &retry).unwrap();
         assert!(out2.aborted.is_none());
         assert!(
-            out2.latent_wait >= crate::latent::transfer_time(retry.latent_bytes, 25.0),
+            out2.latent_wait
+                >= crate::latent::transfer_time(retry.latent_bytes, HOST_RECOVERY_GBPS),
             "recovery must pay the host re-materialisation transfer"
         );
     }

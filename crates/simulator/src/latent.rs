@@ -1,26 +1,26 @@
-//! Latent hand-off between GPU groups.
+//! The latent transfer-time model.
 //!
 //! TetriServe executes at step granularity, so when the scheduler changes a
 //! request's parallel degree (or GPU set) between rounds, the intermediate
-//! latent tensor must move to the new group. The paper models this with a
-//! *Future-like* abstraction whose transfer cost is negligible because
-//! latents live in the compressed latent space (§5 "Latent Transfer",
-//! Table 4: < 0.05% of step latency). We reproduce both the mechanism and
-//! the accounting.
+//! latent tensor must move to the new group. The paper hands it over as a
+//! *Future-like* value whose transfer cost is negligible because latents
+//! live in the compressed latent space (§5 "Latent Transfer", Table 4:
+//! < 0.05% of step latency). The engine reproduces that overlap inline: a
+//! moved request's next dispatch starts once both the synchronous stall
+//! and the asynchronous [`transfer_time`] have elapsed.
 //!
 //! # Examples
 //!
 //! ```
-//! use tetriserve_simulator::latent::{transfer_time, LatentHandle};
-//! use tetriserve_simulator::time::SimTime;
+//! use tetriserve_simulator::latent::transfer_time;
+//! use tetriserve_simulator::time::SimDuration;
 //!
 //! // A 2 MiB latent over a 300 GB/s NVSwitch path is ready in microseconds.
 //! let d = transfer_time(2 << 20, 300.0);
-//! let handle = LatentHandle::transferring(SimTime::ZERO, d);
-//! assert!(handle.ready_at() < SimTime::from_millis(1));
+//! assert!(d < SimDuration::from_millis(1));
 //! ```
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// Transfer latency of `bytes` over a path with the given bandwidth.
 ///
@@ -40,50 +40,6 @@ pub fn transfer_time(bytes: u64, bandwidth_gbps: f64) -> SimDuration {
     }
     let secs = bytes as f64 / (bandwidth_gbps * 1e9);
     SimDuration::from_secs_f64(secs) + SimDuration::from_micros(5)
-}
-
-/// A Future-like handle to a request's latent tensor.
-///
-/// Downstream steps may be *scheduled* before the transfer completes; they
-/// simply cannot *start* before [`LatentHandle::ready_at`]. The engine uses
-/// this to overlap scheduling decisions with asynchronous latent movement.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatentHandle {
-    ready_at: SimTime,
-    transfer: SimDuration,
-}
-
-impl LatentHandle {
-    /// A latent that is already resident on the executing group.
-    pub fn resident(now: SimTime) -> Self {
-        LatentHandle {
-            ready_at: now,
-            transfer: SimDuration::ZERO,
-        }
-    }
-
-    /// A latent in flight: becomes ready `transfer` after `start`.
-    pub fn transferring(start: SimTime, transfer: SimDuration) -> Self {
-        LatentHandle {
-            ready_at: start + transfer,
-            transfer,
-        }
-    }
-
-    /// When the latent is available on the destination group.
-    pub fn ready_at(self) -> SimTime {
-        self.ready_at
-    }
-
-    /// The transfer cost paid (zero for resident latents).
-    pub fn transfer_cost(self) -> SimDuration {
-        self.transfer
-    }
-
-    /// Whether the latent is ready at `now`.
-    pub fn is_ready(self, now: SimTime) -> bool {
-        now >= self.ready_at
-    }
 }
 
 #[cfg(test)]
@@ -106,23 +62,6 @@ mod tests {
             transfer_time(1 << 30, f64::INFINITY),
             SimDuration::from_micros(5)
         );
-    }
-
-    #[test]
-    fn handle_ready_semantics() {
-        let start = SimTime::from_millis(10);
-        let h = LatentHandle::transferring(start, SimDuration::from_micros(40));
-        assert!(!h.is_ready(start));
-        assert!(h.is_ready(start + SimDuration::from_micros(40)));
-        assert_eq!(h.transfer_cost(), SimDuration::from_micros(40));
-    }
-
-    #[test]
-    fn resident_handle_is_free_and_ready() {
-        let now = SimTime::from_millis(3);
-        let h = LatentHandle::resident(now);
-        assert!(h.is_ready(now));
-        assert_eq!(h.transfer_cost(), SimDuration::ZERO);
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`gpuset`] / [`topology`] — GPU sets and the two interconnect layouts
 //!   (NVSwitch-everywhere H100, NVLink-paired A40 with PCIe crossings);
 //! * [`group`] — NCCL process-group warm-up semantics (§5 of the paper);
-//! * [`latent`] — Future-like latent hand-off between groups (§5, Table 4);
+//! * [`latent`] — the latent transfer-time model behind group hand-offs
+//!   (§5, Table 4);
 //! * [`engine`] — the worker pool that executes step dispatches with
 //!   Table 1-calibrated jitter, remap stalls and sequential VAE decode;
 //! * [`failure`] — straggler injection for graceful-degradation testing;

@@ -23,7 +23,8 @@
 //! process rather than being processes themselves:
 //!
 //! * [`DiurnalEnvelope`] / [`DiurnalModulated`] — a sinusoidal rate
-//!   envelope applied as a deterministic time-warp;
+//!   envelope applied as a deterministic time-warp (the bench harness's
+//!   diurnal arrival kind; tenants carry no envelope);
 //! * [`BurstCoupler`] / [`CoupledProcess`] — a shared two-state
 //!   modulating timeline that lifts several tenants' rates *at once*,
 //!   producing the correlated flash crowds that stress fleet routing.
@@ -37,13 +38,11 @@
 #![warn(missing_docs)]
 
 pub mod coupler;
-pub mod replay;
 pub mod shapes;
 pub mod source;
 pub mod tenant;
 
 pub use coupler::{BurstCoupler, CoupledProcess, CouplingSpec};
-pub use replay::{merge_replays, ReplayTenant};
 pub use shapes::{DiurnalEnvelope, DiurnalModulated};
 pub use source::{to_spec, StreamingArrivals, TrafficModel, TrafficSource};
 pub use tenant::{ArrivalShape, PriorityTier, TenantSpec};

@@ -3,7 +3,7 @@
 //!
 //! Thinning a dominating Poisson process would model a daily cycle too,
 //! but only a Poisson one: it cannot put a diurnal envelope *on top of*
-//! an MMPP tenant or a coupled flash-crowd tenant. The envelope instead
+//! an MMPP or a coupled flash-crowd process. The envelope instead
 //! warps the base process's arrival times through the cumulative
 //! intensity
 //!

@@ -29,7 +29,6 @@ use tetriserve_workload::multiplex::{merge_streams, LazyMerge};
 use tetriserve_workload::prompt::PromptLibrary;
 
 use crate::coupler::{BurstCoupler, CoupledProcess, CouplingSpec};
-use crate::shapes::DiurnalModulated;
 use crate::tenant::TenantSpec;
 
 /// A fleet-wide traffic description: the tenants plus the optional
@@ -82,9 +81,6 @@ impl TrafficModel {
             .enumerate()
             .map(|(i, t)| {
                 let mut process = t.shape.instantiate();
-                if let Some(envelope) = t.envelope {
-                    process = Box::new(DiurnalModulated::new(process, envelope));
-                }
                 if t.coupled {
                     let coupler = coupler
                         .clone()

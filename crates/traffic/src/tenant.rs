@@ -3,9 +3,8 @@
 //!
 //! A [`TenantSpec`] is a declarative description of one tenant's
 //! open-loop stream — arrival shape, resolution mix, SLO class and
-//! priority tier — plus the knobs that tie it into the fleet-wide
-//! traffic model: an optional [`DiurnalEnvelope`] and an opt-in flag for
-//! the shared [`BurstCoupler`](crate::coupler::BurstCoupler). The spec is
+//! priority tier — plus an opt-in flag that ties it to the fleet-wide
+//! shared [`BurstCoupler`](crate::coupler::BurstCoupler). The spec is
 //! pure data; [`TrafficModel`](crate::source::TrafficModel) instantiates
 //! the actual generators so that online and offline generation share one
 //! construction path (and therefore one RNG draw sequence).
@@ -14,8 +13,6 @@ use tetriserve_costmodel::StageProfile;
 use tetriserve_workload::arrival::{ArrivalProcess, BurstyProcess, PoissonProcess, UniformProcess};
 use tetriserve_workload::mix::ResolutionMix;
 use tetriserve_workload::slo::SloPolicy;
-
-use crate::shapes::DiurnalEnvelope;
 
 /// Service class a tenant pays for. The tier scales the tenant's SLO
 /// budgets — attribution and accounting only; schedulers and routers
@@ -110,8 +107,6 @@ pub struct TenantSpec {
     pub tier: PriorityTier,
     /// Per-tenant RNG seed (arrival gaps, mix samples, prompts).
     pub seed: u64,
-    /// Optional diurnal rate envelope over the base shape.
-    pub envelope: Option<DiurnalEnvelope>,
     /// Whether this tenant's stream is warped by the model's shared
     /// burst coupler (correlated flash crowds across tenants).
     pub coupled: bool,
@@ -132,7 +127,6 @@ impl TenantSpec {
             slo: SloPolicy::paper_targets(),
             tier: PriorityTier::Standard,
             seed,
-            envelope: None,
             coupled: false,
             stages: StageProfile::FLAT,
         }
@@ -159,12 +153,6 @@ impl TenantSpec {
     /// Sets the service tier.
     pub fn with_tier(mut self, tier: PriorityTier) -> Self {
         self.tier = tier;
-        self
-    }
-
-    /// Adds a diurnal envelope on top of the base shape.
-    pub fn with_envelope(mut self, envelope: DiurnalEnvelope) -> Self {
-        self.envelope = Some(envelope);
         self
     }
 

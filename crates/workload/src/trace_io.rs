@@ -5,6 +5,8 @@
 //! (header + one line per request) that needs no extra dependencies and
 //! diffs cleanly under version control.
 
+use std::collections::BTreeSet;
+
 use tetriserve_costmodel::Resolution;
 
 use crate::gen::TraceRecord;
@@ -20,7 +22,8 @@ pub enum ParseTraceError {
         /// What the first line actually contained.
         found: String,
     },
-    /// A data line had the wrong number of fields or an unparsable value.
+    /// A data line had the wrong number of fields, an unparsable value or
+    /// a time that is negative or not finite.
     BadLine {
         /// 1-based line number in the input.
         line: usize,
@@ -34,6 +37,13 @@ pub enum ParseTraceError {
         line: usize,
         /// The offending token count.
         tokens: u64,
+    },
+    /// A request id that an earlier line already used.
+    DuplicateId {
+        /// 1-based line number of the repeat.
+        line: usize,
+        /// The repeated id.
+        id: u64,
     },
 }
 
@@ -51,6 +61,9 @@ impl std::fmt::Display for ParseTraceError {
                     f,
                     "line {line}: token count {tokens} is not a square resolution"
                 )
+            }
+            ParseTraceError::DuplicateId { line, id } => {
+                write!(f, "line {line}: request id {id} appears twice")
             }
         }
     }
@@ -76,7 +89,10 @@ pub fn to_csv(records: &[TraceRecord]) -> String {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseTraceError`] describing the first malformed line.
+/// Returns a [`ParseTraceError`] describing the first malformed line. A
+/// line is malformed if it does not parse, if a time is negative or not
+/// finite, if its token count is not a square resolution or if its id
+/// repeats an earlier line's.
 pub fn from_csv(text: &str) -> Result<Vec<TraceRecord>, ParseTraceError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
@@ -88,6 +104,7 @@ pub fn from_csv(text: &str) -> Result<Vec<TraceRecord>, ParseTraceError> {
         }
     }
     let mut out = Vec::new();
+    let mut ids = BTreeSet::new();
     for (i, line) in lines {
         let line = line.trim();
         if line.is_empty() {
@@ -108,6 +125,16 @@ pub fn from_csv(text: &str) -> Result<Vec<TraceRecord>, ParseTraceError> {
             deadline_s: fields[3].parse().map_err(|_| bad())?,
             prompt_cluster: fields[4].parse().map_err(|_| bad())?,
         };
+        let valid_time = |t: f64| t.is_finite() && t >= 0.0;
+        if !valid_time(record.arrival_s) || !valid_time(record.deadline_s) {
+            return Err(bad());
+        }
+        if !ids.insert(record.id) {
+            return Err(ParseTraceError::DuplicateId {
+                line: i + 1,
+                id: record.id,
+            });
+        }
         resolution_for_tokens(record.tokens).ok_or(ParseTraceError::BadTokens {
             line: i + 1,
             tokens: record.tokens,
@@ -185,6 +212,43 @@ mod tests {
             from_csv(&text).unwrap_err(),
             ParseTraceError::BadTokens { tokens: 300, .. }
         ));
+    }
+
+    /// Asserts that a trace whose second request has the given times is
+    /// rejected at that request's line.
+    fn assert_bad_times(arrival: &str, deadline: &str) {
+        let text = format!("{HEADER}\n0,0.0,256,1.5,0\n1,{arrival},256,{deadline},0\n");
+        match from_csv(&text).unwrap_err() {
+            ParseTraceError::BadLine { line, .. } => assert_eq!(line, 3),
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn nan_times_are_rejected() {
+        assert_bad_times("NaN", "1.5");
+        assert_bad_times("0.0", "NaN");
+    }
+
+    #[test]
+    fn infinite_times_are_rejected() {
+        assert_bad_times("inf", "1.5");
+        assert_bad_times("0.0", "inf");
+    }
+
+    #[test]
+    fn negative_times_are_rejected() {
+        assert_bad_times("-1.0", "1.5");
+        assert_bad_times("0.0", "-0.5");
+    }
+
+    #[test]
+    fn duplicate_ids_are_rejected() {
+        let text = format!("{HEADER}\n0,0.0,256,1.5,0\n1,0.1,256,1.6,0\n0,0.2,256,1.7,0\n");
+        assert_eq!(
+            from_csv(&text).unwrap_err(),
+            ParseTraceError::DuplicateId { line: 4, id: 0 }
+        );
     }
 
     #[test]

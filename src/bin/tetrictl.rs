@@ -212,6 +212,16 @@ fn cmd_serve(
             let records =
                 tetriserve::workload::from_csv(&text).map_err(|e| format!("bad trace: {e}"))?;
             let specs = Experiment::specs_from_records(&records, exp.model.steps);
+            let costs = exp.cost_table();
+            if let Some(s) = specs
+                .iter()
+                .find(|s| !costs.resolutions().contains(&s.resolution))
+            {
+                return Err(format!(
+                    "bad trace: request {} asks for {}, which the cost table does not profile",
+                    s.id.0, s.resolution
+                ));
+            }
             exp.run_specs(policy, specs)
         }
         None => exp.run(policy),

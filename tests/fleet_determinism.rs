@@ -462,17 +462,18 @@ fn outage_reroutes_queued_work_to_the_surviving_cluster() {
     // terminally failed on the dead cluster, or was shed.
     assert_eq!(report.total_requests(), 4);
     // Requests 1–3 were queued fresh behind request 0 when cluster 0 went
-    // down, so exactly they move, and they arrive at the outage instant.
-    let moved = &report.clusters[1].report.outcomes;
-    let mut ids: Vec<RequestId> = moved.iter().map(|o| o.id).collect();
-    ids.sort_unstable();
+    // down, so exactly they move. They keep their original arrivals, so
+    // their latency counts the time they queued on the failed cluster.
+    let mut moved = report.clusters[1].report.outcomes.clone();
+    moved.sort_unstable_by_key(|o| o.id);
+    let ids: Vec<RequestId> = moved.iter().map(|o| o.id).collect();
     assert_eq!(ids, [RequestId(1), RequestId(2), RequestId(3)]);
-    assert!(
-        moved
-            .iter()
-            .all(|o| o.arrival == SimTime::from_secs_f64(0.5)),
-        "re-routed requests arrive at the outage instant: {moved:?}"
-    );
+    for (o, arrival_s) in moved.iter().zip([0.05, 0.10, 0.15]) {
+        let arrival = SimTime::from_secs_f64(arrival_s);
+        assert_eq!(o.arrival, arrival, "re-routes keep their arrival: {o:?}");
+        let done = o.completion.expect("re-routed work completes");
+        assert_eq!(o.latency(), Some(done.saturating_since(arrival)), "{o:?}");
+    }
 }
 
 #[test]
