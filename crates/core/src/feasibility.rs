@@ -170,8 +170,8 @@ pub fn live_entries<'a>(
     tracker.live().map(move |r| tracked_entry(r, now, costs))
 }
 
-/// The pre-index full recompute of [`live_entries`]: scans *every*
-/// tracked request and sorts. Kept as the ground truth the incremental
+/// The pre-index full recompute of [`live_entries`]: scans every
+/// in-flight request and sorts. Kept as the ground truth the incremental
 /// index is cross-checked against (`debug_assert` in
 /// [`FeasScratch::fill`], plus the proptest in `crate::proptests`);
 /// verdicts must stay bit-identical.
@@ -182,7 +182,7 @@ pub fn live_entries_full(
 ) -> Vec<DemandEntry> {
     let mut live: Vec<DemandEntry> = tracker
         .iter()
-        .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running) && r.remaining_steps > 0)
+        .filter(|r| r.remaining_steps > 0)
         .map(|r| tracked_entry(r, now, costs))
         .collect();
     sort_entries(&mut live);

@@ -8,6 +8,8 @@
 
 #![cfg(test)]
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution, StageProfile};
@@ -92,9 +94,12 @@ proptest! {
     /// arbitrary interleavings of every
     /// tracker mutation (admit, dispatch, abort, fail, shed, degrade,
     /// migrate out/in, complete, encode gating), with terminal requests
-    /// accumulating in the tracker exactly as they do over a long serving
-    /// run. The one walk a route view is built from (`scan_backlog`)
-    /// matches the separate reads it replaced, bit for bit.
+    /// retiring from the map into the outcome log exactly as they do over
+    /// a long serving run. The one walk a route view is built from
+    /// (`scan_backlog`) matches the separate reads it replaced, bit for
+    /// bit. The tracker conserves requests: the map holds exactly the
+    /// in-flight ones, and `outcomes()` one entry per admitted id whose
+    /// `completion` and `shed` say how it retired.
     #[test]
     fn prop_incremental_feasibility_matches_full_recompute(
         ops in proptest::collection::vec((0u8..11, any::<u32>()), 1..60),
@@ -105,6 +110,10 @@ proptest! {
         let mut tracker = RequestTracker::new();
         let mut next_id = 0u64;
         let mut now = SimTime::ZERO;
+        // How ids retired, for the conservation checks.
+        let mut completed = BTreeSet::new();
+        let mut shed = BTreeSet::new();
+        let mut retired = BTreeSet::new();
 
         // Ids currently in a given phase, queried fresh each op.
         let ids_in = |t: &RequestTracker, want: fn(&Phase) -> bool| -> Vec<RequestId> {
@@ -126,6 +135,8 @@ proptest! {
                     let rem = tracker.get(id).unwrap().remaining_steps;
                     if rem == 0 {
                         tracker.complete(id, now);
+                        completed.insert(id);
+                        retired.insert(id);
                     } else {
                         let steps = 1 + r % rem;
                         let gpus = GpuSet::contiguous(0, 1 << (r % 3));
@@ -147,7 +158,9 @@ proptest! {
                 // Terminal failure from either live phase.
                 3 if !queued.is_empty() || !running.is_empty() => {
                     let pool = if queued.is_empty() { &running } else { &queued };
-                    tracker.fail(pick(pool, r));
+                    let id = pick(pool, r);
+                    tracker.fail(id);
+                    retired.insert(id);
                 }
                 // Admission-shed a still-fresh queued request.
                 4 => {
@@ -160,7 +173,10 @@ proptest! {
                         })
                         .collect();
                     if !fresh.is_empty() {
-                        tracker.shed(pick(&fresh, r));
+                        let id = pick(&fresh, r);
+                        tracker.shed(id);
+                        shed.insert(id);
+                        retired.insert(id);
                     }
                 }
                 // Degrade ladder: shed steps from a queued budget.
@@ -197,7 +213,10 @@ proptest! {
                         .filter(|&id| tracker.get(id).unwrap().remaining_steps == 0)
                         .collect();
                     if !done_ready.is_empty() {
-                        tracker.complete(pick(&done_ready, r), now);
+                        let id = pick(&done_ready, r);
+                        tracker.complete(id, now);
+                        completed.insert(id);
+                        retired.insert(id);
                     }
                 }
                 // Gate a queued request on a condition encode that
@@ -227,6 +246,21 @@ proptest! {
             }
 
             prop_assert!(tracker.index_is_consistent(), "index drifted after op {op}");
+            let in_flight: Vec<RequestId> = (0..next_id)
+                .map(RequestId)
+                .filter(|id| !retired.contains(id))
+                .collect();
+            let tracked: Vec<RequestId> = tracker.iter().map(|r| r.spec.id).collect();
+            prop_assert_eq!(tracked, in_flight, "the map holds exactly the in-flight requests");
+            let outcomes = tracker.outcomes();
+            prop_assert!(
+                outcomes.iter().map(|o| o.id).eq((0..next_id).map(RequestId)),
+                "one outcome per admitted id: {outcomes:?}"
+            );
+            for o in &outcomes {
+                prop_assert_eq!(o.completion.is_some(), completed.contains(&o.id));
+                prop_assert_eq!(o.shed, shed.contains(&o.id));
+            }
             let inc: Vec<_> = feasibility::live_entries(&tracker, now, &c).collect();
             let full = feasibility::live_entries_full(&tracker, now, &c);
             prop_assert!(

@@ -680,7 +680,7 @@ impl<P: Policy> ClusterSim<P> {
         // makespan (a recovery scheduled long after the last request
         // finished is not serving time).
         let is_health = matches!(event, Event::GpuDown | Event::GpuUp);
-        if !is_health || self.arrivals_pending > 0 || self.tracker.active_count() > 0 {
+        if !is_health || self.arrivals_pending > 0 || !self.tracker.is_empty() {
             self.last_time = self.last_time.max(now);
         }
 
@@ -840,7 +840,7 @@ impl<P: Policy> ClusterSim<P> {
 
     fn on_tick(&mut self, now: SimTime) -> Option<PolicyEvent> {
         self.tick_pending = false;
-        if self.arrivals_pending > 0 || self.tracker.active_count() > 0 {
+        if self.arrivals_pending > 0 || !self.tracker.is_empty() {
             if let Some(next) = self.policy.next_tick(now) {
                 assert!(next > now, "round ticks must advance time");
                 self.events.push(next, Event::Tick);
@@ -980,8 +980,7 @@ impl<P: Policy> ClusterSim<P> {
     pub fn finish(self) -> ServeReport {
         let makespan = self.last_time.max(SimTime::from_micros(1));
         let utilization = self.engine.utilization(makespan);
-        let mut outcomes = self.tracker.outcomes();
-        outcomes.sort_by_key(|o| o.id);
+        let outcomes = self.tracker.outcomes();
         let policy = self.policy.name();
         let trace = self.engine.into_trace();
         let aborted_dispatches = trace.aborted_count();
@@ -1763,6 +1762,38 @@ mod tests {
         let b: Vec<_> = stepped.outcomes.iter().map(|o| o.completion).collect();
         assert_eq!(a, b);
         assert!(stepped.outcomes.iter().all(|o| o.met_slo()));
+    }
+
+    #[test]
+    fn drained_cluster_holds_no_request() {
+        use tetriserve_simulator::rng::SimRng;
+        // Every request leaves the tracker's map when it finishes, so a
+        // cluster whose event queue ran dry holds nothing in flight, and
+        // its report still accounts for every arrival.
+        let mut rng = SimRng::seed_from_u64(0xd7a1_4ed0);
+        let mut sim = stepwise(costs());
+        sim.start();
+        let n = 300;
+        let mut arrival = 0.0;
+        for id in 0..n {
+            arrival += rng.exponential(3.0);
+            let res = Resolution::PRODUCTION[rng.below(4)];
+            let s = spec(id, res, arrival, 2.0 + 10.0 * rng.uniform());
+            sim.push_arrival(s, s.arrival);
+        }
+        while sim.step() {}
+        assert!(
+            sim.tracker.is_empty(),
+            "{} requests still tracked",
+            sim.tracker.len()
+        );
+        let report = sim.finish();
+        assert!(report
+            .outcomes
+            .iter()
+            .map(|o| o.id)
+            .eq((0..n).map(RequestId)));
+        assert!(report.outcomes.iter().all(|o| o.completion.is_some()));
     }
 
     #[test]

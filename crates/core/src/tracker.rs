@@ -1,9 +1,11 @@
 //! The Request Tracker (§3 of the paper).
 //!
-//! Maintains metadata on every request the server has accepted: resolution,
-//! deadline, execution phase and remaining steps. Scheduling policies read
-//! pending requests from the tracker and the serving loop writes execution
-//! progress back into it.
+//! Maintains metadata on every in-flight request the server has accepted:
+//! resolution, deadline, execution phase and remaining steps. Scheduling
+//! policies read pending requests from the tracker and the serving loop
+//! writes execution progress back into it. A request that completes, fails
+//! or is shed leaves the id map for a retired outcome log, so every lookup
+//! on the event path touches only in-flight requests.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -13,21 +15,14 @@ use tetriserve_simulator::trace::RequestId;
 
 use crate::request::{RequestOutcome, RequestSpec};
 
-/// Execution phase of a tracked request.
+/// Execution phase of a tracked request. Terminal requests (completed,
+/// failed, shed) are retired out of the tracker, so these are the only two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Waiting for GPUs (either never started or paused between rounds).
     Queued,
     /// A dispatch is currently executing steps for this request.
     Running,
-    /// All steps and the VAE decode finished at the given time.
-    Done(SimTime),
-    /// Terminal: dispatches for this request were aborted by GPU faults
-    /// more times than the retry budget allows.
-    Failed,
-    /// Terminal: admission control shed the request as infeasible under
-    /// the current healthy capacity.
-    Shed,
 }
 
 /// A request plus its live execution state.
@@ -81,6 +76,27 @@ impl TrackedRequest {
     pub fn is_past_deadline(&self, now: SimTime) -> bool {
         now > self.spec.deadline
     }
+
+    /// The request's outcome record; `completion` and `shed` are set only
+    /// by the transition that retires it.
+    fn outcome(&self, completion: Option<SimTime>, shed: bool) -> RequestOutcome {
+        RequestOutcome {
+            tenant: self.spec.tenant,
+            id: self.spec.id,
+            resolution: self.spec.resolution,
+            arrival: self.spec.arrival,
+            deadline: self.spec.deadline,
+            completion,
+            gpu_seconds: self.gpu_seconds,
+            steps_executed: self.steps_executed(),
+            sp_degree_step_sum: self.sp_degree_step_sum,
+            retries: self.retries,
+            shed,
+            steps_shed: self.steps_shed,
+            encode_done: self.encode_done,
+            denoise_done: self.denoise_done,
+        }
+    }
 }
 
 /// The portable state of a queued request being migrated between
@@ -114,28 +130,34 @@ impl MigratedRequest {
     }
 }
 
-/// Tracks all requests across their lifecycle.
+/// Tracks every request across its lifecycle.
 ///
-/// Alongside the id-keyed map, the tracker maintains an **incremental live
-/// index**: a `(deadline, id)`-ordered set of every *live* request (queued
-/// or running with steps remaining) plus O(1) aggregate counters. The
-/// index is what makes the EDF feasibility machinery
-/// ([`crate::feasibility`]) O(live backlog) per scan instead of O(every
-/// request ever admitted) — the difference between quadratic and linear
-/// total work over a long serving run. Every mutator keeps the index in
-/// sync; `debug_assert`s (and a proptest in `crate::proptests`) cross-check
-/// it against a full recompute so feasibility verdicts stay bit-identical
-/// to the pre-index implementation.
+/// The id-keyed map holds only *in-flight* requests, queued or running.
+/// A terminal transition ([`complete`](Self::complete),
+/// [`fail`](Self::fail), [`shed`](Self::shed)) moves the request out into
+/// an id-ordered **retired log** of final outcomes, which also remembers
+/// every retired id so a second admission of one still panics. Lookups
+/// from the policy pass, dispatch, completion and route views therefore
+/// cost O(log in-flight), not O(log every request ever admitted).
+///
+/// Alongside the map, the tracker maintains an **incremental live index**:
+/// a `(deadline, id)`-ordered set of every *live* request (in flight with
+/// steps remaining) plus an O(1) running count. The index is what makes
+/// the EDF feasibility machinery ([`crate::feasibility`]) O(live backlog)
+/// per scan. Every mutator keeps the index in sync; `debug_assert`s (and
+/// a proptest in `crate::proptests`) cross-check it against a full
+/// recompute over the map so feasibility verdicts stay bit-identical to
+/// the pre-index implementation.
 #[derive(Debug, Default)]
 pub struct RequestTracker {
+    /// In-flight requests by id.
     requests: BTreeMap<RequestId, TrackedRequest>,
-    /// Live requests — `(Queued | Running) && remaining_steps > 0` — in
+    /// Final outcomes of completed, failed and shed requests, by id.
+    retired: BTreeMap<RequestId, RequestOutcome>,
+    /// Live requests — in flight with `remaining_steps > 0` — in
     /// `(deadline, id)` order: exactly the canonical EDF scan order, so
     /// iterating the index needs no sort.
     live: BTreeSet<(SimTime, RequestId)>,
-    /// Non-terminal requests (queued or running, *including* those with
-    /// zero steps remaining that are awaiting their decode `Complete`).
-    active: usize,
     /// Requests currently executing a dispatch (any remaining count).
     running: usize,
 }
@@ -150,28 +172,48 @@ impl RequestTracker {
     ///
     /// # Panics
     ///
-    /// Panics if the id is already tracked or the step count is zero.
+    /// Panics if the id is in flight or retired here, or the step count is
+    /// zero.
     pub fn admit(&mut self, spec: RequestSpec) {
         assert!(spec.total_steps > 0, "request must have at least one step");
-        let prev = self.requests.insert(
-            spec.id,
-            TrackedRequest {
-                spec,
-                remaining_steps: spec.total_steps,
-                phase: Phase::Queued,
-                last_gpus: None,
-                gpu_seconds: 0.0,
-                sp_degree_step_sum: 0,
-                retries: 0,
-                steps_shed: 0,
-                encode_ready: spec.arrival,
-                encode_done: None,
-                denoise_done: None,
-            },
-        );
-        assert!(prev.is_none(), "request {} admitted twice", spec.id);
-        self.live.insert((spec.deadline, spec.id));
-        self.active += 1;
+        self.track(TrackedRequest {
+            spec,
+            remaining_steps: spec.total_steps,
+            phase: Phase::Queued,
+            last_gpus: None,
+            gpu_seconds: 0.0,
+            sp_degree_step_sum: 0,
+            retries: 0,
+            steps_shed: 0,
+            encode_ready: spec.arrival,
+            encode_done: None,
+            denoise_done: None,
+        });
+    }
+
+    /// Inserts a queued request with steps remaining into the map and the
+    /// live index. Both admission paths end here.
+    fn track(&mut self, r: TrackedRequest) {
+        let key = (r.spec.deadline, r.spec.id);
+        let fresh = !self.retired.contains_key(&key.1) && self.requests.insert(key.1, r).is_none();
+        assert!(fresh, "request {} admitted twice", key.1);
+        self.live.insert(key);
+    }
+
+    /// Removes a request from the map, the live index and the running
+    /// count. Every transition out of flight starts here.
+    fn take(&mut self, id: RequestId) -> TrackedRequest {
+        let r = self
+            .requests
+            .remove(&id)
+            .unwrap_or_else(|| panic!("unknown request {id}"));
+        if r.phase == Phase::Running {
+            self.running -= 1;
+        }
+        if r.remaining_steps > 0 {
+            self.live.remove(&(r.spec.deadline, id));
+        }
+        r
     }
 
     /// Records the condition-encode stage's completion: the request
@@ -203,7 +245,8 @@ impl RequestTracker {
         r.denoise_done = Some(at);
     }
 
-    /// Immutable view of a request.
+    /// Immutable view of an in-flight request; `None` once it retired or
+    /// was extracted.
     pub fn get(&self, id: RequestId) -> Option<&TrackedRequest> {
         self.requests.get(&id)
     }
@@ -309,54 +352,34 @@ impl RequestTracker {
         }
     }
 
-    /// Terminally fails a request whose retry budget is exhausted.
+    /// Terminally fails a request whose retry budget is exhausted,
+    /// retiring it from the tracker.
     ///
     /// # Panics
     ///
-    /// Panics if the request is unknown or already done.
+    /// Panics if the request is not in flight.
     pub fn fail(&mut self, id: RequestId) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
-        assert!(
-            !matches!(r.phase, Phase::Done(_)),
-            "{id} cannot fail after completing"
-        );
-        let was = r.phase;
-        r.phase = Phase::Failed;
-        if matches!(was, Phase::Queued | Phase::Running) {
-            self.active -= 1;
-            if was == Phase::Running {
-                self.running -= 1;
-            }
-            if r.remaining_steps > 0 {
-                self.live.remove(&(r.spec.deadline, id));
-            }
-        }
+        let r = self.take(id);
+        self.retired.insert(id, r.outcome(None, false));
     }
 
-    /// Sheds a queued request (admission control). Only requests that have
-    /// not started executing may be shed (a degraded-but-unstarted budget
-    /// still counts as no progress).
+    /// Sheds a queued request (admission control), retiring it from the
+    /// tracker. Only requests that have not started executing may be shed
+    /// (a degraded-but-unstarted budget still counts as no progress).
     ///
     /// # Panics
     ///
-    /// Panics if the request is unknown, not queued, or already started.
+    /// Panics if the request is not in flight, not queued, or already
+    /// started.
     pub fn shed(&mut self, id: RequestId) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = self.take(id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to shed");
         assert_eq!(
             r.remaining_steps + r.steps_shed,
             r.spec.total_steps,
             "{id} already made progress; shedding it would waste work"
         );
-        r.phase = Phase::Shed;
-        self.active -= 1;
-        self.live.remove(&(r.spec.deadline, id));
+        self.retired.insert(id, r.outcome(None, true));
     }
 
     /// Removes `steps` denoise steps from a queued request's remaining
@@ -397,18 +420,13 @@ impl RequestTracker {
     /// Panics if the request is unknown, not queued, or has already
     /// executed steps (progress is never discarded by re-routing).
     pub fn extract(&mut self, id: RequestId) -> RequestSpec {
-        let r = self
-            .requests
-            .remove(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = self.take(id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to extract");
         assert_eq!(
             r.remaining_steps + r.steps_shed,
             r.spec.total_steps,
             "{id} already made progress; extracting it would waste work"
         );
-        self.active -= 1;
-        self.live.remove(&(r.spec.deadline, id));
         // The unchanged spec ships: re-routing to a cluster with headroom
         // forgives any degradation this cluster had planned.
         r.spec
@@ -424,15 +442,8 @@ impl RequestTracker {
     ///
     /// Panics if the request is unknown or not queued.
     pub fn extract_queued(&mut self, id: RequestId) -> MigratedRequest {
-        let r = self
-            .requests
-            .remove(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
+        let r = self.take(id);
         assert_eq!(r.phase, Phase::Queued, "{id} must be queued to migrate");
-        self.active -= 1;
-        if r.remaining_steps > 0 {
-            self.live.remove(&(r.spec.deadline, id));
-        }
         MigratedRequest {
             spec: r.spec,
             remaining_steps: r.remaining_steps,
@@ -451,7 +462,7 @@ impl RequestTracker {
     ///
     /// # Panics
     ///
-    /// Panics if the id is already tracked or no steps remain.
+    /// Panics if the id is in flight or retired here, or no steps remain.
     pub fn admit_migrated(&mut self, m: MigratedRequest) {
         assert!(
             m.remaining_steps > 0,
@@ -463,57 +474,35 @@ impl RequestTracker {
             "request {} migrated with more steps than it started with",
             m.spec.id
         );
-        let prev = self.requests.insert(
-            m.spec.id,
-            TrackedRequest {
-                spec: m.spec,
-                remaining_steps: m.remaining_steps,
-                phase: Phase::Queued,
-                last_gpus: None,
-                gpu_seconds: m.gpu_seconds,
-                sp_degree_step_sum: m.sp_degree_step_sum,
-                retries: m.retries,
-                steps_shed: m.steps_shed,
-                // A migrated request is immediately denoise-eligible: its
-                // encode (if any) ran on the source cluster, and the
-                // latent hand-off already priced the transfer.
-                encode_ready: m.spec.arrival,
-                encode_done: None,
-                denoise_done: None,
-            },
-        );
-        assert!(prev.is_none(), "request {} admitted twice", m.spec.id);
-        self.live.insert((m.spec.deadline, m.spec.id));
-        self.active += 1;
+        self.track(TrackedRequest {
+            spec: m.spec,
+            remaining_steps: m.remaining_steps,
+            phase: Phase::Queued,
+            last_gpus: None,
+            gpu_seconds: m.gpu_seconds,
+            sp_degree_step_sum: m.sp_degree_step_sum,
+            retries: m.retries,
+            steps_shed: m.steps_shed,
+            // A migrated request is immediately denoise-eligible: its
+            // encode (if any) ran on the source cluster, and the latent
+            // hand-off already priced the transfer.
+            encode_ready: m.spec.arrival,
+            encode_done: None,
+            denoise_done: None,
+        });
     }
 
-    /// Marks the request fully complete (after VAE decode).
+    /// Marks the request fully complete (after VAE decode), retiring it
+    /// from the tracker.
     ///
     /// # Panics
     ///
-    /// Panics if the request is unknown or already done.
+    /// Panics if the request is not in flight (a second completion
+    /// included) or has steps remaining.
     pub fn complete(&mut self, id: RequestId, at: SimTime) {
-        let r = self
-            .requests
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("unknown request {id}"));
-        assert!(!matches!(r.phase, Phase::Done(_)), "{id} completed twice");
+        let r = self.take(id);
         assert_eq!(r.remaining_steps, 0, "{id} completed with steps remaining");
-        let was = r.phase;
-        r.phase = Phase::Done(at);
-        if matches!(was, Phase::Queued | Phase::Running) {
-            self.active -= 1;
-            if was == Phase::Running {
-                self.running -= 1;
-            }
-        }
-    }
-
-    /// Number of requests still in flight (terminal phases — done, failed,
-    /// shed — do not count; the serving loop stops ticking without them).
-    /// O(1) — maintained incrementally by every mutator.
-    pub fn active_count(&self) -> usize {
-        self.active
+        self.retired.insert(id, r.outcome(Some(at), false));
     }
 
     /// Requests currently executing a dispatch, including ones on their
@@ -522,7 +511,7 @@ impl RequestTracker {
         self.running
     }
 
-    /// Live requests — queued or running with steps remaining — in
+    /// Live requests — in flight with steps remaining — in
     /// `(deadline, id)` order: the canonical EDF scan order, pre-sorted by
     /// the incremental index.
     pub fn live(&self) -> impl Iterator<Item = &TrackedRequest> {
@@ -535,70 +524,55 @@ impl RequestTracker {
         self.live.len()
     }
 
-    /// Full-recompute cross-check of the incremental index and counters:
-    /// `true` iff membership, order and every aggregate agree with a scan
-    /// over all tracked requests. The feasibility layer `debug_assert`s
-    /// this (via entry comparison) and `crate::proptests` drives it under
-    /// arbitrary mutation sequences.
+    /// Full-recompute cross-check of the incremental index and the running
+    /// count: `true` iff membership, order and the count agree with a scan
+    /// over the in-flight requests, and no in-flight id is also retired.
+    /// The feasibility layer `debug_assert`s this (via entry comparison)
+    /// and `crate::proptests` drives it under arbitrary mutation sequences.
     pub fn index_is_consistent(&self) -> bool {
         let expect: BTreeSet<(SimTime, RequestId)> = self
             .requests
             .values()
-            .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running) && r.remaining_steps > 0)
+            .filter(|r| r.remaining_steps > 0)
             .map(|r| (r.spec.deadline, r.spec.id))
             .collect();
-        let active = self
-            .requests
-            .values()
-            .filter(|r| matches!(r.phase, Phase::Queued | Phase::Running))
-            .count();
         let running = self
             .requests
             .values()
             .filter(|r| r.phase == Phase::Running)
             .count();
-        expect == self.live && active == self.active && running == self.running
+        let disjoint = self
+            .requests
+            .keys()
+            .all(|id| !self.retired.contains_key(id));
+        expect == self.live && running == self.running && disjoint
     }
 
-    /// Iterates over all tracked requests in id order.
+    /// Iterates over the in-flight (queued or running) requests in id
+    /// order. Retired requests appear only in [`outcomes`](Self::outcomes).
     pub fn iter(&self) -> impl Iterator<Item = &TrackedRequest> {
         self.requests.values()
     }
 
-    /// Total number of tracked requests.
+    /// Number of in-flight (queued or running) requests; the serving loop
+    /// stops ticking when it reaches zero. O(1).
     pub fn len(&self) -> usize {
         self.requests.len()
     }
 
-    /// Whether no requests are tracked.
+    /// Whether no request is in flight.
     pub fn is_empty(&self) -> bool {
         self.requests.is_empty()
     }
 
-    /// Final outcomes for every tracked request.
+    /// Final outcomes for every request admitted and not extracted, in id
+    /// order: the retired log, plus each in-flight request as unfinished.
     pub fn outcomes(&self) -> Vec<RequestOutcome> {
-        self.requests
-            .values()
-            .map(|r| RequestOutcome {
-                tenant: r.spec.tenant,
-                id: r.spec.id,
-                resolution: r.spec.resolution,
-                arrival: r.spec.arrival,
-                deadline: r.spec.deadline,
-                completion: match r.phase {
-                    Phase::Done(t) => Some(t),
-                    _ => None,
-                },
-                gpu_seconds: r.gpu_seconds,
-                steps_executed: r.steps_executed(),
-                sp_degree_step_sum: r.sp_degree_step_sum,
-                retries: r.retries,
-                shed: r.phase == Phase::Shed,
-                steps_shed: r.steps_shed,
-                encode_done: r.encode_done,
-                denoise_done: r.denoise_done,
-            })
-            .collect()
+        let mut out = Vec::with_capacity(self.retired.len() + self.requests.len());
+        out.extend(self.retired.values().copied());
+        out.extend(self.requests.values().map(|r| r.outcome(None, false)));
+        out.sort_unstable_by_key(|o| o.id);
+        out
     }
 }
 
@@ -630,7 +604,7 @@ mod tests {
     fn lifecycle_round_trip() {
         let mut t = RequestTracker::new();
         t.admit(spec(1));
-        assert_eq!(t.active_count(), 1);
+        assert_eq!(t.len(), 1);
         // Not schedulable before arrival.
         assert!(schedulable(&t, SimTime::ZERO).is_empty());
         let now = SimTime::from_secs_f64(1.0);
@@ -645,7 +619,8 @@ mod tests {
         t.start_dispatch(RequestId(1), GpuSet::contiguous(0, 4), 6, 1.0);
         t.finish_dispatch(RequestId(1));
         t.complete(RequestId(1), SimTime::from_secs_f64(2.0));
-        assert_eq!(t.active_count(), 0);
+        assert!(t.is_empty(), "a completed request leaves the map");
+        assert!(t.get(RequestId(1)).is_none());
 
         let out = t.outcomes();
         assert_eq!(out.len(), 1);
@@ -720,6 +695,51 @@ mod tests {
         t.admit(spec(1));
     }
 
+    /// A tracker whose request 1 was admitted and then retired by `how`.
+    fn retired(how: impl FnOnce(&mut RequestTracker)) -> RequestTracker {
+        let mut t = RequestTracker::new();
+        t.admit(spec(1));
+        how(&mut t);
+        assert!(t.is_empty() && t.outcomes().len() == 1);
+        t
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted twice")]
+    fn admitting_a_completed_id_panics() {
+        let mut t = retired(|t| {
+            t.start_dispatch(RequestId(1), GpuSet::contiguous(0, 1), 10, 1.0);
+            t.finish_dispatch(RequestId(1));
+            t.complete(RequestId(1), SimTime::from_secs_f64(2.0));
+        });
+        t.admit(spec(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted twice")]
+    fn admitting_a_shed_id_panics() {
+        retired(|t| t.shed(RequestId(1))).admit(spec(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted twice")]
+    fn admitting_a_failed_id_panics() {
+        retired(|t| t.fail(RequestId(1))).admit(spec(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "admitted twice")]
+    fn migrating_in_a_retired_id_panics() {
+        retired(|t| t.shed(RequestId(1))).admit_migrated(MigratedRequest {
+            spec: spec(1),
+            remaining_steps: 10,
+            gpu_seconds: 0.0,
+            sp_degree_step_sum: 0,
+            retries: 0,
+            steps_shed: 0,
+        });
+    }
+
     #[test]
     #[should_panic(expected = "remaining steps")]
     fn over_dispatch_panics() {
@@ -767,7 +787,7 @@ mod tests {
         t.start_dispatch(RequestId(2), GpuSet::contiguous(0, 1), 2, 0.1);
         t.abort_dispatch(RequestId(2), GpuSet::contiguous(0, 1), 2);
         t.fail(RequestId(2));
-        assert_eq!(t.active_count(), 0, "terminal phases are not active");
+        assert!(t.is_empty(), "terminal requests leave the map");
         let now = SimTime::from_secs_f64(1.0);
         assert!(schedulable(&t, now).is_empty());
         let out = t.outcomes();

@@ -315,6 +315,10 @@ impl Engine {
                 // checkpoint of the last completed step.
                 self.last_gpus.remove(&req);
                 self.needs_recovery.insert(req);
+            } else if dispatch.finishing.contains(&req) {
+                // A finished request never dispatches again, whether its
+                // decode runs fused here or on a separate pool.
+                self.last_gpus.remove(&req);
             } else {
                 self.last_gpus.insert(req, dispatch.gpus);
             }
@@ -330,7 +334,6 @@ impl Engine {
                     let done = begin + decode;
                     self.decode_free_at = done;
                     request_done.push((req, done));
-                    self.last_gpus.remove(&req);
                 }
             }
         }
@@ -607,6 +610,21 @@ mod tests {
         assert_eq!(t2.saturating_since(t1), SimDuration::from_millis(40));
         // Completed requests lose engine affinity.
         assert_eq!(e.last_placement(RequestId(1)), None);
+    }
+
+    #[test]
+    fn finishing_without_fused_decode_drops_placement() {
+        // Disaggregated layouts decode on a separate pool, so a finishing
+        // dispatch carries no `decode_after`; its finishers still never
+        // dispatch again and must not keep a placement.
+        let mut e = engine();
+        let gpus = GpuSet::contiguous(0, 2);
+        let mut d = dispatch(&[1, 2], gpus, 3, 10);
+        d.finishing = vec![RequestId(1)];
+        let out = e.submit(SimTime::ZERO, &d).unwrap();
+        assert!(out.request_done.is_empty());
+        assert_eq!(e.last_placement(RequestId(1)), None);
+        assert_eq!(e.last_placement(RequestId(2)), Some(gpus));
     }
 
     #[test]
