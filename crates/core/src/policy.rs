@@ -10,7 +10,7 @@
 
 use tetriserve_costmodel::{CostTable, Resolution};
 use tetriserve_simulator::failure::FailurePlan;
-use tetriserve_simulator::gpuset::{GpuId, GpuSet};
+use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::trace::RequestId;
 
@@ -69,29 +69,18 @@ pub struct SchedContext<'a> {
     pub tracker: &'a RequestTracker,
     /// The profiled cost model.
     pub costs: &'a CostTable,
-    /// The run's failure plan — the degradation view. Policies read
-    /// per-GPU effective speed through the accessors below so packing and
-    /// admission stay honest when part of the cluster is throttled.
+    /// The run's failure plan — the degradation view. Policies price
+    /// steps through [`SchedContext::effective_step_time`] so packing
+    /// stays honest when part of the cluster is throttled.
     pub failures: &'a FailurePlan,
 }
 
 impl SchedContext<'_> {
-    /// Effective speed of one GPU right now, in `(0, 1]` (1.0 = nominal).
-    pub fn effective_speed(&self, gpu: GpuId) -> f64 {
-        self.failures.effective_speed(gpu, self.now)
-    }
-
-    /// The slowdown a dispatch on `gpus` would experience right now: the
-    /// max member slowdown, because a sequence-parallel step synchronises
-    /// on its slowest shard. Exactly 1.0 when no slowdown is active.
-    pub fn group_slowdown(&self, gpus: GpuSet) -> f64 {
-        self.failures.group_slowdown(gpus, self.now)
-    }
-
     /// Effective step time for `res` at degree `k`, batch `batch`, when
     /// executed on `gpus` right now: the nominal cost-table entry scaled
-    /// by the group slowdown. Identical to the nominal time when no
-    /// slowdown is active (scaling by exactly 1.0 is exact in IEEE-754).
+    /// by the group slowdown — the max member slowdown, because a
+    /// sequence-parallel step synchronises on its slowest shard. Identical
+    /// to the nominal time when no slowdown is active.
     pub fn effective_step_time(
         &self,
         res: Resolution,
@@ -101,18 +90,12 @@ impl SchedContext<'_> {
     ) -> SimDuration {
         // tetrilint: allow(nominal-step-time) -- this IS the effective accessor
         let nominal = self.costs.step_time(res, k, batch);
-        let slow = self.group_slowdown(gpus);
+        let slow = self.failures.group_slowdown(gpus, self.now);
         if slow > 1.0 {
             nominal.mul_f64(slow)
         } else {
             nominal
         }
-    }
-
-    /// Effective serving capacity of the healthy set in nominal-GPU
-    /// units: exactly `healthy.len() as f64` on a degradation-free run.
-    pub fn effective_capacity(&self) -> f64 {
-        self.failures.effective_capacity(self.healthy, self.now)
     }
 }
 

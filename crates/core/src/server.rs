@@ -288,7 +288,7 @@ impl<P: Policy> ClusterSim<P> {
         let topology = costs.cluster().topology();
         let engine = Engine::new(topology.clone(), config.engine.clone());
         let mut events: EventQueue<Event> = EventQueue::new();
-        for fault in config.engine.failures.faults() {
+        for fault in engine.failures().faults() {
             events.push(fault.down_from, Event::GpuDown);
             if let Some(up) = fault.up_at {
                 events.push(up, Event::GpuUp);
@@ -459,7 +459,7 @@ impl<P: Policy> ClusterSim<P> {
     /// plan — the capacity the EDF feasibility scans run against. Under
     /// the unified layout the denoise pool is the whole cluster.
     pub fn healthy_count_at(&self, at: SimTime) -> usize {
-        let down = self.config.engine.failures.down_gpus(at);
+        let down = self.engine.failures().down_gpus(at);
         GpuSet::first_n(self.denoise_gpus).difference(down).len()
     }
 
@@ -469,9 +469,10 @@ impl<P: Policy> ClusterSim<P> {
     /// capacity-form EDF scans it feeds are bit-identical to the integer
     /// forms on slowdown-free runs.
     pub fn effective_capacity_at(&self, at: SimTime) -> f64 {
-        let failures = &self.config.engine.failures;
-        let healthy = GpuSet::first_n(self.denoise_gpus).difference(failures.down_gpus(at));
-        failures.effective_capacity(healthy, at)
+        // `effective_capacity` counts only the members up at `at`.
+        self.engine
+            .failures()
+            .effective_capacity(GpuSet::first_n(self.denoise_gpus), at)
     }
 
     /// Every queued request with work remaining, in id order, as
@@ -522,15 +523,13 @@ impl<P: Policy> ClusterSim<P> {
     }
 
     /// [`load`](ClusterSim::load) plus, for an `arrival`, its admission
-    /// verdict (`true` without one). The healthy set and the derated
-    /// capacity are read once; everything else is O(1) or the one
-    /// [`feasibility::scan_backlog`] walk of the tracker's live index — a
-    /// route must not scan every request ever admitted.
+    /// verdict (`true` without one). The derated capacity is read once;
+    /// everything else is O(1) or the one [`feasibility::scan_backlog`]
+    /// walk of the tracker's live index — a route must not scan every
+    /// request ever admitted.
     fn snapshot(&self, at: SimTime, arrival: Option<&RequestSpec>) -> (ClusterLoad, bool) {
         let at = at.max(self.cursor);
-        let failures = &self.config.engine.failures;
-        let healthy = GpuSet::first_n(self.denoise_gpus).difference(failures.down_gpus(at));
-        let effective_gpus = failures.effective_capacity(healthy, at);
+        let effective_gpus = self.effective_capacity_at(at);
         let probe = arrival.map(|spec| {
             (
                 feasibility::arrival_entry(&self.costs, spec, at),
@@ -618,7 +617,7 @@ impl<P: Policy> ClusterSim<P> {
             return;
         }
         let healthy = GpuSet::first_n(self.denoise_gpus).difference(self.down);
-        let capacity = self.config.engine.failures.effective_capacity(healthy, now);
+        let capacity = self.engine.failures().effective_capacity(healthy, now);
         feasibility::degrade_or_shed(
             &mut self.tracker,
             now,
@@ -824,7 +823,7 @@ impl<P: Policy> ClusterSim<P> {
     /// so no dispatch holds it at `up_at`.
     fn refresh_health(&mut self, now: SimTime) {
         let was = self.down;
-        self.down = self.config.engine.failures.down_gpus(now);
+        self.down = self.engine.failures().down_gpus(now);
         // Only denoise-pool GPUs are ever free: a recovered encode or
         // decode pool GPU must not reach the packer.
         let recovered = was
@@ -865,7 +864,7 @@ impl<P: Policy> ClusterSim<P> {
             n_gpus: self.denoise_gpus,
             tracker: &self.tracker,
             costs: &self.costs,
-            failures: &self.config.engine.failures,
+            failures: self.engine.failures(),
         };
         let plans = self.policy.schedule(&ctx);
         self.sched_calls += 1;

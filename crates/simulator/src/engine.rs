@@ -30,6 +30,7 @@
 //! the fault count (step-level checkpointing), and the burned-but-useless
 //! tail is charged as wasted GPU-seconds.
 
+use crate::failure::FailurePlan;
 use crate::gpuset::GpuSet;
 use crate::group::ProcessGroupCache;
 use crate::latent::transfer_time;
@@ -64,7 +65,7 @@ pub struct EngineConfig {
     pub seed: u64,
     /// Injected degradations (slowdowns and hard GPU faults); empty by
     /// default.
-    pub failures: crate::failure::FailurePlan,
+    pub failures: FailurePlan,
 }
 
 impl Default for EngineConfig {
@@ -72,7 +73,7 @@ impl Default for EngineConfig {
         EngineConfig {
             step_noise_cv: 0.002,
             seed: 0x7e7215e7,
-            failures: crate::failure::FailurePlan::none(),
+            failures: FailurePlan::none(),
         }
     }
 }
@@ -267,34 +268,34 @@ impl Engine {
         let stall = warmup + remap;
         let start = now + stall.max(latent_wait);
 
-        // A fault landing during the pre-start stall kills the dispatch
-        // before its first step.
-        let mut abort_at = if start > now {
-            self.config
-                .failures
-                .first_down_within(dispatch.gpus, now, start)
-        } else {
-            None
-        };
+        // Read once: the dispatch occupies its GPUs from `now` without a
+        // gap, so the first instant at or after `now` that a member GPU is
+        // down is the abort instant of whichever interval reaches it
+        // first. A fault landing during the pre-start stall kills the
+        // dispatch before its first step.
+        let failures = &self.config.failures;
+        let down_at = failures.first_down_at_or_after(dispatch.gpus, now);
+        let mut abort_at = down_at.filter(|&down| down < start);
 
-        // Execute steps with per-step jitter. Stragglers are re-evaluated
-        // at each step's start time, so a degradation window opening
-        // mid-dispatch slows only the tail steps; a hard fault inside a
-        // step's execution window aborts at the fault instant and the step
-        // does not complete.
+        // Execute steps with per-step jitter. Stragglers are evaluated at
+        // each step's start time, so a degradation window opening
+        // mid-dispatch slows only the tail steps; the group slowdown is
+        // re-read only for a step starting at or after the next timeline
+        // break. A hard fault inside a step's half-open execution window
+        // `[t, end)` (or at `t` for a zero-length step) aborts at the
+        // fault instant and the step does not complete.
         let mut completed = 0;
         let mut t = start;
         if abort_at.is_none() {
+            let (mut slowdown, mut next_break) = failures.group_slowdown_until(dispatch.gpus, t);
             for _ in 0..dispatch.steps {
-                let slowdown = self.config.failures.group_slowdown(dispatch.gpus, t);
+                if t >= next_break {
+                    (slowdown, next_break) = failures.group_slowdown_until(dispatch.gpus, t);
+                }
                 let jitter = self.rng.jitter_factor(self.config.step_noise_cv);
                 let end = t + dispatch.per_step.mul_f64(jitter * slowdown);
-                if let Some(fault) = self
-                    .config
-                    .failures
-                    .first_down_within(dispatch.gpus, t, end)
-                {
-                    abort_at = Some(fault);
+                if let Some(down) = down_at.filter(|&down| down < end || down == t) {
+                    abort_at = Some(down);
                     break;
                 }
                 t = end;
@@ -440,21 +441,10 @@ impl Engine {
         self.last_gpus.get(&request).copied()
     }
 
-    /// GPUs idle at `now`.
-    pub fn idle_gpus(&self, now: SimTime) -> GpuSet {
-        self.topology
-            .all_gpus()
-            .iter()
-            .filter(|g| self.busy_until[g.0] <= now)
-            .collect()
-    }
-
-    /// GPUs healthy (not hard-faulted) at `now` — the scheduler's health
-    /// view for allocation and placement.
-    pub fn healthy_gpus(&self, now: SimTime) -> GpuSet {
-        self.topology
-            .all_gpus()
-            .difference(self.config.failures.down_gpus(now))
+    /// The failure plan the engine executes against. A cluster reads its
+    /// health and capacity views from this one copy.
+    pub fn failures(&self) -> &FailurePlan {
+        &self.config.failures
     }
 
     /// Mean GPU utilisation over `[0, horizon]`.
@@ -628,12 +618,10 @@ mod tests {
     }
 
     #[test]
-    fn idle_gpus_and_utilization() {
+    fn utilization_averages_busy_time_over_every_gpu() {
         let mut e = engine();
         let d = dispatch(&[1], GpuSet::contiguous(0, 4), 10, 100);
         let out = e.submit(SimTime::ZERO, &d).unwrap();
-        assert_eq!(e.idle_gpus(SimTime::ZERO), GpuSet::contiguous(4, 4));
-        assert_eq!(e.idle_gpus(out.gpus_free_at), GpuSet::first_n(8));
         let util = e.utilization(out.gpus_free_at);
         assert!((util - 0.5).abs() < 0.01, "util {util}");
     }
@@ -759,13 +747,10 @@ mod tests {
         // After the transient outage clears, the GPU serves again.
         assert!(e.submit(SimTime::from_millis(500), &d).is_ok());
         assert_eq!(
-            e.healthy_gpus(SimTime::from_millis(200)),
-            GpuSet::first_n(8).difference(GpuSet::single(GpuId(0)))
+            e.failures().down_gpus(SimTime::from_millis(200)),
+            GpuSet::single(GpuId(0))
         );
-        assert_eq!(
-            e.healthy_gpus(SimTime::from_millis(500)),
-            GpuSet::first_n(8)
-        );
+        assert!(e.failures().down_gpus(SimTime::from_millis(500)).is_empty());
     }
 
     #[test]
@@ -785,6 +770,100 @@ mod tests {
         assert_eq!(out.gpus_free_at, SimTime::from_millis(50));
         // 50 ms × 2 GPUs, all wasted.
         assert!((abort.wasted_gpu_seconds - 0.1).abs() < 1e-9);
+    }
+
+    /// A noise-free engine running a `steps`-step dispatch of 100 ms
+    /// steps on GPUs {0,1} at time zero.
+    fn run_on_gpus_0_1(failures: FailurePlan, steps: u32) -> DispatchOutcome {
+        let mut e = faulty_engine(failures);
+        let d = dispatch(&[1], GpuSet::contiguous(0, 2), steps, 100);
+        e.submit(SimTime::ZERO, &d).unwrap()
+    }
+
+    #[test]
+    fn straggler_window_inside_a_dispatch_slows_only_the_steps_it_covers() {
+        use crate::failure::PerfFault;
+        // Steps start at 0, 100, 200, 400, 500 and 600 ms: only the one
+        // starting at 200 ms lies in the window. Reading the slowdown once
+        // would end at 600 ms, never clearing it at 800 ms or later.
+        let plan = FailurePlan::none().with_perf_fault(PerfFault::straggler(
+            GpuId(0),
+            2.0,
+            SimTime::from_millis(150),
+            SimTime::from_millis(350),
+        ));
+        let out = run_on_gpus_0_1(plan, 6);
+        assert!(out.aborted.is_none());
+        assert_eq!(out.gpus_free_at, SimTime::from_millis(700));
+    }
+
+    #[test]
+    fn fault_opening_as_a_step_starts_aborts_it_with_nothing_wasted() {
+        use crate::failure::GpuFault;
+        let plan = FailurePlan::none().with_fault(GpuFault::transient(
+            GpuId(1),
+            SimTime::from_millis(200),
+            SimTime::from_millis(300),
+        ));
+        let out = run_on_gpus_0_1(plan, 4);
+        let abort = out.aborted.expect("dispatch must abort");
+        assert_eq!(abort.time, SimTime::from_millis(200));
+        assert_eq!(abort.completed_steps, 2);
+        assert_eq!(abort.down, GpuSet::single(GpuId(1)));
+        assert_eq!(abort.wasted_gpu_seconds, 0.0);
+        assert_eq!(out.gpus_free_at, SimTime::from_millis(200));
+    }
+
+    #[test]
+    fn fault_outside_the_dispatch_never_aborts_it() {
+        use crate::failure::GpuFault;
+        let plan = FailurePlan::none()
+            .with_fault(GpuFault::transient(
+                GpuId(2),
+                SimTime::from_millis(50),
+                SimTime::from_millis(150),
+            ))
+            .with_fault(GpuFault::permanent(GpuId(3), SimTime::from_millis(250)));
+        let out = run_on_gpus_0_1(plan, 4);
+        assert!(out.aborted.is_none());
+        assert_eq!(out.gpus_free_at, SimTime::from_millis(400));
+    }
+
+    #[test]
+    fn earlier_of_two_member_faults_aborts_the_dispatch() {
+        use crate::failure::GpuFault;
+        // Listed later-first: the abort follows time, not plan order.
+        let plan = FailurePlan::none()
+            .with_fault(GpuFault::permanent(GpuId(1), SimTime::from_millis(250)))
+            .with_fault(GpuFault::transient(
+                GpuId(0),
+                SimTime::from_millis(150),
+                SimTime::from_millis(400),
+            ));
+        let out = run_on_gpus_0_1(plan, 4);
+        let abort = out.aborted.expect("dispatch must abort");
+        assert_eq!(abort.time, SimTime::from_millis(150));
+        assert_eq!(abort.completed_steps, 1);
+        assert_eq!(abort.down, GpuSet::single(GpuId(0)));
+        // 50 ms of the second step burned on each of 2 GPUs.
+        assert!((abort.wasted_gpu_seconds - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fault_opening_as_warm_up_ends_aborts_a_zero_length_step() {
+        use crate::failure::GpuFault;
+        // The cold group {1,2} starts stepping at 150 ms, the instant GPU
+        // 2 goes down: the stall's window `[0, 150)` misses it, and the
+        // first zero-length step `[150, 150)` aborts at its start.
+        let plan = FailurePlan::none()
+            .with_fault(GpuFault::permanent(GpuId(2), SimTime::from_millis(150)));
+        let mut e = faulty_engine(plan);
+        let d = dispatch(&[3], GpuSet::from_mask(0b110), 4, 0);
+        let out = e.submit(SimTime::ZERO, &d).unwrap();
+        assert_eq!(out.start, SimTime::from_millis(150));
+        let abort = out.aborted.expect("dispatch must abort");
+        assert_eq!(abort.time, SimTime::from_millis(150));
+        assert_eq!(abort.completed_steps, 0);
     }
 
     #[test]
