@@ -14,6 +14,7 @@ use std::collections::BTreeMap;
 use tetriserve_core::policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
 use tetriserve_costmodel::{CostTable, Resolution};
 use tetriserve_simulator::time::{SimDuration, SimTime};
+use tetriserve_simulator::trace::Batch;
 
 use crate::rssp::RsspPolicy;
 
@@ -82,7 +83,7 @@ impl Policy for EdfRsspPolicy {
             };
             free = free.difference(block);
             plans.push(DispatchPlan {
-                requests: vec![id],
+                requests: Batch::one(id),
                 gpus: block,
                 steps: r.remaining_steps,
             });
@@ -146,11 +147,7 @@ mod tests {
         };
         let plans = p.schedule(&ctx);
         assert_eq!(plans.len(), 1, "only one free GPU");
-        assert_eq!(
-            plans[0].requests,
-            vec![RequestId(1)],
-            "tighter deadline first"
-        );
+        assert_eq!(*plans[0].requests, [RequestId(1)], "tighter deadline first");
     }
 
     #[test]
@@ -174,8 +171,8 @@ mod tests {
         };
         let plans = p.schedule(&ctx);
         assert_eq!(
-            plans[0].requests,
-            vec![RequestId(1)],
+            *plans[0].requests,
+            [RequestId(1)],
             "savable first despite later deadline"
         );
     }

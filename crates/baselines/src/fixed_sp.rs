@@ -12,6 +12,7 @@
 use tetriserve_core::policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::SimTime;
+use tetriserve_simulator::trace::Batch;
 
 /// xDiT with a fixed sequence-parallel degree.
 #[derive(Debug, Clone)]
@@ -78,7 +79,7 @@ impl Policy for FixedSpPolicy {
             let r = ctx.tracker.get(id).expect("schedulable id is tracked");
             free = free.difference(slot);
             plans.push(DispatchPlan {
-                requests: vec![id],
+                requests: Batch::one(id),
                 gpus: slot,
                 steps: r.remaining_steps,
             });
@@ -208,7 +209,7 @@ mod tests {
         };
         let plans = p.schedule(&ctx);
         assert_eq!(plans.len(), 2, "two SP=4 slots");
-        assert_eq!(plans[0].requests, vec![RequestId(0)]);
-        assert_eq!(plans[1].requests, vec![RequestId(1)]);
+        assert_eq!(*plans[0].requests, [RequestId(0)]);
+        assert_eq!(*plans[1].requests, [RequestId(1)]);
     }
 }

@@ -15,6 +15,7 @@ use std::collections::BTreeMap;
 use tetriserve_core::policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
 use tetriserve_costmodel::{CostTable, Resolution};
 use tetriserve_simulator::time::{SimDuration, SimTime};
+use tetriserve_simulator::trace::Batch;
 
 /// The RSSP baseline policy.
 #[derive(Debug, Clone)]
@@ -114,7 +115,7 @@ impl Policy for RsspPolicy {
             };
             free = free.difference(block);
             plans.push(DispatchPlan {
-                requests: vec![id],
+                requests: Batch::one(id),
                 gpus: block,
                 steps: r.remaining_steps,
             });

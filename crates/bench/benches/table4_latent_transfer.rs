@@ -8,10 +8,10 @@
 
 use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
 use tetriserve_metrics::report::TextTable;
-use tetriserve_simulator::engine::{Engine, EngineConfig, StepDispatch};
+use tetriserve_simulator::engine::{Engine, EngineConfig, Member, StepDispatch};
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::SimTime;
-use tetriserve_simulator::trace::RequestId;
+use tetriserve_simulator::trace::{Batch, RequestId};
 
 fn main() {
     let model = DitModel::flux_dev();
@@ -28,18 +28,23 @@ fn main() {
             // the latent hand-off between them.
             let mut engine = Engine::new(cluster.topology(), EngineConfig::default());
             let per_step = costs.step_time(res, 4, batch);
-            let mk = |start: usize| StepDispatch {
-                requests: vec![RequestId(1)],
-                gpus: GpuSet::contiguous(start, 4),
-                steps: 2,
-                per_step,
-                latent_bytes: model.latent_bytes(res) * u64::from(batch),
-                decode_after: None,
-                finishing: Vec::new(),
+            let mk = |start: usize, last_gpus: Option<GpuSet>| {
+                let mut members = [Member::default(); tetriserve_simulator::engine::MAX_BATCH];
+                members[0].last_gpus = last_gpus;
+                StepDispatch {
+                    requests: Batch::one(RequestId(1)),
+                    gpus: GpuSet::contiguous(start, 4),
+                    steps: 2,
+                    per_step,
+                    latent_bytes: model.latent_bytes(res) * u64::from(batch),
+                    decode_after: None,
+                    members,
+                }
             };
-            let out1 = engine.submit(SimTime::ZERO, &mk(0)).expect("dispatch ok");
+            let first = mk(0, None);
+            let out1 = engine.submit(SimTime::ZERO, &first).expect("dispatch ok");
             let _ = engine
-                .submit(out1.gpus_free_at, &mk(4))
+                .submit(out1.gpus_free_at, &mk(4, Some(first.gpus)))
                 .expect("dispatch ok");
             let transfer = engine.trace().latent_transfer_total(RequestId(1));
             let pct = 100.0 * transfer.as_secs_f64() / per_step.as_secs_f64();

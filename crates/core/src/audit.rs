@@ -20,7 +20,7 @@ use std::collections::{BTreeMap, HashMap};
 
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::SimTime;
-use tetriserve_simulator::trace::{DispatchId, RequestId, Trace, TraceEvent};
+use tetriserve_simulator::trace::{Batch, DispatchId, RequestId, Trace, TraceEvent};
 
 use crate::request::RequestOutcome;
 
@@ -71,7 +71,7 @@ struct Interval {
     start: SimTime,
     end: SimTime,
     gpus: GpuSet,
-    requests: Vec<RequestId>,
+    requests: Batch,
     steps: u32,
 }
 
@@ -190,7 +190,7 @@ mod tests {
         TraceEvent::DispatchStart {
             time: SimTime::from_millis(t),
             dispatch: DispatchId(d),
-            requests: vec![RequestId(req)],
+            requests: Batch::one(RequestId(req)),
             gpus,
             steps,
             per_step: SimDuration::from_millis(10),

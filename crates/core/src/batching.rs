@@ -7,10 +7,13 @@
 //! cost model says the slower batched step flips nobody's deadline survival.
 //! Freed GPU sets flow back to the caller for the elastic scale-up pass.
 //!
-//! Batch formation is part of the scheduling decision path, so grouping
-//! uses a `BTreeMap`: candidate groups are visited in (tokens, degree)
-//! order, never in std's per-instance-randomized hash order, and the
-//! same seed therefore always forms the same batches.
+//! Batch formation is part of the scheduling decision path, so the pass
+//! visits candidate groups in (tokens, degree) order, never in std's
+//! per-instance-randomized hash order, and the same seed therefore always
+//! forms the same batches. One sort of the candidates by (tokens, degree,
+//! remaining steps, index) lays each group out as one contiguous run in
+//! that order, so the pass needs no map and allocates only the request
+//! list of each batch it forms.
 //!
 //! Within a group, candidates are visited smallest-remaining-first, so
 //! requests at similar progress co-batch: survival-compatible requests
@@ -23,30 +26,21 @@
 // enumerate() over `assignments` or by group membership built from those
 // same indices earlier in this pass.
 
-use std::collections::{BTreeMap, HashMap};
-
 use tetriserve_costmodel::CostTable;
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
-use tetriserve_simulator::trace::RequestId;
+use tetriserve_simulator::trace::Batch;
 
 use crate::placement::Assignment;
-
-/// Per-request deadline context the batcher needs for its SLO check.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchDeadline {
-    /// Absolute deadline.
-    pub deadline: SimTime,
-    /// Steps remaining before this round.
-    pub remaining: u32,
-}
+use crate::tracker::RequestTracker;
 
 /// Largest latent length considered "small" enough to batch (covers the
 /// 256² and 512² production resolutions).
 pub const BATCHABLE_TOKEN_LIMIT: u64 = 1024;
 
 /// Merges batchable assignments in place. Returns the GPU sets freed by
-/// merging (to be handed to elastic scale-up).
+/// merging (to be handed to elastic scale-up). Deadlines and remaining
+/// steps are read from `tracker`.
 ///
 /// Requests are merged only when all of the following hold:
 ///
@@ -54,28 +48,61 @@ pub const BATCHABLE_TOKEN_LIMIT: u64 = 1024;
 /// * the merged batch stays within the profiled batch envelope;
 /// * with the slower batched step time, every member still satisfies the
 ///   survival bound `t_next + (remaining − q_b) · T_min ≤ D_i`.
+///
+/// Absorbed assignments leave the list by `swap_remove`, highest index
+/// first.
+///
+/// # Panics
+///
+/// Panics if there are more than [`GpuSet::MAX_GPUS`] assignments (the
+/// assignments of one pass hold disjoint, non-empty GPU sets).
 pub fn merge_batches(
     assignments: &mut Vec<Assignment>,
-    deadlines: &HashMap<RequestId, BatchDeadline>,
+    tracker: &RequestTracker,
     costs: &CostTable,
     tau: SimDuration,
     t_next: SimTime,
 ) -> GpuSet {
+    assert!(
+        assignments.len() <= GpuSet::MAX_GPUS,
+        "{} assignments exceed {} GPUs",
+        assignments.len(),
+        GpuSet::MAX_GPUS
+    );
     let mut freed = GpuSet::EMPTY;
-    // Group candidate indices by (resolution tokens, degree). Ordered map:
-    // iteration below must not depend on hash order (see module docs).
-    let mut groups: BTreeMap<(u64, usize), Vec<usize>> = BTreeMap::new();
+    // Candidate indices, sorted so each (tokens, degree) group is one run
+    // in ascending (tokens, degree) order and, within it, ascending
+    // remaining steps with ties in index order.
+    let mut order = [0usize; GpuSet::MAX_GPUS];
+    let mut n = 0;
     for (i, a) in assignments.iter().enumerate() {
         if a.resolution.tokens() <= BATCHABLE_TOKEN_LIMIT && a.requests.len() == 1 {
-            groups
-                .entry((a.resolution.tokens(), a.gpus.len()))
-                .or_default()
-                .push(i);
+            order[n] = i;
+            n += 1;
         }
     }
+    let group_of = |a: &Assignment| (a.resolution.tokens(), a.gpus.len());
+    let candidates = &mut order[..n];
+    candidates.sort_unstable_by_key(|&i| {
+        (
+            group_of(&assignments[i]),
+            assignments[i].remaining_before,
+            i,
+        )
+    });
 
-    let mut remove: Vec<usize> = Vec::new();
-    for mut idxs in groups.into_values() {
+    // Bit `i` set: assignment `i` joined another's batch.
+    let mut absorbed = 0u64;
+    let mut members = [0usize; GpuSet::MAX_GPUS];
+    let mut rest: &[usize] = candidates;
+    while let Some(&first) = rest.first() {
+        let group = group_of(&assignments[first]);
+        let len = rest
+            .iter()
+            .take_while(|&&i| group_of(&assignments[i]) == group)
+            .count();
+        let (idxs, tail) = rest.split_at(len);
+        rest = tail;
         if idxs.len() < 2 {
             continue;
         }
@@ -93,53 +120,51 @@ pub fn merge_batches(
         // (the elephants-and-mice stress scenario catches this, as does
         // maximal multi-open-batch packing, which over-batches: each
         // merge is individually SLO-safe under the optimistic solo-rate
-        // residual bound, but the slower batched rounds compound). The
-        // sort is stable, so ties keep packer index order and the pass
-        // stays deterministic.
-        idxs.sort_by_key(|&i| assignments[i].remaining_before);
-        let mut host = idxs[0];
-        let mut members = vec![host];
+        // residual bound, but the slower batched rounds compound). Ties
+        // keep packer index order, so the pass stays deterministic.
+        //
+        // `members[..batch]` is the open batch, its host first; a trial
+        // writes the candidate one past it.
+        members[0] = idxs[0];
+        let mut batch = 1;
         for &cand in &idxs[1..] {
-            let proposed = members.len() as u32 + 1;
-            if proposed > costs.max_batch() {
+            if batch as u32 + 1 > costs.max_batch() {
                 // Current batch is full; the candidate hosts a new batch.
                 commit(
                     assignments,
-                    &mut remove,
+                    &members[..batch],
+                    &mut absorbed,
                     &mut freed,
-                    host,
-                    &members,
+                    tracker,
                     costs,
                     tau,
                     t_next,
-                    deadlines,
                 );
-                host = cand;
-                members = vec![cand];
+                members[0] = cand;
+                batch = 1;
                 continue;
             }
-            let mut trial = members.clone();
-            trial.push(cand);
-            if batch_survives(assignments, &trial, costs, tau, t_next, deadlines) {
-                members = trial;
+            members[batch] = cand;
+            if batch_survives(assignments, &members[..=batch], tracker, costs, tau, t_next) {
+                batch += 1;
             }
         }
         commit(
             assignments,
-            &mut remove,
+            &members[..batch],
+            &mut absorbed,
             &mut freed,
-            host,
-            &members,
+            tracker,
             costs,
             tau,
             t_next,
-            deadlines,
         );
     }
 
-    remove.sort_unstable_by(|a, b| b.cmp(a));
-    for i in remove {
+    while absorbed != 0 {
+        let i = (u64::BITS - 1 - absorbed.leading_zeros()) as usize;
         assignments.swap_remove(i);
+        absorbed &= !(1 << i);
     }
     freed
 }
@@ -148,10 +173,10 @@ pub fn merge_batches(
 fn batch_survives(
     assignments: &[Assignment],
     members: &[usize],
+    tracker: &RequestTracker,
     costs: &CostTable,
     tau: SimDuration,
     t_next: SimTime,
-    deadlines: &HashMap<RequestId, BatchDeadline>,
 ) -> bool {
     let host = &assignments[members[0]];
     let batch = members.len() as u32;
@@ -164,14 +189,13 @@ fn batch_survives(
     }
     let t_min = costs.t_min(host.resolution);
     members.iter().all(|&i| {
-        let a = &assignments[i];
-        // A member the caller gave no deadline context for cannot be
-        // proven SLO-safe — veto the batch rather than panic mid-round.
-        let Some(d) = deadlines.get(&a.requests[0]) else {
+        // A member the tracker does not hold cannot be proven SLO-safe —
+        // veto the batch rather than panic mid-round.
+        let Some(r) = tracker.get(assignments[i].requests[0]) else {
             return false;
         };
-        let residual = t_min * u64::from(d.remaining.saturating_sub(q_b));
-        t_next + residual <= d.deadline
+        let residual = t_min * u64::from(r.remaining_steps.saturating_sub(q_b));
+        t_next + residual <= r.spec.deadline
     })
 }
 
@@ -183,47 +207,49 @@ fn min_remaining(assignments: &[Assignment], members: &[usize]) -> u32 {
         .unwrap_or(0)
 }
 
-/// Applies a grown batch: the host assignment absorbs the members, member
-/// assignments are queued for removal and their GPUs freed.
+/// Applies a grown batch: the host (`members[0]`) absorbs the other
+/// members, which are marked absorbed and their GPUs freed.
 #[allow(clippy::too_many_arguments)]
 fn commit(
     assignments: &mut [Assignment],
-    remove: &mut Vec<usize>,
-    freed: &mut GpuSet,
-    host: usize,
     members: &[usize],
+    absorbed: &mut u64,
+    freed: &mut GpuSet,
+    tracker: &RequestTracker,
     costs: &CostTable,
     tau: SimDuration,
     t_next: SimTime,
-    deadlines: &HashMap<RequestId, BatchDeadline>,
 ) {
-    if members.len() < 2 {
+    let [host, rest @ ..] = members else {
+        return;
+    };
+    if rest.is_empty() {
         return;
     }
     debug_assert!(batch_survives(
         assignments,
         members,
+        tracker,
         costs,
         tau,
-        t_next,
-        deadlines
+        t_next
     ));
     let batch = members.len() as u32;
-    let res = assignments[host].resolution;
-    let degree = assignments[host].gpus.len();
+    let res = assignments[*host].resolution;
+    let degree = assignments[*host].gpus.len();
     let t_b = costs.step_time(res, degree, batch);
-    let q_b = (tau.div_floor(t_b) as u32).min(min_remaining(assignments, members));
-    let mut ids = Vec::with_capacity(members.len());
-    let mut min_rem = u32::MAX;
-    for &i in members {
-        ids.extend(assignments[i].requests.iter().copied());
-        min_rem = min_rem.min(assignments[i].remaining_before);
-        if i != host {
-            *freed = freed.union(assignments[i].gpus);
-            remove.push(i);
-        }
+    let min_rem = min_remaining(assignments, members);
+    let q_b = (tau.div_floor(t_b) as u32).min(min_rem);
+    // Every member is a single-request candidate.
+    let ids: Batch = members
+        .iter()
+        .map(|&i| assignments[i].requests[0])
+        .collect();
+    for &i in rest {
+        *freed = freed.union(assignments[i].gpus);
+        *absorbed |= 1 << i;
     }
-    let a = &mut assignments[host];
+    let a = &mut assignments[*host];
     a.requests = ids;
     a.steps = q_b;
     a.remaining_before = min_rem;
@@ -232,7 +258,9 @@ fn commit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
+    use crate::request::RequestSpec;
+    use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution, StageProfile};
+    use tetriserve_simulator::trace::{RequestId, TenantId};
 
     fn costs() -> CostTable {
         Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic()
@@ -240,7 +268,7 @@ mod tests {
 
     fn assignment(id: u64, res: Resolution, start: usize, width: usize, steps: u32) -> Assignment {
         Assignment {
-            requests: vec![RequestId(id)],
+            requests: Batch::one(RequestId(id)),
             resolution: res,
             gpus: GpuSet::contiguous(start, width),
             steps,
@@ -248,18 +276,31 @@ mod tests {
         }
     }
 
-    fn loose_deadlines(ids: &[u64]) -> HashMap<RequestId, BatchDeadline> {
+    /// A tracker holding fresh 50-step requests with the given deadlines.
+    fn tracker(deadlines: &[(u64, SimTime)]) -> RequestTracker {
+        let mut t = RequestTracker::new();
+        for &(id, deadline) in deadlines {
+            t.admit(RequestSpec {
+                tenant: TenantId::UNTAGGED,
+                id: RequestId(id),
+                resolution: Resolution::R256,
+                arrival: SimTime::ZERO,
+                deadline,
+                total_steps: 50,
+                stages: StageProfile::FLAT,
+            });
+        }
+        t
+    }
+
+    fn loose(ids: &[u64]) -> Vec<(u64, SimTime)> {
         ids.iter()
-            .map(|&i| {
-                (
-                    RequestId(i),
-                    BatchDeadline {
-                        deadline: SimTime::from_secs_f64(1_000.0),
-                        remaining: 50,
-                    },
-                )
-            })
+            .map(|&i| (i, SimTime::from_secs_f64(1_000.0)))
             .collect()
+    }
+
+    fn loose_deadlines(ids: &[u64]) -> RequestTracker {
+        tracker(&loose(ids))
     }
 
     #[test]
@@ -333,7 +374,7 @@ mod tests {
         ];
         // Request 1's deadline is so tight that the batched residual bound
         // fails (it needs every round at full solo progress).
-        let mut deadlines = loose_deadlines(&[2]);
+        let mut deadlines = loose(&[2]);
         let t_min = c.t_min(Resolution::R512);
         // Batched q is smaller than solo q; craft a deadline satisfied only
         // by the solo progress.
@@ -343,15 +384,8 @@ mod tests {
         let q_b = (tau.div_floor(t_b) as u32).min(50);
         assert!(q_b < q_solo, "batched steps are slower");
         let mid_steps = (q_b + q_solo) / 2;
-        let deadline = t_next + t_min * u64::from(50 - mid_steps);
-        deadlines.insert(
-            RequestId(1),
-            BatchDeadline {
-                deadline,
-                remaining: 50,
-            },
-        );
-        let freed = merge_batches(&mut asg, &deadlines, &c, tau, t_next);
+        deadlines.push((1, t_next + t_min * u64::from(50 - mid_steps)));
+        let freed = merge_batches(&mut asg, &tracker(&deadlines), &c, tau, t_next);
         assert_eq!(asg.len(), 2, "SLO-compromising batch must be rejected");
         assert!(freed.is_empty());
     }
@@ -388,17 +422,9 @@ mod tests {
         // (smaller fresh batches step faster, so they pass too). A batch
         // capped at q_b = 2 by a nearly-done member fails this.
         let tight = t_next + t_min * u64::from(50 - q_quad);
-        let mut deadlines = loose_deadlines(&[2, 4, 6, 8]);
-        for id in [1u64, 3, 5, 7] {
-            deadlines.insert(
-                RequestId(id),
-                BatchDeadline {
-                    deadline: tight,
-                    remaining: 50,
-                },
-            );
-        }
-        let freed = merge_batches(&mut asg, &deadlines, &c, tau, t_next);
+        let mut deadlines = loose(&[2, 4, 6, 8]);
+        deadlines.extend([1, 3, 5, 7].map(|id| (id, tight)));
+        let freed = merge_batches(&mut asg, &tracker(&deadlines), &c, tau, t_next);
         assert_eq!(asg.len(), 2, "two full batches of four");
         assert_eq!(
             freed.len(),
@@ -415,6 +441,139 @@ mod tests {
             for id in want {
                 assert!(a.requests.contains(&RequestId(*id)), "{:?}", a.requests);
             }
+        }
+    }
+
+    /// The pass as it was first written — a `BTreeMap` of candidate
+    /// groups, a stable sort per group, trial `Vec`s and a removal list —
+    /// kept as the reference the map-free pass must match.
+    fn reference_merge(
+        assignments: &mut Vec<Assignment>,
+        tracker: &RequestTracker,
+        costs: &CostTable,
+        tau: SimDuration,
+        t_next: SimTime,
+    ) -> GpuSet {
+        let mut freed = GpuSet::EMPTY;
+        let mut groups: std::collections::BTreeMap<(u64, usize), Vec<usize>> =
+            std::collections::BTreeMap::new();
+        for (i, a) in assignments.iter().enumerate() {
+            if a.resolution.tokens() <= BATCHABLE_TOKEN_LIMIT && a.requests.len() == 1 {
+                groups
+                    .entry((a.resolution.tokens(), a.gpus.len()))
+                    .or_default()
+                    .push(i);
+            }
+        }
+        let mut remove: Vec<usize> = Vec::new();
+        let mut commit = |assignments: &mut Vec<Assignment>, members: &[usize]| {
+            if members.len() < 2 {
+                return;
+            }
+            let host = members[0];
+            let t_b = costs.step_time(
+                assignments[host].resolution,
+                assignments[host].gpus.len(),
+                members.len() as u32,
+            );
+            let q_b = (tau.div_floor(t_b) as u32).min(min_remaining(assignments, members));
+            let mut ids = Vec::new();
+            let mut min_rem = u32::MAX;
+            for &i in members {
+                ids.extend(assignments[i].requests.iter().copied());
+                min_rem = min_rem.min(assignments[i].remaining_before);
+                if i != host {
+                    freed = freed.union(assignments[i].gpus);
+                    remove.push(i);
+                }
+            }
+            let a = &mut assignments[host];
+            a.requests = Batch::from(ids);
+            a.steps = q_b;
+            a.remaining_before = min_rem;
+        };
+        for mut idxs in groups.into_values() {
+            if idxs.len() < 2 {
+                continue;
+            }
+            idxs.sort_by_key(|&i| assignments[i].remaining_before);
+            let mut members = vec![idxs[0]];
+            for &cand in &idxs[1..] {
+                if members.len() as u32 + 1 > costs.max_batch() {
+                    commit(assignments, &members);
+                    members = vec![cand];
+                    continue;
+                }
+                let mut trial = members.clone();
+                trial.push(cand);
+                if batch_survives(assignments, &trial, tracker, costs, tau, t_next) {
+                    members = trial;
+                }
+            }
+            commit(assignments, &members);
+        }
+        remove.sort_unstable_by(|a, b| b.cmp(a));
+        for i in remove {
+            assignments.swap_remove(i);
+        }
+        freed
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(500))]
+
+        /// The map-free pass forms the same batches, frees the same GPUs
+        /// and leaves the same assignments in the same order as the
+        /// reference, over mixed resolutions, degrees, progress and
+        /// deadlines from hopeless to loose.
+        #[test]
+        fn prop_map_free_merge_matches_the_reference(
+            specs in proptest::collection::vec(
+                ((0usize..3, 0usize..2, 1u32..=50), (1u32..30, 0u64..60, 0u32..8)),
+                2..=16,
+            ),
+            tau_halves in 1u64..=10,
+        ) {
+            let c = costs();
+            let tau = c.t_min(Resolution::R2048) * tau_halves / 2;
+            let t_next = SimTime::ZERO + tau;
+            let res = [Resolution::R256, Resolution::R512, Resolution::R1024];
+            let mut asg = Vec::new();
+            let mut tracker = RequestTracker::new();
+            let mut start = 0;
+            for (id, &((r, w, remaining), (steps, slack, untracked))) in specs.iter().enumerate() {
+                let (id, width) = (RequestId(id as u64), 1 << w);
+                let gpus = GpuSet::contiguous(start, width);
+                start += width;
+                asg.push(Assignment {
+                    requests: Batch::one(id),
+                    resolution: res[r],
+                    gpus,
+                    steps,
+                    remaining_before: remaining,
+                });
+                if untracked == 0 {
+                    continue; // vetoes any batch it would join
+                }
+                tracker.admit(RequestSpec {
+                    tenant: TenantId::UNTAGGED,
+                    id,
+                    resolution: res[r],
+                    arrival: SimTime::ZERO,
+                    deadline: t_next + c.t_min(res[r]) * slack,
+                    total_steps: 50,
+                    stages: StageProfile::FLAT,
+                });
+                if remaining < 50 {
+                    tracker.start_dispatch(id, gpus, 50 - remaining, 0.0);
+                    tracker.finish_dispatch(id);
+                }
+            }
+            let mut want = asg.clone();
+            let want_freed = reference_merge(&mut want, &tracker, &c, tau, t_next);
+            let freed = merge_batches(&mut asg, &tracker, &c, tau, t_next);
+            proptest::prop_assert_eq!(freed, want_freed);
+            proptest::prop_assert_eq!(asg, want);
         }
     }
 

@@ -15,20 +15,9 @@ use tetriserve_simulator::topology::Topology;
 
 use crate::placement::Assignment;
 
-/// One applied scale-up, for tracing/tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScaleUp {
-    /// Index of the scaled assignment.
-    pub assignment: usize,
-    /// Degree before.
-    pub from: usize,
-    /// Degree after.
-    pub to: usize,
-}
-
 /// Grants idle GPUs to the assignments that benefit most. Mutates
-/// `assignments` (GPU sets, step counts) and `free`, returning the applied
-/// scale-ups.
+/// `assignments` (GPU sets, step counts) and `free`, returning the number
+/// of doublings applied.
 ///
 /// `tau` is the round length (step counts are re-derived for the faster
 /// step time) and `min_benefit` the saving a doubling must achieve to be
@@ -40,9 +29,9 @@ pub fn elastic_scale_up(
     topology: &Topology,
     tau: SimDuration,
     min_benefit: SimDuration,
-) -> Vec<ScaleUp> {
+) -> usize {
     let n_gpus = topology.n_gpus();
-    let mut applied = Vec::new();
+    let mut doublings = 0;
     loop {
         // Find the doubling with the largest estimated saving.
         let mut best: Option<(usize, SimDuration)> = None;
@@ -87,15 +76,11 @@ pub fn elastic_scale_up(
         let t_new = costs.step_time(a.resolution, 2 * k, a.requests.len() as u32);
         let q_new = (tau.div_floor(t_new) as u32).min(a.remaining_before).max(1);
         *free = free.difference(extras);
-        applied.push(ScaleUp {
-            assignment: idx,
-            from: k,
-            to: 2 * k,
-        });
+        doublings += 1;
         a.gpus = a.gpus.union(extras);
         a.steps = q_new.max(a.steps).min(a.remaining_before);
     }
-    applied
+    doublings
 }
 
 /// Chooses `extra_count` GPUs from `free` to widen `current`, preferring
@@ -119,7 +104,7 @@ mod tests {
     use super::*;
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
     use tetriserve_simulator::topology::Topology;
-    use tetriserve_simulator::trace::RequestId;
+    use tetriserve_simulator::trace::{Batch, RequestId};
 
     fn fixture() -> (CostTable, Topology, SimDuration) {
         let costs = Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic();
@@ -135,7 +120,7 @@ mod tests {
         remaining: u32,
     ) -> Assignment {
         Assignment {
-            requests: vec![RequestId(id)],
+            requests: Batch::one(RequestId(id)),
             resolution: res,
             gpus,
             steps,
@@ -162,14 +147,7 @@ mod tests {
             tau,
             SimDuration::from_millis(30),
         );
-        assert_eq!(
-            ups,
-            vec![ScaleUp {
-                assignment: 0,
-                from: 4,
-                to: 8
-            }]
-        );
+        assert_eq!(ups, 1, "one doubling, 4 → 8");
         assert_eq!(assignments[0].gpus, GpuSet::first_n(8));
         assert!(free.is_empty());
         // Faster steps => at least as many steps fit in the round.
@@ -197,7 +175,7 @@ mod tests {
             tau,
             SimDuration::from_millis(30),
         );
-        assert!(ups.is_empty(), "{ups:?}");
+        assert_eq!(ups, 0);
         assert_eq!(assignments[0].gpus.len(), 1);
         assert_eq!(free.len(), 7);
     }
@@ -221,9 +199,9 @@ mod tests {
             tau,
             SimDuration::from_millis(30),
         );
-        assert_eq!(ups.len(), 1);
-        assert_eq!(ups[0].assignment, 0);
-        assert_eq!(assignments[0].gpus.len(), 4);
+        assert_eq!(ups, 1);
+        assert_eq!(assignments[0].gpus.len(), 4, "the 1024² request doubled");
+        assert_eq!(assignments[1].gpus.len(), 4, "the 2048² request did not");
     }
 
     #[test]
@@ -246,7 +224,7 @@ mod tests {
             SimDuration::from_millis(30),
         );
         // 2 -> 4 -> 8.
-        assert_eq!(ups.len(), 2);
+        assert_eq!(ups, 2);
         assert_eq!(assignments[0].gpus.len(), 8);
     }
 
@@ -263,7 +241,7 @@ mod tests {
             tau,
             SimDuration::ZERO,
         );
-        assert!(ups.is_empty());
+        assert_eq!(ups, 0);
     }
 
     #[test]
@@ -287,7 +265,7 @@ mod tests {
             tau,
             SimDuration::from_millis(30),
         );
-        assert!(!ups.is_empty());
+        assert_eq!(ups, 1);
         assert!(assignments[0].gpus.is_superset_of(GpuSet::contiguous(4, 4)));
     }
 }

@@ -11,7 +11,7 @@
 use tetriserve_costmodel::Resolution;
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::topology::Topology;
-use tetriserve_simulator::trace::RequestId;
+use tetriserve_simulator::trace::{Batch, RequestId};
 
 /// A width-only placement request coming out of the packer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +34,7 @@ pub struct PlacementRequest {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Assignment {
     /// Requests sharing the dispatch (starts as one; batching may add more).
-    pub requests: Vec<RequestId>,
+    pub requests: Batch,
     /// Resolution of every member.
     pub resolution: Resolution,
     /// Concrete GPU set.
@@ -45,7 +45,10 @@ pub struct Assignment {
     pub remaining_before: u32,
 }
 
-/// Places each request on a concrete GPU set drawn from `free`.
+/// Places each request on a concrete GPU set drawn from `free`, replacing
+/// the contents of `out` with one assignment per request, in request
+/// order. A caller that reuses `out` across calls allocates only when a
+/// placement outgrows it.
 ///
 /// With `preserve` set, requests that previously ran on a still-free set of
 /// the same width keep it (first pass); everyone else prefers aligned
@@ -62,7 +65,8 @@ pub fn place(
     mut free: GpuSet,
     preserve: bool,
     topology: &Topology,
-) -> Vec<Assignment> {
+    out: &mut Vec<Assignment>,
+) {
     let demand: usize = requests.iter().map(|r| r.width).sum();
     assert!(
         demand <= free.len(),
@@ -111,17 +115,14 @@ pub fn place(
         free = free.difference(set);
     }
 
-    requests
-        .iter()
-        .zip(placed)
-        .map(|(r, set)| Assignment {
-            requests: vec![r.id],
-            resolution: r.resolution,
-            gpus: set.expect("every request is placed"),
-            steps: r.steps,
-            remaining_before: r.remaining_before,
-        })
-        .collect()
+    out.clear();
+    out.extend(requests.iter().zip(placed).map(|(r, set)| Assignment {
+        requests: Batch::one(r.id),
+        resolution: r.resolution,
+        gpus: set.expect("every request is placed"),
+        steps: r.steps,
+        remaining_before: r.remaining_before,
+    }));
 }
 
 /// Picks a `width`-GPU set from `free`: an aligned block when one is fully
@@ -180,17 +181,34 @@ mod tests {
         Topology::h100_nvlink(8)
     }
 
+    fn placed(
+        requests: &[PlacementRequest],
+        free: GpuSet,
+        preserve: bool,
+        topology: &Topology,
+    ) -> Vec<Assignment> {
+        let mut out = vec![Assignment {
+            requests: Batch::one(RequestId(99)),
+            resolution: Resolution::R256,
+            gpus: GpuSet::EMPTY,
+            steps: 1,
+            remaining_before: 1,
+        }];
+        place(requests, free, preserve, topology, &mut out);
+        out
+    }
+
     #[test]
     fn preservation_keeps_previous_sets() {
         let prev = GpuSet::contiguous(2, 2);
-        let out = place(&[preq(1, 2, Some(prev))], GpuSet::first_n(8), true, &h100());
+        let out = placed(&[preq(1, 2, Some(prev))], GpuSet::first_n(8), true, &h100());
         assert_eq!(out[0].gpus, prev);
     }
 
     #[test]
     fn without_preservation_requests_move() {
         let prev = GpuSet::contiguous(2, 2);
-        let out = place(
+        let out = placed(
             &[preq(1, 2, Some(prev))],
             GpuSet::first_n(8),
             false,
@@ -206,7 +224,7 @@ mod tests {
     #[test]
     fn no_overlap_between_assignments() {
         let reqs = vec![preq(1, 4, None), preq(2, 2, None), preq(3, 2, None)];
-        let out = place(&reqs, GpuSet::first_n(8), true, &h100());
+        let out = placed(&reqs, GpuSet::first_n(8), true, &h100());
         let mut union = GpuSet::EMPTY;
         for a in &out {
             assert!(union.is_disjoint(a.gpus), "{a:?}");
@@ -219,7 +237,7 @@ mod tests {
     fn preserved_and_fresh_requests_coexist() {
         let prev = GpuSet::contiguous(4, 4);
         let reqs = vec![preq(1, 4, Some(prev)), preq(2, 4, None)];
-        let out = place(&reqs, GpuSet::first_n(8), true, &h100());
+        let out = placed(&reqs, GpuSet::first_n(8), true, &h100());
         assert_eq!(out[0].gpus, prev);
         assert_eq!(out[1].gpus, GpuSet::contiguous(0, 4));
     }
@@ -230,7 +248,7 @@ mod tests {
         // fragmented pool no aligned 4-block is free, so it keeps {2,3}.
         let prev = GpuSet::contiguous(2, 2);
         let free = GpuSet::from_mask(0b0111_1100); // {2..6}
-        let out = place(&[preq(1, 4, Some(prev))], free, true, &h100());
+        let out = placed(&[preq(1, 4, Some(prev))], free, true, &h100());
         assert!(out[0].gpus.is_superset_of(prev), "{:?}", out[0].gpus);
         assert_eq!(out[0].gpus.len(), 4);
     }
@@ -238,7 +256,7 @@ mod tests {
     #[test]
     fn a40_prefers_aligned_pairs() {
         let topo = Topology::a40_paired(4);
-        let out = place(&[preq(1, 2, None)], GpuSet::first_n(4), true, &topo);
+        let out = placed(&[preq(1, 2, None)], GpuSet::first_n(4), true, &topo);
         // {0,1} is an NVLink pair; a naive scatter like {0,2} would cross
         // PCIe.
         assert!(topo.group_is_nvlink_only(out[0].gpus), "{:?}", out[0].gpus);
@@ -248,14 +266,29 @@ mod tests {
     fn stale_previous_set_is_ignored_when_busy() {
         let prev = GpuSet::contiguous(0, 2);
         let free = GpuSet::contiguous(2, 6); // previous set not free
-        let out = place(&[preq(1, 2, Some(prev))], free, true, &h100());
+        let out = placed(&[preq(1, 2, Some(prev))], free, true, &h100());
         assert!(free.is_superset_of(out[0].gpus));
         assert!(out[0].gpus.is_disjoint(prev));
     }
 
     #[test]
+    fn placement_replaces_the_buffer_contents() {
+        // `placed` seeds the buffer with a stale assignment; only the
+        // placed requests come back, one single-request batch each.
+        let out = placed(
+            &[preq(1, 2, None), preq(2, 1, None)],
+            GpuSet::first_n(8),
+            true,
+            &h100(),
+        );
+        assert_eq!(out.len(), 2);
+        assert_eq!(*out[0].requests, [RequestId(1)]);
+        assert_eq!(*out[1].requests, [RequestId(2)]);
+    }
+
+    #[test]
     #[should_panic(expected = "exceeds free pool")]
     fn overcommitted_demand_panics() {
-        place(&[preq(1, 8, None)], GpuSet::first_n(4), true, &h100());
+        placed(&[preq(1, 8, None)], GpuSet::first_n(4), true, &h100());
     }
 }

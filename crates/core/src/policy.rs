@@ -12,7 +12,7 @@ use tetriserve_costmodel::{CostTable, Resolution};
 use tetriserve_simulator::failure::FailurePlan;
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
-use tetriserve_simulator::trace::RequestId;
+use tetriserve_simulator::trace::Batch;
 
 use crate::tracker::RequestTracker;
 
@@ -32,7 +32,7 @@ pub enum PolicyEvent {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DispatchPlan {
     /// Requests batched into this dispatch (same resolution; usually one).
-    pub requests: Vec<RequestId>,
+    pub requests: Batch,
     /// GPU set to execute on; its size is the sequence-parallel degree.
     pub gpus: GpuSet,
     /// Diffusion steps to run for each batched request.
@@ -140,8 +140,9 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 
 /// Validates a batch of plans against the context.
 ///
-/// Used by the serving loop in debug builds to catch policy bugs early.
-/// Returns a description of the first violation found.
+/// The serving loop runs it on every scheduling pass, in release builds
+/// too, and panics on a violation: a policy bug surfaces at the pass that
+/// made it. Returns a description of the first violation found.
 pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<(), String> {
     let mut used = GpuSet::EMPTY;
     for plan in plans {
@@ -150,6 +151,13 @@ pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<
         }
         if plan.steps == 0 {
             return Err("plan has zero steps".into());
+        }
+        if plan.batch() > ctx.costs.max_batch() {
+            return Err(format!(
+                "batch of {} exceeds the profiled envelope of {}",
+                plan.batch(),
+                ctx.costs.max_batch()
+            ));
         }
         if !plan.degree().is_power_of_two() {
             return Err(format!("degree {} is not a power of two", plan.degree()));
@@ -201,7 +209,7 @@ mod tests {
     use super::*;
     use crate::request::RequestSpec;
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler, Resolution, StageProfile};
-    use tetriserve_simulator::trace::TenantId;
+    use tetriserve_simulator::trace::{RequestId, TenantId};
 
     fn ctx_fixture() -> (RequestTracker, CostTable) {
         let mut tracker = RequestTracker::new();
@@ -296,5 +304,9 @@ mod tests {
         // Non-power-of-two degree.
         let e = validate_plans(&[plan(&[1], GpuSet::contiguous(0, 3), 1)], &ctx).unwrap_err();
         assert!(e.contains("power of two"), "{e}");
+        // A batch wider than the cost table profiles (max batch 4).
+        let e = validate_plans(&[plan(&[1, 2, 1, 2, 1], GpuSet::contiguous(0, 1), 1)], &ctx)
+            .unwrap_err();
+        assert!(e.contains("envelope"), "{e}");
     }
 }

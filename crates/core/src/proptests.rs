@@ -364,7 +364,8 @@ proptest! {
                 previous: if i == 0 { Some(previous) } else { None },
             })
             .collect();
-        let out = place(&reqs, GpuSet::first_n(8), preserve, &topo);
+        let mut out = Vec::new();
+        place(&reqs, GpuSet::first_n(8), preserve, &topo, &mut out);
         prop_assert_eq!(out.len(), reqs.len());
         let mut used = GpuSet::EMPTY;
         for (a, r) in out.iter().zip(&reqs) {

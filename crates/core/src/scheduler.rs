@@ -16,15 +16,13 @@
 //! 7. applies **work-conserving elastic scale-up** (§4.2.3,
 //!    [`crate::elastic`]).
 
-use std::collections::HashMap;
-
 use tetriserve_costmodel::CostTable;
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
-use tetriserve_simulator::trace::RequestId;
+use tetriserve_simulator::trace::{Batch, RequestId};
 
 use crate::allocation::min_gpu_hour_plan_capped;
-use crate::batching::{merge_batches, BatchDeadline};
+use crate::batching::merge_batches;
 use crate::config::{TetriServeConfig, ELASTIC_MIN_BENEFIT, RECONFIG_ALLOWANCE};
 use crate::dp::{pack_round_into, PackScratch, Packing};
 use crate::elastic::elastic_scale_up;
@@ -36,8 +34,9 @@ use crate::policy::{DispatchPlan, Policy, PolicyEvent, SchedContext};
 ///
 /// Every working buffer of a scheduling pass is owned by the policy and
 /// reused, so once the buffers have grown to the largest backlog seen, a
-/// pass allocates only the plans it returns. Each buffer is cleared before
-/// it is read, so no state carries from one pass to the next.
+/// pass allocates only the plan list it returns (and the request list of
+/// each multi-request batch it forms). Each buffer is cleared before it is
+/// read, so no state carries from one pass to the next.
 #[derive(Debug, Clone)]
 pub struct TetriServePolicy {
     config: TetriServeConfig,
@@ -57,6 +56,9 @@ pub struct TetriServePolicy {
     best_effort: Vec<(SimTime, RequestId)>,
     /// Width-only requests the packer chose to run.
     placement: Vec<PlacementRequest>,
+    /// The pass's assignments: placement fills it, best effort appends,
+    /// batching and scale-up rewrite it, and the returned plans drain it.
+    assignments: Vec<Assignment>,
 }
 
 impl TetriServePolicy {
@@ -71,6 +73,7 @@ impl TetriServePolicy {
             packable: Vec::new(),
             best_effort: Vec::new(),
             placement: Vec::new(),
+            assignments: Vec::new(),
         }
     }
 
@@ -87,6 +90,40 @@ impl TetriServePolicy {
     /// The active configuration.
     pub fn config(&self) -> &TetriServeConfig {
         &self.config
+    }
+
+    /// The round window at `now`: whether `now` is a round boundary, and
+    /// the time to the next one. The grid is anchored at t = 0 with period
+    /// τ, so at a boundary the window is a full round; mid-round
+    /// (backfill) it is the residual time to the next boundary.
+    fn window_at(&self, now: SimTime) -> (bool, SimDuration) {
+        let tau_us = self.tau.as_micros();
+        let rem_us = now.as_micros() % tau_us;
+        if rem_us == 0 {
+            (true, self.tau)
+        } else {
+            (false, SimDuration::from_micros(tau_us - rem_us))
+        }
+    }
+
+    /// Whether a pass over the schedulable ids in `self.ids` provably
+    /// plans nothing: nothing is schedulable, or, off a round boundary,
+    /// the window is shorter than every schedulable request's fastest
+    /// step `T_min`. The second is exact because every option's step time
+    /// and best effort's single-GPU step time are at least `T_min`, an
+    /// option's window `τ_eff` is at most the window, and a backfill pass
+    /// never takes a step that crosses the boundary: no option but *none*
+    /// is built and best effort skips every late request.
+    fn cannot_plan(&self, ctx: &SchedContext<'_>, at_boundary: bool, window: SimDuration) -> bool {
+        self.ids.is_empty()
+            || (!at_boundary
+                && self.ids.iter().all(|&id| {
+                    let Some(r) = ctx.tracker.get(id) else {
+                        return false;
+                    };
+                    // tetrilint: allow(nominal-step-time) -- a lower bound: slowdowns only lengthen steps, so a window shorter than the nominal T_min is shorter than every effective step too
+                    window < ctx.costs.t_min(r.spec.resolution)
+                }))
     }
 }
 
@@ -119,21 +156,6 @@ impl Policy for TetriServePolicy {
     }
 
     fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<DispatchPlan> {
-        let now = ctx.now;
-        // The round grid is anchored at t = 0 with period τ. At a boundary
-        // the scheduling window is a full round; mid-round (backfill) it is
-        // the residual time to the next boundary.
-        let tau_us = self.tau.as_micros();
-        let rem_us = now.as_micros() % tau_us;
-        let at_boundary = rem_us == 0;
-        let window = if at_boundary {
-            self.tau
-        } else {
-            SimDuration::from_micros(tau_us - rem_us)
-        };
-        let t_next = now + window;
-        let costs = ctx.costs;
-
         // Health view: never plan around parallelism that down GPUs cannot
         // provide. With everything down, or every GPU busy, there is
         // nothing to schedule: a zero-capacity pack selects no option and
@@ -141,12 +163,33 @@ impl Policy for TetriServePolicy {
         if ctx.healthy.is_empty() || ctx.free.is_empty() {
             return Vec::new();
         }
+        let (at_boundary, window) = self.window_at(ctx.now);
+        ctx.tracker.schedulable_ids_into(ctx.now, &mut self.ids);
+        if self.cannot_plan(ctx, at_boundary, window) {
+            return Vec::new();
+        }
+        self.plan_schedulable(ctx, at_boundary, window)
+    }
+}
+
+impl TetriServePolicy {
+    /// The pass body: plans the schedulable ids in `self.ids` at
+    /// `ctx.now`, whose round window is `window`. Needs a free and
+    /// healthy GPU.
+    fn plan_schedulable(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        at_boundary: bool,
+        window: SimDuration,
+    ) -> Vec<DispatchPlan> {
+        let now = ctx.now;
+        let t_next = now + window;
+        let costs = ctx.costs;
         let healthy_cap = ctx.healthy.len().min(ctx.n_gpus);
 
         // ── 1+2: allocation plans and option sets. ──────────────────────
         let mut n_packable = 0;
         self.best_effort.clear();
-        ctx.tracker.schedulable_ids_into(now, &mut self.ids);
         for &id in &self.ids {
             // tetrilint: allow(unwrap) -- id came from this tracker's own
             // schedulable_ids_into() one statement up.
@@ -247,14 +290,15 @@ impl Policy for TetriServePolicy {
                 previous: r.last_gpus,
             });
         }
-        let mut assignments = place(
+        place(
             &self.placement,
             ctx.free,
             self.config.placement_preservation,
             &topology,
+            &mut self.assignments,
         );
         let mut free = ctx.free;
-        for a in &assignments {
+        for a in &self.assignments {
             free = free.difference(a.gpus);
         }
 
@@ -298,8 +342,8 @@ impl Policy for TetriServePolicy {
                 steps = 1;
             }
             free = free.difference(gpu);
-            assignments.push(Assignment {
-                requests: vec![id],
+            self.assignments.push(Assignment {
+                requests: Batch::one(id),
                 resolution: r.spec.resolution,
                 gpus: gpu,
                 steps,
@@ -309,32 +353,16 @@ impl Policy for TetriServePolicy {
 
         // ── 6: selective continuous batching (a lone assignment has
         // nothing to merge with). ─────────────────────────────────────────
-        if self.config.selective_batching && assignments.len() >= 2 {
-            let deadlines: HashMap<RequestId, BatchDeadline> = assignments
-                .iter()
-                .flat_map(|a| a.requests.iter())
-                .map(|&id| {
-                    // tetrilint: allow(unwrap) -- assignments only carry
-                    // ids the tracker handed out this round.
-                    let r = ctx.tracker.get(id).expect("tracked");
-                    (
-                        id,
-                        BatchDeadline {
-                            deadline: r.spec.deadline,
-                            remaining: r.remaining_steps,
-                        },
-                    )
-                })
-                .collect();
+        if self.config.selective_batching && self.assignments.len() >= 2 {
             let tau_eff = window.saturating_sub(RECONFIG_ALLOWANCE);
-            let freed = merge_batches(&mut assignments, &deadlines, costs, tau_eff, t_next);
+            let freed = merge_batches(&mut self.assignments, ctx.tracker, costs, tau_eff, t_next);
             free = free.union(freed);
         }
 
         // ── 7: work-conserving elastic scale-up. ────────────────────────
         if self.config.elastic_scale_up {
             elastic_scale_up(
-                &mut assignments,
+                &mut self.assignments,
                 &mut free,
                 costs,
                 &topology,
@@ -343,8 +371,8 @@ impl Policy for TetriServePolicy {
             );
         }
 
-        assignments
-            .into_iter()
+        self.assignments
+            .drain(..)
             .map(|a| DispatchPlan {
                 requests: a.requests,
                 gpus: a.gpus,
@@ -777,6 +805,169 @@ mod tests {
             with_plans > 100 && without > 100 && late > 50 && busy > 50,
             "{with_plans} with plans, {without} without, {late} late, {busy} busy"
         );
+    }
+
+    /// The h100x8 or a40x4 cost table, profiled once per test thread.
+    fn cluster_costs(a40: bool) -> CostTable {
+        thread_local! {
+            static TABLES: [CostTable; 2] = [
+                costs(),
+                Profiler::new(DitModel::flux_dev(), ClusterSpec::a40x4()).analytic(),
+            ];
+        }
+        TABLES.with(|t| t[usize::from(a40)].clone())
+    }
+
+    /// One guarded pass and one unguarded pass over the same snapshot:
+    /// whether the guard fired, the body's plans, and the guarded pass's.
+    fn guarded_and_unguarded(
+        policy: &mut TetriServePolicy,
+        ctx: &SchedContext<'_>,
+    ) -> (bool, Vec<DispatchPlan>, Vec<DispatchPlan>) {
+        let (at_boundary, window) = policy.window_at(ctx.now);
+        ctx.tracker.schedulable_ids_into(ctx.now, &mut policy.ids);
+        let fires = policy.cannot_plan(ctx, at_boundary, window);
+        let unguarded = policy.plan_schedulable(ctx, at_boundary, window);
+        let guarded = policy.schedule(ctx);
+        (fires, unguarded, guarded)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(600))]
+
+        /// Whenever the early return fires, the pass body it skips would
+        /// have returned no plan; and the guarded pass always plans what
+        /// the body plans. Backlogs mix the production resolutions, 1–50
+        /// remaining steps, previous placements and deadlines before and
+        /// after `now`; `now` lies on the τ grid, a few µs either side of
+        /// a backlog request's `T_min` before the next boundary, anywhere
+        /// in the round, or in a sliver shorter than every `T_min`.
+        #[test]
+        fn prop_early_return_only_skips_passes_that_plan_nothing(
+            a40 in proptest::prelude::any::<bool>(),
+            backlog in proptest::collection::vec(
+                ((0usize..4, 1u32..=50), (0usize..4, 0u64..25_000)),
+                1..=8,
+            ),
+            clock in (1u64..40, 0u32..4, 0usize..8, 0u64..5),
+            masks in (1u64..256, 1u64..256),
+            offset_frac in 0.0f64..1.0,
+        ) {
+            let (round, regime, pick, jitter) = clock;
+            let (healthy_mask, free_mask) = masks;
+            let c = cluster_costs(a40);
+            let n = if a40 { 4 } else { 8 };
+            let mut policy = TetriServePolicy::with_defaults(&c);
+            let tau = policy.tau();
+            let boundary = SimTime::ZERO + tau * round;
+            let res_of = |i: usize| Resolution::PRODUCTION[i];
+            let t_min_of = |i: usize| c.t_min(res_of(i));
+            let min_t_min = backlog.iter().map(|&((r, _), _)| t_min_of(r)).min().unwrap();
+            let to_next = |window: SimDuration| boundary + tau - window;
+            let now = match regime {
+                0 => boundary,
+                // A backlog request's T_min before the boundary, −2..+2 µs.
+                1 => {
+                    let t = t_min_of(backlog[pick % backlog.len()].0 .0);
+                    to_next(t + SimDuration::from_micros(jitter)
+                        - SimDuration::from_micros(2))
+                }
+                2 => to_next(SimDuration::from_micros(
+                    1 + (offset_frac * (tau.as_micros() - 1) as f64) as u64,
+                )),
+                _ => to_next(SimDuration::from_micros(
+                    1 + (offset_frac * (min_t_min.as_micros() - 1) as f64) as u64,
+                )),
+            };
+            let mut tracker = RequestTracker::new();
+            for (id, &((r, remaining), (placement, slack_ms))) in backlog.iter().enumerate() {
+                let id = RequestId(id as u64);
+                // Arrived up to 10 s ago, due from 10 s ago to 15 s ahead.
+                let arrival =
+                    SimTime::from_micros(now.as_micros().saturating_sub(slack_ms * 400));
+                tracker.admit(RequestSpec {
+                    tenant: TenantId::UNTAGGED,
+                    id,
+                    resolution: res_of(r),
+                    arrival,
+                    deadline: arrival + SimDuration::from_millis(slack_ms),
+                    total_steps: 50,
+                    stages: StageProfile::FLAT,
+                });
+                if remaining < 50 {
+                    let width = (1usize << placement).min(n);
+                    tracker.start_dispatch(id, GpuSet::contiguous(0, width), 50 - remaining, 0.0);
+                    tracker.finish_dispatch(id);
+                }
+            }
+            let healthy = GpuSet::from_mask(healthy_mask).intersection(GpuSet::first_n(n));
+            let free = GpuSet::from_mask(free_mask).intersection(healthy);
+            proptest::prop_assume!(!free.is_empty());
+            let failures = FailurePlan::none();
+            let ctx = SchedContext {
+                now,
+                free,
+                healthy,
+                n_gpus: n,
+                tracker: &tracker,
+                costs: &c,
+                failures: &failures,
+            };
+            let (fires, unguarded, guarded) = guarded_and_unguarded(&mut policy, &ctx);
+            if fires {
+                proptest::prop_assert!(unguarded.is_empty(), "guard skipped {unguarded:?} at {now}");
+            }
+            if regime == 3 {
+                proptest::prop_assert!(fires, "a sliver shorter than every T_min at {now}");
+            }
+            proptest::prop_assert_eq!(guarded, unguarded);
+        }
+    }
+
+    #[test]
+    fn window_of_exactly_t_min_still_plans() {
+        // A one-step request due exactly one fastest step (plus its
+        // decode) from now can only run at its fastest degree, and a
+        // window of exactly T_min fits that one step: the guard's `<`
+        // must not fire.
+        let c = costs();
+        let mut policy = TetriServePolicy::with_defaults(&c);
+        let res = Resolution::R256;
+        let t_min = c.t_min(res);
+        let now = SimTime::ZERO + policy.tau() * 3 - t_min;
+        let mut tracker = RequestTracker::new();
+        tracker.admit(RequestSpec {
+            tenant: TenantId::UNTAGGED,
+            id: RequestId(1),
+            resolution: res,
+            arrival: now,
+            deadline: now + c.decode_time(res, 1) + t_min,
+            total_steps: 1,
+            stages: StageProfile::FLAT,
+        });
+        let failures = FailurePlan::none();
+        let ctx = SchedContext {
+            now,
+            free: GpuSet::first_n(8),
+            healthy: GpuSet::first_n(8),
+            n_gpus: 8,
+            tracker: &tracker,
+            costs: &c,
+            failures: &failures,
+        };
+        assert_eq!(policy.window_at(now), (false, t_min));
+        let (fires, unguarded, guarded) = guarded_and_unguarded(&mut policy, &ctx);
+        assert!(!fires);
+        assert_eq!(unguarded.len(), 1, "{unguarded:?}");
+        assert_eq!(unguarded[0].degree(), c.fastest_degree(res));
+        assert_eq!(guarded, unguarded);
+        // One microsecond less and no step fits: the guard fires.
+        let ctx = SchedContext {
+            now: now + SimDuration::from_micros(1),
+            ..ctx
+        };
+        let (fires, unguarded, _) = guarded_and_unguarded(&mut policy, &ctx);
+        assert!(fires && unguarded.is_empty(), "{unguarded:?}");
     }
 
     #[test]

@@ -17,12 +17,12 @@
 
 use tetriserve_costmodel::steptime::step_time_on;
 use tetriserve_costmodel::CostTable;
-use tetriserve_simulator::engine::{Engine, EngineConfig, StepDispatch};
+use tetriserve_simulator::engine::{Engine, EngineConfig, Member, StepDispatch, MAX_BATCH};
 use tetriserve_simulator::event::EventQueue;
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::topology::Topology;
-use tetriserve_simulator::trace::{RequestId, Trace, TraceEvent};
+use tetriserve_simulator::trace::{Batch, RequestId, Trace, TraceEvent};
 
 use crate::config::AdmissionPolicy;
 use crate::degrade::DegradePolicy;
@@ -212,11 +212,11 @@ enum Event {
     Arrival(RequestSpec),
     DispatchDone {
         gpus: GpuSet,
-        requests: Vec<RequestId>,
+        requests: Batch,
     },
     DispatchAborted {
         gpus: GpuSet,
-        requests: Vec<RequestId>,
+        requests: Batch,
         lost_steps: u32,
     },
     Complete(RequestId),
@@ -284,7 +284,17 @@ impl<P: Policy> ClusterSim<P> {
     /// known failure plan are queued immediately, before any arrival, so
     /// that on timestamp ties the health view updates before any scheduling
     /// pass runs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cost table profiles batches wider than the engine's
+    /// inline [`MAX_BATCH`].
     pub fn new(costs: CostTable, policy: P, config: ServerConfig) -> Self {
+        assert!(
+            costs.max_batch() as usize <= MAX_BATCH,
+            "cost table profiles batches of {}, more than a dispatch holds ({MAX_BATCH})",
+            costs.max_batch()
+        );
         let topology = costs.cluster().topology();
         let engine = Engine::new(topology.clone(), config.engine.clone());
         let mut events: EventQueue<Event> = EventQueue::new();
@@ -897,16 +907,24 @@ impl<P: Policy> ClusterSim<P> {
             return;
         };
         let batch = plan.batch();
-        // Video requests denoise every frame: the dispatch's wall clock
-        // scales by the widest frame count in the batch. Integer-exact, so
-        // single-frame batches are untouched.
-        let frames = plan
-            .requests
-            .iter()
-            .filter_map(|&id| self.tracker.get(id))
-            .map(|r| r.spec.stages.frames)
-            .max()
-            .unwrap_or(1);
+        // One tracker read per member: video requests denoise every frame,
+        // so the dispatch's wall clock scales by the widest frame count in
+        // the batch (integer-exact, so single-frame batches are
+        // untouched); and the engine prices the dispatch with where each
+        // member's latent lives and whether this dispatch finishes it.
+        let mut frames = 0;
+        let mut members = [Member::default(); MAX_BATCH];
+        for (&id, member) in plan.requests.iter().zip(&mut members) {
+            let Some(r) = self.tracker.get(id) else {
+                continue;
+            };
+            frames = frames.max(r.spec.stages.frames);
+            *member = Member {
+                last_gpus: r.last_gpus,
+                needs_recovery: r.needs_recovery,
+                finishing: r.remaining_steps == plan.steps,
+            };
+        }
         let per_step = step_time_on(
             model,
             resolution,
@@ -916,21 +934,12 @@ impl<P: Policy> ClusterSim<P> {
             &self.topology,
             self.costs.scheme(),
         ) * u64::from(frames);
-        let finishing: Vec<RequestId> = plan
-            .requests
-            .iter()
-            .copied()
-            .filter(|&id| {
-                self.tracker
-                    .get(id)
-                    .is_some_and(|r| r.remaining_steps == plan.steps)
-            })
-            .collect();
         // Unified layouts fuse the frame-scaled VAE decode onto the
         // finishing gang (the engine serializes them on its decoder);
         // disaggregated layouts hand finishers to the decode pool at
         // `DispatchDone`, freeing the denoise gang immediately.
-        let decode_after = if finishing.is_empty() || !self.decode_pool.is_empty() {
+        let finishing = members.iter().any(|m| m.finishing);
+        let decode_after = if !finishing || !self.decode_pool.is_empty() {
             None
         } else {
             Some(self.costs.decode_time(resolution, frames))
@@ -942,7 +951,7 @@ impl<P: Policy> ClusterSim<P> {
             per_step,
             latent_bytes: model.latent_bytes(resolution),
             decode_after,
-            finishing,
+            members,
         };
         let outcome = self
             .engine
@@ -952,7 +961,7 @@ impl<P: Policy> ClusterSim<P> {
         // Accounting: GPU-seconds split evenly across the batch.
         let span = outcome.gpus_free_at.saturating_since(now).as_secs_f64();
         let gpu_seconds = plan.gpus.len() as f64 * span / f64::from(batch);
-        for &id in &dispatch.requests {
+        for &id in dispatch.requests.iter() {
             self.tracker
                 .start_dispatch(id, plan.gpus, plan.steps, gpu_seconds);
         }
@@ -970,7 +979,7 @@ impl<P: Policy> ClusterSim<P> {
             self.events
                 .push(outcome.gpus_free_at, Event::DispatchDone { gpus, requests });
         }
-        for (id, done) in outcome.request_done {
+        for &(id, done) in outcome.request_done.iter() {
             self.events.push(done, Event::Complete(id));
         }
     }
@@ -1885,7 +1894,7 @@ mod tests {
                 ..
             } = e
             {
-                starts.insert(*dispatch, (*time, requests.clone()));
+                starts.insert(*dispatch, (*time, requests.to_vec()));
             }
         }
         let mut aborted: std::collections::BTreeMap<RequestId, SimTime> =
@@ -2052,5 +2061,158 @@ mod tests {
         assert!(drained.iter().all(|s| s.total_steps == 50));
         let load = sim.load(sim.now());
         assert_eq!(load.queued, 0, "no fresh queued work remains");
+    }
+
+    /// Runs request 0 through a fixed list of `(gpus, steps)` dispatches,
+    /// each as soon as the request is schedulable and its set is free, so
+    /// a test chooses exactly where the request moves.
+    struct Scripted(std::collections::VecDeque<(GpuSet, u32)>);
+
+    impl Policy for Scripted {
+        fn name(&self) -> String {
+            "scripted".to_owned()
+        }
+
+        fn reacts_to(&self, _: PolicyEvent) -> bool {
+            true
+        }
+
+        fn next_tick(&self, _: SimTime) -> Option<SimTime> {
+            None
+        }
+
+        fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<DispatchPlan> {
+            let id = RequestId(0);
+            let Some(&(gpus, steps)) = self.0.front() else {
+                return Vec::new();
+            };
+            let ready = ctx
+                .tracker
+                .get(id)
+                .is_some_and(|r| r.is_schedulable(ctx.now));
+            if !ready || !ctx.free.is_superset_of(gpus) {
+                return Vec::new();
+            }
+            self.0.pop_front();
+            vec![DispatchPlan {
+                requests: Batch::one(id),
+                gpus,
+                steps,
+            }]
+        }
+    }
+
+    /// Serves one fresh 50-step request of `res` along `script` and returns
+    /// the report: the dispatches' `(submitted, started, ended)` times in
+    /// order, and the request's latent transfers as `(time, duration)`.
+    #[allow(clippy::type_complexity)]
+    fn scripted_run(
+        res: Resolution,
+        script: &[(GpuSet, u32)],
+        config: ServerConfig,
+    ) -> (
+        ClusterSim<Scripted>,
+        Vec<(SimTime, SimTime)>,
+        Vec<(SimTime, SimDuration)>,
+    ) {
+        let mut sim = ClusterSim::new(costs(), Scripted(script.iter().copied().collect()), config);
+        sim.push_arrival(spec(0, res, 0.0, 60.0), SimTime::ZERO);
+        sim.start();
+        while sim.step() {}
+        let mut spans = std::collections::BTreeMap::new();
+        let mut transfers = Vec::new();
+        for e in sim.engine.trace().events() {
+            match *e {
+                TraceEvent::DispatchStart { time, dispatch, .. } => {
+                    spans.entry(dispatch).or_insert((time, time)).0 = time;
+                }
+                TraceEvent::DispatchDone { time, dispatch }
+                | TraceEvent::DispatchAborted { time, dispatch, .. } => {
+                    spans.entry(dispatch).or_insert((time, time)).1 = time;
+                }
+                TraceEvent::LatentTransfer {
+                    time,
+                    request,
+                    duration,
+                    ..
+                } => {
+                    assert_eq!(request, RequestId(0));
+                    transfers.push((time, duration));
+                }
+                TraceEvent::MigrationOut { .. } => {}
+            }
+        }
+        (sim, spans.into_values().collect(), transfers)
+    }
+
+    #[test]
+    fn moved_request_pays_one_remap_stall_and_one_latent_transfer() {
+        // Twice on {0,1}, then on {4..8}: only the move is charged, with
+        // the engine's 15 ms remap stall (the NVLink latent transfer it
+        // overlaps is far shorter) and one `LatentTransfer` record.
+        let pair = GpuSet::contiguous(0, 2);
+        let script = [(pair, 2), (pair, 2), (GpuSet::contiguous(4, 4), 2)];
+        let (_, spans, transfers) =
+            scripted_run(Resolution::R256, &script, ServerConfig::default());
+        assert_eq!(spans.len(), 3);
+        assert_eq!(spans[0].0, SimTime::ZERO, "aligned blocks are pre-warmed");
+        assert_eq!(spans[1].0, spans[0].1, "staying put costs nothing");
+        assert_eq!(spans[2].0, spans[1].1 + SimDuration::from_millis(15));
+        assert_eq!(transfers.len(), 1, "{transfers:?}");
+        assert_eq!(
+            transfers[0].0, spans[1].1,
+            "charged when the move is submitted"
+        );
+        assert!(transfers[0].1 < SimDuration::from_millis(15));
+    }
+
+    #[test]
+    fn aborted_request_pays_host_recovery_exactly_once() {
+        use tetriserve_simulator::failure::{FailurePlan, GpuFault};
+        use tetriserve_simulator::gpuset::GpuId;
+        use tetriserve_simulator::latent::transfer_time;
+        // GPU 1 dies 50 ms into the first dispatch: the retry on {4,5}
+        // re-materialises the latent from the host checkpoint (25 GB/s)
+        // before its first step, and the dispatch after it pays nothing.
+        let mut config = ServerConfig::default();
+        config.engine.failures = FailurePlan::none().with_fault(GpuFault::transient(
+            GpuId(1),
+            SimTime::from_millis(50),
+            SimTime::from_secs_f64(30.0),
+        ));
+        let (res, pair) = (Resolution::R1024, GpuSet::contiguous(4, 2));
+        let script = [(GpuSet::contiguous(0, 2), 5), (pair, 2), (pair, 2)];
+        let (sim, spans, transfers) = scripted_run(res, &script, config);
+        assert_eq!(sim.engine.trace().aborted_count(), 1);
+        assert_eq!(spans[0].1, SimTime::from_millis(50), "aborted at the fault");
+        let recovery = transfer_time(costs().model().latent_bytes(res), 25.0);
+        assert_eq!(transfers, vec![(spans[0].1, recovery)]);
+        assert_eq!(spans[1].0, spans[0].1 + recovery);
+        assert_eq!(spans[2].0, spans[1].1, "recovered once, then resident");
+    }
+
+    #[test]
+    fn finished_request_keeps_no_placement() {
+        // Fused decode (unified) and a decode-pool hand-off
+        // (disaggregated): once the request completes, nothing on the
+        // cluster remembers where it ran.
+        for pool in [PoolLayout::Unified, PoolLayout::disaggregated_default()] {
+            let config = ServerConfig {
+                pool,
+                ..ServerConfig::default()
+            };
+            let script = [
+                (GpuSet::contiguous(0, 2), 30),
+                (GpuSet::contiguous(0, 2), 20),
+            ];
+            let (sim, spans, transfers) = scripted_run(Resolution::R512, &script, config);
+            assert_eq!(spans.len(), 2);
+            assert!(transfers.is_empty());
+            assert!(sim.tracker.get(RequestId(0)).is_none(), "{pool:?}");
+            assert!(sim.tracker.is_empty());
+            let report = sim.finish();
+            assert_eq!(report.outcomes[0].steps_executed, 50);
+            assert!(report.outcomes[0].completion.is_some());
+        }
     }
 }

@@ -34,8 +34,16 @@ pub struct TrackedRequest {
     pub remaining_steps: u32,
     /// Current phase.
     pub phase: Phase,
-    /// GPU set of the most recent dispatch, for placement preservation.
+    /// GPU set of the most recent dispatch, where the latent is resident:
+    /// placement preservation keeps the request there, and the engine
+    /// charges a remap when it moves. Dropped when a fault kills the
+    /// group.
     pub last_gpus: Option<GpuSet>,
+    /// The most recent dispatch was fault-aborted, so the latent survives
+    /// only as a host checkpoint and the next dispatch pays its
+    /// re-materialisation. Set by [`RequestTracker::abort_dispatch`],
+    /// cleared by [`RequestTracker::start_dispatch`].
+    pub needs_recovery: bool,
     /// GPU-seconds consumed so far.
     pub gpu_seconds: f64,
     /// Σ (degree × steps) over executed dispatches.
@@ -181,6 +189,7 @@ impl RequestTracker {
             remaining_steps: spec.total_steps,
             phase: Phase::Queued,
             last_gpus: None,
+            needs_recovery: false,
             gpu_seconds: 0.0,
             sp_degree_step_sum: 0,
             retries: 0,
@@ -269,7 +278,9 @@ impl RequestTracker {
     }
 
     /// Marks the request as running a dispatch of `steps` steps at the
-    /// given placement, recording the accounting for it.
+    /// given placement, recording the accounting for it. The latent
+    /// moves to `gpus`, so any pending host recovery is paid by this
+    /// dispatch.
     ///
     /// # Panics
     ///
@@ -288,6 +299,7 @@ impl RequestTracker {
         );
         r.phase = Phase::Running;
         r.last_gpus = Some(gpus);
+        r.needs_recovery = false;
         r.remaining_steps -= steps;
         r.gpu_seconds += gpu_seconds;
         r.sp_degree_step_sum += gpus.len() as u64 * u64::from(steps);
@@ -317,9 +329,10 @@ impl RequestTracker {
 
     /// Records a fault-aborted dispatch: the `lost_steps` that never ran
     /// are restored (steps completed before the fault stay checkpointed),
-    /// the placement affinity is dropped (the group is gone), the retry
-    /// counter is bumped, and the request re-enters the queue with its
-    /// original deadline so the next round can re-plan it.
+    /// the placement affinity is dropped and the latent marked for host
+    /// recovery (the group is gone), the retry counter is bumped, and the
+    /// request re-enters the queue with its original deadline so the next
+    /// round can re-plan it.
     ///
     /// # Panics
     ///
@@ -342,6 +355,7 @@ impl RequestTracker {
             .sp_degree_step_sum
             .saturating_sub(gpus.len() as u64 * u64::from(lost_steps));
         r.last_gpus = None;
+        r.needs_recovery = true;
         r.retries += 1;
         r.phase = Phase::Queued;
         let key = (r.spec.deadline, id);
@@ -478,7 +492,10 @@ impl RequestTracker {
             spec: m.spec,
             remaining_steps: m.remaining_steps,
             phase: Phase::Queued,
+            // Placement and the latent's residency never cross clusters:
+            // the migration hand-off already moved the latent.
             last_gpus: None,
+            needs_recovery: false,
             gpu_seconds: m.gpu_seconds,
             sp_degree_step_sum: m.sp_degree_step_sum,
             retries: m.retries,
@@ -779,6 +796,29 @@ mod tests {
     }
 
     #[test]
+    fn abort_marks_recovery_until_the_next_dispatch() {
+        let mut t = RequestTracker::new();
+        t.admit(spec(1));
+        let r = t.get(RequestId(1)).unwrap();
+        assert_eq!((r.last_gpus, r.needs_recovery), (None, false));
+        let first = GpuSet::contiguous(0, 2);
+        t.start_dispatch(RequestId(1), first, 3, 0.0);
+        t.finish_dispatch(RequestId(1));
+        let r = t.get(RequestId(1)).unwrap();
+        assert_eq!((r.last_gpus, r.needs_recovery), (Some(first), false));
+        // The fault drops the placement and strands the latent on host.
+        t.start_dispatch(RequestId(1), first, 3, 0.0);
+        t.abort_dispatch(RequestId(1), first, 3);
+        let r = t.get(RequestId(1)).unwrap();
+        assert_eq!((r.last_gpus, r.needs_recovery), (None, true));
+        // The next dispatch pays the recovery and places the latent anew.
+        let second = GpuSet::contiguous(4, 2);
+        t.start_dispatch(RequestId(1), second, 3, 0.0);
+        let r = t.get(RequestId(1)).unwrap();
+        assert_eq!((r.last_gpus, r.needs_recovery), (Some(second), false));
+    }
+
+    #[test]
     fn failed_and_shed_are_terminal() {
         let mut t = RequestTracker::new();
         t.admit(spec(1));
@@ -891,6 +931,21 @@ mod tests {
     }
 
     #[test]
+    fn migrated_request_arrives_without_placement_or_recovery() {
+        // Aborted on the source: placement dropped, latent on host.
+        let mut src = RequestTracker::new();
+        src.admit(spec(1));
+        let gpus = GpuSet::contiguous(0, 2);
+        src.start_dispatch(RequestId(1), gpus, 4, 0.0);
+        src.abort_dispatch(RequestId(1), gpus, 2);
+        assert!(src.get(RequestId(1)).unwrap().needs_recovery);
+        let mut dst = RequestTracker::new();
+        dst.admit_migrated(src.extract_queued(RequestId(1)));
+        let r = dst.get(RequestId(1)).unwrap();
+        assert_eq!((r.last_gpus, r.needs_recovery), (None, false));
+    }
+
+    #[test]
     fn migration_round_trip_preserves_accounting() {
         let mut src = RequestTracker::new();
         src.admit(spec(1));
@@ -912,6 +967,7 @@ mod tests {
         assert_eq!(r.sp_degree_step_sum, 4);
         assert!((r.gpu_seconds - 0.4).abs() < 1e-12);
         assert_eq!(r.last_gpus, None, "placement never crosses clusters");
+        assert!(!r.needs_recovery);
         // The outcome on the target credits the source's progress.
         dst.start_dispatch(RequestId(1), GpuSet::contiguous(0, 2), 8, 1.0);
         dst.finish_dispatch(RequestId(1));

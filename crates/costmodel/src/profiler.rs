@@ -26,7 +26,7 @@ use crate::steptime::step_time_canonical;
 use tetriserve_simulator::engine::{Engine, EngineConfig, StepDispatch};
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::{SimDuration, SimTime};
-use tetriserve_simulator::trace::RequestId;
+use tetriserve_simulator::trace::{Batch, RequestId};
 
 /// One profiled measurement, serialisable for persistence.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -555,13 +555,13 @@ impl Profiler {
                     );
                     let mut engine = Engine::new(self.cluster.topology(), EngineConfig::default());
                     let mut dispatch = StepDispatch {
-                        requests: vec![RequestId(u64::MAX)],
+                        requests: Batch::one(RequestId(u64::MAX)),
                         gpus,
                         steps: self.warmup_steps,
                         per_step: expected,
                         latent_bytes: self.model.latent_bytes(res),
                         decode_after: None,
-                        finishing: Vec::new(),
+                        members: Default::default(),
                     };
                     let warm = engine
                         .submit(SimTime::ZERO, &dispatch)
@@ -653,13 +653,13 @@ pub fn measure_step_cv(
         },
     );
     let dispatch = StepDispatch {
-        requests: vec![RequestId(u64::MAX)],
+        requests: Batch::one(RequestId(u64::MAX)),
         gpus: GpuSet::contiguous(0, k),
         steps: 1,
         per_step: expected,
         latent_bytes: model.latent_bytes(res),
         decode_after: None,
-        finishing: Vec::new(),
+        members: Default::default(),
     };
     let mut durations = Vec::with_capacity(steps as usize);
     let mut at = SimTime::ZERO;

@@ -90,7 +90,7 @@ mod tests {
     use super::*;
     use tetriserve_simulator::gpuset::GpuSet;
     use tetriserve_simulator::time::{SimDuration, SimTime};
-    use tetriserve_simulator::trace::{DispatchId, RequestId, TenantId};
+    use tetriserve_simulator::trace::{Batch, DispatchId, RequestId, TenantId};
 
     fn outcome(id: u64, arrival_s: f64, met: bool) -> RequestOutcome {
         RequestOutcome {
@@ -131,7 +131,7 @@ mod tests {
             trace.record(TraceEvent::DispatchStart {
                 time: SimTime::from_secs_f64(t),
                 dispatch: DispatchId(0),
-                requests: vec![RequestId(1)],
+                requests: Batch::one(RequestId(1)),
                 gpus: GpuSet::contiguous(0, gpus),
                 steps,
                 per_step: SimDuration::from_millis(10),
@@ -154,7 +154,7 @@ mod tests {
         trace.record(TraceEvent::DispatchStart {
             time: SimTime::ZERO,
             dispatch: DispatchId(0),
-            requests: vec![RequestId(99)],
+            requests: Batch::one(RequestId(99)),
             gpus: GpuSet::contiguous(0, 2),
             steps: 1,
             per_step: SimDuration::from_millis(1),

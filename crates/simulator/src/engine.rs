@@ -12,11 +12,17 @@
 //! * it validates that no GPU is double-booked (a scheduler-bug tripwire);
 //! * it charges *group warm-up* for cold process groups and *remap stalls*
 //!   plus asynchronous *latent transfers* when a request's GPU set changes
-//!   between consecutive dispatches (§4.2.3, §5);
+//!   between consecutive dispatches (§4.2.3, §5), and a host
+//!   re-materialisation transfer when its previous group died;
 //! * it perturbs each step with a small multiplicative jitter whose
 //!   coefficient of variation matches the sub-percent stability the paper
 //!   measures in Table 1;
 //! * it serialises VAE decodes (§5 "VAE Decoder Sequential Execution").
+//!
+//! The engine holds no per-request state. Where each member's latent lives
+//! — on its previous GPU set, or only as a host checkpoint after a fault —
+//! is the serving loop's request tracker's to know; the loop copies those
+//! facts into each [`StepDispatch`] (see [`Member`]).
 //!
 //! The engine itself is *passive*: it computes, at submit time, the exact
 //! timeline a dispatch will follow and returns it in a [`DispatchOutcome`].
@@ -37,9 +43,7 @@ use crate::latent::transfer_time;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{DispatchId, RequestId, Trace, TraceEvent};
-
-use std::collections::{HashMap, HashSet};
+use crate::trace::{Batch, DispatchId, RequestId, Trace, TraceEvent};
 
 /// Delay charged when a request resumes on a *different* GPU set than its
 /// previous dispatch (distributed-context re-establishment). GPU placement
@@ -78,12 +82,36 @@ impl Default for EngineConfig {
     }
 }
 
+/// Most requests one dispatch may batch. A dispatch carries its members'
+/// facts, and its outcome their decode completions, inline up to this
+/// bound; the serving loop asserts that its cost table's `max_batch`
+/// fits.
+pub const MAX_BATCH: usize = 8;
+
+/// What the engine must know about one member of a dispatch. The serving
+/// loop copies these facts from its request tracker, which owns them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Member {
+    /// The GPU set of the member's previous dispatch, where its latent is
+    /// resident: a different set pays a remap stall and a latent
+    /// transfer. `None` before its first dispatch here and after its
+    /// group died.
+    pub last_gpus: Option<GpuSet>,
+    /// The member's previous dispatch died with its group, so its latent
+    /// survives only as a host checkpoint and is re-materialised over the
+    /// slow host path before the first step.
+    pub needs_recovery: bool,
+    /// The member runs its final diffusion step here and proceeds to VAE
+    /// decode.
+    pub finishing: bool,
+}
+
 /// A unit of work for the engine: `steps` diffusion steps for a batch of
 /// requests on a fixed GPU set.
 #[derive(Debug, Clone)]
 pub struct StepDispatch {
     /// Requests advancing together (batched execution; usually one).
-    pub requests: Vec<RequestId>,
+    pub requests: Batch,
     /// The GPU set executing the dispatch (the SP degree is its size).
     pub gpus: GpuSet,
     /// Number of diffusion steps to run.
@@ -92,11 +120,41 @@ pub struct StepDispatch {
     pub per_step: SimDuration,
     /// Latent tensor size per request, for hand-off accounting.
     pub latent_bytes: u64,
-    /// VAE decode latency applied to each member of `finishing`.
+    /// VAE decode latency applied to each finishing member.
     pub decode_after: Option<SimDuration>,
-    /// The subset of `requests` that complete with this dispatch (they run
-    /// their final diffusion step here and proceed to VAE decode).
-    pub finishing: Vec<RequestId>,
+    /// Per-member facts, index-aligned with `requests`; entries past the
+    /// batch are ignored.
+    pub members: [Member; MAX_BATCH],
+}
+
+/// The decode completions of a dispatch's finishing members, in member
+/// order, held inline. Dereferences to `[(RequestId, SimTime)]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Completions {
+    len: usize,
+    done: [(RequestId, SimTime); MAX_BATCH],
+}
+
+impl Completions {
+    const NONE: Completions = Completions {
+        len: 0,
+        done: [(RequestId(0), SimTime::ZERO); MAX_BATCH],
+    };
+
+    fn push(&mut self, done: (RequestId, SimTime)) {
+        if let Some(slot) = self.done.get_mut(self.len) {
+            *slot = done;
+            self.len += 1;
+        }
+    }
+}
+
+impl std::ops::Deref for Completions {
+    type Target = [(RequestId, SimTime)];
+
+    fn deref(&self) -> &[(RequestId, SimTime)] {
+        self.done.get(..self.len).unwrap_or_default()
+    }
 }
 
 /// The fully resolved timeline of a submitted dispatch.
@@ -107,7 +165,7 @@ pub struct DispatchOutcome {
     /// When the GPUs become free (completion of the final step).
     pub gpus_free_at: SimTime,
     /// Per-request end-to-end completion (only when `decode_after` was set).
-    pub request_done: Vec<(RequestId, SimTime)>,
+    pub request_done: Completions,
     /// Total synchronous stall charged before the first step.
     pub stall: SimDuration,
     /// Longest latent transfer that gated the start.
@@ -146,6 +204,8 @@ pub enum SubmitError {
     GpuDown(GpuSet),
     /// The dispatch had no requests or no steps.
     EmptyDispatch,
+    /// The dispatch batched more than [`MAX_BATCH`] requests.
+    BatchTooLarge(usize),
 }
 
 impl std::fmt::Display for SubmitError {
@@ -158,6 +218,9 @@ impl std::fmt::Display for SubmitError {
             SubmitError::GpuBusy(g) => write!(f, "gpu set {g} is still busy"),
             SubmitError::GpuDown(g) => write!(f, "gpu set {g} is down (hard fault)"),
             SubmitError::EmptyDispatch => write!(f, "dispatch has no requests or no steps"),
+            SubmitError::BatchTooLarge(n) => {
+                write!(f, "dispatch batches {n} requests, more than {MAX_BATCH}")
+            }
         }
     }
 }
@@ -173,10 +236,6 @@ pub struct Engine {
     rng: SimRng,
     busy_until: Vec<SimTime>,
     busy_time: Vec<SimDuration>,
-    // Point-queried only (get/insert/remove) — hash order never escapes
-    // these two, so same-seed runs are unaffected by their randomization.
-    last_gpus: HashMap<RequestId, GpuSet>,
-    needs_recovery: HashSet<RequestId>,
     decode_free_at: SimTime,
     next_dispatch: u64,
     trace: Trace,
@@ -202,8 +261,6 @@ impl Engine {
             rng,
             busy_until: vec![SimTime::ZERO; n],
             busy_time: vec![SimDuration::ZERO; n],
-            last_gpus: HashMap::new(),
-            needs_recovery: HashSet::new(),
             decode_free_at: SimTime::ZERO,
             next_dispatch: 0,
             trace: Trace::new(),
@@ -231,8 +288,9 @@ impl Engine {
         let warmup = self.groups.ensure(dispatch.gpus);
         let mut remap = SimDuration::ZERO;
         let mut latent_wait = SimDuration::ZERO;
-        for &req in &dispatch.requests {
-            if let Some(&prev) = self.last_gpus.get(&req) {
+        let members = dispatch.requests.iter().zip(&dispatch.members);
+        for (&req, member) in members.clone() {
+            if let Some(prev) = member.last_gpus {
                 if prev != dispatch.gpus {
                     remap = REMAP_STALL;
                     let path = prev.union(dispatch.gpus);
@@ -251,8 +309,8 @@ impl Engine {
         // A request whose previous group died has no resident latent
         // anywhere on the cluster: re-materialise it from the host-side
         // step checkpoint over the (slow) recovery path.
-        for &req in &dispatch.requests {
-            if self.needs_recovery.remove(&req) {
+        for (&req, member) in members.clone() {
+            if member.needs_recovery {
                 let t = transfer_time(dispatch.latent_bytes, HOST_RECOVERY_GBPS);
                 latent_wait = latent_wait.max(t);
                 self.trace.record(TraceEvent::LatentTransfer {
@@ -310,27 +368,13 @@ impl Engine {
             self.busy_until[gpu.0] = gpus_free_at;
             self.busy_time[gpu.0] += gpus_free_at.saturating_since(now);
         }
-        for &req in &dispatch.requests {
-            if abort_at.is_some() {
-                // The group is gone; the latent survives only as a host
-                // checkpoint of the last completed step.
-                self.last_gpus.remove(&req);
-                self.needs_recovery.insert(req);
-            } else if dispatch.finishing.contains(&req) {
-                // A finished request never dispatches again, whether its
-                // decode runs fused here or on a separate pool.
-                self.last_gpus.remove(&req);
-            } else {
-                self.last_gpus.insert(req, dispatch.gpus);
-            }
-        }
 
         // Sequential per-request VAE decode (off the GPUs' critical path).
         // Aborted dispatches never reach the decoder.
-        let mut request_done = Vec::new();
+        let mut request_done = Completions::NONE;
         if let Some(decode) = dispatch.decode_after {
             if abort_at.is_none() {
-                for &req in &dispatch.finishing {
+                for (&req, _) in members.filter(|(_, m)| m.finishing) {
                     let begin = self.decode_free_at.max(gpus_free_at);
                     let done = begin + decode;
                     self.decode_free_at = done;
@@ -402,13 +446,9 @@ impl Engine {
         if dispatch.requests.is_empty() || dispatch.steps == 0 {
             return Err(SubmitError::EmptyDispatch);
         }
-        debug_assert!(
-            dispatch
-                .finishing
-                .iter()
-                .all(|r| dispatch.requests.contains(r)),
-            "finishing requests must be dispatch members"
-        );
+        if dispatch.requests.len() > MAX_BATCH {
+            return Err(SubmitError::BatchTooLarge(dispatch.requests.len()));
+        }
         let all = self.topology.all_gpus();
         if !all.is_superset_of(dispatch.gpus) || dispatch.gpus.is_empty() {
             return Err(SubmitError::UnknownGpus(dispatch.gpus));
@@ -434,11 +474,6 @@ impl Engine {
             return Err(SubmitError::GpuBusy(busy));
         }
         Ok(())
-    }
-
-    /// The GPU set a request last executed on, if it is mid-flight.
-    pub fn last_placement(&self, request: RequestId) -> Option<GpuSet> {
-        self.last_gpus.get(&request).copied()
     }
 
     /// The failure plan the engine executes against. A cluster reads its
@@ -495,7 +530,7 @@ mod tests {
             per_step: SimDuration::from_millis(per_step_ms),
             latent_bytes: 2 << 20,
             decode_after: None,
-            finishing: Vec::new(),
+            members: Default::default(),
         }
     }
 
@@ -560,12 +595,14 @@ mod tests {
         let first = dispatch(&[1], GpuSet::contiguous(0, 2), 2, 50);
         let out1 = e.submit(SimTime::ZERO, &first).unwrap();
         // Same set again: placement preserved, no stall.
-        let again = dispatch(&[1], GpuSet::contiguous(0, 2), 2, 50);
+        let mut again = dispatch(&[1], GpuSet::contiguous(0, 2), 2, 50);
+        again.members[0].last_gpus = Some(first.gpus);
         let out2 = e.submit(out1.gpus_free_at, &again).unwrap();
         assert_eq!(out2.stall, SimDuration::ZERO);
         assert_eq!(out2.latent_wait, SimDuration::ZERO);
         // Different set: remap stall + latent transfer.
-        let moved = dispatch(&[1], GpuSet::contiguous(4, 4), 2, 50);
+        let mut moved = dispatch(&[1], GpuSet::contiguous(4, 4), 2, 50);
+        moved.members[0].last_gpus = Some(again.gpus);
         let out3 = e.submit(out2.gpus_free_at, &moved).unwrap();
         assert_eq!(out3.stall, REMAP_STALL);
         assert!(!out3.latent_wait.is_zero());
@@ -589,32 +626,42 @@ mod tests {
     #[test]
     fn decode_serialises_and_completes_requests() {
         let mut e = engine();
-        let mut d = dispatch(&[1, 2], GpuSet::contiguous(0, 1), 1, 10);
+        let mut d = dispatch(&[1, 2, 3], GpuSet::contiguous(0, 1), 1, 10);
         d.decode_after = Some(SimDuration::from_millis(40));
-        d.finishing = vec![RequestId(1), RequestId(2)];
+        d.members[0].finishing = true;
+        d.members[2].finishing = true;
         let out = e.submit(SimTime::ZERO, &d).unwrap();
+        // Only the finishing members decode, in member order.
         assert_eq!(out.request_done.len(), 2);
+        assert_eq!(out.request_done[0].0, RequestId(1));
+        assert_eq!(out.request_done[1].0, RequestId(3));
         let t1 = out.request_done[0].1;
         let t2 = out.request_done[1].1;
         // Decodes are sequential: the second finishes a full decode later.
         assert_eq!(t2.saturating_since(t1), SimDuration::from_millis(40));
-        // Completed requests lose engine affinity.
-        assert_eq!(e.last_placement(RequestId(1)), None);
     }
 
     #[test]
-    fn finishing_without_fused_decode_drops_placement() {
+    fn finishing_without_fused_decode_completes_nothing() {
         // Disaggregated layouts decode on a separate pool, so a finishing
-        // dispatch carries no `decode_after`; its finishers still never
-        // dispatch again and must not keep a placement.
+        // dispatch carries no `decode_after` and the engine reports no
+        // completion for its finishers.
         let mut e = engine();
-        let gpus = GpuSet::contiguous(0, 2);
-        let mut d = dispatch(&[1, 2], gpus, 3, 10);
-        d.finishing = vec![RequestId(1)];
+        let mut d = dispatch(&[1, 2], GpuSet::contiguous(0, 2), 3, 10);
+        d.members[0].finishing = true;
         let out = e.submit(SimTime::ZERO, &d).unwrap();
         assert!(out.request_done.is_empty());
-        assert_eq!(e.last_placement(RequestId(1)), None);
-        assert_eq!(e.last_placement(RequestId(2)), Some(gpus));
+    }
+
+    #[test]
+    fn oversized_batches_are_rejected() {
+        let mut e = engine();
+        let ids: Vec<u64> = (0..=MAX_BATCH as u64).collect();
+        let d = dispatch(&ids, GpuSet::contiguous(0, 1), 1, 10);
+        assert_eq!(
+            e.submit(SimTime::ZERO, &d).unwrap_err(),
+            SubmitError::BatchTooLarge(MAX_BATCH + 1)
+        );
     }
 
     #[test]
@@ -718,17 +765,20 @@ mod tests {
         // 50 ms of partial step burned on each of 2 GPUs.
         assert!((abort.wasted_gpu_seconds - 0.1).abs() < 1e-9);
         assert_eq!(e.trace().aborted_count(), 1);
-        // The request lost its group affinity and must re-materialise its
-        // latent from the host checkpoint on its next dispatch.
-        assert_eq!(e.last_placement(RequestId(7)), None);
-        let retry = dispatch(&[7], GpuSet::contiguous(4, 2), 3, 100);
+        // The request lost its group with the fault: its next dispatch
+        // re-materialises the latent from the host checkpoint.
+        let mut retry = dispatch(&[7], GpuSet::contiguous(4, 2), 3, 100);
+        retry.members[0].needs_recovery = true;
         let out2 = e.submit(SimTime::from_millis(300), &retry).unwrap();
         assert!(out2.aborted.is_none());
-        assert!(
-            out2.latent_wait
-                >= crate::latent::transfer_time(retry.latent_bytes, HOST_RECOVERY_GBPS),
-            "recovery must pay the host re-materialisation transfer"
+        let recovery = crate::latent::transfer_time(retry.latent_bytes, HOST_RECOVERY_GBPS);
+        assert_eq!(out2.latent_wait, recovery);
+        assert_eq!(
+            out2.stall,
+            SimDuration::ZERO,
+            "no remap without a placement"
         );
+        assert_eq!(e.trace().latent_transfer_total(RequestId(7)), recovery);
     }
 
     #[test]
@@ -883,7 +933,8 @@ mod tests {
             let mut e = Engine::new(Topology::h100_nvlink(8), config);
             let d = dispatch(&[1], GpuSet::contiguous(0, 2), 5, 100);
             let out = e.submit(SimTime::ZERO, &d).unwrap();
-            let retry = dispatch(&[1], GpuSet::contiguous(4, 2), 3, 100);
+            let mut retry = dispatch(&[1], GpuSet::contiguous(4, 2), 3, 100);
+            retry.members[0].needs_recovery = out.aborted.is_some();
             let out2 = e.submit(SimTime::from_millis(400), &retry).unwrap();
             (
                 out.aborted.map(|a| (a.time, a.completed_steps)),

@@ -280,24 +280,11 @@ impl FailurePlan {
             .get_or_init(|| FaultTimeline::new(&self.perf_faults, &self.faults))
     }
 
-    /// The slowdown of a single GPU at `time`: the maximum over its
-    /// active perf faults, base 1.0. Always finite and ≥ 1.0.
-    pub fn slowdown(&self, gpu: GpuId, time: SimTime) -> f64 {
-        factor(self.timeline().at(time).1, gpu)
-    }
-
-    /// The effective speed of a single GPU at `time`: `1 / slowdown`,
-    /// always in `(0, 1]`. A *down* GPU still reports its slowdown-based
-    /// speed — hard-fault state is a separate axis queried via
-    /// [`FailurePlan::is_down`].
-    pub fn effective_speed(&self, gpu: GpuId, time: SimTime) -> f64 {
-        1.0 / self.slowdown(gpu, time)
-    }
-
     /// Effective serving capacity of a GPU set at `time` in
-    /// "nominal-GPU" units: the sum of `effective_speed` over members
-    /// that are *up*, so a fault-free set of `n` GPUs reports exactly
-    /// `n as f64` and digests of degradation-free runs are unchanged.
+    /// "nominal-GPU" units: the sum of each *up* member's speed, `1 /` its
+    /// slowdown (the maximum over its active perf faults, base 1.0), so a
+    /// fault-free set of `n` GPUs reports exactly `n as f64` and digests
+    /// of degradation-free runs are unchanged.
     pub fn effective_capacity(&self, gpus: GpuSet, time: SimTime) -> f64 {
         let (down, factors) = self.timeline().at(time);
         // From 0.0 in ascending GPU order: the sum every digest was
@@ -329,11 +316,6 @@ impl FailurePlan {
         (slowdown, next)
     }
 
-    /// Whether `gpu` is down at `time`.
-    pub fn is_down(&self, gpu: GpuId, time: SimTime) -> bool {
-        self.down_gpus(time).contains(gpu)
-    }
-
     /// The set of GPUs down at `time`.
     pub fn down_gpus(&self, time: SimTime) -> GpuSet {
         self.timeline().at(time).0
@@ -356,20 +338,6 @@ impl FailurePlan {
             .skip(i)
             .find(|(_, down)| !down.is_disjoint(gpus))
             .map(|(&at, _)| at)
-    }
-
-    /// The earliest instant in `[from, until)` at which any member of
-    /// `gpus` is down, if any. A fault already active at `from` yields
-    /// `from` itself; a fault opening inside the window yields its
-    /// `down_from`.
-    pub fn first_down_within(
-        &self,
-        gpus: GpuSet,
-        from: SimTime,
-        until: SimTime,
-    ) -> Option<SimTime> {
-        self.first_down_at_or_after(gpus, from)
-            .filter(|&at| at == from || at < until)
     }
 
     /// The configured hard faults.
@@ -606,15 +574,12 @@ mod tests {
     ) -> Result<(), TestCaseError> {
         // GPUs 8 and 9 carry no fault: the path past a factor row's end.
         for g in (0..10).map(GpuId) {
+            let single = GpuSet::single(g);
             prop_assert_eq!(
-                plan.slowdown(g, t).to_bits(),
+                plan.group_slowdown(single, t).to_bits(),
                 scan::slowdown(plan, g, t).to_bits()
             );
-            prop_assert_eq!(
-                plan.effective_speed(g, t).to_bits(),
-                scan::effective_speed(plan, g, t).to_bits()
-            );
-            prop_assert_eq!(plan.is_down(g, t), scan::is_down(plan, g, t));
+            prop_assert_eq!(plan.down_gpus(t).contains(g), scan::is_down(plan, g, t));
         }
         prop_assert_eq!(plan.down_gpus(t), scan::down_gpus(plan, t));
         for gpus in masks.iter().map(|&m| GpuSet::from_mask(m)) {
@@ -635,21 +600,24 @@ mod tests {
                     slowdown.to_bits()
                 );
             }
-            // Normal, empty, inverted and unbounded windows.
-            for until in [t + span, t, t - span, SimTime::MAX] {
-                prop_assert_eq!(
-                    plan.first_down_within(gpus, t, until),
-                    scan::first_down_within(plan, gpus, t, until),
-                    "first_down_within({:?}, {:?}, {:?})",
-                    gpus,
-                    t,
-                    until
-                );
-            }
+            let first_down = plan.first_down_at_or_after(gpus, t);
             prop_assert_eq!(
-                plan.first_down_at_or_after(gpus, t),
+                first_down,
                 scan::first_down_within(plan, gpus, t, SimTime::MAX)
             );
+            // Normal, empty and inverted windows: the engine's abort test
+            // (`at == t || at < until`) on the one answer finds what a
+            // scan of each window finds.
+            for until in [t + span, t, t - span] {
+                prop_assert_eq!(
+                    first_down.filter(|&at| at == t || at < until),
+                    scan::first_down_within(plan, gpus, t, until),
+                    "window [{:?}, {:?}) of {:?}",
+                    t,
+                    until,
+                    gpus
+                );
+            }
         }
         Ok(())
     }
@@ -708,7 +676,7 @@ mod tests {
         assert_eq!(plan.group_slowdown(GpuSet::first_n(8), SimTime::ZERO), 1.0);
         assert!(plan.down_gpus(SimTime::ZERO).is_empty());
         assert_eq!(
-            plan.first_down_within(GpuSet::first_n(8), SimTime::ZERO, SimTime::MAX),
+            plan.first_down_at_or_after(GpuSet::first_n(8), SimTime::ZERO),
             None
         );
     }
@@ -756,39 +724,25 @@ mod tests {
     }
 
     #[test]
-    fn first_down_within_finds_earliest_hit() {
+    fn first_down_at_or_after_finds_earliest_hit() {
+        let ms = SimTime::from_millis;
         let plan = FailurePlan::none()
-            .with_fault(GpuFault::transient(
-                GpuId(1),
-                SimTime::from_millis(100),
-                SimTime::from_millis(200),
-            ))
-            .with_fault(GpuFault::permanent(GpuId(2), SimTime::from_millis(80)));
+            .with_fault(GpuFault::transient(GpuId(1), ms(100), ms(200)))
+            .with_fault(GpuFault::permanent(GpuId(2), ms(80)));
         let group = GpuSet::contiguous(0, 4);
-        // Both faults open inside the window: earliest wins.
-        assert_eq!(
-            plan.first_down_within(group, SimTime::from_millis(0), SimTime::from_millis(500)),
-            Some(SimTime::from_millis(80))
-        );
+        // Both faults open later: the earliest wins.
+        assert_eq!(plan.first_down_at_or_after(group, ms(0)), Some(ms(80)));
         // A fault already active at `from` yields `from`.
-        assert_eq!(
-            plan.first_down_within(group, SimTime::from_millis(90), SimTime::from_millis(95)),
-            Some(SimTime::from_millis(90))
-        );
+        assert_eq!(plan.first_down_at_or_after(group, ms(90)), Some(ms(90)));
         // Disjoint group is unaffected.
         assert_eq!(
-            plan.first_down_within(
-                GpuSet::contiguous(4, 2),
-                SimTime::ZERO,
-                SimTime::from_secs_f64(10.0)
-            ),
+            plan.first_down_at_or_after(GpuSet::contiguous(4, 2), SimTime::ZERO),
             None
         );
-        // Window entirely before any outage.
-        assert_eq!(
-            plan.first_down_within(group, SimTime::ZERO, SimTime::from_millis(80)),
-            None
-        );
+        // Only GPU 1's window touches {0, 1}; after it closes nothing does.
+        let pair = GpuSet::contiguous(0, 2);
+        assert_eq!(plan.first_down_at_or_after(pair, ms(0)), Some(ms(100)));
+        assert_eq!(plan.first_down_at_or_after(pair, ms(200)), None);
     }
 
     proptest! {
@@ -819,7 +773,7 @@ mod tests {
         }
 
         /// A fault and a straggler on the same GPU stay independent views:
-        /// `is_down` tracks the outage window exactly, and whenever the
+        /// the down set tracks the outage window exactly, and whenever the
         /// GPU is down any execution window starting then reports an
         /// immediate hit (the engine aborts rather than running slowly).
         #[test]
@@ -846,16 +800,16 @@ mod tests {
                 Some(SimTime::from_millis(ff + fw)),
                 time,
             );
-            prop_assert_eq!(plan.is_down(GpuId(3), time), down);
+            prop_assert_eq!(plan.down_gpus(time).contains(GpuId(3)), down);
             if down {
-                prop_assert_eq!(plan.first_down_within(g, time, SimTime::MAX), Some(time));
+                prop_assert_eq!(plan.first_down_at_or_after(g, time), Some(time));
             }
             prop_assert!(plan.group_slowdown(g, time) >= 1.0);
         }
 
         /// Overlapping perf faults and hard faults on the same GPU, under
-        /// arbitrary window overlap: the effective speed is always in
-        /// `(0, 1]` (never ≤ 0, never NaN), a down GPU is never
+        /// arbitrary window overlap: the slowdown is always finite and at
+        /// least 1, so the speed is in `(0, 1]`, a down GPU is never
         /// dispatchable (any window starting inside the outage reports an
         /// immediate hit), and capacity never counts a down GPU.
         #[test]
@@ -891,15 +845,13 @@ mod tests {
                 ));
             let time = SimTime::from_millis(t);
             let g = GpuSet::single(GpuId(2));
-            let speed = plan.effective_speed(GpuId(2), time);
-            prop_assert!(speed > 0.0 && speed <= 1.0 && speed.is_finite());
             let slow = plan.group_slowdown(g, time);
             prop_assert!(slow >= 1.0 && slow.is_finite());
-            let down = plan.is_down(GpuId(2), time);
+            let down = plan.down_gpus(time).contains(GpuId(2));
             if down {
                 // The engine aborts instead of dispatching: any window
                 // starting now reports an immediate hit …
-                prop_assert_eq!(plan.first_down_within(g, time, SimTime::MAX), Some(time));
+                prop_assert_eq!(plan.first_down_at_or_after(g, time), Some(time));
                 // … and capacity never counts the down GPU.
                 prop_assert_eq!(plan.effective_capacity(g, time), 0.0);
             } else {
@@ -924,12 +876,9 @@ mod tests {
             }
             let t = SimTime::from_millis(ff + dt % fw);
             prop_assert!(plan.down_gpus(t).is_superset_of(group));
-            prop_assert_eq!(plan.first_down_within(group, t, SimTime::MAX), Some(t));
+            prop_assert_eq!(plan.first_down_at_or_after(group, t), Some(t));
             prop_assert!(plan.down_gpus(until).intersection(group).is_empty());
-            prop_assert_eq!(
-                plan.first_down_within(group, until, SimTime::MAX.min(until)),
-                None
-            );
+            prop_assert_eq!(plan.first_down_at_or_after(group, until), None);
         }
     }
 
@@ -983,22 +932,23 @@ mod tests {
             ));
         let t_early = SimTime::from_millis(100);
         let t_late = SimTime::from_millis(800);
-        assert_eq!(plan.slowdown(GpuId(0), t_early), 2.5);
-        assert_eq!(plan.slowdown(GpuId(1), t_early), 1.0);
-        assert_eq!(plan.slowdown(GpuId(1), t_late), 4.0);
+        let gpu = |g| GpuSet::single(GpuId(g));
+        assert_eq!(plan.group_slowdown(gpu(0), t_early), 2.5);
+        assert_eq!(plan.group_slowdown(gpu(1), t_early), 1.0);
+        assert_eq!(plan.group_slowdown(gpu(1), t_late), 4.0);
         let both = GpuSet::contiguous(0, 2);
         assert_eq!(plan.group_slowdown(both, t_late), 4.0);
     }
 
     #[test]
-    fn effective_speed_and_capacity() {
+    fn capacity_derates_slow_gpus_and_skips_down_ones() {
         let (from, until) = window(0, 1000);
         let plan = FailurePlan::none()
             .with_perf_fault(PerfFault::throttle(GpuId(0), 2.0, from, until))
             .with_fault(GpuFault::transient(GpuId(1), from, until));
         let t = SimTime::from_millis(100);
-        assert_eq!(plan.effective_speed(GpuId(0), t), 0.5);
-        assert_eq!(plan.effective_speed(GpuId(2), t), 1.0);
+        assert_eq!(plan.effective_capacity(GpuSet::single(GpuId(0)), t), 0.5);
+        assert_eq!(plan.effective_capacity(GpuSet::single(GpuId(2)), t), 1.0);
         // 4-GPU set: gpu0 at half speed, gpu1 down, gpus 2-3 nominal.
         let set = GpuSet::first_n(4);
         assert_eq!(plan.effective_capacity(set, t), 2.5);
@@ -1062,9 +1012,9 @@ mod tests {
         let g = GpuSet::single(GpuId(0));
         // Before the outage: straggling but up.
         assert_eq!(plan.group_slowdown(g, SimTime::from_millis(100)), 2.0);
-        assert!(!plan.is_down(GpuId(0), SimTime::from_millis(100)));
+        assert!(!plan.down_gpus(SimTime::from_millis(100)).contains(GpuId(0)));
         // During the outage: down (slowdown is irrelevant; the engine
         // aborts instead of executing).
-        assert!(plan.is_down(GpuId(0), SimTime::from_millis(550)));
+        assert!(plan.down_gpus(SimTime::from_millis(550)).contains(GpuId(0)));
     }
 }

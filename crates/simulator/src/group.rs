@@ -6,15 +6,15 @@
 //! used groups and defers the rest to on-demand warm-up; both behaviours are
 //! reproduced here.
 
-use std::collections::HashSet;
-
 use crate::gpuset::GpuSet;
 use crate::time::SimDuration;
 
 /// Tracks which process groups have been warmed and charges warm-up costs.
 #[derive(Debug, Clone)]
 pub struct ProcessGroupCache {
-    warmed: HashSet<u64>,
+    /// Masks of the warmed groups, ascending: a lookup is one binary
+    /// search, and a node has few distinct groups, so inserts stay cheap.
+    warmed: Vec<u64>,
     warmup_cost: SimDuration,
 }
 
@@ -22,7 +22,7 @@ impl ProcessGroupCache {
     /// Creates a cache with the given first-use warm-up latency.
     pub fn new(warmup_cost: SimDuration) -> Self {
         ProcessGroupCache {
-            warmed: HashSet::new(),
+            warmed: Vec::new(),
             warmup_cost,
         }
     }
@@ -31,7 +31,7 @@ impl ProcessGroupCache {
     pub fn prewarm<I: IntoIterator<Item = GpuSet>>(&mut self, groups: I) {
         for g in groups {
             if g.len() >= 2 {
-                self.warmed.insert(g.mask());
+                self.warm(g);
             }
         }
     }
@@ -43,16 +43,27 @@ impl ProcessGroupCache {
         if group.len() < 2 {
             return SimDuration::ZERO;
         }
-        if self.warmed.insert(group.mask()) {
+        if self.warm(group) {
             self.warmup_cost
         } else {
             SimDuration::ZERO
         }
     }
 
+    /// Marks `group` warm; `true` when it was cold.
+    fn warm(&mut self, group: GpuSet) -> bool {
+        match self.warmed.binary_search(&group.mask()) {
+            Ok(_) => false,
+            Err(at) => {
+                self.warmed.insert(at, group.mask());
+                true
+            }
+        }
+    }
+
     /// Whether `group` is already warm.
     pub fn is_warm(&self, group: GpuSet) -> bool {
-        group.len() < 2 || self.warmed.contains(&group.mask())
+        group.len() < 2 || self.warmed.binary_search(&group.mask()).is_ok()
     }
 
     /// Number of warmed multi-GPU groups.
@@ -96,6 +107,20 @@ mod tests {
         c.prewarm([g2, g4, g2]);
         assert_eq!(c.ensure(g2), SimDuration::ZERO);
         assert_eq!(c.warmed_count(), 2);
+    }
+
+    #[test]
+    fn groups_warmed_in_any_order_stay_warm() {
+        let mut c = cache();
+        let groups = [0b1100_0000, 0b0011, 0b0110, 0b1111_0000, 0b0101].map(GpuSet::from_mask);
+        for g in groups {
+            assert!(!c.ensure(g).is_zero(), "{g} was cold");
+        }
+        assert!(groups
+            .iter()
+            .all(|&g| c.is_warm(g) && c.ensure(g).is_zero()));
+        assert!(!c.is_warm(GpuSet::from_mask(0b1001)));
+        assert_eq!(c.warmed_count(), groups.len());
     }
 
     #[test]

@@ -34,18 +34,19 @@
 //! use tetriserve_simulator::gpuset::GpuSet;
 //! use tetriserve_simulator::time::{SimDuration, SimTime};
 //! use tetriserve_simulator::topology::Topology;
-//! use tetriserve_simulator::trace::RequestId;
+//! use tetriserve_simulator::trace::{Batch, RequestId};
 //!
 //! let mut engine = Engine::new(Topology::h100_nvlink(8), EngineConfig::default());
-//! let dispatch = StepDispatch {
-//!     requests: vec![RequestId(0)],
+//! let mut dispatch = StepDispatch {
+//!     requests: Batch::one(RequestId(0)),
 //!     gpus: GpuSet::contiguous(0, 2),
 //!     steps: 10,
 //!     per_step: SimDuration::from_millis(40),
 //!     latent_bytes: 2 << 20,
 //!     decode_after: Some(SimDuration::from_millis(30)),
-//!     finishing: vec![RequestId(0)],
+//!     members: Default::default(),
 //! };
+//! dispatch.members[0].finishing = true;
 //! let outcome = engine.submit(SimTime::ZERO, &dispatch)?;
 //! assert_eq!(outcome.request_done.len(), 1);
 //! # Ok::<(), tetriserve_simulator::engine::SubmitError>(())
@@ -66,8 +67,8 @@ pub mod time;
 pub mod topology;
 pub mod trace;
 
-pub use engine::{DispatchOutcome, Engine, EngineConfig, StepDispatch, SubmitError};
+pub use engine::{DispatchOutcome, Engine, EngineConfig, Member, StepDispatch, SubmitError};
 pub use gpuset::{GpuId, GpuSet};
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
-pub use trace::{DispatchId, RequestId, TenantId, Trace, TraceEvent};
+pub use trace::{Batch, DispatchId, RequestId, TenantId, Trace, TraceEvent};

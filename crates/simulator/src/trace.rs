@@ -19,6 +19,84 @@ impl std::fmt::Display for RequestId {
     }
 }
 
+/// The requests a dispatch advances together, in batch order.
+///
+/// A lone request — the common case — is held inline, and only a
+/// multi-request batch is boxed, so plans, engine dispatches, serving
+/// events and [`TraceEvent::DispatchStart`] records carry a single
+/// request without a heap allocation. It dereferences to `[RequestId]`,
+/// so readers index, iterate and search it like a slice. Equality is
+/// slice equality.
+#[derive(Clone)]
+pub struct Batch(Members);
+
+#[derive(Clone)]
+enum Members {
+    One(RequestId),
+    // Never holds exactly one id: `Batch::from` keeps that case inline.
+    Many(Box<[RequestId]>),
+}
+
+// The boxed slice's non-null pointer is the niche that tells the two
+// cases apart, so a batch is no wider than the box alone.
+const _: () = assert!(std::mem::size_of::<Batch>() == 16);
+
+impl Batch {
+    /// A batch of one request.
+    pub fn one(id: RequestId) -> Batch {
+        Batch(Members::One(id))
+    }
+}
+
+impl std::ops::Deref for Batch {
+    type Target = [RequestId];
+
+    fn deref(&self) -> &[RequestId] {
+        match &self.0 {
+            Members::One(id) => std::slice::from_ref(id),
+            Members::Many(ids) => ids,
+        }
+    }
+}
+
+impl<'a> IntoIterator for &'a Batch {
+    type Item = &'a RequestId;
+    type IntoIter = std::slice::Iter<'a, RequestId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Vec<RequestId>> for Batch {
+    fn from(ids: Vec<RequestId>) -> Batch {
+        match *ids.as_slice() {
+            [id] => Batch::one(id),
+            _ => Batch(Members::Many(ids.into_boxed_slice())),
+        }
+    }
+}
+
+impl FromIterator<RequestId> for Batch {
+    fn from_iter<I: IntoIterator<Item = RequestId>>(ids: I) -> Batch {
+        Batch::from(ids.into_iter().collect::<Vec<_>>())
+    }
+}
+
+impl PartialEq for Batch {
+    fn eq(&self, other: &Batch) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Batch {}
+
+impl std::fmt::Debug for Batch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Identifier of the tenant (workload stream) a request belongs to.
 ///
 /// Tenancy is *attribution only*: schedulers, routers and rebalancers must
@@ -71,7 +149,7 @@ pub enum TraceEvent {
         /// The dispatch identifier.
         dispatch: DispatchId,
         /// Batched requests advancing together.
-        requests: Vec<RequestId>,
+        requests: Batch,
         /// GPUs executing the dispatch.
         gpus: GpuSet,
         /// Number of diffusion steps executed.
@@ -212,7 +290,7 @@ mod tests {
         t.record(TraceEvent::DispatchStart {
             time: SimTime::ZERO,
             dispatch: DispatchId(0),
-            requests: vec![RequestId(1)],
+            requests: Batch::one(RequestId(1)),
             gpus: GpuSet::contiguous(0, 2),
             steps: 5,
             per_step: SimDuration::from_millis(10),
@@ -234,6 +312,23 @@ mod tests {
         assert_eq!(
             t.latent_transfer_total(RequestId(1)),
             SimDuration::from_micros(30)
+        );
+    }
+
+    #[test]
+    fn batch_holds_one_request_inline_and_reads_as_a_slice() {
+        let one = Batch::from(vec![RequestId(7)]);
+        assert_eq!(one, Batch::one(RequestId(7)));
+        assert!(matches!(one.0, Members::One(RequestId(7))));
+        assert_eq!(*one, [RequestId(7)]);
+        let many: Batch = [3, 1, 2].map(RequestId).into_iter().collect();
+        assert_eq!(*many, [RequestId(3), RequestId(1), RequestId(2)]);
+        assert!(many.contains(&RequestId(1)));
+        assert_ne!(many, one);
+        assert!(Batch::from(Vec::new()).is_empty());
+        assert_eq!(
+            format!("{many:?}"),
+            "[RequestId(3), RequestId(1), RequestId(2)]"
         );
     }
 
