@@ -62,6 +62,14 @@ impl RequestOptions {
     pub fn any_survives(&self) -> bool {
         self.options.iter().any(|o| o.survives)
     }
+
+    /// Whether an option besides *none* is at most `capacity` GPUs wide.
+    /// If not, a packer with `capacity` GPUs can only choose *none*.
+    pub(crate) fn any_fits(&self, capacity: usize) -> bool {
+        self.options
+            .iter()
+            .any(|o| o.segment.is_some() && o.width <= capacity)
+    }
 }
 
 /// Builds the option set for one request from its allocation plan.

@@ -176,23 +176,71 @@ impl TetriServePolicy {
     /// The pass body: plans the schedulable ids in `self.ids` at
     /// `ctx.now`, whose round window is `window`. Needs a free and
     /// healthy GPU.
+    ///
+    /// Returns early when nothing fits: if no packable request has an
+    /// option besides *none* at most `ctx.free.len()` GPUs wide, packing
+    /// and placement are skipped, and if best effort then adds no
+    /// assignment either, the pass returns no plan. Both are exact. The
+    /// packer skips every option wider than its capacity, so it would
+    /// choose *none* for every request and placement would assign nothing;
+    /// selective batching needs two assignments, and elastic scale-up only
+    /// widens existing ones.
     fn plan_schedulable(
         &mut self,
         ctx: &SchedContext<'_>,
         at_boundary: bool,
         window: SimDuration,
     ) -> Vec<DispatchPlan> {
+        let n_packable = self.build_option_sets(ctx, at_boundary, window);
+        let capacity = ctx.free.len();
+        let packable = self.packable.get(..n_packable).unwrap_or_default();
+        let mut free = if packable.iter().any(|o| o.any_fits(capacity)) {
+            self.pack_and_place(ctx, n_packable)
+        } else {
+            self.assignments.clear();
+            ctx.free
+        };
+        self.add_best_effort(ctx, at_boundary, window, &mut free);
+        if self.assignments.is_empty() {
+            return Vec::new();
+        }
+        self.finish_plans(ctx, window, free)
+    }
+
+    /// [`plan_schedulable`](Self::plan_schedulable) without its early
+    /// returns: every stage runs on every pass.
+    #[cfg(test)]
+    fn plan_schedulable_without_exit(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        at_boundary: bool,
+        window: SimDuration,
+    ) -> Vec<DispatchPlan> {
+        let n_packable = self.build_option_sets(ctx, at_boundary, window);
+        let mut free = self.pack_and_place(ctx, n_packable);
+        self.add_best_effort(ctx, at_boundary, window, &mut free);
+        self.finish_plans(ctx, window, free)
+    }
+
+    /// Stages 1 and 2: each schedulable request's allocation plan and
+    /// option set. Writes the option sets of packable requests to the
+    /// front of `self.packable`, returning their count, and the late
+    /// requests to `self.best_effort`.
+    fn build_option_sets(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        at_boundary: bool,
+        window: SimDuration,
+    ) -> usize {
         let now = ctx.now;
         let t_next = now + window;
         let costs = ctx.costs;
         let healthy_cap = ctx.healthy.len().min(ctx.n_gpus);
-
-        // ── 1+2: allocation plans and option sets. ──────────────────────
         let mut n_packable = 0;
         self.best_effort.clear();
         for &id in &self.ids {
             // tetrilint: allow(unwrap) -- id came from this tracker's own
-            // schedulable_ids_into() one statement up.
+            // schedulable_ids_into() just before the pass body.
             let r = ctx.tracker.get(id).expect("schedulable id is tracked");
             if r.is_past_deadline(now) {
                 self.best_effort.push((r.spec.deadline, id));
@@ -260,6 +308,13 @@ impl TetriServePolicy {
             }
             n_packable += 1;
         }
+        n_packable
+    }
+
+    /// Stages 3 and 4: packs the first `n_packable` option sets into the
+    /// free capacity and places the chosen widths, overwriting
+    /// `self.assignments`. Returns the GPUs left free.
+    fn pack_and_place(&mut self, ctx: &SchedContext<'_>, n_packable: usize) -> GpuSet {
         let packable = self.packable.get(..n_packable).unwrap_or_default();
 
         // ── 3: group-knapsack packing over the free capacity. ───────────
@@ -271,7 +326,6 @@ impl TetriServePolicy {
         );
 
         // ── 4: placement with preservation. ─────────────────────────────
-        let topology = costs.cluster().topology();
         self.placement.clear();
         for (opts, choice) in packable.iter().zip(&self.packing.choices) {
             let option = opts.option(choice.option_index);
@@ -294,24 +348,35 @@ impl TetriServePolicy {
             &self.placement,
             ctx.free,
             self.config.placement_preservation,
-            &topology,
+            &ctx.costs.cluster().topology(),
             &mut self.assignments,
         );
         let mut free = ctx.free;
         for a in &self.assignments {
             free = free.difference(a.gpus);
         }
+        free
+    }
 
-        // ── 5: best-effort for late requests (§4.2.2): at most one GPU,
-        // EDF order, never displacing packed work. With elastic scale-up
-        // enabled, only the EDF head runs per round: admitting several late
-        // requests at once would let the elastic pass split the node
-        // between them, and for large resolutions fragmented halves cost
-        // far more GPU-hours than serving the late queue one request at a
-        // time at full width — under saturation that fragmentation
-        // cascades into collapse. Without elastic scale-up nothing widens
-        // the head, so the late requests run 1 GPU each in parallel (the
-        // paper's literal reading).
+    /// Stage 5: best effort for late requests (§4.2.2): at most one GPU,
+    /// EDF order, never displacing packed work. Appends to
+    /// `self.assignments` and takes the GPUs it uses out of `free`.
+    ///
+    /// With elastic scale-up enabled, only the EDF head runs per round:
+    /// admitting several late requests at once would let the elastic pass
+    /// split the node between them, and for large resolutions fragmented
+    /// halves cost far more GPU-hours than serving the late queue one
+    /// request at a time at full width — under saturation that
+    /// fragmentation cascades into collapse. Without elastic scale-up
+    /// nothing widens the head, so the late requests run 1 GPU each in
+    /// parallel (the paper's literal reading).
+    fn add_best_effort(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        at_boundary: bool,
+        window: SimDuration,
+        free: &mut GpuSet,
+    ) {
         self.best_effort.sort_unstable();
         let late_cap = if self.config.elastic_scale_up {
             1
@@ -341,7 +406,7 @@ impl TetriServePolicy {
                 }
                 steps = 1;
             }
-            free = free.difference(gpu);
+            *free = free.difference(gpu);
             self.assignments.push(Assignment {
                 requests: Batch::one(id),
                 resolution: r.spec.resolution,
@@ -350,12 +415,29 @@ impl TetriServePolicy {
                 remaining_before: r.remaining_steps,
             });
         }
+    }
+
+    /// Stages 6 and 7 over `self.assignments`, with `free` the GPUs
+    /// nothing uses, then the plans they become.
+    fn finish_plans(
+        &mut self,
+        ctx: &SchedContext<'_>,
+        window: SimDuration,
+        mut free: GpuSet,
+    ) -> Vec<DispatchPlan> {
+        let costs = ctx.costs;
 
         // ── 6: selective continuous batching (a lone assignment has
         // nothing to merge with). ─────────────────────────────────────────
         if self.config.selective_batching && self.assignments.len() >= 2 {
             let tau_eff = window.saturating_sub(RECONFIG_ALLOWANCE);
-            let freed = merge_batches(&mut self.assignments, ctx.tracker, costs, tau_eff, t_next);
+            let freed = merge_batches(
+                &mut self.assignments,
+                ctx.tracker,
+                costs,
+                tau_eff,
+                ctx.now + window,
+            );
             free = free.union(freed);
         }
 
@@ -365,7 +447,7 @@ impl TetriServePolicy {
                 &mut self.assignments,
                 &mut free,
                 costs,
-                &topology,
+                &costs.cluster().topology(),
                 window.saturating_sub(RECONFIG_ALLOWANCE),
                 ELASTIC_MIN_BENEFIT,
             );
@@ -882,15 +964,19 @@ mod tests {
             let mut tracker = RequestTracker::new();
             for (id, &((r, remaining), (placement, slack_ms))) in backlog.iter().enumerate() {
                 let id = RequestId(id as u64);
-                // Arrived up to 10 s ago, due from 10 s ago to 15 s ahead.
+                // Arrived up to 10 s ago, due from 10 s ago to 15 s ahead
+                // but not before it arrived.
                 let arrival =
                     SimTime::from_micros(now.as_micros().saturating_sub(slack_ms * 400));
+                let due = SimTime::from_micros(
+                    (now.as_micros() + slack_ms * 1_000).saturating_sub(10_000_000),
+                );
                 tracker.admit(RequestSpec {
                     tenant: TenantId::UNTAGGED,
                     id,
                     resolution: res_of(r),
                     arrival,
-                    deadline: arrival + SimDuration::from_millis(slack_ms),
+                    deadline: due.max(arrival),
                     total_steps: 50,
                     stages: StageProfile::FLAT,
                 });
@@ -922,6 +1008,256 @@ mod tests {
             }
             proptest::prop_assert_eq!(guarded, unguarded);
         }
+    }
+
+    #[test]
+    fn prop_nothing_fits_exit_plans_what_the_full_body_plans() {
+        // The pass body with its early returns plans exactly what every
+        // stage would have planned, over 600 generated snapshots: backlogs
+        // of images and 8-frame clips, late requests, previous placements,
+        // free sets smaller than the healthy set (so options can be wider
+        // than the free GPUs), hard faults and stragglers, `now` on and off
+        // the τ grid (and a few µs either side of a backlog request's step
+        // time at some degree before the boundary), all four elastic ×
+        // batching configurations, on h100x8 and a40x4. A plain loop over
+        // proptest strategies, so the run can count how often the exit
+        // fires.
+        use proptest::prelude::{any, Strategy, TestRng};
+        use tetriserve_simulator::failure::{GpuFault, PerfFault};
+
+        const CASES: u32 = 600;
+        let strategy = (
+            (any::<bool>(), any::<bool>(), any::<bool>()),
+            proptest::collection::vec(
+                (
+                    (0usize..4, 1u32..=50, any::<bool>()),
+                    (0usize..4, 0u64..10_000, 200u64..25_000, 0u32..4),
+                ),
+                1..=8,
+            ),
+            (
+                1u64..40,
+                0u32..3,
+                (0usize..8, 0usize..4),
+                (0u64..5, 0.0f64..1.0),
+            ),
+            (1u64..256, 0u32..4, 0u64..256, 0u64..256),
+            (1.0f64..3.0, 0u32..4),
+        );
+        let mut rng = TestRng::from_name("scheduler::nothing_fits_exit");
+        let (mut cases, mut planned) = (0u32, 0u32);
+        // Passes that skipped packing; of those, the ones that still
+        // planned late work, and the ones whose only options besides
+        // *none* were wider than the free GPUs.
+        let (mut skipped, mut late_planned, mut too_wide) = (0u32, 0u32, 0u32);
+        while cases < CASES {
+            let input = strategy.generate(&mut rng);
+            let (
+                (a40, elastic_scale_up, selective_batching),
+                backlog,
+                clock,
+                masks,
+                (slow, all_tight),
+            ) = input.clone();
+            let (round, regime, (pick, degree), (jitter, offset_frac)) = clock;
+            let (free_mask, free_cap, down_mask, slow_mask) = masks;
+            let c = cluster_costs(a40);
+            let n = if a40 { 4 } else { 8 };
+            let config = TetriServeConfig {
+                elastic_scale_up,
+                selective_batching,
+                ..TetriServeConfig::default()
+            };
+            let mut policy = TetriServePolicy::new(config, &c);
+            let tau = policy.tau();
+            let boundary = SimTime::ZERO + tau * round;
+            let res_of = |i: usize| Resolution::PRODUCTION[i];
+            let now = match regime {
+                0 => boundary,
+                // A backlog request's step time at some degree before the
+                // next boundary, −2..+2 µs.
+                1 => {
+                    let res = res_of(backlog[pick % backlog.len()].0 .0);
+                    let t = c.step_time(res, (1 << degree).min(n), 1);
+                    boundary + tau - (t + SimDuration::from_micros(jitter))
+                        + SimDuration::from_micros(2)
+                }
+                _ => {
+                    boundary
+                        + SimDuration::from_micros(
+                            1 + (offset_frac * (tau.as_micros() - 1) as f64) as u64,
+                        )
+                }
+            };
+            let mut failures = FailurePlan::none();
+            for g in 0..n {
+                let until = now + SimDuration::from_secs_f64(1.0);
+                if down_mask & (1 << g) != 0 {
+                    failures =
+                        failures.with_fault(GpuFault::transient(GpuId(g), SimTime::ZERO, until));
+                }
+                if slow_mask & (1 << g) != 0 {
+                    failures = failures.with_perf_fault(PerfFault::straggler(
+                        GpuId(g),
+                        slow,
+                        SimTime::ZERO,
+                        until,
+                    ));
+                }
+            }
+            let healthy = GpuSet::first_n(n).difference(failures.down_gpus(now));
+            let free = GpuSet::from_mask(free_mask).intersection(healthy);
+            if free.is_empty() {
+                continue;
+            }
+            // At most 1, 2, 4 or 8 of the healthy GPUs in the mask are free.
+            let free = free
+                .take_lowest(free.len().min(1 << free_cap))
+                .expect("takes no more than the set holds");
+            let mut tracker = RequestTracker::new();
+            for (id, &((r, remaining, video), (placement, ago_ms, slo_ms, tight))) in
+                backlog.iter().enumerate()
+            {
+                let id = RequestId(id as u64);
+                let res = res_of(r);
+                let stages = if video {
+                    StageProfile::video(8)
+                } else {
+                    StageProfile::FLAT
+                };
+                // Arrived up to 10 s ago with a 0.2–25 s budget: some are
+                // past their deadline. One in four (every request in one
+                // case in four) is instead due a few µs after its remaining
+                // steps at the fastest degree, and its decode, could
+                // finish, so its only option besides *none* is that degree.
+                let arrival = SimTime::from_micros(now.as_micros().saturating_sub(ago_ms * 1_000));
+                let deadline = if tight == 0 || all_tight == 0 {
+                    now + c.decode_time(res, stages.frames)
+                        + c.t_min(res) * u64::from(remaining * stages.frames)
+                        + SimDuration::from_micros(jitter)
+                } else {
+                    arrival + SimDuration::from_millis(slo_ms)
+                };
+                tracker.admit(RequestSpec {
+                    tenant: TenantId::UNTAGGED,
+                    id,
+                    resolution: res,
+                    arrival,
+                    deadline,
+                    total_steps: 50,
+                    stages,
+                });
+                if remaining < 50 {
+                    let width = (1usize << placement).min(n);
+                    tracker.start_dispatch(id, GpuSet::contiguous(0, width), 50 - remaining, 0.0);
+                    tracker.finish_dispatch(id);
+                }
+            }
+            let ctx = SchedContext {
+                now,
+                free,
+                healthy,
+                n_gpus: n,
+                tracker: &tracker,
+                costs: &c,
+                failures: &failures,
+            };
+            let (at_boundary, window) = policy.window_at(now);
+            tracker.schedulable_ids_into(now, &mut policy.ids);
+            let full = policy.plan_schedulable_without_exit(&ctx, at_boundary, window);
+            let packs = policy.scratch.calls();
+            let plans = policy.plan_schedulable(&ctx, at_boundary, window);
+            assert_eq!(plans, full, "case {cases} at {now}: {input:?}");
+            crate::policy::validate_plans(&plans, &ctx).expect("valid plans");
+            cases += 1;
+            if policy.scratch.calls() == packs {
+                skipped += 1;
+                late_planned += u32::from(!plans.is_empty());
+                let n_packable = policy.ids.len() - policy.best_effort.len();
+                too_wide += u32::from(
+                    policy.packable[..n_packable]
+                        .iter()
+                        .any(|o| o.options.len() > 1),
+                );
+            }
+            planned += u32::from(!plans.is_empty());
+        }
+        assert!(
+            skipped >= CASES / 5 && late_planned >= 10 && too_wide >= 10 && planned >= CASES / 5,
+            "{skipped} passes skipped packing ({late_planned} of them planned late work, \
+             {too_wide} had only too-wide options), {planned} of {CASES} planned"
+        );
+    }
+
+    /// A pass at `now` over `tracker` with the given free and healthy sets
+    /// and no faults.
+    fn pass(
+        policy: &mut TetriServePolicy,
+        tracker: &RequestTracker,
+        costs: &CostTable,
+        now: SimTime,
+        free: GpuSet,
+    ) -> Vec<DispatchPlan> {
+        let failures = FailurePlan::none();
+        let ctx = SchedContext {
+            now,
+            free,
+            healthy: GpuSet::first_n(8),
+            n_gpus: 8,
+            tracker,
+            costs,
+            failures: &failures,
+        };
+        let plans = policy.schedule(&ctx);
+        crate::policy::validate_plans(&plans, &ctx).expect("valid plans");
+        plans
+    }
+
+    #[test]
+    fn backfill_whose_only_option_is_wider_than_the_free_gpus_skips_packing() {
+        // A 2048² due one fastest-degree run (plus decode) from now can
+        // only run 8 wide; with 4 GPUs free nothing fits, so the pass
+        // plans nothing without calling the packer.
+        let c = costs();
+        let mut policy = TetriServePolicy::with_defaults(&c);
+        let res = Resolution::R2048;
+        let now = SimTime::ZERO + policy.tau() * 5 + policy.tau() / 4;
+        let mut tracker = RequestTracker::new();
+        tracker.admit(RequestSpec {
+            deadline: now + c.decode_time(res, 1) + c.t_min(res) * 50,
+            ..spec(1, res, now.as_secs_f64(), 0.0)
+        });
+        let packs = policy.scratch.calls();
+        let plans = pass(&mut policy, &tracker, &c, now, GpuSet::first_n(4));
+        assert!(plans.is_empty(), "{plans:?}");
+        assert_eq!(policy.scratch.calls(), packs, "the packer ran");
+        let widths: Vec<usize> = policy.packable[0].options.iter().map(|o| o.width).collect();
+        assert_eq!(widths, [0, 8], "the only option besides none is 8 wide");
+        // With all 8 GPUs free the same pass packs and plans it.
+        let plans = pass(&mut policy, &tracker, &c, now, GpuSet::first_n(8));
+        assert_eq!(plans.len(), 1, "{plans:?}");
+        assert_eq!(plans[0].degree(), 8);
+        assert_eq!(policy.scratch.calls(), packs + 1);
+    }
+
+    #[test]
+    fn backfill_whose_only_work_is_a_late_request_still_plans_it() {
+        // Nothing is packable, so packing is skipped, but the late
+        // request's one-GPU step fits the residual window: best effort
+        // still runs it.
+        let c = costs();
+        let mut policy = TetriServePolicy::with_defaults(&c);
+        let res = Resolution::R256;
+        let now = SimTime::ZERO + policy.tau() * 20 + policy.tau() / 4;
+        let (_, window) = policy.window_at(now);
+        assert!(c.step_time(res, 1, 1) <= window);
+        let mut tracker = RequestTracker::new();
+        tracker.admit(spec(1, res, 0.0, 1.5));
+        let packs = policy.scratch.calls();
+        let plans = pass(&mut policy, &tracker, &c, now, GpuSet::first_n(8));
+        assert_eq!(plans.len(), 1, "{plans:?}");
+        assert_eq!(plans[0].requests, Batch::one(RequestId(1)));
+        assert_eq!(policy.scratch.calls(), packs, "nothing was packable");
     }
 
     #[test]

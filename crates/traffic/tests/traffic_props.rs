@@ -8,10 +8,11 @@
 
 use proptest::prelude::*;
 
+use tetriserve_fleet::ArrivalSource;
 use tetriserve_simulator::rng::SimRng;
 use tetriserve_traffic::coupler::{CoupledProcess, CouplingSpec};
 use tetriserve_traffic::tenant::{ArrivalShape, TenantSpec};
-use tetriserve_traffic::{BurstCoupler, TrafficModel};
+use tetriserve_traffic::{to_spec, BurstCoupler, StreamingArrivals, TrafficModel};
 use tetriserve_workload::arrival::{ArrivalProcess, PoissonProcess};
 
 proptest! {
@@ -55,31 +56,44 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Online lazy merge == offline generate-then-merge, for arbitrary
-    /// tenant counts, rates, seeds and coupling opt-ins.
+    /// The specs the fleet streams == `to_spec` of the offline
+    /// generate-then-merge path, for arbitrary tenant counts, rates,
+    /// seeds, arrival shapes (Poisson, uniform, MMPP), coupling opt-ins
+    /// and 8-frame video tenants. The streamed path draws no prompt and
+    /// the offline one draws every prompt, so this also pins that prompt
+    /// draws never touch the arrival, mix or coupler RNGs.
     #[test]
     fn online_is_always_a_prefix_of_offline(
-        layout in proptest::collection::vec((4.0f64..20.0, 0u64..500, any::<bool>()), 1..5),
+        layout in proptest::collection::vec(
+            (4.0f64..20.0, 0u64..500, 0u8..3, any::<bool>(), any::<bool>()),
+            1..5,
+        ),
         total in 1usize..120,
     ) {
         let tenants: Vec<TenantSpec> = layout
             .iter()
             .enumerate()
-            .map(|(i, &(rate, seed, coupled))| {
-                let spec = TenantSpec::new(&format!("t{i}"), rate, seed)
-                    .with_shape(ArrivalShape::Poisson { rate_per_min: rate });
+            .map(|(i, &(rate, seed, shape, coupled, video))| {
+                let shape = match shape {
+                    0 => ArrivalShape::Poisson { rate_per_min: rate },
+                    1 => ArrivalShape::Uniform { rate_per_min: rate },
+                    _ => ArrivalShape::Bursty { mean_rate_per_min: rate },
+                };
+                let spec = TenantSpec::new(&format!("t{i}"), rate, seed).with_shape(shape);
+                let spec = if video { spec.video(8) } else { spec };
                 if coupled { spec.coupled() } else { spec }
             })
             .collect();
         let model = TrafficModel::new(tenants).with_coupling(CouplingSpec::standard(7));
-        let online: Vec<_> = model.online(total).collect();
+        let mut streamed = StreamingArrivals::new(model.online(total), 50);
         let offline = model.offline(total);
-        prop_assert_eq!(online.len(), total);
-        for (a, b) in online.iter().zip(offline.iter()) {
-            prop_assert_eq!(a.id, b.id);
-            prop_assert_eq!(a.tenant, b.tenant);
-            prop_assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
-            prop_assert_eq!(a.deadline_s.to_bits(), b.deadline_s.to_bits());
+        for want in offline.iter().take(total) {
+            let want = to_spec(want, 50);
+            prop_assert_eq!(streamed.peek_time(), Some(want.arrival));
+            // The whole spec: id, tenant, resolution, stages, steps, and
+            // arrival and deadline to the microsecond.
+            prop_assert_eq!(streamed.next_spec(), Some(want));
         }
+        prop_assert!(streamed.next_spec().is_none());
     }
 }

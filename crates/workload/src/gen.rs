@@ -3,6 +3,14 @@
 //! Combines an arrival process, a resolution mix, an SLO policy and the
 //! prompt library into the request stream an experiment serves. The paper's
 //! default workload (§6.1) is 300 prompts arriving Poisson at 12 req/min.
+//!
+//! Two pulls share one stream: [`TraceGen::next_request`] draws a prompt
+//! for each request, for the readers of prompt embeddings (Nirvana's cache,
+//! the curated scenarios, the `prompt_cluster` of a [`TraceRecord`]);
+//! [`TraceGen::next_bare`] draws none, for the fleet's streamed arrivals,
+//! which never read one. The prompt library owns its RNG, so both pulls
+//! yield the same requests, and interleaving them leaves every prompt the
+//! library hands out unchanged.
 
 use tetriserve_costmodel::{Resolution, StageProfile};
 use tetriserve_simulator::rng::SimRng;
@@ -37,6 +45,24 @@ pub struct GeneratedRequest {
     pub stages: StageProfile,
 }
 
+/// A generated request before its prompt is drawn: every field of a
+/// [`GeneratedRequest`] but the prompt.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BareRequest {
+    /// Sequential id in arrival order.
+    pub id: u64,
+    /// Originating tenant (see [`GeneratedRequest::tenant`]).
+    pub tenant: TenantId,
+    /// Arrival time in seconds from experiment start.
+    pub arrival_s: f64,
+    /// Output resolution.
+    pub resolution: Resolution,
+    /// Absolute deadline in seconds (arrival + scaled SLO budget).
+    pub deadline_s: f64,
+    /// Stage profile for the request's pipeline.
+    pub stages: StageProfile,
+}
+
 /// A serialisable summary of a generated request (embedding elided).
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TraceRecord {
@@ -59,6 +85,8 @@ pub struct TraceRecord {
 /// [`TraceGen::generate`] is just `n` pulls collected into a `Vec` — so an
 /// online consumer pulling requests one at a time sees the bit-identical
 /// sequence an offline batch generation would have produced.
+/// [`TraceGen::next_bare`] advances the same stream without drawing a
+/// prompt.
 #[derive(Debug)]
 pub struct TraceGen<A: ArrivalProcess> {
     arrivals: A,
@@ -74,7 +102,8 @@ pub struct TraceGen<A: ArrivalProcess> {
 
 impl<A: ArrivalProcess> TraceGen<A> {
     /// Creates a generator; `seed` controls arrivals and mix sampling
-    /// (prompt randomness is owned by the library).
+    /// (prompt randomness is owned by the library, which draws nothing
+    /// until the first [`next_request`](Self::next_request)).
     pub fn new(
         arrivals: A,
         mix: ResolutionMix,
@@ -111,7 +140,7 @@ impl<A: ArrivalProcess> TraceGen<A> {
         self
     }
 
-    /// Generates the next request and advances the stream.
+    /// Generates the next request and its prompt, and advances the stream.
     ///
     /// # Panics
     ///
@@ -119,18 +148,37 @@ impl<A: ArrivalProcess> TraceGen<A> {
     /// (see [`ArrivalProcess::checked_gap`]) — a NaN arrival would
     /// silently break the multiplex merge's total order downstream.
     pub fn next_request(&mut self) -> GeneratedRequest {
+        let r = self.next_bare();
+        GeneratedRequest {
+            id: r.id,
+            tenant: r.tenant,
+            arrival_s: r.arrival_s,
+            resolution: r.resolution,
+            deadline_s: r.deadline_s,
+            prompt: self.prompts.next_prompt(),
+            stages: r.stages,
+        }
+    }
+
+    /// Generates the next request without drawing its prompt, and
+    /// advances the stream: the request [`next_request`](Self::next_request)
+    /// would have returned, minus the prompt.
+    ///
+    /// # Panics
+    ///
+    /// As [`next_request`](Self::next_request).
+    pub fn next_bare(&mut self) -> BareRequest {
         self.clock_s += self.arrivals.checked_gap(&mut self.rng);
         let resolution = self.mix.sample(&mut self.rng);
         let budget = self.slo.budget(resolution).as_secs_f64();
         let id = self.next_id;
         self.next_id += 1;
-        GeneratedRequest {
+        BareRequest {
             id,
             tenant: self.tenant,
             arrival_s: self.clock_s,
             resolution,
             deadline_s: self.clock_s + budget,
-            prompt: self.prompts.next_prompt(),
             stages: self.stages,
         }
     }
@@ -147,6 +195,18 @@ impl<A: ArrivalProcess> TraceGen<A> {
 }
 
 impl GeneratedRequest {
+    /// The request without its prompt.
+    pub fn bare(&self) -> BareRequest {
+        BareRequest {
+            id: self.id,
+            tenant: self.tenant,
+            arrival_s: self.arrival_s,
+            resolution: self.resolution,
+            deadline_s: self.deadline_s,
+            stages: self.stages,
+        }
+    }
+
     /// Serialisable summary (embedding elided).
     pub fn to_record(&self) -> TraceRecord {
         TraceRecord {
@@ -210,6 +270,31 @@ mod tests {
     fn deterministic_given_seed() {
         assert_eq!(gen(50, 7), gen(50, 7));
         assert_ne!(gen(50, 7), gen(50, 8));
+    }
+
+    #[test]
+    fn bare_pulls_yield_the_same_requests_and_leave_prompts_unchanged() {
+        // Every third pull draws no prompt; the requests match a stream
+        // that draws every prompt, and the prompts that are drawn are the
+        // library's first ones, in order.
+        let full = gen(60, 5);
+        let mut g = TraceGen::new(
+            PoissonProcess::new(12.0),
+            ResolutionMix::uniform(),
+            SloPolicy::paper_targets(),
+            PromptLibrary::diffusiondb_like(5),
+            5,
+        );
+        let mut lib = PromptLibrary::diffusiondb_like(5);
+        for (i, want) in full.iter().enumerate() {
+            if i % 3 == 0 {
+                assert_eq!(g.next_bare(), want.bare());
+            } else {
+                let got = g.next_request();
+                assert_eq!(got.bare(), want.bare());
+                assert_eq!(got.prompt, lib.next_prompt());
+            }
+        }
     }
 
     #[test]

@@ -52,7 +52,7 @@ pub mod slo;
 pub mod trace_io;
 
 pub use arrival::{ArrivalProcess, BurstyProcess, PoissonProcess, UniformProcess};
-pub use gen::{GeneratedRequest, TraceGen, TraceRecord};
+pub use gen::{BareRequest, GeneratedRequest, TraceGen, TraceRecord};
 pub use mix::ResolutionMix;
 pub use prompt::{Embedding, Prompt, PromptLibrary};
 pub use slo::SloPolicy;

@@ -8,18 +8,51 @@
 //! *arrival*, blind to which tenant produced it. Offline callers collect
 //! the merge over pre-generated `Vec`s; the live traffic frontend drives
 //! it lazily over generators, so both paths share one ordering contract:
-//! (arrival time, stream index, intra-stream position).
+//! (arrival time, stream index, intra-stream position). The merge takes
+//! requests with their prompt ([`GeneratedRequest`]) or without it
+//! ([`BareRequest`], the streamed path, which reads no prompt).
 
 use tetriserve_simulator::trace::TenantId;
 
-use crate::gen::GeneratedRequest;
+use crate::gen::{BareRequest, GeneratedRequest};
+
+/// A request [`LazyMerge`] can order and stamp.
+pub trait MergeItem: std::fmt::Debug {
+    /// Arrival time in seconds: the merge key.
+    fn arrival_s(&self) -> f64;
+
+    /// Stamps the merged-order id and the originating stream's tenant.
+    fn stamp(&mut self, id: u64, tenant: TenantId);
+}
+
+impl MergeItem for GeneratedRequest {
+    fn arrival_s(&self) -> f64 {
+        self.arrival_s
+    }
+
+    fn stamp(&mut self, id: u64, tenant: TenantId) {
+        self.id = id;
+        self.tenant = tenant;
+    }
+}
+
+impl MergeItem for BareRequest {
+    fn arrival_s(&self) -> f64 {
+        self.arrival_s
+    }
+
+    fn stamp(&mut self, id: u64, tenant: TenantId) {
+        self.id = id;
+        self.tenant = tenant;
+    }
+}
 
 /// One per-stream cursor inside [`LazyMerge`].
 #[derive(Debug)]
-struct StreamHead<I> {
+struct StreamHead<I: Iterator> {
     iter: I,
     /// The stream's next undelivered request, if any.
-    head: Option<GeneratedRequest>,
+    head: Option<I::Item>,
     /// Arrival time of the last delivered request (sortedness check).
     last_arrival: f64,
 }
@@ -34,7 +67,10 @@ struct StreamHead<I> {
 /// per-tenant generators and pulls one merged arrival at a time as the
 /// simulation advances, holding only one buffered request per stream.
 #[derive(Debug)]
-pub struct LazyMerge<I: Iterator<Item = GeneratedRequest>> {
+pub struct LazyMerge<I: Iterator>
+where
+    I::Item: MergeItem,
+{
     streams: Vec<StreamHead<I>>,
     next_id: u64,
 }
@@ -47,7 +83,8 @@ pub struct LazyMerge<I: Iterator<Item = GeneratedRequest>> {
 /// pull).
 pub fn merge_streams<I>(streams: Vec<I>) -> LazyMerge<I>
 where
-    I: Iterator<Item = GeneratedRequest>,
+    I: Iterator,
+    I::Item: MergeItem,
 {
     let streams = streams
         .into_iter()
@@ -66,10 +103,13 @@ where
     }
 }
 
-impl<I: Iterator<Item = GeneratedRequest>> Iterator for LazyMerge<I> {
-    type Item = GeneratedRequest;
+impl<I: Iterator> Iterator for LazyMerge<I>
+where
+    I::Item: MergeItem,
+{
+    type Item = I::Item;
 
-    fn next(&mut self) -> Option<GeneratedRequest> {
+    fn next(&mut self) -> Option<I::Item> {
         // Argmin over the stream heads by (arrival, stream index). The
         // intra-stream position tie-break is implicit: a stream only ever
         // exposes its earliest undelivered request, so equal-time requests
@@ -78,24 +118,26 @@ impl<I: Iterator<Item = GeneratedRequest>> Iterator for LazyMerge<I> {
             .streams
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.head.as_ref().map(|r| (i, r.arrival_s)))
+            .filter_map(|(i, s)| s.head.as_ref().map(|r| (i, r.arrival_s())))
             .min_by(|(ai, at), (bi, bt)| at.total_cmp(bt).then(ai.cmp(bi)))
             .map(|(i, _)| i)?;
         let slot = &mut self.streams[winner];
         let mut req = slot.head.take().expect("winner has a head");
         slot.head = slot.iter.next();
+        let arrival_s = req.arrival_s();
         // NaN fails every `>=`, so a poisoned arrival trips this too.
         assert!(
-            req.arrival_s >= slot.last_arrival,
+            arrival_s >= slot.last_arrival,
             "tenant stream {winner} is not sorted by arrival time \
-             ({} after {})",
-            req.arrival_s,
+             ({arrival_s} after {})",
             slot.last_arrival
         );
-        slot.last_arrival = req.arrival_s;
-        req.id = self.next_id;
+        slot.last_arrival = arrival_s;
+        req.stamp(
+            self.next_id,
+            TenantId(u32::try_from(winner).expect("stream count fits u32")),
+        );
         self.next_id += 1;
-        req.tenant = TenantId(u32::try_from(winner).expect("stream count fits u32"));
         Some(req)
     }
 }

@@ -1,6 +1,8 @@
 //! A warm TetriServe scheduling pass allocates nothing unless it emits
 //! plans, and then only the plan list it returns; a warm single-request
-//! engine dispatch allocates nothing but the trace's amortised growth.
+//! engine dispatch allocates nothing but the trace's amortised growth; and
+//! a warm streamed arrival source allocates nothing but its burst
+//! coupler's amortised timeline growth.
 //!
 //! The serving loop calls `Policy::schedule` at every round boundary and
 //! on every arrival and dispatch completion, and most of those passes
@@ -19,11 +21,16 @@ use tetriserve::core::{
     DispatchPlan, Policy, RequestSpec, RequestTracker, SchedContext, TetriServePolicy,
 };
 use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution, StageProfile};
+use tetriserve::fleet::ArrivalSource;
 use tetriserve::simulator::engine::{Engine, EngineConfig, StepDispatch};
 use tetriserve::simulator::failure::FailurePlan;
 use tetriserve::simulator::gpuset::{GpuId, GpuSet};
 use tetriserve::simulator::time::{SimDuration, SimTime};
 use tetriserve::simulator::trace::{Batch, RequestId, TenantId, TraceEvent};
+use tetriserve::traffic::{
+    ArrivalShape, CouplingSpec, PriorityTier, StreamingArrivals, TenantSpec, TrafficModel,
+};
+use tetriserve::workload::ResolutionMix;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -224,6 +231,46 @@ fn warm_engine_submit_allocates_only_trace_growth() {
     }
     let made = allocations() - before;
     assert!(made <= 8, "{made} allocations over {SUBMITS} warm submits");
+}
+
+#[test]
+fn warm_streamed_arrivals_allocate_only_coupler_growth() {
+    // Five tenants shaped like the `tenants-video` benchmark workload: a
+    // Poisson tenant, an MMPP tenant on the skewed mix, two tenants on one
+    // shared burst coupler, and an 8-frame video tenant. A streamed pull
+    // draws no prompt, so the only allocations left are the coupler's
+    // knot timeline growing by doubling, a handful of times per 10,000
+    // pulls; drawing prompts would allocate one embedding per spec.
+    const PULLS: usize = 10_000;
+    let model = TrafficModel::new(vec![
+        TenantSpec::new("interactive", 9.0, 1).with_tier(PriorityTier::Interactive),
+        TenantSpec::new("batch", 5.0, 2)
+            .with_shape(ArrivalShape::Bursty {
+                mean_rate_per_min: 5.0,
+            })
+            .with_mix(ResolutionMix::skewed())
+            .with_tier(PriorityTier::Batch),
+        TenantSpec::new("flash-a", 4.0, 3).coupled(),
+        TenantSpec::new("flash-b", 4.0, 4).coupled(),
+        TenantSpec::new("video", 1.5, 5)
+            .with_mix(ResolutionMix::weighted(
+                "Clip",
+                [(Resolution::R256, 1.0), (Resolution::R512, 1.0)],
+            ))
+            .video(8),
+    ])
+    .with_coupling(CouplingSpec::standard(6));
+    let mut source = StreamingArrivals::new(model.online(1_000 + PULLS), 50);
+    for _ in 0..1_000 {
+        source.next_spec().expect("warm-up spec");
+    }
+    let before = allocations();
+    for _ in 0..PULLS {
+        source.peek_time().expect("peek");
+        source.next_spec().expect("spec");
+    }
+    let made = allocations() - before;
+    assert!(made <= 8, "{made} allocations over {PULLS} streamed specs");
 }
 
 #[test]
