@@ -16,8 +16,7 @@
 
 use std::fmt;
 
-use tetriserve_costmodel::{CostTable, Resolution};
-use tetriserve_simulator::gpuset::GpuSet;
+use tetriserve_costmodel::{CostTable, PlanRow, Resolution, MAX_PLAN_DEGREES};
 use tetriserve_simulator::time::SimDuration;
 
 /// One segment of an allocation plan: `steps` steps at `degree` GPUs.
@@ -106,26 +105,39 @@ impl fmt::Debug for AllocationPlan {
 
 /// Degrees worth considering, ascending: those that strictly improve
 /// latency over every smaller degree (a degree that is both slower *and*
-/// wider is dominated and never useful).
+/// wider is dominated and never useful). Read from the cost table's
+/// [`PlanRow`].
 pub fn useful_degrees(res: Resolution, costs: &CostTable) -> impl Iterator<Item = usize> + '_ {
-    useful_step_times(res, costs).map(|(k, _)| k)
+    costs.plan_row(res).degrees().iter().map(|d| d.degree)
 }
 
-/// [`useful_degrees`] paired with each degree's single-request step time.
-fn useful_step_times(
-    res: Resolution,
-    costs: &CostTable,
-) -> impl Iterator<Item = (usize, SimDuration)> + '_ {
-    let mut best = SimDuration::MAX;
-    costs.degrees().iter().filter_map(move |&k| {
-        let t = costs.step_time(res, k, 1);
-        if t < best {
-            best = t;
-            Some((k, t))
-        } else {
-            None
-        }
+/// Whether the plan search settles `steps` steps of `row` within `slack`
+/// at the row's narrowest degree without enumerating: GPU-seconds rise
+/// along the row and all the steps fit at that degree under `headroom`.
+///
+/// That single-degree plan is then the first candidate the search visits,
+/// and no other costs less as computed: a wider single degree costs more
+/// before rounding and rounding is monotone, a pair whose cheap degree is
+/// the narrowest one degenerates to it, and any other pair costs more by
+/// a rise that
+/// [`GPU_SECONDS_RISE_MARGIN`](tetriserve_costmodel::GPU_SECONDS_RISE_MARGIN)
+/// keeps above what float rounding can erase (DESIGN.md §10.1). So the
+/// strict `<` keeps it.
+fn runs_at_narrowest(row: &PlanRow, steps: u32, slack: SimDuration, headroom: f64) -> bool {
+    row.degrees().first().is_some_and(|d| {
+        row.gpu_seconds_rising()
+            && u64::from(steps) * inflate_us(d.step_us, headroom) <= slack.as_micros()
     })
+}
+
+/// `⌈us × headroom⌉` in µs, exactly `(us as f64 * headroom).ceil() as
+/// u64` (saturating at `u64::MAX`), without a libm `ceil` call: a
+/// non-negative product truncates toward zero, and the truncation is the
+/// ceiling unless it fell below the product.
+fn inflate_us(us: u64, headroom: f64) -> u64 {
+    let x = us as f64 * headroom;
+    let t = x as u64;
+    t.saturating_add(u64::from((t as f64) < x))
 }
 
 /// Computes the minimal-GPU-hour plan for `remaining_steps` steps of `res`
@@ -176,9 +188,8 @@ pub fn min_gpu_hour_plan(
 ///
 /// # Panics
 ///
-/// Panics if `remaining_steps` is zero, `headroom < 1.0`, `max_degree` is
-/// below the narrowest profiled degree, or the cost table has more useful
-/// degrees than the powers of two up to [`GpuSet::MAX_GPUS`].
+/// Panics if `remaining_steps` is zero, `headroom < 1.0`, `res` was not
+/// profiled, or `max_degree` is below the narrowest profiled degree.
 pub fn min_gpu_hour_plan_capped(
     res: Resolution,
     remaining_steps: u32,
@@ -189,27 +200,26 @@ pub fn min_gpu_hour_plan_capped(
 ) -> AllocationPlan {
     assert!(remaining_steps > 0, "allocation needs at least one step");
     assert!(headroom >= 1.0, "headroom must be ≥ 1.0, got {headroom}");
-    // Read each capped degree's inflated step time and GPU-seconds once;
-    // the enumeration below then only does arithmetic on this table.
-    let mut table = [DegreeCost::default(); MAX_DEGREES];
-    let mut capped = useful_step_times(res, costs).filter(|&(k, _)| k <= max_degree);
-    let mut n = 0;
-    for (slot, (degree, t)) in table.iter_mut().zip(capped.by_ref()) {
-        *slot = DegreeCost {
-            degree,
-            t_us: (t.as_micros() as f64 * headroom).ceil() as u64,
-            gpu_seconds: costs.gpu_seconds(res, degree),
-        };
-        n += 1;
-    }
-    assert!(
-        capped.next().is_none(),
-        "more than {MAX_DEGREES} useful degrees"
-    );
-    let degrees = table.get(..n).unwrap_or_default();
-    let Some(fastest) = degrees.last() else {
+    let row = costs.plan_row(res);
+    let degrees = row.capped(max_degree);
+    let (Some(narrowest), Some(fastest)) = (degrees.first(), degrees.last()) else {
         panic!("degree cap {max_degree} excludes every profiled degree");
     };
+    if runs_at_narrowest(row, remaining_steps, slack, headroom) {
+        return AllocationPlan::single(
+            AllocSegment {
+                steps: remaining_steps,
+                degree: narrowest.degree,
+            },
+            true,
+        );
+    }
+    // Inflate each capped degree's step time once; the enumeration below
+    // then only does arithmetic on the row and these.
+    let mut t_us = [0u64; MAX_PLAN_DEGREES];
+    for (t, d) in t_us.iter_mut().zip(degrees) {
+        *t = inflate_us(d.step_us, headroom);
+    }
     let steps = u64::from(remaining_steps);
     let slack_us = slack.as_micros();
 
@@ -221,8 +231,8 @@ pub fn min_gpu_hour_plan_capped(
     };
 
     // Single-degree plans.
-    for d in degrees {
-        if steps * d.t_us <= slack_us {
+    for (d, &t) in degrees.iter().zip(&t_us) {
+        if steps * t <= slack_us {
             consider(
                 d.gpu_seconds * steps as f64,
                 AllocationPlan::single(
@@ -239,17 +249,14 @@ pub fn min_gpu_hour_plan_capped(
     // Two-degree mixes: s_lo steps at the cheaper degree, the rest at the
     // faster one. For each pair, the GPU-hour-minimal split maximises the
     // cheap-segment length subject to the deadline.
-    for (i, lo) in degrees.iter().enumerate() {
-        for hi in degrees.iter().skip(i + 1) {
-            debug_assert!(
-                lo.t_us > hi.t_us,
-                "degrees are filtered to strictly improve"
-            );
-            if steps * hi.t_us > slack_us {
+    for (i, (lo, &t_lo)) in degrees.iter().zip(&t_us).enumerate() {
+        for (hi, &t_hi) in degrees.iter().zip(&t_us).skip(i + 1) {
+            debug_assert!(t_lo > t_hi, "degrees are filtered to strictly improve");
+            if steps * t_hi > slack_us {
                 continue; // even all-fast misses
             }
             // s_lo·t_lo + (S−s_lo)·t_hi ≤ slack  ⇒  s_lo ≤ (slack − S·t_hi)/(t_lo − t_hi)
-            let s_lo = ((slack_us - steps * hi.t_us) / (lo.t_us - hi.t_us)).min(steps);
+            let s_lo = ((slack_us - steps * t_hi) / (t_lo - t_hi)).min(steps);
             let s_hi = steps - s_lo;
             if s_lo == 0 || s_hi == 0 {
                 continue; // degenerates to a single-degree plan
@@ -282,21 +289,6 @@ pub fn min_gpu_hour_plan_capped(
             false,
         ),
     }
-}
-
-/// Capacity of the plan search's degree table: every cluster's degree
-/// axis is the powers of two up to its GPU count, and a node has at most
-/// [`GpuSet::MAX_GPUS`] GPUs.
-const MAX_DEGREES: usize = GpuSet::MAX_GPUS.ilog2() as usize + 1;
-
-/// One degree the plan search may use, with the numbers it reads.
-#[derive(Debug, Clone, Copy, Default)]
-struct DegreeCost {
-    degree: usize,
-    /// Step time inflated by the headroom, in µs (feasibility checks).
-    t_us: u64,
-    /// Un-inflated GPU-seconds per step (plan cost).
-    gpu_seconds: f64,
 }
 
 #[cfg(test)]
@@ -402,29 +394,104 @@ mod tests {
         Profiler::new(DitModel::sd3_medium(), ClusterSpec::a40x4()).analytic()
     }
 
+    /// How each degree's step time moves from the next narrower one's in
+    /// [`uncalibrated_table`].
+    type Move = (u8, u64);
+
+    /// A batch-1 cost table nobody calibrated. Each production resolution
+    /// gets a base step time at the narrowest of the degrees set in
+    /// `degree_mask` (bit `i` is degree `2^i`, up to 8), and each wider
+    /// degree's step time comes from its narrower neighbour's `t` by one
+    /// move `(kind, x)`: 0 ties `t`; 1 rises to `t + x + 1`; 2 keeps
+    /// GPU-seconds level (`t·k_prev/k`); 3 raises them by `x + 1` µs of
+    /// step time, so by less than the rise margin on slow bases and more
+    /// on fast ones; 4 lowers them by `x + 1` µs; 5 halves the step
+    /// time whatever the degree ratio.
+    fn uncalibrated_table(degree_mask: u8, grid: &[(u64, Vec<Move>)]) -> CostTable {
+        let degrees: Vec<usize> = (0..4)
+            .filter(|i| degree_mask & (1 << i) != 0)
+            .map(|i| 1 << i)
+            .collect();
+        let rows: Vec<CostRow> = Resolution::PRODUCTION
+            .iter()
+            .zip(grid)
+            .flat_map(|(res, (base, moves))| {
+                let mut t = *base;
+                let mut prev = degrees[0];
+                degrees.iter().zip(moves).map(move |(&k, &(kind, x))| {
+                    if k != prev {
+                        let level = t * prev as u64 / k as u64;
+                        t = match kind {
+                            0 => t,
+                            1 => t + x + 1,
+                            2 => level,
+                            3 => level + x + 1,
+                            4 => level.saturating_sub(x + 1).max(1),
+                            _ => (t / 2).max(1),
+                        };
+                        prev = k;
+                    }
+                    CostRow {
+                        tokens: res.tokens(),
+                        degree: k,
+                        batch: 1,
+                        step_micros: t,
+                    }
+                })
+            })
+            .collect();
+        CostTable::from_rows(
+            DitModel::flux_dev(),
+            ClusterSpec::h100x8(),
+            CommScheme::Ulysses,
+            &rows,
+        )
+    }
+
+    /// Strategy for [`uncalibrated_table`]'s grid: per resolution a base
+    /// step time of 1 µs to 2.5 s and four moves.
+    fn grid_strategy() -> impl proptest::prelude::Strategy<Value = Vec<(u64, Vec<Move>)>> {
+        proptest::collection::vec(
+            (
+                1u64..=2_500_000,
+                proptest::collection::vec((0u8..6, 0u64..1_000), 4),
+            ),
+            4,
+        )
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
 
-        /// The hoisted search returns exactly the reference's plan on both
-        /// testbeds, for random slacks and for slacks on and next to each
-        /// degree's all-steps knife edge, where the `≤` tests flip.
+        /// The row-reading search returns exactly the reference's plan on
+        /// both testbeds and on uncalibrated tables (step times that tie
+        /// or rise with degree, GPU-seconds that tie, rise or fall, degree
+        /// sets with gaps), for random slacks and for slacks on and next
+        /// to each degree's all-steps knife edge, where the `≤` tests flip.
         #[test]
         fn prop_hoisted_search_matches_reference(
-            a40 in proptest::prelude::any::<bool>(),
+            table in 0u8..4,
+            degree_mask in 1u8..16,
+            grid in grid_strategy(),
             res_idx in 0usize..4,
             steps in 1u32..=50,
             slack_us in 0u64..=60_000_000,
             headroom_idx in 0usize..2,
             cap_idx in 0usize..4,
         ) {
-            let c = if a40 { a40_costs() } else { costs() };
+            let c = match table {
+                0 => costs(),
+                1 => a40_costs(),
+                _ => uncalibrated_table(degree_mask, &grid),
+            };
             let res = Resolution::PRODUCTION[res_idx];
             let headroom = [1.0, crate::config::ROUND_HEADROOM][headroom_idx];
             let cap = [1, 2, 4, 8][cap_idx];
+            proptest::prop_assume!(cap >= c.degrees()[0]);
             let edges = useful_degrees(res, &c).flat_map(|k| {
                 let t = (c.step_time(res, k, 1).as_micros() as f64 * headroom).ceil() as u64;
                 let edge = u64::from(steps) * t;
-                [edge - 1, edge, edge + 1]
+                [edge.saturating_sub(1), edge, edge + 1]
             });
             for slack in std::iter::once(slack_us).chain(edges) {
                 let slack = SimDuration::from_micros(slack);
@@ -433,6 +500,118 @@ mod tests {
                     reference_plan_capped(res, steps, slack, &c, headroom, cap);
                 proptest::prop_assert_eq!(plan.segments(), &segments[..]);
                 proptest::prop_assert_eq!(plan.feasible, feasible);
+            }
+        }
+
+        /// The narrowest-degree shortcut on the search's largest step
+        /// counts: on a row whose GPU-seconds rise, a request whose steps
+        /// all fit at its narrowest degree under the headroom gets exactly
+        /// the reference's plan, all steps at degree 1, for up to four
+        /// million steps on fast rows (where rounding erases the most).
+        #[test]
+        fn prop_narrowest_degree_shortcut_matches_reference(
+            table in 0u8..4,
+            grid in grid_strategy(),
+            res_idx in 0usize..4,
+            steps in 1u32..=u32::MAX,
+            extra_us in 0u64..1_000_000,
+            headroom_idx in 0usize..2,
+            cap_idx in 0usize..4,
+        ) {
+            let c = match table {
+                0 => costs(),
+                1 => a40_costs(),
+                _ => uncalibrated_table(0b1111, &grid),
+            };
+            let res = Resolution::PRODUCTION[res_idx];
+            let row = c.plan_row(res);
+            proptest::prop_assume!(row.gpu_seconds_rising());
+            let headroom = [1.0, crate::config::ROUND_HEADROOM][headroom_idx];
+            let cap = [1, 2, 4, 8][cap_idx];
+            // Large step counts on fast rows only, so the slack fits a u64.
+            let steps = steps % if row.degrees()[0].step_us > 1_000 { 50 } else { 4_000_000 } + 1;
+            let edge = u64::from(steps) * inflate_us(row.degrees()[0].step_us, headroom);
+            let slack = SimDuration::from_micros(edge + extra_us % (edge + 1));
+            proptest::prop_assert!(runs_at_narrowest(row, steps, slack, headroom));
+            let plan = min_gpu_hour_plan_capped(res, steps, slack, &c, headroom, cap);
+            let (segments, feasible) = reference_plan_capped(res, steps, slack, &c, headroom, cap);
+            proptest::prop_assert_eq!(plan.segments(), &segments[..]);
+            proptest::prop_assert!(plan.feasible && feasible);
+            proptest::prop_assert_eq!(plan.segments(), [AllocSegment { steps, degree: 1 }]);
+        }
+    }
+
+    #[test]
+    fn rise_flag_needs_every_adjacent_rise_to_clear_the_margin() {
+        // Batch-1 rows for one resolution at degrees 1 and 2: T(1) = 1 s,
+        // so GPU-seconds are 1.0 at degree 1 and 2·T(2) at degree 2.
+        let row_with = |t2_us: u64| {
+            let rows: Vec<CostRow> = [(1, 1_000_000), (2, t2_us)]
+                .map(|(degree, step_micros)| CostRow {
+                    tokens: Resolution::R256.tokens(),
+                    degree,
+                    batch: 1,
+                    step_micros,
+                })
+                .to_vec();
+            let c = CostTable::from_rows(
+                DitModel::flux_dev(),
+                ClusterSpec::h100x8(),
+                CommScheme::Ulysses,
+                &rows,
+            );
+            *c.plan_row(Resolution::R256)
+        };
+        // A tie, a rise of 2e-6 (below the margin's 1.5e-5), and a fall.
+        for t2 in [500_000, 500_001, 499_000] {
+            let row = row_with(t2);
+            assert_eq!(row.degrees().len(), 2, "{t2}");
+            assert!(!row.gpu_seconds_rising(), "{t2}");
+        }
+        // A rise of 2e-5 clears it.
+        assert!(row_with(500_010).gpu_seconds_rising());
+        // A degree no faster than degree 1 is not in the row at all, and
+        // a row of one degree rises vacuously.
+        let row = row_with(1_000_000);
+        assert_eq!(row.degrees().len(), 1);
+        assert!(row.gpu_seconds_rising());
+        // The calibrated rows all rise.
+        for c in [costs(), a40_costs()] {
+            for res in Resolution::PRODUCTION {
+                assert!(c.plan_row(res).gpu_seconds_rising(), "{res}");
+            }
+        }
+    }
+
+    #[test]
+    fn inflation_is_the_float_ceiling() {
+        let ceil = |us: u64, h: f64| (us as f64 * h).ceil() as u64;
+        let values = [
+            0,
+            1,
+            49,
+            50,
+            999_999,
+            (1 << 53) - 1,
+            1 << 53,
+            (1 << 53) + 1,
+            u64::MAX / 2,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for us in values
+            .into_iter()
+            .chain((0..10_000).map(|i| i * 7_919 + 13))
+        {
+            for h in [
+                1.0,
+                crate::config::ROUND_HEADROOM,
+                1.5,
+                3.0,
+                1.0 + f64::EPSILON,
+                4096.5,
+            ] {
+                assert_eq!(inflate_us(us, h), ceil(us, h), "{us} × {h}");
             }
         }
     }

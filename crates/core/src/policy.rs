@@ -143,9 +143,15 @@ impl<P: Policy + ?Sized> Policy for Box<P> {
 /// The serving loop runs it on every scheduling pass, in release builds
 /// too, and panics on a violation: a policy bug surfaces at the pass that
 /// made it. Returns a description of the first violation found.
+///
+/// A request may appear in at most one plan, once: the serving loop
+/// starts one dispatch per plan member, and a request can be in only one
+/// dispatch at a time. The check scans the earlier members of the pass,
+/// at most [`GpuSet::MAX_GPUS`] plans of at most the profiled batch each,
+/// so it needs no set.
 pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<(), String> {
     let mut used = GpuSet::EMPTY;
-    for plan in plans {
+    for (i, plan) in plans.iter().enumerate() {
         if plan.requests.is_empty() {
             return Err("plan has no requests".into());
         }
@@ -179,7 +185,7 @@ pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<
         }
         used = used.union(plan.gpus);
         let mut res = None;
-        for &id in &plan.requests {
+        for (j, &id) in plan.requests.iter().enumerate() {
             let r = ctx
                 .tracker
                 .get(id)
@@ -199,6 +205,11 @@ pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<
                 }
             }
             res = Some(r.spec.resolution);
+            if plan.requests.iter().take(j).any(|&other| other == id)
+                || plans.iter().take(i).any(|p| p.requests.contains(&id))
+            {
+                return Err(format!("{id} is planned twice"));
+            }
         }
     }
     Ok(())
@@ -308,5 +319,19 @@ mod tests {
         let e = validate_plans(&[plan(&[1, 2, 1, 2, 1], GpuSet::contiguous(0, 1), 1)], &ctx)
             .unwrap_err();
         assert!(e.contains("envelope"), "{e}");
+        // One request twice in a batch.
+        let e = validate_plans(&[plan(&[1, 2, 1], GpuSet::contiguous(0, 1), 1)], &ctx).unwrap_err();
+        assert!(e.contains("req1 is planned twice"), "{e}");
+        // One request in two plans on disjoint GPUs.
+        let e = validate_plans(
+            &[
+                plan(&[1, 2], GpuSet::contiguous(0, 1), 1),
+                plan(&[3], GpuSet::contiguous(1, 1), 1),
+                plan(&[2], GpuSet::contiguous(2, 2), 1),
+            ],
+            &ctx,
+        )
+        .unwrap_err();
+        assert!(e.contains("req2 is planned twice"), "{e}");
     }
 }

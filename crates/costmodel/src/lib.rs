@@ -61,6 +61,9 @@ pub use flops::FlopsModel;
 pub use hardware::{ClusterSpec, GpuKind};
 pub use interconnect::{handoff_time, InterClusterLink};
 pub use model::DitModel;
-pub use profiler::{measure_step_cv, CostRow, CostTable, Profiler, ResolutionRow};
+pub use profiler::{
+    measure_step_cv, CostRow, CostTable, PlanDegree, PlanRow, Profiler, ResolutionRow,
+    GPU_SECONDS_RISE_MARGIN, MAX_PLAN_DEGREES,
+};
 pub use resolution::Resolution;
 pub use stage::StageProfile;

@@ -48,9 +48,10 @@ pub struct CostRow {
 /// Storage is a *dense* `(resolution × degree × batch)` grid so the round
 /// loop's lookups are flat array reads, and every per-resolution derived
 /// value (`T^min`, fastest degree, cheapest degree, `k·T(k)`, batch-1
-/// step seconds, and the VAE-decode and condition-encode times at the
-/// cluster's effective TFLOPs) is computed once at construction. The hot
-/// path — `step_time`, `t_min`, `gpu_seconds`, [`CostTable::row`] and the
+/// step seconds, the allocation-plan row, and the VAE-decode and
+/// condition-encode times at the cluster's effective TFLOPs) is computed
+/// once at construction. The hot path — `step_time`, `t_min`,
+/// `gpu_seconds`, [`CostTable::row`], [`CostTable::plan_row`] and the
 /// stage times, called per request per round or per route — therefore
 /// never re-walks the degree list or re-runs the float pipelines behind
 /// [`step_time_canonical`] and the model's stage formulas.
@@ -73,17 +74,26 @@ pub struct CostTable {
     gpu_secs: Vec<f64>,
     /// Per-resolution batch-1 step seconds, laid out like `gpu_secs`.
     step_secs: Vec<f64>,
-    /// Per-resolution fastest batch-1 step time (Algorithm 1's `T_i^min`).
-    t_min: Vec<SimDuration>,
-    /// Per-resolution index (into `degrees`) of the degree achieving `t_min`.
-    fastest: Vec<usize>,
-    /// Per-resolution degree minimising `k · T(k)`.
-    cheapest: Vec<usize>,
-    /// Per-resolution single-frame VAE decode at the cluster's effective
-    /// TFLOPs.
-    decode: Vec<SimDuration>,
-    /// Per-resolution condition encode at the cluster's effective TFLOPs.
-    encode: Vec<SimDuration>,
+    /// Per-resolution derived values, parallel to `resolutions`: one
+    /// allocation holds every resolution's scalars and plan row.
+    derived: Vec<Derived>,
+}
+
+/// One profiled resolution's derived values.
+#[derive(Debug, Clone, Copy)]
+struct Derived {
+    /// Fastest batch-1 step time (Algorithm 1's `T_i^min`).
+    t_min: SimDuration,
+    /// Index (into `degrees`) of the degree achieving `t_min`.
+    fastest: usize,
+    /// Degree minimising `k · T(k)`.
+    cheapest: usize,
+    /// Single-frame VAE decode at the cluster's effective TFLOPs.
+    decode: SimDuration,
+    /// Condition encode at the cluster's effective TFLOPs.
+    encode: SimDuration,
+    /// The allocation-plan row.
+    plan: PlanRow,
 }
 
 /// One profiled resolution's pricing inputs, all precomputed by the
@@ -104,6 +114,102 @@ pub struct ResolutionRow<'a> {
     pub decode: SimDuration,
     /// Condition encode, [`CostTable::encode_time`].
     pub encode: SimDuration,
+}
+
+/// Most useful degrees a [`PlanRow`] holds: every profiled degree axis is
+/// the powers of two up to the node's GPU count, and a node has at most
+/// [`GpuSet::MAX_GPUS`] GPUs.
+pub const MAX_PLAN_DEGREES: usize = GpuSet::MAX_GPUS.ilog2() as usize + 1;
+
+/// The relative margin by which GPU-seconds must rise between adjacent
+/// useful degrees for [`PlanRow::gpu_seconds_rising`]: one part in
+/// 65,536. Float rounding moves a plan's cost, a sum of at most two
+/// products of GPU-seconds and a `u32` step count, by less than
+/// `3 · 2⁻⁵³ · (2³² + 1)` of the all-narrowest plan's cost, about one
+/// part in 700,000, so it cannot erase a rise this large.
+pub const GPU_SECONDS_RISE_MARGIN: f64 = 1.0 / 65_536.0;
+
+/// A useful degree of a [`PlanRow`], with the values the allocation-plan
+/// search reads.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PlanDegree {
+    /// Sequence-parallel degree.
+    pub degree: usize,
+    /// Batch-1 step time in µs: `step_time(res, degree, 1)`.
+    pub step_us: u64,
+    /// GPU-seconds per step: `gpu_seconds(res, degree)`.
+    pub gpu_seconds: f64,
+}
+
+/// One profiled resolution's allocation-plan row, built once per
+/// [`CostTable`]: the *useful* degrees, ascending, each strictly faster
+/// (batch 1) than every narrower profiled degree, since a degree that is
+/// both slower and wider is dominated and never worth planning.
+#[derive(Debug, Clone, Copy)]
+pub struct PlanRow {
+    degrees: [PlanDegree; MAX_PLAN_DEGREES],
+    len: usize,
+    gpu_seconds_rising: bool,
+}
+
+impl PlanRow {
+    /// The useful degrees, ascending (so step times strictly fall along
+    /// the row). The last one achieves [`CostTable::t_min`].
+    #[inline]
+    pub fn degrees(&self) -> &[PlanDegree] {
+        self.degrees.get(..self.len).unwrap_or_default()
+    }
+
+    /// The useful degrees no wider than `max_degree`: a prefix of
+    /// [`PlanRow::degrees`].
+    #[inline]
+    pub fn capped(&self, max_degree: usize) -> &[PlanDegree] {
+        let degrees = self.degrees();
+        let n = degrees.partition_point(|d| d.degree <= max_degree);
+        degrees.get(..n).unwrap_or_default()
+    }
+
+    /// Whether GPU-seconds rise strictly along the row, each by more than
+    /// [`GPU_SECONDS_RISE_MARGIN`] of its narrower neighbour's, so no plan
+    /// of at most `u32::MAX` steps that runs some of them wider than the
+    /// narrowest useful degree costs less, as computed in floating point,
+    /// than running all of them there. Vacuously true for a row of one
+    /// degree.
+    #[inline]
+    pub fn gpu_seconds_rising(&self) -> bool {
+        self.gpu_seconds_rising
+    }
+
+    /// Builds the row from `(degree, batch-1 step time, GPU-seconds)`
+    /// triples in ascending degree order.
+    fn build(cells: impl Iterator<Item = (usize, SimDuration, f64)>) -> PlanRow {
+        let mut row = PlanRow {
+            degrees: [PlanDegree::default(); MAX_PLAN_DEGREES],
+            len: 0,
+            gpu_seconds_rising: true,
+        };
+        let mut best = SimDuration::MAX;
+        for (degree, t, gpu_seconds) in cells {
+            if t >= best {
+                continue;
+            }
+            best = t;
+            if let Some(prev) = row.degrees().last() {
+                row.gpu_seconds_rising &=
+                    gpu_seconds > prev.gpu_seconds * (1.0 + GPU_SECONDS_RISE_MARGIN);
+            }
+            let slot = row.degrees.get_mut(row.len).unwrap_or_else(|| {
+                panic!("a resolution has more than {MAX_PLAN_DEGREES} useful degrees")
+            });
+            *slot = PlanDegree {
+                degree,
+                step_us: t.as_micros(),
+                gpu_seconds,
+            };
+            row.len += 1;
+        }
+        row
+    }
 }
 
 const NO_DEGREE: u8 = u8::MAX;
@@ -147,37 +253,39 @@ impl CostTable {
         // minimum, i.e. the smallest degree (degrees are ascending).
         let mut gpu_secs = Vec::with_capacity(resolutions.len() * nd);
         let mut step_secs = Vec::with_capacity(resolutions.len() * nd);
-        let mut t_min = Vec::with_capacity(resolutions.len());
-        let mut fastest = Vec::with_capacity(resolutions.len());
-        let mut cheapest = Vec::with_capacity(resolutions.len());
-        for ri in 0..resolutions.len() {
+        let mut derived = Vec::with_capacity(resolutions.len());
+        let tflops = cluster.gpu.effective_tflops();
+        for (ri, &res) in resolutions.iter().enumerate() {
             let step1 = |di: usize| grid[(ri * nd + di) * nb];
             for (di, &k) in degrees.iter().enumerate() {
                 gpu_secs.push(k as f64 * step1(di).as_secs_f64());
                 step_secs.push(step1(di).as_secs_f64());
             }
-            let (best_di, best_t) = (0..nd)
+            let row_gpu_secs = &gpu_secs[ri * nd..];
+            let (fastest, t_min) = (0..nd)
                 .map(|di| (di, step1(di)))
                 .min_by_key(|&(_, t)| t)
                 .expect("at least one degree");
-            t_min.push(best_t);
-            fastest.push(best_di);
             // total_cmp matches partial_cmp on these always-finite costs
             // and needs no NaN panic path.
             let cheap_di = (0..nd)
-                .min_by(|&a, &b| gpu_secs[ri * nd + a].total_cmp(&gpu_secs[ri * nd + b]))
+                .min_by(|&a, &b| row_gpu_secs[a].total_cmp(&row_gpu_secs[b]))
                 .expect("at least one degree");
-            cheapest.push(degrees[cheap_di]);
+            let plan = PlanRow::build(
+                degrees
+                    .iter()
+                    .enumerate()
+                    .map(|(di, &k)| (k, step1(di), row_gpu_secs[di])),
+            );
+            derived.push(Derived {
+                t_min,
+                fastest,
+                cheapest: degrees[cheap_di],
+                decode: model.decode_time(res, tflops),
+                encode: model.encode_time(res, tflops),
+                plan,
+            });
         }
-        let tflops = cluster.gpu.effective_tflops();
-        let decode = resolutions
-            .iter()
-            .map(|&res| model.decode_time(res, tflops))
-            .collect();
-        let encode = resolutions
-            .iter()
-            .map(|&res| model.encode_time(res, tflops))
-            .collect();
         CostTable {
             model,
             cluster,
@@ -190,11 +298,7 @@ impl CostTable {
             grid,
             gpu_secs,
             step_secs,
-            t_min,
-            fastest,
-            cheapest,
-            decode,
-            encode,
+            derived,
         }
     }
 
@@ -275,7 +379,7 @@ impl CostTable {
     #[inline]
     pub fn t_min(&self, res: Resolution) -> SimDuration {
         match self.res_index(res) {
-            Some(ri) => self.t_min[ri],
+            Some(ri) => self.derived[ri].t_min,
             None => self.step_time(res, self.degrees[0], 1), // diagnostic panic
         }
     }
@@ -288,7 +392,7 @@ impl CostTable {
     #[inline]
     pub fn fastest_degree(&self, res: Resolution) -> usize {
         match self.res_index(res) {
-            Some(ri) => self.degrees[self.fastest[ri]],
+            Some(ri) => self.degrees[self.derived[ri].fastest],
             None => {
                 let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
                 unreachable!()
@@ -305,7 +409,7 @@ impl CostTable {
     #[inline]
     pub fn cheapest_degree(&self, res: Resolution) -> usize {
         match self.res_index(res) {
-            Some(ri) => self.cheapest[ri],
+            Some(ri) => self.derived[ri].cheapest,
             None => {
                 let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
                 unreachable!()
@@ -327,14 +431,30 @@ impl CostTable {
         };
         let nd = self.degrees.len();
         let gpu_secs = &self.gpu_secs[ri * nd..(ri + 1) * nd];
+        let d = &self.derived[ri];
         ResolutionRow {
             step_secs: &self.step_secs[ri * nd..(ri + 1) * nd],
             gpu_secs,
-            fastest_gpu_secs: gpu_secs[self.fastest[ri]],
-            t_min: self.t_min[ri],
-            decode: self.decode[ri],
-            encode: self.encode[ri],
+            fastest_gpu_secs: gpu_secs[d.fastest],
+            t_min: d.t_min,
+            decode: d.decode,
+            encode: d.encode,
         }
+    }
+
+    /// The allocation-plan row of `res`: its useful degrees with their
+    /// batch-1 step times and GPU-seconds, precomputed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `res` was not profiled.
+    #[inline]
+    pub fn plan_row(&self, res: Resolution) -> &PlanRow {
+        let Some(ri) = self.res_index(res) else {
+            let _ = self.step_time(res, self.degrees[0], 1); // diagnostic panic
+            unreachable!()
+        };
+        &self.derived[ri].plan
     }
 
     /// VAE-decode latency of `frames` output frames at `res` on this
@@ -345,7 +465,7 @@ impl CostTable {
     #[inline]
     pub fn decode_time(&self, res: Resolution, frames: u32) -> SimDuration {
         let one = match self.res_index(res) {
-            Some(ri) => self.decode[ri],
+            Some(ri) => self.derived[ri].decode,
             None => self
                 .model
                 .decode_time(res, self.cluster.gpu.effective_tflops()),
@@ -359,7 +479,7 @@ impl CostTable {
     #[inline]
     pub fn encode_time(&self, res: Resolution) -> SimDuration {
         match self.res_index(res) {
-            Some(ri) => self.encode[ri],
+            Some(ri) => self.derived[ri].encode,
             None => self
                 .model
                 .encode_time(res, self.cluster.gpu.effective_tflops()),
@@ -426,8 +546,9 @@ impl CostTable {
     /// # Panics
     ///
     /// Panics if the rows are empty, reference unknown token counts for the
-    /// model's latent geometry (non-square-resolvable), or do not form a
-    /// complete (resolution × degree × batch) grid.
+    /// model's latent geometry (non-square-resolvable), do not form a
+    /// complete (resolution × degree × batch) grid, or give a resolution
+    /// more than [`MAX_PLAN_DEGREES`] useful degrees.
     pub fn from_rows(
         model: DitModel,
         cluster: ClusterSpec,
@@ -757,6 +878,61 @@ mod tests {
             );
             assert_eq!(t.encode_time(odd), t.model().encode_time(odd, tflops));
         }
+    }
+
+    #[test]
+    fn plan_rows_hold_the_useful_degrees_and_their_lookups() {
+        let a40 = Profiler::new(DitModel::sd3_medium(), ClusterSpec::a40x4()).analytic();
+        for t in [table(), a40] {
+            for res in Resolution::PRODUCTION {
+                let row = t.plan_row(res);
+                let mut best = SimDuration::MAX;
+                let mut useful = Vec::new();
+                for &k in t.degrees() {
+                    let step = t.step_time(res, k, 1);
+                    if step < best {
+                        best = step;
+                        useful.push(PlanDegree {
+                            degree: k,
+                            step_us: step.as_micros(),
+                            gpu_seconds: t.gpu_seconds(res, k),
+                        });
+                    }
+                }
+                assert_eq!(row.degrees(), &useful[..], "{res}");
+                let last = row.degrees().last().unwrap();
+                assert_eq!(last.degree, t.fastest_degree(res));
+                assert_eq!(SimDuration::from_micros(last.step_us), t.t_min(res));
+                for cap in 0..=8 {
+                    let capped: Vec<usize> = row.capped(cap).iter().map(|d| d.degree).collect();
+                    let want: Vec<usize> = useful
+                        .iter()
+                        .map(|d| d.degree)
+                        .filter(|&k| k <= cap)
+                        .collect();
+                    assert_eq!(capped, want, "{res} cap {cap}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "more than 7 useful degrees")]
+    fn plan_rows_reject_more_useful_degrees_than_a_node_can_have() {
+        let rows: Vec<CostRow> = (1..=8)
+            .map(|degree| CostRow {
+                tokens: Resolution::R256.tokens(),
+                degree,
+                batch: 1,
+                step_micros: 1_000_000 / degree as u64,
+            })
+            .collect();
+        let _ = CostTable::from_rows(
+            DitModel::flux_dev(),
+            ClusterSpec::h100x8(),
+            CommScheme::Ulysses,
+            &rows,
+        );
     }
 
     #[test]

@@ -427,6 +427,11 @@ mod tests {
             fired("crates/core/src/scheduler.rs", src),
             vec!["nominal-step-time"]
         );
+        let src = "fn t(c: &CostTable) -> bool { c.plan_row(res).gpu_seconds_rising() }";
+        assert_eq!(
+            fired("crates/core/src/scheduler.rs", src),
+            vec!["nominal-step-time"]
+        );
     }
 
     #[test]

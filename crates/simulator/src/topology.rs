@@ -146,23 +146,37 @@ impl Topology {
     /// slowest required link. Single-GPU (or empty) groups report infinite
     /// bandwidth since no transfer occurs.
     ///
+    /// The layout fixes that minimum without visiting the pairs. On a
+    /// switched node every pair shares the switch. On a paired node a
+    /// bridge joins exactly two GPUs, so the group's links are all NVLink
+    /// only when it is one whole pair; any other group of two or more has
+    /// a member pair that crosses PCIe, the slowest link.
+    ///
     /// # Panics
     ///
     /// Panics if the group contains GPUs outside the node.
     pub fn group_bandwidth_gbps(&self, group: GpuSet) -> f64 {
-        if let Some(max) = group.iter().last() {
-            assert!(
-                max.0 < self.n_gpus,
-                "group {group:?} contains GPUs outside the {}-GPU node",
-                self.n_gpus
-            );
-        }
+        assert!(
+            self.all_gpus().is_superset_of(group),
+            "group {group:?} contains GPUs outside the {}-GPU node",
+            self.n_gpus
+        );
         if group.len() < 2 {
             return f64::INFINITY;
         }
-        pairs(group).fold(f64::INFINITY, |min_bw, (a, b)| {
-            min_bw.min(self.link(a, b).effective_bandwidth_gbps())
-        })
+        let slowest = match self.layout {
+            Layout::Switched => LinkKind::NvSwitch,
+            Layout::Paired => {
+                // The pair of the group's lowest GPU, as a mask.
+                let pair = 0b11 << (group.mask().trailing_zeros() & !1);
+                if group.mask() == pair {
+                    LinkKind::NvLinkBridge
+                } else {
+                    LinkKind::Pcie
+                }
+            }
+        };
+        slowest.effective_bandwidth_gbps()
     }
 
     /// Whether a group avoids every PCIe crossing (A40 "good placement").
@@ -200,6 +214,75 @@ fn pairs(group: GpuSet) -> impl Iterator<Item = (GpuId, GpuId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The bandwidth as the minimum over every member pair's link: the
+    /// definition [`Topology::group_bandwidth_gbps`] computes in closed
+    /// form.
+    fn pairwise_bandwidth_gbps(t: &Topology, group: GpuSet) -> f64 {
+        pairs(group).fold(f64::INFINITY, |min_bw, (a, b)| {
+            min_bw.min(t.link(a, b).effective_bandwidth_gbps())
+        })
+    }
+
+    #[test]
+    fn closed_form_bandwidth_is_the_pairwise_minimum_on_every_small_group() {
+        // Every group of both layouts up to 12 GPUs; odd sizes leave the
+        // last GPU of a paired node without a partner.
+        for n in 1..=12 {
+            for t in [Topology::h100_nvlink(n), Topology::a40_paired(n)] {
+                for mask in 0..1u64 << n {
+                    let group = GpuSet::from_mask(mask);
+                    let want = pairwise_bandwidth_gbps(&t, group);
+                    let got = t.group_bandwidth_gbps(group);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{t:?} {group:?}");
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        /// Random groups on nodes up to the 64-GPU limit: sparse and dense
+        /// masks, and groups of two (one whole pair or not).
+        #[test]
+        fn prop_closed_form_bandwidth_is_the_pairwise_minimum(
+            n in 1usize..=GpuSet::MAX_GPUS,
+            paired in proptest::prelude::any::<bool>(),
+            masks in (proptest::prelude::any::<u64>(), proptest::prelude::any::<u64>()),
+            two in (0usize..GpuSet::MAX_GPUS, 0usize..GpuSet::MAX_GPUS, 0u32..3),
+        ) {
+            let t = if paired {
+                Topology::a40_paired(n)
+            } else {
+                Topology::h100_nvlink(n)
+            };
+            let (a, b) = masks;
+            let (x, y, kind) = two;
+            let group = match kind {
+                0 => GpuSet::from_mask(a & b),
+                1 => GpuSet::from_mask(a | b),
+                _ => GpuSet::single(GpuId(x % n)).with(GpuId(y % n)),
+            }
+            .intersection(t.all_gpus());
+            let want = pairwise_bandwidth_gbps(&t, group);
+            proptest::prop_assert_eq!(t.group_bandwidth_gbps(group).to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn bandwidth_at_the_gpu_limit() {
+        let a40 = Topology::a40_paired(GpuSet::MAX_GPUS);
+        let h100 = Topology::h100_nvlink(GpuSet::MAX_GPUS);
+        assert_eq!(a40.group_bandwidth_gbps(a40.all_gpus()), 22.0);
+        assert_eq!(a40.group_bandwidth_gbps(GpuSet::contiguous(62, 2)), 50.0);
+        assert_eq!(a40.group_bandwidth_gbps(GpuSet::contiguous(61, 2)), 22.0);
+        assert_eq!(h100.group_bandwidth_gbps(h100.all_gpus()), 400.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 4-GPU node")]
+    fn group_bandwidth_rejects_foreign_gpus() {
+        Topology::a40_paired(4).group_bandwidth_gbps(GpuSet::contiguous(3, 2));
+    }
 
     #[test]
     fn h100_is_uniform() {
