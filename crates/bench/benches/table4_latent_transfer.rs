@@ -37,7 +37,6 @@ fn main() {
                     steps: 2,
                     per_step,
                     latent_bytes: model.latent_bytes(res) * u64::from(batch),
-                    decode_after: None,
                     members,
                 }
             };

@@ -9,7 +9,7 @@
 
 use tetriserve_bench::{Experiment, PolicyKind};
 use tetriserve_core::TetriServeConfig;
-use tetriserve_metrics::latency::mean_latency;
+use tetriserve_metrics::latency::LatencySummary;
 use tetriserve_metrics::report::TextTable;
 use tetriserve_metrics::sar::sar;
 use tetriserve_workload::mix::ResolutionMix;
@@ -38,7 +38,9 @@ fn main() {
                 };
                 let report = exp.run(&PolicyKind::TetriServe(*cfg));
                 let s = sar(&report.outcomes);
-                let lat = mean_latency(&report.outcomes).unwrap_or(f64::NAN);
+                let lat = LatencySummary::from_outcomes(&report.outcomes)
+                    .mean()
+                    .unwrap_or(f64::NAN);
                 cells.push(format!("{s:.2} / {lat:.2}"));
             }
             table.row(cells);

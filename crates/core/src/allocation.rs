@@ -16,7 +16,7 @@
 
 use std::fmt;
 
-use tetriserve_costmodel::{CostTable, PlanRow, Resolution, MAX_PLAN_DEGREES};
+use tetriserve_costmodel::{CostTable, Resolution, ResolutionRow, MAX_USEFUL_DEGREES};
 use tetriserve_simulator::time::SimDuration;
 
 /// One segment of an allocation plan: `steps` steps at `degree` GPUs.
@@ -79,11 +79,14 @@ impl AllocationPlan {
             .sum()
     }
 
-    /// Estimated GPU-seconds of the plan.
+    /// Estimated GPU-seconds of the plan: `k · T(k)` per step (batch 1).
     pub fn gpu_seconds(&self, res: Resolution, costs: &CostTable) -> f64 {
         self.segments()
             .iter()
-            .map(|s| costs.gpu_seconds(res, s.degree) * f64::from(s.steps))
+            .map(|s| {
+                let per_step = s.degree as f64 * costs.step_time(res, s.degree, 1).as_secs_f64();
+                per_step * f64::from(s.steps)
+            })
             .sum()
     }
 }
@@ -103,14 +106,6 @@ impl fmt::Debug for AllocationPlan {
     }
 }
 
-/// Degrees worth considering, ascending: those that strictly improve
-/// latency over every smaller degree (a degree that is both slower *and*
-/// wider is dominated and never useful). Read from the cost table's
-/// [`PlanRow`].
-pub fn useful_degrees(res: Resolution, costs: &CostTable) -> impl Iterator<Item = usize> + '_ {
-    costs.plan_row(res).degrees().iter().map(|d| d.degree)
-}
-
 /// Whether the plan search settles `steps` steps of `row` within `slack`
 /// at the row's narrowest degree without enumerating: GPU-seconds rise
 /// along the row and all the steps fit at that degree under `headroom`.
@@ -123,7 +118,7 @@ pub fn useful_degrees(res: Resolution, costs: &CostTable) -> impl Iterator<Item 
 /// [`GPU_SECONDS_RISE_MARGIN`](tetriserve_costmodel::GPU_SECONDS_RISE_MARGIN)
 /// keeps above what float rounding can erase (DESIGN.md §10.1). So the
 /// strict `<` keeps it.
-fn runs_at_narrowest(row: &PlanRow, steps: u32, slack: SimDuration, headroom: f64) -> bool {
+fn runs_at_narrowest(row: &ResolutionRow, steps: u32, slack: SimDuration, headroom: f64) -> bool {
     row.degrees().first().is_some_and(|d| {
         row.gpu_seconds_rising()
             && u64::from(steps) * inflate_us(d.step_us, headroom) <= slack.as_micros()
@@ -200,7 +195,7 @@ pub fn min_gpu_hour_plan_capped(
 ) -> AllocationPlan {
     assert!(remaining_steps > 0, "allocation needs at least one step");
     assert!(headroom >= 1.0, "headroom must be ≥ 1.0, got {headroom}");
-    let row = costs.plan_row(res);
+    let row = costs.row(res);
     let degrees = row.capped(max_degree);
     let (Some(narrowest), Some(fastest)) = (degrees.first(), degrees.last()) else {
         panic!("degree cap {max_degree} excludes every profiled degree");
@@ -216,7 +211,7 @@ pub fn min_gpu_hour_plan_capped(
     }
     // Inflate each capped degree's step time once; the enumeration below
     // then only does arithmetic on the row and these.
-    let mut t_us = [0u64; MAX_PLAN_DEGREES];
+    let mut t_us = [0u64; MAX_USEFUL_DEGREES];
     for (t, d) in t_us.iter_mut().zip(degrees) {
         *t = inflate_us(d.step_us, headroom);
     }
@@ -292,7 +287,7 @@ pub fn min_gpu_hour_plan_capped(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use tetriserve_costmodel::{ClusterSpec, CommScheme, CostRow, DitModel, Profiler};
 
@@ -337,7 +332,7 @@ mod tests {
             let t = inflate(costs.step_time(res, k, 1));
             if steps * t <= slack_us {
                 consider(
-                    costs.gpu_seconds(res, k) * steps as f64,
+                    gpu_seconds(costs, res, k) * steps as f64,
                     vec![AllocSegment {
                         steps: remaining_steps,
                         degree: k,
@@ -357,8 +352,8 @@ mod tests {
                 if s_lo == 0 || s_hi == 0 {
                     continue;
                 }
-                let cost = costs.gpu_seconds(res, k_lo) * s_lo as f64
-                    + costs.gpu_seconds(res, k_hi) * s_hi as f64;
+                let cost = gpu_seconds(costs, res, k_lo) * s_lo as f64
+                    + gpu_seconds(costs, res, k_hi) * s_hi as f64;
                 consider(
                     cost,
                     vec![
@@ -386,6 +381,16 @@ mod tests {
         }
     }
 
+    /// GPU-seconds per step of `res` at degree `k`: `k · T(k)` (batch 1).
+    fn gpu_seconds(costs: &CostTable, res: Resolution, k: usize) -> f64 {
+        k as f64 * costs.step_time(res, k, 1).as_secs_f64()
+    }
+
+    /// The useful degrees of `res`, ascending.
+    fn degrees_of(costs: &CostTable, res: Resolution) -> Vec<usize> {
+        costs.row(res).degrees().iter().map(|d| d.degree).collect()
+    }
+
     fn costs() -> CostTable {
         Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic()
     }
@@ -396,7 +401,7 @@ mod tests {
 
     /// How each degree's step time moves from the next narrower one's in
     /// [`uncalibrated_table`].
-    type Move = (u8, u64);
+    pub(crate) type Move = (u8, u64);
 
     /// A batch-1 cost table nobody calibrated. Each production resolution
     /// gets a base step time at the narrowest of the degrees set in
@@ -407,7 +412,7 @@ mod tests {
     /// step time, so by less than the rise margin on slow bases and more
     /// on fast ones; 4 lowers them by `x + 1` µs; 5 halves the step
     /// time whatever the degree ratio.
-    fn uncalibrated_table(degree_mask: u8, grid: &[(u64, Vec<Move>)]) -> CostTable {
+    pub(crate) fn uncalibrated_table(degree_mask: u8, grid: &[(u64, Vec<Move>)]) -> CostTable {
         let degrees: Vec<usize> = (0..4)
             .filter(|i| degree_mask & (1 << i) != 0)
             .map(|i| 1 << i)
@@ -450,7 +455,8 @@ mod tests {
 
     /// Strategy for [`uncalibrated_table`]'s grid: per resolution a base
     /// step time of 1 µs to 2.5 s and four moves.
-    fn grid_strategy() -> impl proptest::prelude::Strategy<Value = Vec<(u64, Vec<Move>)>> {
+    pub(crate) fn grid_strategy() -> impl proptest::prelude::Strategy<Value = Vec<(u64, Vec<Move>)>>
+    {
         proptest::collection::vec(
             (
                 1u64..=2_500_000,
@@ -488,7 +494,7 @@ mod tests {
             let headroom = [1.0, crate::config::ROUND_HEADROOM][headroom_idx];
             let cap = [1, 2, 4, 8][cap_idx];
             proptest::prop_assume!(cap >= c.degrees()[0]);
-            let edges = useful_degrees(res, &c).flat_map(|k| {
+            let edges = degrees_of(&c, res).into_iter().flat_map(|k| {
                 let t = (c.step_time(res, k, 1).as_micros() as f64 * headroom).ceil() as u64;
                 let edge = u64::from(steps) * t;
                 [edge.saturating_sub(1), edge, edge + 1]
@@ -524,7 +530,7 @@ mod tests {
                 _ => uncalibrated_table(0b1111, &grid),
             };
             let res = Resolution::PRODUCTION[res_idx];
-            let row = c.plan_row(res);
+            let row = c.row(res);
             proptest::prop_assume!(row.gpu_seconds_rising());
             let headroom = [1.0, crate::config::ROUND_HEADROOM][headroom_idx];
             let cap = [1, 2, 4, 8][cap_idx];
@@ -560,7 +566,7 @@ mod tests {
                 CommScheme::Ulysses,
                 &rows,
             );
-            *c.plan_row(Resolution::R256)
+            *c.row(Resolution::R256)
         };
         // A tie, a rise of 2e-6 (below the margin's 1.5e-5), and a fall.
         for t2 in [500_000, 500_001, 499_000] {
@@ -578,7 +584,7 @@ mod tests {
         // The calibrated rows all rise.
         for c in [costs(), a40_costs()] {
             for res in Resolution::PRODUCTION {
-                assert!(c.plan_row(res).gpu_seconds_rising(), "{res}");
+                assert!(c.row(res).gpu_seconds_rising(), "{res}");
             }
         }
     }
@@ -641,7 +647,7 @@ mod tests {
             &rows,
         );
         for res in Resolution::PRODUCTION {
-            assert_eq!(c.gpu_seconds(res, 1), c.gpu_seconds(res, 8), "{res}");
+            assert_eq!(gpu_seconds(&c, res, 1), gpu_seconds(&c, res, 8), "{res}");
             for steps in 1..=50 {
                 for slack_ms in (0..=20_000).step_by(250) {
                     let slack = SimDuration::from_millis(slack_ms);
@@ -658,16 +664,12 @@ mod tests {
     }
 
     #[test]
-    fn useful_degrees_are_all_degrees_on_h100() {
+    fn every_degree_is_useful_on_h100() {
         // With the calibrated model, T(k) strictly decreases for every
         // production resolution, so all four degrees are useful.
         let c = costs();
         for res in Resolution::PRODUCTION {
-            assert_eq!(
-                useful_degrees(res, &c).collect::<Vec<_>>(),
-                vec![1, 2, 4, 8],
-                "{res}"
-            );
+            assert_eq!(degrees_of(&c, res), vec![1, 2, 4, 8], "{res}");
         }
     }
 
@@ -719,7 +721,7 @@ mod tests {
         // Meets the deadline with the mixed plan…
         assert!(plan.runtime(Resolution::R2048, &c) <= mid);
         // …and costs less GPU time than running everything at SP8.
-        let all_fast = 50.0 * c.gpu_seconds(Resolution::R2048, 8);
+        let all_fast = 50.0 * gpu_seconds(&c, Resolution::R2048, 8);
         assert!(plan.gpu_seconds(Resolution::R2048, &c) < all_fast);
     }
 
@@ -733,7 +735,7 @@ mod tests {
         let slack = SimDuration::from_secs_f64(2.0);
         let plan = min_gpu_hour_plan(res, steps, slack, &c);
         assert!(plan.feasible);
-        let degrees: Vec<usize> = useful_degrees(res, &c).collect();
+        let degrees = degrees_of(&c, res);
         let mut brute_best = f64::INFINITY;
         for &a in &degrees {
             for &b in &degrees {
@@ -742,8 +744,8 @@ mod tests {
                     let t = c.step_time(res, a, 1) * u64::from(s_a)
                         + c.step_time(res, b, 1) * u64::from(s_b);
                     if t <= slack {
-                        let cost = c.gpu_seconds(res, a) * f64::from(s_a)
-                            + c.gpu_seconds(res, b) * f64::from(s_b);
+                        let cost = gpu_seconds(&c, res, a) * f64::from(s_a)
+                            + gpu_seconds(&c, res, b) * f64::from(s_b);
                         brute_best = brute_best.min(cost);
                     }
                 }

@@ -60,11 +60,15 @@ pub struct DemandEntry {
 /// makes such a request the first shedding victim anyway.
 ///
 /// Every input comes precomputed from the resolution's cost-table `row`
-/// (`CostTable::row`). For [`StageProfile::FLAT`] every stage term is the
-/// exact identity (`frames = 1`, encode = `0.0`), so verdicts are
-/// bit-identical to the pre-stage formula.
+/// (`CostTable::row`), and only its useful degrees are priced: a
+/// dominated degree, no faster than some narrower one, fits no horizon
+/// that narrower degree misses and never costs fewer GPU-seconds, and
+/// both comparisons are monotone in floating point, so skipping it
+/// leaves every price bit-identical. For [`StageProfile::FLAT`] every
+/// stage term is the exact identity (`frames = 1`, encode = `0.0`), so
+/// verdicts are bit-identical to the pre-stage formula.
 pub fn cheapest_step_demand(
-    row: &ResolutionRow<'_>,
+    row: &ResolutionRow,
     stages: StageProfile,
     remaining: u32,
     horizon: f64,
@@ -80,18 +84,17 @@ pub fn cheapest_step_demand(
     // Demand is denominated in nominal GPU-seconds; the capacity side of
     // the EDF scan carries the slowdown derating.
     let per_step = row
-        .step_secs
+        .degrees()
         .iter()
-        .zip(row.gpu_secs)
-        .filter(|&(&step, _)| {
-            remaining_f * step * ROUND_HEADROOM * frames_f + decode + encode <= horizon
+        .filter(|d| {
+            remaining_f * d.step_secs * ROUND_HEADROOM * frames_f + decode + encode <= horizon
         })
-        .map(|(_, &gpu_secs)| gpu_secs)
+        .map(|d| d.gpu_seconds)
         .fold(f64::INFINITY, f64::min);
     if per_step.is_finite() {
         per_step
     } else {
-        row.fastest_gpu_secs
+        row.fastest().gpu_seconds
     }
 }
 
@@ -109,9 +112,10 @@ pub fn demand_entry(
     now: SimTime,
     fresh: bool,
 ) -> DemandEntry {
+    // tetrilint: allow(nominal-step-time) -- demand is priced in nominal GPU-seconds by design; the EDF scan derates the capacity side instead
     let row = costs.row(res);
     let horizon = deadline.saturating_since(now).as_secs_f64();
-    let per_step = cheapest_step_demand(&row, stages, remaining, horizon);
+    let per_step = cheapest_step_demand(row, stages, remaining, horizon);
     let frames_f = stages.frame_factor();
     DemandEntry {
         id,
@@ -518,6 +522,7 @@ fn degrade_victim<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::tests::{grid_strategy, uncalibrated_table};
     use tetriserve_costmodel::{ClusterSpec, DitModel, Profiler};
     use tetriserve_simulator::time::SimDuration;
     use tetriserve_simulator::trace::TenantId;
@@ -570,14 +575,14 @@ mod tests {
     }
 
     #[test]
-    fn tight_deadline_forces_wider_cheapest_degree() {
+    fn tight_deadline_prices_a_wider_degree() {
         let c = costs();
         // With an impossible horizon the fallback charges the fastest
         // degree, which costs at least as many GPU-seconds per step as the
         // relaxed-case optimum.
         let row = c.row(Resolution::R2048);
-        let relaxed = cheapest_step_demand(&row, StageProfile::FLAT, 50, 1e9);
-        let hopeless = cheapest_step_demand(&row, StageProfile::FLAT, 50, 0.001);
+        let relaxed = cheapest_step_demand(row, StageProfile::FLAT, 50, 1e9);
+        let hopeless = cheapest_step_demand(row, StageProfile::FLAT, 50, 0.001);
         assert!(hopeless >= relaxed);
     }
 
@@ -617,8 +622,8 @@ mod tests {
         };
         for res in [Resolution::R256, Resolution::R1024, Resolution::R2048] {
             for horizon in [0.5, 5.0, 500.0] {
-                let a = cheapest_step_demand(&c.row(res), StageProfile::FLAT, 50, horizon);
-                let b = cheapest_step_demand(&c.row(res), explicit, 50, horizon);
+                let a = cheapest_step_demand(c.row(res), StageProfile::FLAT, 50, horizon);
+                let b = cheapest_step_demand(c.row(res), explicit, 50, horizon);
                 assert_eq!(a.to_bits(), b.to_bits());
             }
         }
@@ -683,9 +688,10 @@ mod tests {
     }
 
     /// The pre-row [`cheapest_step_demand`], which took the table and a
-    /// resolution and re-derived every degree's step time, the decode and
-    /// the encode from the table and the model on each call: the
-    /// reference the row-based pricing must match bit for bit.
+    /// resolution and re-derived every degree's step time, GPU-seconds,
+    /// the decode and the encode from the table and the model on each
+    /// call, over every profiled degree: the reference the row-based
+    /// pricing must match bit for bit.
     fn reference_step_demand(
         costs: &CostTable,
         res: Resolution,
@@ -695,6 +701,7 @@ mod tests {
     ) -> f64 {
         let remaining_f = f64::from(remaining);
         let frames_f = stages.frame_factor();
+        let gpu_seconds = |k: usize| k as f64 * costs.step_time(res, k, 1).as_secs_f64();
         let tflops = costs.cluster().gpu.effective_tflops();
         let decode = costs
             .model()
@@ -714,7 +721,7 @@ mod tests {
                     + encode
                     <= horizon
             })
-            .map(|&k| costs.gpu_seconds(res, k))
+            .map(|&k| gpu_seconds(k))
             .fold(f64::INFINITY, f64::min);
         if per_step.is_finite() {
             per_step
@@ -725,7 +732,7 @@ mod tests {
                 .copied()
                 .min_by_key(|&k| costs.step_time(res, k, 1))
                 .expect("cost table has at least one degree");
-            costs.gpu_seconds(res, fastest)
+            gpu_seconds(fastest)
         }
     }
 
@@ -737,20 +744,29 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
 
         /// Row-based pricing returns exactly the reference's demand on
-        /// both production tables, for every production resolution, the
-        /// flat, encode-gated and 8-frame profiles and 1..=50 remaining
-        /// steps, at a random horizon and at each degree's knife edge
-        /// ±1 µs — both as a raw `f64` horizon and on the microsecond
-        /// deadline grid `demand_entry` prices from.
+        /// both production tables and on uncalibrated tables (step times
+        /// that tie or rise with degree, so wider degrees that are no
+        /// faster, GPU-seconds that tie, rise or fall, degree sets with
+        /// gaps), for every production resolution, the flat,
+        /// encode-gated and 8-frame profiles and 1..=50 remaining steps,
+        /// at a random horizon and at each degree's knife edge ±1 µs —
+        /// both as a raw `f64` horizon and on the microsecond deadline
+        /// grid `demand_entry` prices from.
         #[test]
         fn prop_row_pricing_matches_reference(
-            a40 in proptest::prelude::any::<bool>(),
+            table in 0u8..4,
+            degree_mask in 1u8..16,
+            grid in grid_strategy(),
             res_idx in 0usize..4,
             stages_idx in 0usize..3,
             remaining in 1u32..=50,
             horizon_us in 0u64..=120_000_000,
         ) {
-            let c = if a40 { a40_costs() } else { costs() };
+            let c = match table {
+                0 => costs(),
+                1 => a40_costs(),
+                _ => uncalibrated_table(degree_mask, &grid),
+            };
             let res = Resolution::PRODUCTION[res_idx];
             let stages =
                 [StageProfile::FLAT, StageProfile::with_encode(), StageProfile::video(8)][stages_idx];
@@ -781,7 +797,7 @@ mod tests {
                 .collect();
             let on_grid = grid.iter().map(|&us| SimDuration::from_micros(us).as_secs_f64());
             for horizon in raw.chain(on_grid) {
-                let got = cheapest_step_demand(&c.row(res), stages, remaining, horizon);
+                let got = cheapest_step_demand(c.row(res), stages, remaining, horizon);
                 let want = reference_step_demand(&c, res, stages, remaining, horizon);
                 proptest::prop_assert_eq!(got.to_bits(), want.to_bits(), "horizon {}", horizon);
             }

@@ -18,7 +18,7 @@ use tetriserve_simulator::time::{SimDuration, SimTime};
 use tetriserve_simulator::topology::Topology;
 use tetriserve_simulator::trace::{RequestId, TenantId};
 
-use crate::allocation::{min_gpu_hour_plan, useful_degrees};
+use crate::allocation::min_gpu_hour_plan;
 use crate::feasibility;
 use crate::options::build_options;
 use crate::placement::{place, PlacementRequest};
@@ -52,7 +52,7 @@ proptest! {
         let slack = SimDuration::from_millis(slack_ms);
         let plan = min_gpu_hour_plan(res, steps, slack, &c);
         prop_assert_eq!(plan.total_steps(), steps);
-        let degrees: Vec<usize> = useful_degrees(res, &c).collect();
+        let degrees: Vec<usize> = c.row(res).degrees().iter().map(|d| d.degree).collect();
         for seg in plan.segments() {
             prop_assert!(degrees.contains(&seg.degree));
         }
@@ -67,8 +67,10 @@ proptest! {
                         let t = c.step_time(res, a, 1) * u64::from(s_a)
                             + c.step_time(res, b, 1) * u64::from(s_b);
                         if t <= slack {
-                            let cost = c.gpu_seconds(res, a) * f64::from(s_a)
-                                + c.gpu_seconds(res, b) * f64::from(s_b);
+                            let gpu_seconds =
+                                |k: usize| k as f64 * c.step_time(res, k, 1).as_secs_f64();
+                            let cost =
+                                gpu_seconds(a) * f64::from(s_a) + gpu_seconds(b) * f64::from(s_b);
                             best = best.min(cost);
                         }
                     }

@@ -52,13 +52,12 @@ pub struct ServerConfig {
     /// when even the floor cannot make the deadline. `None` (the default)
     /// preserves the exact shed-only behaviour.
     pub degrade: Option<DegradePolicy>,
-    /// How GPUs are assigned to pipeline stages. [`PoolLayout::Unified`]
-    /// (the default) runs every stage on the shared GPU set with the
-    /// engine's fused tail decode — the pre-stage behaviour bit-for-bit.
-    /// [`PoolLayout::Disaggregated`] carves dedicated encode/decode pools
-    /// out of the cluster; the denoise packer plans over the remainder
-    /// and finished requests hand off to a decode slot instead of
-    /// serializing on the engine's single fused decoder.
+    /// How GPUs are assigned to pipeline stages. Under
+    /// [`PoolLayout::Unified`] (the default) the denoise packer owns every
+    /// GPU, and encodes and decodes queue on one virtual slot each that
+    /// holds no GPU. [`PoolLayout::Disaggregated`] carves dedicated
+    /// encode and decode GPUs out of the cluster, one slot per GPU, and
+    /// the packer plans over the rest.
     pub pool: PoolLayout,
 }
 
@@ -109,7 +108,7 @@ pub struct ServeReport {
     /// the workload has no explicit encode stages).
     pub encode_busy_seconds: f64,
     /// Busy-seconds accumulated on the dedicated decode pool (zero under
-    /// the unified layout, whose decodes run fused in the engine).
+    /// the unified layout, whose decode slot holds no GPU).
     pub decode_busy_seconds: f64,
 }
 
@@ -247,12 +246,12 @@ pub struct ClusterSim<P: Policy> {
     /// [`PoolLayout::Unified`], the carve-out remainder under
     /// [`PoolLayout::Disaggregated`].
     denoise_gpus: usize,
-    /// Per-slot `free_at` times of the condition-encode pool. The unified
-    /// layout models one shared encode unit (encodes serialize on it),
-    /// mirroring the engine's single fused decoder.
+    /// Per-slot `free_at` times of the condition-encode pool: one virtual
+    /// slot that holds no GPU under the unified layout, so encodes
+    /// serialise on it.
     encode_pool: Vec<SimTime>,
-    /// Per-slot `free_at` times of the dedicated decode pool (empty under
-    /// the unified layout, whose decodes run fused in the engine).
+    /// Per-slot `free_at` times of the VAE-decode pool: one virtual slot
+    /// that holds no GPU under the unified layout, like the encode pool.
     decode_pool: Vec<SimTime>,
     encode_busy: SimDuration,
     decode_busy: SimDuration,
@@ -312,10 +311,10 @@ impl<P: Policy> ClusterSim<P> {
             config,
             topology,
             denoise_gpus,
-            // Even the unified layout owns one encode unit: encode-staged
-            // requests serialize on it, mirroring the fused decoder.
+            // The unified layout has no stage GPUs, so each stage pool is
+            // one virtual slot its work serialises on.
             encode_pool: vec![SimTime::ZERO; encode_slots.max(1)],
-            decode_pool: vec![SimTime::ZERO; decode_slots],
+            decode_pool: vec![SimTime::ZERO; decode_slots.max(1)],
             encode_busy: SimDuration::ZERO,
             decode_busy: SimDuration::ZERO,
             engine,
@@ -652,20 +651,14 @@ impl<P: Policy> ClusterSim<P> {
         self.events.push(done, Event::StageReady(spec.id));
     }
 
-    /// Hands a denoise-complete request to the dedicated decode pool
-    /// (disaggregated layouts only): earliest-free slot runs its
-    /// frame-scaled VAE decode, and the request completes when the slot
-    /// finishes — the denoise gang was already freed by `DispatchDone`.
-    fn dispatch_decode(&mut self, id: RequestId, now: SimTime) {
-        // tetrilint: allow(taint-panic) -- caller just observed the id in the tracker
-        let r = self.tracker.get(id).expect("decoding an unknown request");
-        let duration = self
-            .costs
-            .decode_time(r.spec.resolution, r.spec.stages.frames);
-        let (slot, _start, done) = plan_stage_dispatch(&self.decode_pool, now, duration);
+    /// Reserves request `id`'s VAE decode of `duration` on the
+    /// earliest-free decode slot, starting no earlier than `ready`, and
+    /// queues the request's completion for when the decode ends. Every
+    /// decode goes through here; the denoise gang is already free.
+    fn reserve_decode(&mut self, id: RequestId, ready: SimTime, duration: SimDuration) {
+        let (slot, _start, done) = plan_stage_dispatch(&self.decode_pool, ready, duration);
         // tetrilint: allow(taint-panic) -- slot was computed from this very pool one line up
         self.decode_pool[slot] = done;
-        self.decode_busy += duration;
         self.events.push(done, Event::Complete(id));
     }
 
@@ -772,15 +765,19 @@ impl<P: Policy> ClusterSim<P> {
         self.free = self.free.union(gpus).difference(self.down);
         for &id in requests {
             self.tracker.finish_dispatch(id);
-            if self.tracker.get(id).is_some_and(|r| r.remaining_steps == 0) {
-                // Uniform stage transition: the denoise stage is over.
-                // Unified layouts already priced the fused decode into the
-                // dispatch timeline; disaggregated ones hand off to a
-                // decode-pool slot here.
-                self.tracker.note_denoise_done(id, now);
-                if !self.decode_pool.is_empty() {
-                    self.dispatch_decode(id, now);
-                }
+            let Some(r) = self.tracker.get(id).filter(|r| r.remaining_steps == 0) else {
+                continue;
+            };
+            // The denoise stage is over. A unified decode was reserved
+            // when the dispatch was submitted; a disaggregated one takes
+            // a decode GPU now, in completion order, at the request's own
+            // frame count.
+            let (res, frames) = (r.spec.resolution, r.spec.stages.frames);
+            self.tracker.note_denoise_done(id, now);
+            if self.config.pool.is_disaggregated() {
+                let duration = self.costs.decode_time(res, frames);
+                self.reserve_decode(id, now, duration);
+                self.decode_busy += duration;
             }
         }
         Some(PolicyEvent::DispatchDone)
@@ -885,9 +882,10 @@ impl<P: Policy> ClusterSim<P> {
     }
 
     /// Turns one plan into an engine dispatch at `now`: prices its
-    /// placement-accurate per-step time (frame-scaled for video) and tail
-    /// decode, charges the GPU-seconds, and queues the dispatch's end
-    /// (done or aborted) and its requests' completions.
+    /// placement-accurate per-step time (frame-scaled for video), charges
+    /// the GPU-seconds, and queues the dispatch's end (done or aborted).
+    /// Under the unified layout it also reserves the decodes of the
+    /// members the dispatch finishes.
     ///
     /// # Panics
     ///
@@ -910,11 +908,14 @@ impl<P: Policy> ClusterSim<P> {
         // One tracker read per member: video requests denoise every frame,
         // so the dispatch's wall clock scales by the widest frame count in
         // the batch (integer-exact, so single-frame batches are
-        // untouched); and the engine prices the dispatch with where each
-        // member's latent lives and whether this dispatch finishes it.
+        // untouched); the engine prices the dispatch with where each
+        // member's latent lives; and the members this dispatch finishes
+        // go on to decode.
         let mut frames = 0;
         let mut members = [Member::default(); MAX_BATCH];
-        for (&id, member) in plan.requests.iter().zip(&mut members) {
+        let mut finishing = [None; MAX_BATCH];
+        let slots = plan.requests.iter().zip(&mut members).zip(&mut finishing);
+        for ((&id, member), finishes) in slots {
             let Some(r) = self.tracker.get(id) else {
                 continue;
             };
@@ -922,8 +923,8 @@ impl<P: Policy> ClusterSim<P> {
             *member = Member {
                 last_gpus: r.last_gpus,
                 needs_recovery: r.needs_recovery,
-                finishing: r.remaining_steps == plan.steps,
             };
+            *finishes = (r.remaining_steps == plan.steps).then_some(id);
         }
         let per_step = step_time_on(
             model,
@@ -934,23 +935,12 @@ impl<P: Policy> ClusterSim<P> {
             &self.topology,
             self.costs.scheme(),
         ) * u64::from(frames);
-        // Unified layouts fuse the frame-scaled VAE decode onto the
-        // finishing gang (the engine serializes them on its decoder);
-        // disaggregated layouts hand finishers to the decode pool at
-        // `DispatchDone`, freeing the denoise gang immediately.
-        let finishing = members.iter().any(|m| m.finishing);
-        let decode_after = if !finishing || !self.decode_pool.is_empty() {
-            None
-        } else {
-            Some(self.costs.decode_time(resolution, frames))
-        };
         let dispatch = StepDispatch {
             requests: plan.requests,
             gpus: plan.gpus,
             steps: plan.steps,
             per_step,
             latent_bytes: model.latent_bytes(resolution),
-            decode_after,
             members,
         };
         let outcome = self
@@ -978,9 +968,16 @@ impl<P: Policy> ClusterSim<P> {
         } else {
             self.events
                 .push(outcome.gpus_free_at, Event::DispatchDone { gpus, requests });
-        }
-        for &(id, done) in outcome.request_done.iter() {
-            self.events.push(done, Event::Complete(id));
+            // Unified decodes are reserved here, at submit: in member
+            // order, each at the batch's widest frame count, once the
+            // gang frees its GPUs. So a dispatch submitted later decodes
+            // after this one even if it frees its GPUs first.
+            if !self.config.pool.is_disaggregated() {
+                for id in finishing.into_iter().flatten() {
+                    let duration = self.costs.decode_time(resolution, frames);
+                    self.reserve_decode(id, outcome.gpus_free_at, duration);
+                }
+            }
         }
     }
 
@@ -2063,10 +2060,10 @@ mod tests {
         assert_eq!(load.queued, 0, "no fresh queued work remains");
     }
 
-    /// Runs request 0 through a fixed list of `(gpus, steps)` dispatches,
-    /// each as soon as the request is schedulable and its set is free, so
-    /// a test chooses exactly where the request moves.
-    struct Scripted(std::collections::VecDeque<(GpuSet, u32)>);
+    /// Submits a fixed list of plans, in order, each as soon as all its
+    /// requests are schedulable and its GPU set is free, so a test chooses
+    /// exactly how requests are batched and where they run.
+    struct Scripted(std::collections::VecDeque<DispatchPlan>);
 
     impl Policy for Scripted {
         fn name(&self) -> String {
@@ -2082,24 +2079,44 @@ mod tests {
         }
 
         fn schedule(&mut self, ctx: &SchedContext<'_>) -> Vec<DispatchPlan> {
-            let id = RequestId(0);
-            let Some(&(gpus, steps)) = self.0.front() else {
+            let Some(plan) = self.0.front() else {
                 return Vec::new();
             };
-            let ready = ctx
-                .tracker
-                .get(id)
-                .is_some_and(|r| r.is_schedulable(ctx.now));
-            if !ready || !ctx.free.is_superset_of(gpus) {
+            let ready = plan.requests.iter().all(|&id| {
+                ctx.tracker
+                    .get(id)
+                    .is_some_and(|r| r.is_schedulable(ctx.now))
+            });
+            if !ready || !ctx.free.is_superset_of(plan.gpus) {
                 return Vec::new();
             }
-            self.0.pop_front();
-            vec![DispatchPlan {
-                requests: Batch::one(id),
-                gpus,
-                steps,
-            }]
+            self.0.pop_front().into_iter().collect()
         }
+    }
+
+    /// A plan running `steps` steps of the requests `ids`, batched in
+    /// that member order, on `gpus`.
+    fn plan(ids: &[u64], gpus: GpuSet, steps: u32) -> DispatchPlan {
+        DispatchPlan {
+            requests: ids.iter().map(|&id| RequestId(id)).collect(),
+            gpus,
+            steps,
+        }
+    }
+
+    /// Serves `specs` along the scripted `plans` to the end.
+    fn scripted(
+        specs: &[RequestSpec],
+        plans: Vec<DispatchPlan>,
+        config: ServerConfig,
+    ) -> ClusterSim<Scripted> {
+        let mut sim = ClusterSim::new(costs(), Scripted(plans.into()), config);
+        for &s in specs {
+            sim.push_arrival(s, s.arrival);
+        }
+        sim.start();
+        while sim.step() {}
+        sim
     }
 
     /// Serves one fresh 50-step request of `res` along `script` and returns
@@ -2115,10 +2132,11 @@ mod tests {
         Vec<(SimTime, SimTime)>,
         Vec<(SimTime, SimDuration)>,
     ) {
-        let mut sim = ClusterSim::new(costs(), Scripted(script.iter().copied().collect()), config);
-        sim.push_arrival(spec(0, res, 0.0, 60.0), SimTime::ZERO);
-        sim.start();
-        while sim.step() {}
+        let plans = script
+            .iter()
+            .map(|&(gpus, steps)| plan(&[0], gpus, steps))
+            .collect();
+        let sim = scripted(&[spec(0, res, 0.0, 60.0)], plans, config);
         let mut spans = std::collections::BTreeMap::new();
         let mut transfers = Vec::new();
         for e in sim.engine.trace().events() {
@@ -2193,7 +2211,7 @@ mod tests {
 
     #[test]
     fn finished_request_keeps_no_placement() {
-        // Fused decode (unified) and a decode-pool hand-off
+        // A decode on the GPU-less slot (unified) or on a decode GPU
         // (disaggregated): once the request completes, nothing on the
         // cluster remembers where it ran.
         for pool in [PoolLayout::Unified, PoolLayout::disaggregated_default()] {
@@ -2213,6 +2231,148 @@ mod tests {
             let report = sim.finish();
             assert_eq!(report.outcomes[0].steps_executed, 50);
             assert!(report.outcomes[0].completion.is_some());
+        }
+    }
+
+    /// A 50-step request of `res` arriving at zero with `steps` denoise
+    /// steps and `frames` output frames (no encode stage).
+    fn clip(id: u64, res: Resolution, steps: u32, frames: u32) -> RequestSpec {
+        RequestSpec {
+            total_steps: steps,
+            stages: StageProfile {
+                encode: false,
+                frames,
+            },
+            ..spec(id, res, 0.0, 600.0)
+        }
+    }
+
+    /// Each outcome's `(denoise done, completion)`, in request-id order.
+    fn decode_spans<P: Policy>(sim: ClusterSim<P>) -> Vec<(SimTime, SimTime)> {
+        let report = sim.finish();
+        report
+            .outcomes
+            .iter()
+            .map(|o| {
+                let done = o.denoise_done.expect("denoised");
+                (done, o.completion.expect("completed"))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn unified_batch_decodes_one_after_another_in_member_order() {
+        // Both members finish on the same dispatch; the one batched first
+        // decodes first, the other a full decode later.
+        let res = Resolution::R512;
+        let specs = [clip(0, res, 50, 1), clip(1, res, 50, 1)];
+        let sim = scripted(
+            &specs,
+            vec![plan(&[1, 0], GpuSet::contiguous(0, 2), 50)],
+            ServerConfig::default(),
+        );
+        let d = costs().decode_time(res, 1);
+        let spans = decode_spans(sim);
+        let free = spans[0].0;
+        assert_eq!(spans[1], (free, free + d));
+        assert_eq!(spans[0], (free, free + d + d));
+    }
+
+    #[test]
+    fn unified_decodes_queue_in_submit_order() {
+        // Request 0's dispatch is submitted first and request 1's second;
+        // request 1's frees its GPUs first, yet decodes only after request
+        // 0's decode.
+        let res = Resolution::R512;
+        let specs = [clip(0, res, 50, 1), clip(1, res, 5, 1)];
+        let plans = vec![
+            plan(&[0], GpuSet::contiguous(0, 1), 50),
+            plan(&[1], GpuSet::contiguous(2, 2), 5),
+        ];
+        let sim = scripted(&specs, plans, ServerConfig::default());
+        let d = costs().decode_time(res, 1);
+        let spans = decode_spans(sim);
+        assert!(spans[1].0 < spans[0].0, "{spans:?}");
+        assert_eq!(spans[0].1, spans[0].0 + d);
+        assert_eq!(spans[1].1, spans[0].1 + d);
+    }
+
+    #[test]
+    fn unified_mixed_frame_batch_decodes_at_the_widest_frame_count() {
+        // An image batched with an 8-frame clip decodes for 8 frames too.
+        let res = Resolution::R256;
+        let specs = [clip(0, res, 50, 1), clip(1, res, 50, 8)];
+        let sim = scripted(
+            &specs,
+            vec![plan(&[0, 1], GpuSet::contiguous(0, 2), 50)],
+            ServerConfig::default(),
+        );
+        let d8 = costs().decode_time(res, 8);
+        let spans = decode_spans(sim);
+        let free = spans[0].0;
+        assert_eq!(spans[0], (free, free + d8));
+        assert_eq!(spans[1], (free, free + d8 + d8));
+    }
+
+    #[test]
+    fn disaggregated_decodes_start_at_dispatch_done_in_completion_order() {
+        // Request 0's dispatch is submitted first; the batch of an 8-frame
+        // clip and an image is submitted second and finishes first. Each
+        // request decodes from its own dispatch's end, at its own frame
+        // count, on a free slot of the two.
+        let res = Resolution::R256;
+        let specs = [clip(0, res, 100, 1), clip(1, res, 5, 8), clip(2, res, 5, 1)];
+        let plans = vec![
+            plan(&[0], GpuSet::contiguous(0, 1), 100),
+            plan(&[1, 2], GpuSet::contiguous(2, 2), 5),
+        ];
+        let config = ServerConfig {
+            pool: PoolLayout::disaggregated_default(),
+            ..ServerConfig::default()
+        };
+        let sim = scripted(&specs, plans, config);
+        let c = costs();
+        let (d1, d8) = (c.decode_time(res, 1), c.decode_time(res, 8));
+        let spans = decode_spans(sim);
+        assert_eq!(spans[1].0, spans[2].0, "one batch");
+        assert!(spans[1].0 + d8 < spans[0].0, "{spans:?}");
+        assert_eq!(spans[1].1, spans[1].0 + d8);
+        assert_eq!(spans[2].1, spans[2].0 + d1);
+        assert_eq!(spans[0].1, spans[0].0 + d1);
+    }
+
+    #[test]
+    fn aborted_dispatch_queues_no_decode() {
+        use tetriserve_simulator::failure::{FailurePlan, GpuFault};
+        use tetriserve_simulator::gpuset::GpuId;
+        // GPU 1 dies mid-way through the request's only dispatch, which
+        // would have finished it; with no retry budget it fails, and no
+        // decode was reserved or completed for it.
+        for pool in [PoolLayout::Unified, PoolLayout::disaggregated_default()] {
+            let mut config = ServerConfig {
+                pool,
+                max_retries: 0,
+                ..ServerConfig::default()
+            };
+            config.engine.failures = FailurePlan::none().with_fault(GpuFault::transient(
+                GpuId(1),
+                SimTime::from_millis(500),
+                SimTime::from_secs_f64(30.0),
+            ));
+            let res = Resolution::R512;
+            let sim = scripted(
+                &[clip(0, res, 50, 1)],
+                vec![plan(&[0], GpuSet::contiguous(0, 2), 50)],
+                config,
+            );
+            assert!(
+                sim.decode_pool.iter().all(|&free| free == SimTime::ZERO),
+                "{pool:?}"
+            );
+            let report = sim.finish();
+            assert_eq!(report.aborted_dispatches, 1, "{pool:?}");
+            let o = &report.outcomes[0];
+            assert_eq!((o.completion, o.denoise_done), (None, None), "{pool:?}");
         }
     }
 }

@@ -8,10 +8,10 @@
 //! no per-stage deadlines. This module holds the pieces the scheduler and
 //! simulator share:
 //!
-//! * [`PoolLayout`] — whether a cluster runs every stage on one GPU pool
-//!   (unified, the paper's layout) or dedicates small GPU subsets to the
-//!   lightweight encode/decode stages so the heavy denoise gang never
-//!   waits behind a VAE decode (disaggregated, GENSERVE-style);
+//! * [`PoolLayout`] — whether the denoise packer owns every GPU and the
+//!   lightweight encode/decode stages queue on one GPU-less slot each
+//!   (unified, the paper's layout), or small GPU subsets are dedicated to
+//!   those stages, one slot per GPU (disaggregated, GENSERVE-style);
 //! * [`plan_stage_dispatch`] — the deterministic earliest-free-slot rule
 //!   used for both the encode and decode pools. Pure, allocation-free,
 //!   and input-ordered: the structural determinism anchor for the stage
@@ -22,15 +22,17 @@ use tetriserve_simulator::time::{SimDuration, SimTime};
 /// How a cluster assigns GPUs to pipeline stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolLayout {
-    /// Every stage shares the full GPU set: the denoise packer owns all
-    /// GPUs and the VAE decode runs fused on the finishing gang (the
-    /// paper's layout, and the pre-stage behaviour bit-for-bit).
+    /// The paper's layout: the denoise packer owns every GPU. A gang
+    /// frees its GPUs at its last step; its decodes then queue on one
+    /// virtual slot that holds no GPU, in submit order, at the batch's
+    /// widest frame count. Encodes queue on a second such slot.
     #[default]
     Unified,
-    /// Dedicated encode and decode pools carved out of the cluster; the
-    /// denoise packer plans over the remaining GPUs, and finished
-    /// requests hand off to a decode slot instead of serializing on the
-    /// fused engine decoder.
+    /// Dedicated encode and decode GPUs carved out of the cluster, one
+    /// slot each; the denoise packer plans over the remaining GPUs. A
+    /// finished request takes the earliest-free decode slot when its
+    /// dispatch is done, so decodes run in completion order, each at the
+    /// request's own frame count.
     Disaggregated {
         /// GPUs dedicated to condition encode. May be zero when the mix
         /// has no explicit encode stages.
@@ -42,8 +44,8 @@ pub enum PoolLayout {
 
 impl PoolLayout {
     /// A standard disaggregated carve-out: one encode GPU and two decode
-    /// GPUs — sized for mixes where decode pressure, not encode, is the
-    /// bottleneck.
+    /// GPUs, so three GPUs buy two parallel decode slots — sized for mixes
+    /// where decode pressure, not encode, is the bottleneck.
     pub fn disaggregated_default() -> PoolLayout {
         PoolLayout::Disaggregated {
             encode_gpus: 1,

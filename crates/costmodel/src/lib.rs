@@ -38,7 +38,7 @@
 //! let t1 = table.step_time(Resolution::R1024, 1, 1);
 //! let t8 = table.step_time(Resolution::R1024, 8, 1);
 //! assert!(t8 < t1);
-//! assert!(table.gpu_seconds(Resolution::R1024, 8) > table.gpu_seconds(Resolution::R1024, 1));
+//! assert!(t8 * 8 > t1);
 //! ```
 
 #![warn(missing_docs)]
@@ -62,8 +62,8 @@ pub use hardware::{ClusterSpec, GpuKind};
 pub use interconnect::{handoff_time, InterClusterLink};
 pub use model::DitModel;
 pub use profiler::{
-    measure_step_cv, CostRow, CostTable, PlanDegree, PlanRow, Profiler, ResolutionRow,
-    GPU_SECONDS_RISE_MARGIN, MAX_PLAN_DEGREES,
+    measure_step_cv, CostRow, CostTable, DegreeCost, Profiler, ResolutionRow,
+    GPU_SECONDS_RISE_MARGIN, MAX_USEFUL_DEGREES,
 };
 pub use resolution::Resolution;
 pub use stage::StageProfile;

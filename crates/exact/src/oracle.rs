@@ -255,7 +255,7 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_request_books_cheapest_degree() {
+    fn relaxed_request_books_the_narrowest_degree() {
         let plan = plan_oracle(&instance(vec![req(0, 10_000, 800)]));
         assert_eq!(plan.served, 1);
         assert_eq!(plan.bookings[0].unwrap().degree, 1);

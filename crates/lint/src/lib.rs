@@ -23,7 +23,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod parser;
 pub mod report;
@@ -427,7 +426,7 @@ mod tests {
             fired("crates/core/src/scheduler.rs", src),
             vec!["nominal-step-time"]
         );
-        let src = "fn t(c: &CostTable) -> bool { c.plan_row(res).gpu_seconds_rising() }";
+        let src = "fn t(c: &CostTable) -> f64 { c.row(res).fastest().gpu_seconds }";
         assert_eq!(
             fired("crates/core/src/scheduler.rs", src),
             vec!["nominal-step-time"]

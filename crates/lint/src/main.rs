@@ -1,7 +1,7 @@
 //! `tetrilint` — scan the workspace and exit non-zero on any violation.
 //!
 //! ```text
-//! tetrilint [--json] [--strict] [--baseline FILE | --write-baseline FILE] [ROOT]
+//! tetrilint [--json] [--strict] [ROOT]
 //! ```
 //!
 //! With no `ROOT`, walks up from the current directory to the first
@@ -9,11 +9,8 @@
 //! `cargo run -p tetriserve-lint` works from any crate dir). `--json`
 //! emits the `tetrilint/v2` document instead of `file:line:` text;
 //! `--strict` additionally promotes unused allow annotations to
-//! `unused-allow` violations. `--write-baseline FILE` snapshots the
-//! current findings and exits 0; `--baseline FILE` fails only on
-//! findings *new* relative to the snapshot (see `baseline` module). The
-//! exit code is 1 whenever (post-baseline) violations exist, so CI can
-//! gate on it.
+//! `unused-allow` violations. The exit code is 1 whenever violations
+//! exist, so CI can gate on it.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -22,29 +19,12 @@ fn main() -> ExitCode {
     let mut json = false;
     let mut strict = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline: Option<PathBuf> = None;
-    let mut write_baseline: Option<PathBuf> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
+    for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--json" => json = true,
             "--strict" => strict = true,
-            "--baseline" | "--write-baseline" => {
-                let Some(path) = args.next() else {
-                    eprintln!("tetrilint: {arg} requires a file path");
-                    return ExitCode::from(2);
-                };
-                if arg == "--baseline" {
-                    baseline = Some(PathBuf::from(path));
-                } else {
-                    write_baseline = Some(PathBuf::from(path));
-                }
-            }
             "--help" | "-h" => {
-                println!(
-                    "usage: tetrilint [--json] [--strict] \
-                     [--baseline FILE | --write-baseline FILE] [ROOT]"
-                );
+                println!("usage: tetrilint [--json] [--strict] [ROOT]");
                 return ExitCode::SUCCESS;
             }
             other if root.is_none() && !other.starts_with('-') => {
@@ -56,11 +36,6 @@ fn main() -> ExitCode {
             }
         }
     }
-    if baseline.is_some() && write_baseline.is_some() {
-        eprintln!("tetrilint: --baseline and --write-baseline are mutually exclusive");
-        return ExitCode::from(2);
-    }
-
     let root = match root.or_else(find_workspace_root) {
         Some(r) => r,
         None => {
@@ -73,41 +48,6 @@ fn main() -> ExitCode {
         Ok(mut report) => {
             if strict {
                 report.enforce_unused_allows();
-            }
-            if let Some(path) = write_baseline {
-                let snap = tetriserve_lint::baseline::snapshot(&report);
-                if let Err(e) = std::fs::write(&path, snap) {
-                    eprintln!("tetrilint: cannot write baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-                println!(
-                    "tetrilint: baseline written to {} ({} violation{} snapshotted)",
-                    path.display(),
-                    report.violations.len(),
-                    if report.violations.len() == 1 {
-                        ""
-                    } else {
-                        "s"
-                    },
-                );
-                return ExitCode::SUCCESS;
-            }
-            if let Some(path) = baseline {
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("tetrilint: cannot read baseline {}: {e}", path.display());
-                        return ExitCode::from(2);
-                    }
-                };
-                let base = match tetriserve_lint::baseline::parse(&text) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        eprintln!("tetrilint: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                report.violations = tetriserve_lint::baseline::diff(&report, &base);
             }
             if json {
                 print!("{}", report.render_json());

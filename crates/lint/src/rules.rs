@@ -365,9 +365,9 @@ impl Allows {
     }
 }
 
-/// `.step_time(` / `.t_min(` / `.plan_row(` in speed-aware modules (the
-/// last reads the batch-1 step times of a resolution's allocation-plan
-/// row): a nominal per-step
+/// `.step_time(` / `.t_min(` / `.row(` in speed-aware modules (the last
+/// reads a resolution's precomputed batch-1 step times and `T^min`): a
+/// nominal per-step
 /// estimate sizes dispatches as if every GPU ran at profiled speed, so a
 /// straggler or throttle overruns the round boundary (and EDF admits work
 /// the derated node cannot finish). Decision code must route through
@@ -376,12 +376,10 @@ impl Allows {
 /// debt) annotate why.
 fn rule_nominal_step_time(toks: &[&Tok], out: &mut Vec<(u32, &'static str, String)>) {
     for (k, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident
-            || !matches!(t.text.as_str(), "step_time" | "t_min" | "plan_row")
-        {
+        if t.kind != TokKind::Ident || !matches!(t.text.as_str(), "step_time" | "t_min" | "row") {
             continue;
         }
-        // Method call only: `. step_time (` / `. t_min (` / `. plan_row (`.
+        // Method call only: `. step_time (` / `. t_min (` / `. row (`.
         if k == 0 || toks[k - 1].text != "." || toks.get(k + 1).is_none_or(|t| t.text != "(") {
             continue;
         }

@@ -1,12 +1,8 @@
 //! End-to-end latency statistics: CDFs, percentiles, means.
 //!
-//! Figure 9 plots the latency CDF *over completed requests only*; the
-//! helpers here follow the same convention.
-//!
-//! The free functions each re-filter and re-sort the outcome slice — fine
-//! for one-off queries, wasteful when a report asks for a mean, three
-//! percentiles and a CDF over the same run. [`LatencySummary`] does the
-//! filter+sort once and serves every statistic from the shared sorted
+//! Figure 9 plots the latency CDF *over completed requests only*;
+//! [`LatencySummary`] follows the same convention. It filters and sorts
+//! the completions once and serves every statistic from the one sorted
 //! vector.
 
 use tetriserve_core::RequestOutcome;
@@ -121,41 +117,6 @@ impl LatencySummary {
     }
 }
 
-/// Latencies (seconds) of completed requests, ascending.
-pub fn completed_latencies(outcomes: &[RequestOutcome]) -> Vec<f64> {
-    LatencySummary::from_outcomes(outcomes).sorted
-}
-
-/// Mean latency over completed requests (the Table 5 companion metric).
-/// Returns `None` when nothing completed.
-pub fn mean_latency(outcomes: &[RequestOutcome]) -> Option<f64> {
-    LatencySummary::from_outcomes(outcomes).mean()
-}
-
-/// The `p`-th percentile (0–100, nearest-rank) of completed latencies.
-///
-/// # Panics
-///
-/// Panics if `p` is outside `[0, 100]`.
-pub fn percentile(outcomes: &[RequestOutcome], p: f64) -> Option<f64> {
-    LatencySummary::from_outcomes(outcomes).percentile(p)
-}
-
-/// An empirical CDF over completed-request latencies: `(latency_s, P(X ≤
-/// latency))` pairs suitable for plotting Figure 9. Empty when nothing
-/// completed (an empty plot, not a flat-zero one).
-pub fn latency_cdf(outcomes: &[RequestOutcome]) -> Vec<(f64, f64)> {
-    LatencySummary::from_outcomes(outcomes).cdf()
-}
-
-/// Samples a CDF at fixed latency points (for tabular comparison of
-/// policies on a shared x-axis). Returns `None` when nothing completed —
-/// previously this silently reported probability 0.0 at every point, which
-/// is indistinguishable from "all requests slower than every sample".
-pub fn cdf_at(outcomes: &[RequestOutcome], points_s: &[f64]) -> Option<Vec<(f64, f64)>> {
-    LatencySummary::from_outcomes(outcomes).cdf_at(points_s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -183,6 +144,10 @@ mod tests {
         }
     }
 
+    fn summary(outcomes: &[RequestOutcome]) -> LatencySummary {
+        LatencySummary::from_outcomes(outcomes)
+    }
+
     #[test]
     fn completed_only_and_sorted() {
         let outcomes = vec![
@@ -190,23 +155,24 @@ mod tests {
             outcome(1, None),
             outcome(2, Some(1.0)),
         ];
-        assert_eq!(completed_latencies(&outcomes), vec![1.0, 3.0]);
+        assert_eq!(summary(&outcomes).latencies(), [1.0, 3.0]);
     }
 
     #[test]
     fn mean_and_percentiles() {
         let outcomes: Vec<_> = (0..100).map(|i| outcome(i, Some(i as f64 + 1.0))).collect();
-        assert!((mean_latency(&outcomes).unwrap() - 50.5).abs() < 1e-9);
-        assert_eq!(percentile(&outcomes, 50.0), Some(50.0));
-        assert_eq!(percentile(&outcomes, 99.0), Some(99.0));
-        assert_eq!(percentile(&outcomes, 100.0), Some(100.0));
-        assert_eq!(percentile(&outcomes, 0.0), Some(1.0));
+        let s = summary(&outcomes);
+        assert!((s.mean().unwrap() - 50.5).abs() < 1e-9);
+        assert_eq!(s.percentile(50.0), Some(50.0));
+        assert_eq!(s.percentile(99.0), Some(99.0));
+        assert_eq!(s.percentile(100.0), Some(100.0));
+        assert_eq!(s.percentile(0.0), Some(1.0));
     }
 
     #[test]
     fn cdf_is_monotone_to_one() {
         let outcomes: Vec<_> = (0..10).map(|i| outcome(i, Some((i % 4) as f64))).collect();
-        let cdf = latency_cdf(&outcomes);
+        let cdf = summary(&outcomes).cdf();
         assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
         assert!(cdf.windows(2).all(|w| w[0].1 <= w[1].1 && w[0].0 <= w[1].0));
     }
@@ -218,7 +184,9 @@ mod tests {
             outcome(1, Some(2.0)),
             outcome(2, Some(4.0)),
         ];
-        let sampled = cdf_at(&outcomes, &[0.5, 1.0, 3.0, 10.0]).expect("completions exist");
+        let sampled = summary(&outcomes)
+            .cdf_at(&[0.5, 1.0, 3.0, 10.0])
+            .expect("completions exist");
         let ps: Vec<f64> = sampled.iter().map(|(_, p)| *p).collect();
         assert!((ps[0] - 0.0).abs() < 1e-12);
         assert!((ps[1] - 1.0 / 3.0).abs() < 1e-12);
@@ -227,48 +195,24 @@ mod tests {
     }
 
     #[test]
-    fn empty_inputs() {
-        assert_eq!(mean_latency(&[]), None);
-        assert_eq!(percentile(&[], 50.0), None);
-        assert!(latency_cdf(&[]).is_empty());
-        // The old behaviour silently reported P = 0.0 at every sample
-        // point; an empty completion set must be distinguishable.
-        assert_eq!(cdf_at(&[], &[1.0, 2.0]), None);
-        // Uncompleted-only input masks the same way.
-        assert_eq!(cdf_at(&[outcome(0, None)], &[1.0]), None);
-    }
-
-    #[test]
-    fn summary_matches_free_functions() {
-        let outcomes: Vec<_> = (0..25)
-            .map(|i| outcome(i, (i % 3 != 0).then_some((i % 7) as f64 + 0.5)))
-            .collect();
-        let s = LatencySummary::from_outcomes(&outcomes);
-        assert_eq!(s.latencies(), completed_latencies(&outcomes).as_slice());
-        assert_eq!(s.mean(), mean_latency(&outcomes));
-        for p in [0.0, 25.0, 50.0, 90.0, 99.0, 100.0] {
-            assert_eq!(s.percentile(p), percentile(&outcomes, p));
-        }
-        assert_eq!(s.cdf(), latency_cdf(&outcomes));
-        let pts = [0.0, 1.0, 3.5, 100.0];
-        assert_eq!(s.cdf_at(&pts), cdf_at(&outcomes, &pts));
-    }
-
-    #[test]
     fn empty_summary() {
-        let s = LatencySummary::from_outcomes(&[]);
+        let s = summary(&[]);
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
         assert_eq!(s.mean(), None);
         assert_eq!(s.percentile(50.0), None);
         assert!(s.cdf().is_empty());
-        assert_eq!(s.cdf_at(&[1.0]), None);
+        // An empty completion set must be distinguishable from every
+        // request being slower than every sample point (P = 0.0).
+        assert_eq!(s.cdf_at(&[1.0, 2.0]), None);
+        // Uncompleted-only input masks the same way.
+        assert_eq!(summary(&[outcome(0, None)]).cdf_at(&[1.0]), None);
     }
 
     #[test]
     #[should_panic(expected = "percentile")]
     fn bad_percentile_rejected() {
-        percentile(&[], 101.0);
+        summary(&[]).percentile(101.0);
     }
 
     proptest! {

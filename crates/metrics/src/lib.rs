@@ -44,7 +44,7 @@ pub mod timeseries;
 
 pub use batching::{batching_stats, BatchingStats};
 pub use fleet::{ClusterReport, FleetReport};
-pub use latency::{cdf_at, latency_cdf, mean_latency, percentile, LatencySummary};
+pub use latency::LatencySummary;
 pub use report::{bar_chart, fmt_sar, series, TextTable};
 pub use sar::{mean_gpu_seconds, sar, sar_by_resolution};
 pub use stages::{pool_utilization, stage_slo_share};

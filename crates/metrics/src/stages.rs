@@ -43,16 +43,16 @@ pub fn stage_slo_share(outcomes: &[RequestOutcome]) -> (f64, f64, f64) {
 
 /// Busy fractions of the stage pools over the run's makespan:
 /// `(encode_util, decode_util)`, each normalised by the pool's slot
-/// count so 1.0 means every slot was busy for the whole run. Pools that
-/// do not exist (unified decode) or a zero makespan report 0.0.
+/// count so 1.0 means every slot was busy for the whole run. A pool
+/// without GPUs (unified decode) or a zero makespan reports 0.0.
 pub fn pool_utilization(report: &ServeReport) -> (f64, f64) {
     let span = report.makespan.as_secs_f64();
     if span <= 0.0 {
         return (0.0, 0.0);
     }
     let (encode_slots, decode_slots) = report.pool.pool_sizes();
-    // The unified layout still serialises encodes through one implicit
-    // slot (mirroring the fused decoder), so normalise by ≥ 1.
+    // The unified layout still serialises encodes through one virtual
+    // slot that holds no GPU, so normalise by ≥ 1.
     let encode = report.encode_busy_seconds / (encode_slots.max(1) as f64 * span);
     let decode = if decode_slots == 0 {
         debug_assert!(matches!(report.pool, PoolLayout::Unified));

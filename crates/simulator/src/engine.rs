@@ -16,8 +16,11 @@
 //!   re-materialisation transfer when its previous group died;
 //! * it perturbs each step with a small multiplicative jitter whose
 //!   coefficient of variation matches the sub-percent stability the paper
-//!   measures in Table 1;
-//! * it serialises VAE decodes (§5 "VAE Decoder Sequential Execution").
+//!   measures in Table 1.
+//!
+//! The engine runs diffusion steps only. VAE decodes, which the paper
+//! serialises (§5 "VAE Decoder Sequential Execution"), queue on the
+//! serving loop's decode pool once a dispatch has freed its GPUs.
 //!
 //! The engine holds no per-request state. Where each member's latent lives
 //! — on its previous GPU set, or only as a host checkpoint after a fault —
@@ -43,7 +46,7 @@ use crate::latent::transfer_time;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{Batch, DispatchId, RequestId, Trace, TraceEvent};
+use crate::trace::{Batch, DispatchId, Trace, TraceEvent};
 
 /// Delay charged when a request resumes on a *different* GPU set than its
 /// previous dispatch (distributed-context re-establishment). GPU placement
@@ -83,9 +86,8 @@ impl Default for EngineConfig {
 }
 
 /// Most requests one dispatch may batch. A dispatch carries its members'
-/// facts, and its outcome their decode completions, inline up to this
-/// bound; the serving loop asserts that its cost table's `max_batch`
-/// fits.
+/// facts inline up to this bound; the serving loop asserts that its cost
+/// table's `max_batch` fits.
 pub const MAX_BATCH: usize = 8;
 
 /// What the engine must know about one member of a dispatch. The serving
@@ -101,9 +103,6 @@ pub struct Member {
     /// survives only as a host checkpoint and is re-materialised over the
     /// slow host path before the first step.
     pub needs_recovery: bool,
-    /// The member runs its final diffusion step here and proceeds to VAE
-    /// decode.
-    pub finishing: bool,
 }
 
 /// A unit of work for the engine: `steps` diffusion steps for a batch of
@@ -120,41 +119,9 @@ pub struct StepDispatch {
     pub per_step: SimDuration,
     /// Latent tensor size per request, for hand-off accounting.
     pub latent_bytes: u64,
-    /// VAE decode latency applied to each finishing member.
-    pub decode_after: Option<SimDuration>,
     /// Per-member facts, index-aligned with `requests`; entries past the
     /// batch are ignored.
     pub members: [Member; MAX_BATCH],
-}
-
-/// The decode completions of a dispatch's finishing members, in member
-/// order, held inline. Dereferences to `[(RequestId, SimTime)]`.
-#[derive(Debug, Clone, Copy)]
-pub struct Completions {
-    len: usize,
-    done: [(RequestId, SimTime); MAX_BATCH],
-}
-
-impl Completions {
-    const NONE: Completions = Completions {
-        len: 0,
-        done: [(RequestId(0), SimTime::ZERO); MAX_BATCH],
-    };
-
-    fn push(&mut self, done: (RequestId, SimTime)) {
-        if let Some(slot) = self.done.get_mut(self.len) {
-            *slot = done;
-            self.len += 1;
-        }
-    }
-}
-
-impl std::ops::Deref for Completions {
-    type Target = [(RequestId, SimTime)];
-
-    fn deref(&self) -> &[(RequestId, SimTime)] {
-        self.done.get(..self.len).unwrap_or_default()
-    }
 }
 
 /// The fully resolved timeline of a submitted dispatch.
@@ -164,8 +131,6 @@ pub struct DispatchOutcome {
     pub start: SimTime,
     /// When the GPUs become free (completion of the final step).
     pub gpus_free_at: SimTime,
-    /// Per-request end-to-end completion (only when `decode_after` was set).
-    pub request_done: Completions,
     /// Total synchronous stall charged before the first step.
     pub stall: SimDuration,
     /// Longest latent transfer that gated the start.
@@ -236,7 +201,6 @@ pub struct Engine {
     rng: SimRng,
     busy_until: Vec<SimTime>,
     busy_time: Vec<SimDuration>,
-    decode_free_at: SimTime,
     next_dispatch: u64,
     trace: Trace,
 }
@@ -261,7 +225,6 @@ impl Engine {
             rng,
             busy_until: vec![SimTime::ZERO; n],
             busy_time: vec![SimDuration::ZERO; n],
-            decode_free_at: SimTime::ZERO,
             next_dispatch: 0,
             trace: Trace::new(),
         }
@@ -309,7 +272,7 @@ impl Engine {
         // A request whose previous group died has no resident latent
         // anywhere on the cluster: re-materialise it from the host-side
         // step checkpoint over the (slow) recovery path.
-        for (&req, member) in members.clone() {
+        for (&req, member) in members {
             if member.needs_recovery {
                 let t = transfer_time(dispatch.latent_bytes, HOST_RECOVERY_GBPS);
                 latent_wait = latent_wait.max(t);
@@ -369,20 +332,6 @@ impl Engine {
             self.busy_time[gpu.0] += gpus_free_at.saturating_since(now);
         }
 
-        // Sequential per-request VAE decode (off the GPUs' critical path).
-        // Aborted dispatches never reach the decoder.
-        let mut request_done = Completions::NONE;
-        if let Some(decode) = dispatch.decode_after {
-            if abort_at.is_none() {
-                for (&req, _) in members.filter(|(_, m)| m.finishing) {
-                    let begin = self.decode_free_at.max(gpus_free_at);
-                    let done = begin + decode;
-                    self.decode_free_at = done;
-                    request_done.push((req, done));
-                }
-            }
-        }
-
         // `t` is the end of the last completed step (`start` when none did).
         let useful_end = (completed > 0).then_some(t);
         let actual_mean = match useful_end {
@@ -435,7 +384,6 @@ impl Engine {
         Ok(DispatchOutcome {
             start,
             gpus_free_at,
-            request_done,
             stall,
             latent_wait,
             aborted,
@@ -517,6 +465,7 @@ impl Engine {
 mod tests {
     use super::*;
     use crate::gpuset::GpuId;
+    use crate::trace::RequestId;
 
     fn engine() -> Engine {
         Engine::new(Topology::h100_nvlink(8), EngineConfig::default())
@@ -529,7 +478,6 @@ mod tests {
             steps,
             per_step: SimDuration::from_millis(per_step_ms),
             latent_bytes: 2 << 20,
-            decode_after: None,
             members: Default::default(),
         }
     }
@@ -621,36 +569,6 @@ mod tests {
         let d2 = dispatch(&[9], odd, 1, 10);
         let out2 = e.submit(out.gpus_free_at, &d2).unwrap();
         assert_eq!(out2.stall, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn decode_serialises_and_completes_requests() {
-        let mut e = engine();
-        let mut d = dispatch(&[1, 2, 3], GpuSet::contiguous(0, 1), 1, 10);
-        d.decode_after = Some(SimDuration::from_millis(40));
-        d.members[0].finishing = true;
-        d.members[2].finishing = true;
-        let out = e.submit(SimTime::ZERO, &d).unwrap();
-        // Only the finishing members decode, in member order.
-        assert_eq!(out.request_done.len(), 2);
-        assert_eq!(out.request_done[0].0, RequestId(1));
-        assert_eq!(out.request_done[1].0, RequestId(3));
-        let t1 = out.request_done[0].1;
-        let t2 = out.request_done[1].1;
-        // Decodes are sequential: the second finishes a full decode later.
-        assert_eq!(t2.saturating_since(t1), SimDuration::from_millis(40));
-    }
-
-    #[test]
-    fn finishing_without_fused_decode_completes_nothing() {
-        // Disaggregated layouts decode on a separate pool, so a finishing
-        // dispatch carries no `decode_after` and the engine reports no
-        // completion for its finishers.
-        let mut e = engine();
-        let mut d = dispatch(&[1, 2], GpuSet::contiguous(0, 2), 3, 10);
-        d.members[0].finishing = true;
-        let out = e.submit(SimTime::ZERO, &d).unwrap();
-        assert!(out.request_done.is_empty());
     }
 
     #[test]
@@ -761,7 +679,6 @@ mod tests {
         assert_eq!(abort.completed_steps, 2);
         assert_eq!(abort.down, GpuSet::single(GpuId(1)));
         assert_eq!(out.gpus_free_at, SimTime::from_millis(250));
-        assert!(out.request_done.is_empty());
         // 50 ms of partial step burned on each of 2 GPUs.
         assert!((abort.wasted_gpu_seconds - 0.1).abs() < 1e-9);
         assert_eq!(e.trace().aborted_count(), 1);

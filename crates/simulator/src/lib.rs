@@ -14,7 +14,8 @@
 //! * [`latent`] — the latent transfer-time model behind group hand-offs
 //!   (§5, Table 4);
 //! * [`engine`] — the worker pool that executes step dispatches with
-//!   Table 1-calibrated jitter, remap stalls and sequential VAE decode;
+//!   Table 1-calibrated jitter, remap stalls and group warm-up (VAE
+//!   decodes queue on the serving loop's decode pool, not here);
 //! * [`failure`] — straggler injection for graceful-degradation testing;
 //! * [`trace`] — the event log the metrics crate mines for figures;
 //! * [`rng`] — seeded randomness (Box–Muller normals, exponentials);
@@ -37,18 +38,18 @@
 //! use tetriserve_simulator::trace::{Batch, RequestId};
 //!
 //! let mut engine = Engine::new(Topology::h100_nvlink(8), EngineConfig::default());
-//! let mut dispatch = StepDispatch {
+//! let dispatch = StepDispatch {
 //!     requests: Batch::one(RequestId(0)),
 //!     gpus: GpuSet::contiguous(0, 2),
 //!     steps: 10,
 //!     per_step: SimDuration::from_millis(40),
 //!     latent_bytes: 2 << 20,
-//!     decode_after: Some(SimDuration::from_millis(30)),
 //!     members: Default::default(),
 //! };
-//! dispatch.members[0].finishing = true;
 //! let outcome = engine.submit(SimTime::ZERO, &dispatch)?;
-//! assert_eq!(outcome.request_done.len(), 1);
+//! // Ten jittered 40 ms steps on a pre-warmed pair: about 400 ms.
+//! let busy = outcome.gpus_free_at.saturating_since(outcome.start);
+//! assert!((busy.as_secs_f64() - 0.4).abs() < 0.01);
 //! # Ok::<(), tetriserve_simulator::engine::SubmitError>(())
 //! ```
 

@@ -39,7 +39,9 @@ fn elastic_scale_up_reduces_mean_latency() {
     let without = exp.run(&PolicyKind::TetriServe(TetriServeConfig::with_placement()));
     let with = exp.run(&PolicyKind::TetriServe(TetriServeConfig::default()));
     let ml = |r: &tetriserve::core::ServeReport| {
-        tetriserve::metrics::latency::mean_latency(&r.outcomes).unwrap()
+        tetriserve::metrics::LatencySummary::from_outcomes(&r.outcomes)
+            .mean()
+            .unwrap()
     };
     assert!(
         ml(&with) < ml(&without),

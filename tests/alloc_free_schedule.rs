@@ -202,11 +202,10 @@ fn plan_emitting_pass_allocates_only_its_output() {
 
 #[test]
 fn warm_engine_submit_allocates_only_trace_growth() {
-    // One request stepping on all 8 GPUs, one step per dispatch and never
-    // its last: no decode. Its `DispatchStart` record holds the lone
-    // request inline, and the engine keeps no per-request state, so the
-    // only allocations are the trace's own growth by doubling, a handful
-    // of times over the run.
+    // One request stepping on all 8 GPUs, one step per dispatch. Its
+    // `DispatchStart` record holds the lone request inline, and the
+    // engine keeps no per-request state, so the only allocations are the
+    // trace's own growth by doubling, a handful of times over the run.
     const SUBMITS: u64 = 64;
     let c = costs();
     let mut engine = Engine::new(c.cluster().topology(), EngineConfig::default());
@@ -216,7 +215,6 @@ fn warm_engine_submit_allocates_only_trace_growth() {
         steps: 1,
         per_step: c.step_time(Resolution::R1024, 8, 1),
         latent_bytes: c.model().latent_bytes(Resolution::R1024),
-        decode_after: None,
         members: Default::default(),
     };
     let mut at = engine

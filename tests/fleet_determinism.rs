@@ -18,8 +18,14 @@
 //!   two-minute outage of cluster 0;
 //! * an overloaded run (50 req/s, about 93% shed) never grows a warmed
 //!   feasibility scratch.
+//!
+//! A video tenant streamed onto a fleet whose second node runs
+//! disaggregated stage pools has its digests pinned too: it is the one
+//! fleet scenario where decode order shows in the outcomes.
 
-use tetriserve::core::{AdmissionPolicy, Policy, RequestSpec, ServerConfig, TetriServePolicy};
+use tetriserve::core::{
+    AdmissionPolicy, Policy, PoolLayout, RequestSpec, ServerConfig, TetriServePolicy,
+};
 use tetriserve::costmodel::{
     ClusterSpec, DitModel, InterClusterLink, Profiler, Resolution, StageProfile,
 };
@@ -354,6 +360,94 @@ fn run_traffic(router: impl Router) -> FleetReport {
         vec![],
     )
     .run()
+}
+
+/// `tenants-video` in miniature: an interactive image tenant, a bursty
+/// batch image tenant on the skewed mix, and an interactive 8-frame video
+/// tenant on small clips, whose budgets stretch with its frame count.
+fn video_traffic_model() -> TrafficModel {
+    const SEED: u64 = 0x71de_0c11;
+    const FRAMES: u32 = 8;
+    let targets = |scale: f64| {
+        SloPolicy::from_targets([
+            (Resolution::R256, 1.5 * scale),
+            (Resolution::R512, 2.0 * scale),
+            (Resolution::R1024, 3.0 * scale),
+            (Resolution::R2048, 5.0 * scale),
+        ])
+    };
+    let clips = ResolutionMix::weighted("Clip", [(Resolution::R256, 1.0), (Resolution::R512, 1.0)]);
+    TrafficModel::new(vec![
+        TenantSpec::new("interactive", 14.0, SEED ^ 1)
+            .with_tier(PriorityTier::Interactive)
+            .with_slo(targets(1.2)),
+        TenantSpec::new("batch", 8.0, SEED ^ 2)
+            .with_shape(ArrivalShape::Bursty {
+                mean_rate_per_min: 8.0,
+            })
+            .with_mix(ResolutionMix::skewed())
+            .with_tier(PriorityTier::Batch)
+            .with_slo(targets(1.2)),
+        TenantSpec::new("video", 16.0, SEED ^ 3)
+            .with_mix(clips)
+            .with_tier(PriorityTier::Interactive)
+            .with_slo(targets(1.2 * f64::from(FRAMES)))
+            .video(FRAMES),
+    ])
+}
+
+#[test]
+fn video_tenant_on_a_disaggregated_node_keeps_its_fleet_digests() {
+    // Unified nodes reserve a decode when its dispatch is submitted,
+    // disaggregated ones when the dispatch is done. Reserving the
+    // disaggregated node's decodes at submit too moves the outcome
+    // digest here while SAR stays put, so the digests are the check.
+    let run = || {
+        let fleet = hetero_fleet(ServerConfig {
+            admission: AdmissionPolicy::ShedInfeasible,
+            ..ServerConfig::default()
+        })
+        .into_iter()
+        .enumerate()
+        .map(|(i, mut c)| {
+            if i == 1 {
+                c.config.pool = PoolLayout::disaggregated_default();
+            }
+            c
+        })
+        .collect();
+        let source = StreamingArrivals::new(
+            video_traffic_model().online(400),
+            DitModel::flux_dev().steps,
+        );
+        FleetSim::streaming(fleet, DeadlineAwareRouter::new(), Box::new(source), vec![]).run()
+    };
+    let report = run();
+    let disaggregated = &report.clusters[1].report;
+    assert!(
+        disaggregated.decode_busy_seconds > 0.0,
+        "the decode pool ran"
+    );
+    assert!(
+        disaggregated
+            .outcomes
+            .iter()
+            .any(|o| o.completion.is_some() && o.tenant == TenantId(2)),
+        "a video request completed on the disaggregated node"
+    );
+    assert_eq!(
+        report.routing_digest, 0x02fe_bfa5_635c_ff2d,
+        "routing digest moved"
+    );
+    assert_eq!(
+        report.outcome_digest, 0x7740_0971_86eb_c8ee,
+        "outcome digest moved"
+    );
+    let again = run();
+    assert_eq!(
+        (again.routing_digest, again.outcome_digest),
+        (report.routing_digest, report.outcome_digest)
+    );
 }
 
 #[test]

@@ -2,15 +2,17 @@
 //! workload.
 //!
 //! Video requests multiply denoise *and* decode cost by the frame count
-//! and pay a conditioning-encode stage up front. Under the unified layout
-//! every stage shares the GPU set and finished requests serialise through
-//! the engine's single fused VAE decoder, so multi-frame decodes hold each
-//! finishing gang through its own decode and everyone else's. The
-//! disaggregated layout carves dedicated encode/decode pools out of the
-//! node: denoise gangs are released at their last step and frame-scaled
-//! decodes drain in parallel across the decode slots. On the identical
-//! request stream disaggregated must strictly beat unified on SAR, and
-//! both layouts' outcome digests are pinned as literals.
+//! and pay a conditioning-encode stage up front. Under either layout a
+//! denoise gang frees its GPUs at its last step. Under the unified layout
+//! the denoise packer keeps all eight GPUs, and every decode then queues
+//! on one virtual slot that holds no GPU, in submit order, at its batch's
+//! widest frame count. The disaggregated layout carves one encode GPU and
+//! two decode GPUs out of the node: the packer keeps five, and
+//! frame-scaled decodes drain two at a time in completion order. So the
+//! gate compares two parallel decode slots that cost three GPUs with one
+//! serial slot that costs none. On the identical request stream
+//! disaggregated must strictly beat unified on SAR, and both layouts'
+//! outcome digests are pinned as literals.
 
 use tetriserve::core::{
     PoolLayout, RequestSpec, ServeReport, Server, ServerConfig, TetriServePolicy,
@@ -103,8 +105,8 @@ fn disaggregated_pools_strictly_beat_unified_on_the_video_mix() {
         disaggregated.sar(),
         unified.sar()
     );
-    // Unified decodes run fused in the engine; only the dedicated pool
-    // accumulates decode busy time.
+    // The unified decode slot holds no GPU; only the dedicated decode
+    // GPUs accumulate decode busy time.
     assert_eq!(pool_utilization(&unified).1, 0.0);
     assert!(pool_utilization(&disaggregated).1 > 0.0);
 
