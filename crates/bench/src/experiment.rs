@@ -13,10 +13,9 @@ use tetriserve_baselines::{EdfRsspPolicy, FixedSpPolicy, RsspPolicy};
 use tetriserve_core::{RequestSpec, ServeReport, Server, TetriServeConfig, TetriServePolicy};
 use tetriserve_costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution};
 use tetriserve_nirvana::{accelerate_trace, NirvanaConfig};
-use tetriserve_simulator::time::SimTime;
-use tetriserve_simulator::trace::{RequestId, TenantId};
+use tetriserve_simulator::trace::RequestId;
 use tetriserve_traffic::{to_spec, DiurnalEnvelope, DiurnalModulated};
-use tetriserve_workload::arrival::{BurstyProcess, PoissonProcess, UniformProcess};
+use tetriserve_workload::arrival::{ArrivalProcess, BurstyProcess, PoissonProcess, UniformProcess};
 use tetriserve_workload::gen::{GeneratedRequest, TraceGen};
 use tetriserve_workload::mix::ResolutionMix;
 use tetriserve_workload::prompt::PromptLibrary;
@@ -130,54 +129,33 @@ impl Experiment {
 
     /// Generates the request trace (without serving it).
     pub fn generate_requests(&self) -> Vec<GeneratedRequest> {
-        let slo = SloPolicy::paper_targets().scaled(self.slo_scale);
-        let prompts = PromptLibrary::diffusiondb_like(self.seed);
-        match self.arrival {
-            ArrivalKind::Poisson => TraceGen::new(
-                PoissonProcess::new(self.rate_per_min),
-                self.mix.clone(),
-                slo,
-                prompts,
-                self.seed,
-            )
-            .generate(self.n_requests),
-            ArrivalKind::Bursty => TraceGen::new(
-                BurstyProcess::standard(self.rate_per_min),
-                self.mix.clone(),
-                slo,
-                prompts,
-                self.seed,
-            )
-            .generate(self.n_requests),
-            ArrivalKind::Uniform => TraceGen::new(
-                UniformProcess::new(self.rate_per_min),
-                self.mix.clone(),
-                slo,
-                prompts,
-                self.seed,
-            )
-            .generate(self.n_requests),
-            ArrivalKind::Diurnal => TraceGen::new(
-                DiurnalModulated::new(
-                    PoissonProcess::new(self.rate_per_min),
-                    DiurnalEnvelope::new(0.8, 600.0),
-                ),
-                self.mix.clone(),
-                slo,
-                prompts,
-                self.seed,
-            )
-            .generate(self.n_requests),
-        }
+        let rate = self.rate_per_min;
+        let arrivals: Box<dyn ArrivalProcess> = match self.arrival {
+            ArrivalKind::Poisson => Box::new(PoissonProcess::new(rate)),
+            ArrivalKind::Bursty => Box::new(BurstyProcess::standard(rate)),
+            ArrivalKind::Uniform => Box::new(UniformProcess::new(rate)),
+            ArrivalKind::Diurnal => Box::new(DiurnalModulated::new(
+                PoissonProcess::new(rate),
+                DiurnalEnvelope::new(0.8, 600.0),
+            )),
+        };
+        TraceGen::new(
+            arrivals,
+            self.mix.clone(),
+            SloPolicy::paper_targets().scaled(self.slo_scale),
+            self.seed,
+        )
+        .generate(self.n_requests)
     }
 
     /// Converts generated requests into serving specs, applying Nirvana
-    /// step reduction when configured.
+    /// step reduction when configured: the cache is warmed on the
+    /// prompts drawn before the live requests' own.
     pub fn to_specs(&self, requests: &[GeneratedRequest]) -> Vec<RequestSpec> {
         let steps: Vec<u32> = match &self.nirvana {
             Some(cfg) => {
-                let mut warm = PromptLibrary::diffusiondb_like(self.seed);
-                accelerate_trace(requests, self.model.steps, &mut warm, cfg).effective_steps
+                let prompts = PromptLibrary::diffusiondb_like(self.seed);
+                accelerate_trace(requests.len(), self.model.steps, prompts, cfg).effective_steps
             }
             None => vec![self.model.steps; requests.len()],
         };
@@ -211,33 +189,6 @@ impl Experiment {
                 .map(|h| h.join().expect("worker ok"))
                 .collect()
         })
-    }
-
-    /// Builds serving specs from persisted workload records (see
-    /// `tetriserve_workload::trace_io`), running every request for
-    /// `total_steps` steps.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a record's token count does not map to a square
-    /// resolution (already validated by the CSV parser).
-    pub fn specs_from_records(
-        records: &[tetriserve_workload::TraceRecord],
-        total_steps: u32,
-    ) -> Vec<RequestSpec> {
-        records
-            .iter()
-            .map(|r| RequestSpec {
-                tenant: TenantId::UNTAGGED,
-                id: RequestId(r.id),
-                resolution: tetriserve_workload::resolution_for_tokens(r.tokens)
-                    .unwrap_or_else(|| panic!("record {} has bad token count {}", r.id, r.tokens)),
-                arrival: SimTime::from_secs_f64(r.arrival_s),
-                deadline: SimTime::from_secs_f64(r.deadline_s),
-                total_steps,
-                stages: tetriserve_costmodel::StageProfile::FLAT,
-            })
-            .collect()
     }
 
     /// Runs `policy` over externally supplied specs (replay path).
@@ -400,9 +351,9 @@ mod tests {
 
     #[test]
     fn csv_round_trip_reproduces_to_spec_exactly() {
-        // Generate → to_csv → from_csv → specs_from_records must equal the
-        // direct generator → to_spec path field for field. The CSV prints
-        // six fractional digits of seconds, so times agree on SimTime's
+        // Generate → to_csv → from_csv → to_spec must equal the direct
+        // generator → to_spec path field for field. The CSV prints six
+        // fractional digits of seconds, so times agree on SimTime's
         // microsecond grid, to within one tick of rounding.
         use tetriserve_workload::{from_csv, to_csv};
         let exp = Experiment {
@@ -411,12 +362,10 @@ mod tests {
             ..Experiment::paper_default()
         };
         let requests = exp.generate_requests();
-        let records: Vec<_> = requests.iter().map(|r| r.to_record()).collect();
-        let parsed = from_csv(&to_csv(&records)).expect("a generated trace parses");
-        let specs = Experiment::specs_from_records(&parsed, 50);
-        assert_eq!(specs.len(), requests.len());
-        for (s, r) in specs.iter().zip(&requests) {
-            let direct = to_spec(r, 50);
+        let parsed = from_csv(&to_csv(&requests)).expect("a generated trace parses");
+        assert_eq!(parsed.len(), requests.len());
+        for (p, r) in parsed.iter().zip(&requests) {
+            let (s, direct) = (to_spec(p, 50), to_spec(r, 50));
             for (got, want) in [(s.arrival, direct.arrival), (s.deadline, direct.deadline)] {
                 assert!(
                     got.as_micros().abs_diff(want.as_micros()) <= 1,
@@ -428,7 +377,7 @@ mod tests {
                 deadline: s.deadline,
                 ..direct
             };
-            assert_eq!(*s, same_times);
+            assert_eq!(s, same_times);
         }
     }
 }

@@ -70,25 +70,6 @@ impl AllocationPlan {
     pub fn total_steps(&self) -> u32 {
         self.segments().iter().map(|s| s.steps).sum()
     }
-
-    /// Estimated runtime of the plan.
-    pub fn runtime(&self, res: Resolution, costs: &CostTable) -> SimDuration {
-        self.segments()
-            .iter()
-            .map(|s| costs.step_time(res, s.degree, 1) * u64::from(s.steps))
-            .sum()
-    }
-
-    /// Estimated GPU-seconds of the plan: `k · T(k)` per step (batch 1).
-    pub fn gpu_seconds(&self, res: Resolution, costs: &CostTable) -> f64 {
-        self.segments()
-            .iter()
-            .map(|s| {
-                let per_step = s.degree as f64 * costs.step_time(res, s.degree, 1).as_secs_f64();
-                per_step * f64::from(s.steps)
-            })
-            .sum()
-    }
 }
 
 impl PartialEq for AllocationPlan {
@@ -384,6 +365,25 @@ pub(crate) mod tests {
     /// GPU-seconds per step of `res` at degree `k`: `k · T(k)` (batch 1).
     fn gpu_seconds(costs: &CostTable, res: Resolution, k: usize) -> f64 {
         k as f64 * costs.step_time(res, k, 1).as_secs_f64()
+    }
+
+    /// What a plan costs, for the assertions here and in `proptests.rs`.
+    impl AllocationPlan {
+        /// Estimated runtime of the plan.
+        pub(crate) fn runtime(&self, res: Resolution, costs: &CostTable) -> SimDuration {
+            self.segments()
+                .iter()
+                .map(|s| costs.step_time(res, s.degree, 1) * u64::from(s.steps))
+                .sum()
+        }
+
+        /// Estimated GPU-seconds of the plan: `k · T(k)` per step (batch 1).
+        pub(crate) fn gpu_seconds(&self, res: Resolution, costs: &CostTable) -> f64 {
+            self.segments()
+                .iter()
+                .map(|s| gpu_seconds(costs, res, s.degree) * f64::from(s.steps))
+                .sum()
+        }
     }
 
     /// The useful degrees of `res`, ascending.

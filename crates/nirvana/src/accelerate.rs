@@ -1,12 +1,12 @@
 //! Applying Nirvana to a request trace.
 //!
 //! The serving-relevant effect of approximate caching is a per-request
-//! reduction of the denoising schedule. [`accelerate_trace`] replays a
-//! generated workload through the cache (after an offline warm-up phase, as
-//! §6.2 warms with 10 K requests) and returns each request's effective step
-//! count — ready to be folded into `RequestSpec::total_steps`.
+//! reduction of the denoising schedule. [`accelerate_trace`] serves a
+//! warm-up phase of prompts through the cache (as §6.2 warms with the
+//! first 10 K requests), then one prompt per live request, and returns
+//! each live request's effective step count — ready to be folded into
+//! `RequestSpec::total_steps`.
 
-use tetriserve_workload::gen::GeneratedRequest;
 use tetriserve_workload::prompt::PromptLibrary;
 
 use crate::cache::NirvanaCache;
@@ -17,9 +17,9 @@ use crate::skip::SkipPolicy;
 pub struct NirvanaConfig {
     /// Cache capacity in latent entries.
     pub cache_capacity: usize,
-    /// Number of synthetic warm-up prompts served before the experiment
-    /// (the paper warms with the first 10 K requests; with our 40-topic
-    /// library a few hundred suffice to cover every topic).
+    /// Number of prompts served before the live requests to warm the
+    /// cache (the paper warms with the first 10 K requests; with our
+    /// 40-topic library a few hundred suffice to cover every topic).
     pub warmup_requests: usize,
     /// The similarity → skip tiers.
     pub skip: SkipPolicy,
@@ -38,48 +38,45 @@ impl Default for NirvanaConfig {
 /// Result of accelerating one trace.
 #[derive(Debug, Clone)]
 pub struct AcceleratedTrace {
-    /// Effective steps per request, aligned with the input order.
+    /// Effective steps per live request, in arrival order.
     pub effective_steps: Vec<u32>,
-    /// Cache hit rate over the trace (post-warm-up).
+    /// Fraction of live requests that skip steps on a cache hit (warm-up
+    /// excluded).
     pub hit_rate: f64,
     /// Mean effective steps.
     pub mean_steps: f64,
 }
 
-/// Replays `requests` through a warmed Nirvana cache, returning effective
+/// Serves `config.warmup_requests` prompts from `prompts` through an empty
+/// cache, then the library's next `live_requests` prompts, one per live
+/// request in arrival order, and returns the live requests' effective
 /// step counts for a `total_steps`-step schedule.
 ///
-/// `warmup_library` must share the live traffic's topic clusters for the
-/// warm-up to be representative — build it with the *same seed* as the
-/// trace generator's prompt library.
+/// Warm-up and live prompts come from one stream, so the cache is warmed
+/// on earlier requests than the ones it serves, never on copies of them.
 pub fn accelerate_trace(
-    requests: &[GeneratedRequest],
+    live_requests: usize,
     total_steps: u32,
-    warmup_library: &mut PromptLibrary,
+    mut prompts: PromptLibrary,
     config: &NirvanaConfig,
 ) -> AcceleratedTrace {
     let mut cache = NirvanaCache::new(config.cache_capacity);
-    for _ in 0..config.warmup_requests {
-        let p = warmup_library.next_prompt();
-        let _ = config
+    let mut serve = || {
+        let p = prompts.next_prompt();
+        config
             .skip
-            .effective_steps(&mut cache, &p.embedding, total_steps);
+            .effective_steps(&mut cache, &p.embedding, total_steps)
+    };
+    for _ in 0..config.warmup_requests {
+        serve();
     }
-    // Only the live portion counts toward the reported hit rate.
-    let mut live_cache = cache.clone();
-    let effective_steps: Vec<u32> = requests
-        .iter()
-        .map(|r| {
-            config
-                .skip
-                .effective_steps(&mut live_cache, &r.prompt.embedding, total_steps)
-        })
-        .collect();
-    let mean_steps = effective_steps.iter().map(|&s| f64::from(s)).sum::<f64>()
-        / effective_steps.len().max(1) as f64;
+    let effective_steps: Vec<u32> = (0..live_requests).map(|_| serve()).collect();
+    let live = effective_steps.len().max(1) as f64;
+    let hits = effective_steps.iter().filter(|&&s| s < total_steps).count();
+    let mean_steps = effective_steps.iter().map(|&s| f64::from(s)).sum::<f64>() / live;
     AcceleratedTrace {
         effective_steps,
-        hit_rate: live_cache.hit_rate(),
+        hit_rate: hits as f64 / live,
         mean_steps,
     }
 }
@@ -87,27 +84,14 @@ pub fn accelerate_trace(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetriserve_workload::arrival::PoissonProcess;
-    use tetriserve_workload::gen::TraceGen;
-    use tetriserve_workload::mix::ResolutionMix;
-    use tetriserve_workload::slo::SloPolicy;
 
-    fn trace(n: usize, seed: u64) -> Vec<GeneratedRequest> {
-        let mut g = TraceGen::new(
-            PoissonProcess::new(12.0),
-            ResolutionMix::uniform(),
-            SloPolicy::paper_targets(),
-            PromptLibrary::diffusiondb_like(seed),
-            seed,
-        );
-        g.generate(n)
+    fn accelerate(live: usize, seed: u64, config: &NirvanaConfig) -> AcceleratedTrace {
+        accelerate_trace(live, 50, PromptLibrary::diffusiondb_like(seed), config)
     }
 
     #[test]
     fn warm_cache_skips_substantially() {
-        let reqs = trace(300, 11);
-        let mut warm = PromptLibrary::diffusiondb_like(11);
-        let acc = accelerate_trace(&reqs, 50, &mut warm, &NirvanaConfig::default());
+        let acc = accelerate(300, 11, &NirvanaConfig::default());
         assert_eq!(acc.effective_steps.len(), 300);
         assert!(acc.hit_rate > 0.5, "hit rate {}", acc.hit_rate);
         assert!(
@@ -120,26 +104,35 @@ mod tests {
 
     #[test]
     fn no_warmup_still_converges_within_trace() {
-        let reqs = trace(300, 13);
-        let mut warm = PromptLibrary::diffusiondb_like(77);
         let cfg = NirvanaConfig {
             warmup_requests: 0,
             ..NirvanaConfig::default()
         };
-        let acc = accelerate_trace(&reqs, 50, &mut warm, &cfg);
+        let acc = accelerate(300, 13, &cfg);
         // Early requests run cold but later same-topic ones hit.
-        let first = f64::from(acc.effective_steps[0]);
-        assert_eq!(first, 50.0);
+        assert_eq!(acc.effective_steps[0], 50);
         assert!(acc.mean_steps < 50.0);
     }
 
     #[test]
+    fn live_prompts_follow_the_warm_up_ones_in_one_stream() {
+        // Warming on the first 400 prompts and serving the next 100 runs
+        // exactly as serving all 500 cold and keeping the last 100.
+        let warm = accelerate(100, 17, &NirvanaConfig::default());
+        let cold = accelerate(
+            500,
+            17,
+            &NirvanaConfig {
+                warmup_requests: 0,
+                ..NirvanaConfig::default()
+            },
+        );
+        assert_eq!(warm.effective_steps[..], cold.effective_steps[400..]);
+    }
+
+    #[test]
     fn deterministic_given_inputs() {
-        let reqs = trace(100, 5);
-        let run = || {
-            let mut warm = PromptLibrary::diffusiondb_like(5);
-            accelerate_trace(&reqs, 50, &mut warm, &NirvanaConfig::default()).effective_steps
-        };
+        let run = || accelerate(100, 5, &NirvanaConfig::default()).effective_steps;
         assert_eq!(run(), run());
     }
 }

@@ -18,8 +18,6 @@ pub struct NirvanaCache {
     capacity: usize,
     /// Front = least recently used.
     entries: VecDeque<Embedding>,
-    hits: u64,
-    lookups: u64,
 }
 
 impl NirvanaCache {
@@ -33,8 +31,6 @@ impl NirvanaCache {
         NirvanaCache {
             capacity,
             entries: VecDeque::new(),
-            hits: 0,
-            lookups: 0,
         }
     }
 
@@ -52,7 +48,6 @@ impl NirvanaCache {
     /// `min_similarity`, refreshing its recency on a hit. Returns the
     /// cosine similarity.
     pub fn lookup(&mut self, query: &Embedding, min_similarity: f64) -> Option<f64> {
-        self.lookups += 1;
         let mut best: Option<(usize, f64)> = None;
         for (i, e) in self.entries.iter().enumerate() {
             let sim = query.cosine(e);
@@ -64,7 +59,6 @@ impl NirvanaCache {
             }
         }
         if let Some((i, sim)) = best {
-            self.hits += 1;
             // Refresh recency: move the hit to the back (most recent).
             let e = self.entries.remove(i).expect("index is valid");
             self.entries.push_back(e);
@@ -82,15 +76,6 @@ impl NirvanaCache {
         }
         self.entries.push_back(embedding);
     }
-
-    /// Fraction of lookups that hit (since construction).
-    pub fn hit_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +92,6 @@ mod tests {
         c.insert(emb(1.0, 0.0));
         assert!(c.lookup(&emb(1.0, 0.05), 0.9).unwrap() > 0.99);
         assert!(c.lookup(&emb(0.0, 1.0), 0.9).is_none());
-        assert!((c.hit_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

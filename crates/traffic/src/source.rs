@@ -17,22 +17,16 @@
 //! Both paths build generators through one constructor and draw from the
 //! same per-tenant RNG sequences, so for the same model the online
 //! stream is **bit-identical** to a prefix of the offline one — the
-//! determinism suite pins this.
-//!
-//! Only the offline path draws prompts. The online stream yields
-//! [`BareRequest`]s: the fleet reads no prompt, so its tenants' prompt
-//! libraries never draw a centroid or an embedding. Each library owns its
-//! RNG, apart from the generator's arrival/mix RNG and the burst
-//! coupler's, so skipping its draws leaves every spec unchanged.
+//! determinism suite pins this. Neither draws a prompt: no fleet
+//! component reads one.
 
 use tetriserve_core::RequestSpec;
 use tetriserve_fleet::ArrivalSource;
 use tetriserve_simulator::time::SimTime;
 use tetriserve_simulator::trace::{RequestId, TenantId};
 use tetriserve_workload::arrival::ArrivalProcess;
-use tetriserve_workload::gen::{BareRequest, GeneratedRequest, TraceGen};
+use tetriserve_workload::gen::{GeneratedRequest, TraceGen};
 use tetriserve_workload::multiplex::{merge_streams, LazyMerge};
-use tetriserve_workload::prompt::PromptLibrary;
 
 use crate::coupler::{BurstCoupler, CoupledProcess, CouplingSpec};
 use crate::tenant::TenantSpec;
@@ -93,15 +87,9 @@ impl TrafficModel {
                         .expect("tenant opted into coupling but the model has no CouplingSpec");
                     process = Box::new(CoupledProcess::new(process, coupler));
                 }
-                TraceGen::new(
-                    process,
-                    t.mix.clone(),
-                    t.effective_slo(),
-                    PromptLibrary::diffusiondb_like(t.seed ^ 0x9e37),
-                    t.seed,
-                )
-                .with_tenant(TenantId(i as u32))
-                .with_stages(t.stages)
+                TraceGen::new(process, t.mix.clone(), t.effective_slo(), t.seed)
+                    .with_tenant(TenantId(i as u32))
+                    .with_stages(t.stages)
             })
             .collect()
     }
@@ -127,14 +115,14 @@ impl TrafficModel {
     }
 }
 
-/// An unbounded, prompt-free iterator over one tenant's generator.
+/// An unbounded iterator over one tenant's generator.
 struct GenIter(TraceGen<Box<dyn ArrivalProcess>>);
 
 impl Iterator for GenIter {
-    type Item = BareRequest;
+    type Item = GeneratedRequest;
 
-    fn next(&mut self) -> Option<BareRequest> {
-        Some(self.0.next_bare())
+    fn next(&mut self) -> Option<GeneratedRequest> {
+        Some(self.0.next_request())
     }
 }
 
@@ -146,7 +134,7 @@ impl std::fmt::Debug for GenIter {
 
 /// The live merged arrival stream: at most one buffered request per
 /// tenant, fleet ids assigned in merge order, tenant identity stamped
-/// from the stream index. It draws no prompts.
+/// from the stream index.
 #[derive(Debug)]
 pub struct TrafficSource {
     merged: LazyMerge<GenIter>,
@@ -154,9 +142,9 @@ pub struct TrafficSource {
 }
 
 impl Iterator for TrafficSource {
-    type Item = BareRequest;
+    type Item = GeneratedRequest;
 
-    fn next(&mut self) -> Option<BareRequest> {
+    fn next(&mut self) -> Option<GeneratedRequest> {
         if self.remaining == 0 {
             return None;
         }
@@ -166,13 +154,9 @@ impl Iterator for TrafficSource {
 }
 
 /// Converts a generated request into the fleet's [`RequestSpec`],
-/// carrying tenant identity through; the prompt is dropped.
+/// carrying tenant identity and stages through. This is the one
+/// conversion from a generated (or replayed) request into a spec.
 pub fn to_spec(r: &GeneratedRequest, total_steps: u32) -> RequestSpec {
-    bare_to_spec(&r.bare(), total_steps)
-}
-
-/// [`to_spec`] for a request generated without its prompt.
-fn bare_to_spec(r: &BareRequest, total_steps: u32) -> RequestSpec {
     RequestSpec {
         tenant: r.tenant,
         id: RequestId(r.id),
@@ -207,10 +191,7 @@ impl StreamingArrivals {
 
     fn fill(&mut self) {
         if self.peeked.is_none() {
-            self.peeked = self
-                .source
-                .next()
-                .map(|r| bare_to_spec(&r, self.total_steps));
+            self.peeked = self.source.next().map(|r| to_spec(&r, self.total_steps));
         }
     }
 }
@@ -249,11 +230,10 @@ mod tests {
     fn online_matches_offline_prefix_bit_for_bit() {
         let model = three_tenant_model();
         let total = 300;
-        let online: Vec<BareRequest> = model.online(total).collect();
+        let online: Vec<GeneratedRequest> = model.online(total).collect();
         let offline = model.offline(total);
         assert_eq!(online.len(), total);
         for (a, b) in online.iter().zip(offline.iter()) {
-            let b = b.bare();
             assert_eq!(a.id, b.id);
             assert_eq!(a.tenant, b.tenant);
             assert_eq!(a.arrival_s.to_bits(), b.arrival_s.to_bits());
@@ -266,8 +246,8 @@ mod tests {
     #[test]
     fn online_stream_is_replayable() {
         let model = three_tenant_model();
-        let a: Vec<BareRequest> = model.online(200).collect();
-        let b: Vec<BareRequest> = model.online(200).collect();
+        let a: Vec<GeneratedRequest> = model.online(200).collect();
+        let b: Vec<GeneratedRequest> = model.online(200).collect();
         assert_eq!(a, b);
     }
 

@@ -105,11 +105,7 @@ pub struct TenantSpec {
     pub slo: SloPolicy,
     /// Service class (scales the SLO budgets).
     pub tier: PriorityTier,
-    /// Per-tenant RNG seed: arrival gaps and mix samples, and, through a
-    /// separate RNG, prompts. Only [`TrafficModel::offline`] draws prompts;
-    /// the online stream the fleet consumes draws none.
-    ///
-    /// [`TrafficModel::offline`]: crate::source::TrafficModel::offline
+    /// Per-tenant RNG seed: arrival gaps and mix samples.
     pub seed: u64,
     /// Whether this tenant's stream is warped by the model's shared
     /// burst coupler (correlated flash crowds across tenants).

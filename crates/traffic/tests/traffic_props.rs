@@ -59,9 +59,7 @@ proptest! {
     /// The specs the fleet streams == `to_spec` of the offline
     /// generate-then-merge path, for arbitrary tenant counts, rates,
     /// seeds, arrival shapes (Poisson, uniform, MMPP), coupling opt-ins
-    /// and 8-frame video tenants. The streamed path draws no prompt and
-    /// the offline one draws every prompt, so this also pins that prompt
-    /// draws never touch the arrival, mix or coupler RNGs.
+    /// and 8-frame video tenants.
     #[test]
     fn online_is_always_a_prefix_of_offline(
         layout in proptest::collection::vec(

@@ -11,13 +11,14 @@
 //! * [`slo`] — the per-resolution latency targets (1.5/2/3/5 s) with the
 //!   SLO-scale sweep;
 //! * [`prompt`] — a DiffusionDB-like synthetic prompt library with
-//!   clustered CLIP-style embeddings (for the Nirvana integration);
+//!   clustered CLIP-style embeddings (drawn only by the Nirvana
+//!   integration);
 //! * [`gen`] — the end-to-end trace generator;
 //! * [`multiplex`] — merging independent tenant streams into one fleet
 //!   arrival stream;
 //! * [`trace_io`] — CSV persistence so exact request streams can be saved
 //!   and replayed across machines;
-//! * [`scenarios`] — curated named workloads (paper defaults, flash crowd,
+//! * [`scenarios`] — curated named stress workloads (flash crowd,
 //!   deadline cliff, elephants-and-mice).
 //!
 //! # Examples
@@ -26,14 +27,12 @@
 //! use tetriserve_workload::arrival::PoissonProcess;
 //! use tetriserve_workload::gen::TraceGen;
 //! use tetriserve_workload::mix::ResolutionMix;
-//! use tetriserve_workload::prompt::PromptLibrary;
 //! use tetriserve_workload::slo::SloPolicy;
 //!
 //! let mut gen = TraceGen::new(
 //!     PoissonProcess::new(12.0),
 //!     ResolutionMix::uniform(),
 //!     SloPolicy::paper_targets().scaled(1.2),
-//!     PromptLibrary::diffusiondb_like(0),
 //!     0,
 //! );
 //! let requests = gen.generate(300);
@@ -52,8 +51,8 @@ pub mod slo;
 pub mod trace_io;
 
 pub use arrival::{ArrivalProcess, BurstyProcess, PoissonProcess, UniformProcess};
-pub use gen::{BareRequest, GeneratedRequest, TraceGen, TraceRecord};
+pub use gen::{GeneratedRequest, TraceGen};
 pub use mix::ResolutionMix;
 pub use prompt::{Embedding, Prompt, PromptLibrary};
 pub use slo::SloPolicy;
-pub use trace_io::{from_csv, resolution_for_tokens, to_csv, ParseTraceError};
+pub use trace_io::{from_csv, to_csv, ParseTraceError};

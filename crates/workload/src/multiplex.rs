@@ -8,51 +8,18 @@
 //! *arrival*, blind to which tenant produced it. Offline callers collect
 //! the merge over pre-generated `Vec`s; the live traffic frontend drives
 //! it lazily over generators, so both paths share one ordering contract:
-//! (arrival time, stream index, intra-stream position). The merge takes
-//! requests with their prompt ([`GeneratedRequest`]) or without it
-//! ([`BareRequest`], the streamed path, which reads no prompt).
+//! (arrival time, stream index, intra-stream position).
 
 use tetriserve_simulator::trace::TenantId;
 
-use crate::gen::{BareRequest, GeneratedRequest};
-
-/// A request [`LazyMerge`] can order and stamp.
-pub trait MergeItem: std::fmt::Debug {
-    /// Arrival time in seconds: the merge key.
-    fn arrival_s(&self) -> f64;
-
-    /// Stamps the merged-order id and the originating stream's tenant.
-    fn stamp(&mut self, id: u64, tenant: TenantId);
-}
-
-impl MergeItem for GeneratedRequest {
-    fn arrival_s(&self) -> f64 {
-        self.arrival_s
-    }
-
-    fn stamp(&mut self, id: u64, tenant: TenantId) {
-        self.id = id;
-        self.tenant = tenant;
-    }
-}
-
-impl MergeItem for BareRequest {
-    fn arrival_s(&self) -> f64 {
-        self.arrival_s
-    }
-
-    fn stamp(&mut self, id: u64, tenant: TenantId) {
-        self.id = id;
-        self.tenant = tenant;
-    }
-}
+use crate::gen::GeneratedRequest;
 
 /// One per-stream cursor inside [`LazyMerge`].
 #[derive(Debug)]
-struct StreamHead<I: Iterator> {
+struct StreamHead<I> {
     iter: I,
     /// The stream's next undelivered request, if any.
-    head: Option<I::Item>,
+    head: Option<GeneratedRequest>,
     /// Arrival time of the last delivered request (sortedness check).
     last_arrival: f64,
 }
@@ -67,10 +34,7 @@ struct StreamHead<I: Iterator> {
 /// per-tenant generators and pulls one merged arrival at a time as the
 /// simulation advances, holding only one buffered request per stream.
 #[derive(Debug)]
-pub struct LazyMerge<I: Iterator>
-where
-    I::Item: MergeItem,
-{
+pub struct LazyMerge<I> {
     streams: Vec<StreamHead<I>>,
     next_id: u64,
 }
@@ -83,8 +47,7 @@ where
 /// pull).
 pub fn merge_streams<I>(streams: Vec<I>) -> LazyMerge<I>
 where
-    I: Iterator,
-    I::Item: MergeItem,
+    I: Iterator<Item = GeneratedRequest>,
 {
     let streams = streams
         .into_iter()
@@ -103,13 +66,10 @@ where
     }
 }
 
-impl<I: Iterator> Iterator for LazyMerge<I>
-where
-    I::Item: MergeItem,
-{
-    type Item = I::Item;
+impl<I: Iterator<Item = GeneratedRequest>> Iterator for LazyMerge<I> {
+    type Item = GeneratedRequest;
 
-    fn next(&mut self) -> Option<I::Item> {
+    fn next(&mut self) -> Option<GeneratedRequest> {
         // Argmin over the stream heads by (arrival, stream index). The
         // intra-stream position tie-break is implicit: a stream only ever
         // exposes its earliest undelivered request, so equal-time requests
@@ -118,13 +78,13 @@ where
             .streams
             .iter()
             .enumerate()
-            .filter_map(|(i, s)| s.head.as_ref().map(|r| (i, r.arrival_s())))
+            .filter_map(|(i, s)| s.head.as_ref().map(|r| (i, r.arrival_s)))
             .min_by(|(ai, at), (bi, bt)| at.total_cmp(bt).then(ai.cmp(bi)))
             .map(|(i, _)| i)?;
         let slot = &mut self.streams[winner];
         let mut req = slot.head.take().expect("winner has a head");
         slot.head = slot.iter.next();
-        let arrival_s = req.arrival_s();
+        let arrival_s = req.arrival_s;
         // NaN fails every `>=`, so a poisoned arrival trips this too.
         assert!(
             arrival_s >= slot.last_arrival,
@@ -133,10 +93,8 @@ where
             slot.last_arrival
         );
         slot.last_arrival = arrival_s;
-        req.stamp(
-            self.next_id,
-            TenantId(u32::try_from(winner).expect("stream count fits u32")),
-        );
+        req.id = self.next_id;
+        req.tenant = TenantId(u32::try_from(winner).expect("stream count fits u32"));
         self.next_id += 1;
         Some(req)
     }
@@ -148,7 +106,6 @@ mod tests {
     use crate::arrival::PoissonProcess;
     use crate::gen::TraceGen;
     use crate::mix::ResolutionMix;
-    use crate::prompt::{Embedding, Prompt, PromptLibrary};
     use crate::slo::SloPolicy;
     use tetriserve_costmodel::Resolution;
 
@@ -159,11 +116,6 @@ mod tests {
             arrival_s,
             resolution: res,
             deadline_s: arrival_s + 5.0,
-            prompt: Prompt {
-                id: 0,
-                cluster: 0,
-                embedding: Embedding::new(vec![1.0]),
-            },
             stages: tetriserve_costmodel::StageProfile::FLAT,
         }
     }
@@ -214,7 +166,6 @@ mod tests {
                 PoissonProcess::new(rate),
                 ResolutionMix::uniform(),
                 SloPolicy::paper_targets(),
-                PromptLibrary::diffusiondb_like(seed),
                 seed,
             )
             .generate(n)

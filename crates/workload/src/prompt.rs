@@ -62,24 +62,17 @@ impl Embedding {
 pub struct Prompt {
     /// Index in the library.
     pub id: usize,
-    /// Topic cluster the prompt was drawn from.
-    pub cluster: usize,
     /// CLIP-like embedding.
     pub embedding: Embedding,
 }
 
 /// Generates clustered prompts.
 ///
-/// The topic centroids are drawn from the library's own RNG when the first
-/// prompt is, so a library that never hands out a prompt draws and
-/// allocates nothing. The RNG's draw order — every centroid, then each
-/// prompt's cluster and noise — is the same whenever the centroids are
-/// drawn.
+/// The library's own RNG draws every topic centroid first, then each
+/// prompt's cluster and noise.
 #[derive(Debug, Clone)]
 pub struct PromptLibrary {
-    n_clusters: usize,
-    dim: usize,
-    /// `n_clusters` unit-norm centroids; empty until the first prompt.
+    /// One unit-norm centroid per topic cluster.
     centroids: Vec<Vec<f64>>,
     spread: f64,
     next_id: usize,
@@ -103,13 +96,19 @@ impl PromptLibrary {
             spread >= 0.0 && spread.is_finite(),
             "spread must be non-negative"
         );
+        let mut rng = SimRng::seed_from_u64(seed);
+        let centroids = (0..n_clusters)
+            .map(|_| {
+                let v: Vec<f64> = (0..dim).map(|_| rng.standard_normal()).collect();
+                let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-9);
+                v.into_iter().map(|x| x / norm).collect()
+            })
+            .collect();
         PromptLibrary {
-            n_clusters,
-            dim,
-            centroids: Vec::new(),
+            centroids,
             spread,
             next_id: 0,
-            rng: SimRng::seed_from_u64(seed),
+            rng,
         }
     }
 
@@ -119,31 +118,9 @@ impl PromptLibrary {
         PromptLibrary::new(40, 64, 0.02, seed)
     }
 
-    /// Number of topic clusters.
-    pub fn n_clusters(&self) -> usize {
-        self.n_clusters
-    }
-
-    /// Draws the topic centroids, the first draws of the library's RNG,
-    /// unless they are drawn already.
-    fn draw_centroids(&mut self) {
-        if !self.centroids.is_empty() {
-            return;
-        }
-        let (rng, dim) = (&mut self.rng, self.dim);
-        self.centroids = (0..self.n_clusters)
-            .map(|_| {
-                let v: Vec<f64> = (0..dim).map(|_| rng.standard_normal()).collect();
-                let norm = v.iter().map(|x| x * x).sum::<f64>().sqrt().max(1e-9);
-                v.into_iter().map(|x| x / norm).collect()
-            })
-            .collect();
-    }
-
     /// Draws the next prompt from a uniformly random cluster.
     pub fn next_prompt(&mut self) -> Prompt {
-        self.draw_centroids();
-        let cluster = self.rng.below(self.n_clusters);
+        let cluster = self.rng.below(self.centroids.len());
         self.next_prompt_in(cluster)
     }
 
@@ -153,8 +130,10 @@ impl PromptLibrary {
     ///
     /// Panics if the cluster index is out of range.
     pub fn next_prompt_in(&mut self, cluster: usize) -> Prompt {
-        assert!(cluster < self.n_clusters, "cluster {cluster} out of range");
-        self.draw_centroids();
+        assert!(
+            cluster < self.centroids.len(),
+            "cluster {cluster} out of range"
+        );
         let centroid = &self.centroids[cluster];
         let v: Vec<f32> = centroid
             .iter()
@@ -164,7 +143,6 @@ impl PromptLibrary {
         self.next_id += 1;
         Prompt {
             id,
-            cluster,
             embedding: Embedding::new(v),
         }
     }

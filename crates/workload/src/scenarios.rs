@@ -1,42 +1,17 @@
 //! Curated workload scenarios.
 //!
-//! Named, documented request-stream constructors for common evaluation
-//! situations — the paper's defaults plus stress shapes this reproduction
-//! adds. Each returns plain [`GeneratedRequest`]s so any harness can serve
-//! them.
+//! Named, documented request-stream constructors for stress shapes this
+//! reproduction adds beyond the paper's defaults (which
+//! `Experiment::paper_default()` builds, with either mix). Each returns
+//! plain [`GeneratedRequest`]s so any harness can serve them.
 
 use tetriserve_costmodel::{Resolution, StageProfile};
 use tetriserve_simulator::trace::TenantId;
 
-use crate::arrival::{BurstyProcess, PoissonProcess};
+use crate::arrival::BurstyProcess;
 use crate::gen::{GeneratedRequest, TraceGen};
 use crate::mix::ResolutionMix;
-use crate::prompt::PromptLibrary;
 use crate::slo::SloPolicy;
-
-/// The §6.1 default: Uniform mix, Poisson 12 req/min, paper SLOs.
-pub fn paper_uniform(n: usize, slo_scale: f64, seed: u64) -> Vec<GeneratedRequest> {
-    TraceGen::new(
-        PoissonProcess::new(12.0),
-        ResolutionMix::uniform(),
-        SloPolicy::paper_targets().scaled(slo_scale),
-        PromptLibrary::diffusiondb_like(seed),
-        seed,
-    )
-    .generate(n)
-}
-
-/// The §6.1 Skewed mix at the default rate.
-pub fn paper_skewed(n: usize, slo_scale: f64, seed: u64) -> Vec<GeneratedRequest> {
-    TraceGen::new(
-        PoissonProcess::new(12.0),
-        ResolutionMix::skewed(),
-        SloPolicy::paper_targets().scaled(slo_scale),
-        PromptLibrary::diffusiondb_like(seed),
-        seed,
-    )
-    .generate(n)
-}
 
 /// A flash crowd: strong MMPP bursts (6× for 10% of the time) over the
 /// Uniform mix — harsher than §6.3's default burstiness.
@@ -45,7 +20,6 @@ pub fn flash_crowd(n: usize, mean_rate_per_min: f64, seed: u64) -> Vec<Generated
         BurstyProcess::new(mean_rate_per_min, 6.0, 0.1, 10.0),
         ResolutionMix::uniform(),
         SloPolicy::paper_targets().scaled(1.5),
-        PromptLibrary::diffusiondb_like(seed),
         seed,
     )
     .generate(n)
@@ -69,7 +43,6 @@ pub fn deadline_cliff(
         window_s > 0.0 && common_slo_s > 0.0,
         "positive window and SLO required"
     );
-    let mut prompts = PromptLibrary::diffusiondb_like(seed);
     let mut rng = tetriserve_simulator::rng::SimRng::seed_from_u64(seed);
     let deadline = window_s + common_slo_s;
     (0..n as u64)
@@ -81,7 +54,6 @@ pub fn deadline_cliff(
                 arrival_s,
                 resolution: res,
                 deadline_s: deadline,
-                prompt: prompts.next_prompt(),
                 stages: StageProfile::FLAT,
             }
         })
@@ -90,8 +62,7 @@ pub fn deadline_cliff(
 
 /// Alternating elephants and mice: 2048² requests interleaved with bursts
 /// of 256² ones — the head-of-line-blocking shape from Figure 1.
-pub fn elephants_and_mice(pairs: usize, seed: u64) -> Vec<GeneratedRequest> {
-    let mut prompts = PromptLibrary::diffusiondb_like(seed);
+pub fn elephants_and_mice(pairs: usize) -> Vec<GeneratedRequest> {
     let slo = SloPolicy::paper_targets();
     let mut out = Vec::with_capacity(pairs * 4);
     let mut id = 0u64;
@@ -104,7 +75,6 @@ pub fn elephants_and_mice(pairs: usize, seed: u64) -> Vec<GeneratedRequest> {
                 arrival_s,
                 resolution: res,
                 deadline_s: arrival_s + slo.budget(res).as_secs_f64(),
-                prompt: prompts.next_prompt(),
                 stages: StageProfile::FLAT,
             });
             id += 1;
@@ -122,25 +92,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn paper_scenarios_match_their_parameters() {
-        let uni = paper_uniform(100, 1.2, 1);
-        assert_eq!(uni.len(), 100);
-        for r in &uni {
-            let budget = r.deadline_s - r.arrival_s;
-            let base = SloPolicy::paper_targets()
-                .budget(r.resolution)
-                .as_secs_f64();
-            assert!((budget - base * 1.2).abs() < 1e-9);
-        }
-        let skew = paper_skewed(400, 1.0, 2);
-        let large = skew
-            .iter()
-            .filter(|r| r.resolution == Resolution::R2048)
-            .count();
-        assert!(large > 100, "skewed mix is large-biased: {large}/400");
-    }
-
-    #[test]
     fn deadline_cliff_shares_one_deadline() {
         let cliff = deadline_cliff(12, Resolution::R512, 2.0, 3.0, 7);
         assert_eq!(cliff.len(), 12);
@@ -152,7 +103,7 @@ mod tests {
 
     #[test]
     fn elephants_and_mice_interleave() {
-        let w = elephants_and_mice(5, 3);
+        let w = elephants_and_mice(5);
         assert_eq!(w.len(), 20);
         let elephants = w
             .iter()

@@ -1,18 +1,21 @@
 //! Plain-text persistence of workload traces.
 //!
 //! Experiments become portable when the exact request stream can be saved
-//! and replayed. [`TraceRecord`]s round-trip through a simple CSV dialect
-//! (header + one line per request) that needs no extra dependencies and
-//! diffs cleanly under version control.
+//! and replayed. [`GeneratedRequest`]s round-trip through a simple CSV
+//! dialect (header + one line per request) that needs no extra
+//! dependencies and diffs cleanly under version control. A line keeps a
+//! request's id, times and resolution (as its latent token count); read
+//! back, the request is untagged and flat.
 
 use std::collections::BTreeSet;
 
-use tetriserve_costmodel::Resolution;
+use tetriserve_costmodel::{Resolution, StageProfile};
+use tetriserve_simulator::trace::TenantId;
 
-use crate::gen::TraceRecord;
+use crate::gen::GeneratedRequest;
 
 /// The CSV header line.
-pub const HEADER: &str = "id,arrival_s,tokens,deadline_s,prompt_cluster";
+pub const HEADER: &str = "id,arrival_s,tokens,deadline_s";
 
 /// Errors from parsing a trace file.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,21 +74,24 @@ impl std::fmt::Display for ParseTraceError {
 
 impl std::error::Error for ParseTraceError {}
 
-/// Serialises records to the CSV dialect.
-pub fn to_csv(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 40 + HEADER.len() + 1);
+/// Serialises requests to the CSV dialect.
+pub fn to_csv(requests: &[GeneratedRequest]) -> String {
+    let mut out = String::with_capacity(requests.len() * 40 + HEADER.len() + 1);
     out.push_str(HEADER);
     out.push('\n');
-    for r in records {
+    for r in requests {
         out.push_str(&format!(
-            "{},{:.6},{},{:.6},{}\n",
-            r.id, r.arrival_s, r.tokens, r.deadline_s, r.prompt_cluster
+            "{},{:.6},{},{:.6}\n",
+            r.id,
+            r.arrival_s,
+            r.resolution.tokens(),
+            r.deadline_s
         ));
     }
     out
 }
 
-/// Parses the CSV dialect back into records.
+/// Parses the CSV dialect back into untagged, flat requests.
 ///
 /// # Errors
 ///
@@ -93,7 +99,7 @@ pub fn to_csv(records: &[TraceRecord]) -> String {
 /// line is malformed if it does not parse, if a time is negative or not
 /// finite, if its token count is not a square resolution or if its id
 /// repeats an earlier line's.
-pub fn from_csv(text: &str) -> Result<Vec<TraceRecord>, ParseTraceError> {
+pub fn from_csv(text: &str) -> Result<Vec<GeneratedRequest>, ParseTraceError> {
     let mut lines = text.lines().enumerate();
     match lines.next() {
         Some((_, h)) if h.trim() == HEADER => {}
@@ -115,37 +121,38 @@ pub fn from_csv(text: &str) -> Result<Vec<TraceRecord>, ParseTraceError> {
             line: i + 1,
             content: line.to_owned(),
         };
-        if fields.len() != 5 {
+        let [id, arrival_s, tokens, deadline_s] = fields[..] else {
             return Err(bad());
-        }
-        let record = TraceRecord {
-            id: fields[0].parse().map_err(|_| bad())?,
-            arrival_s: fields[1].parse().map_err(|_| bad())?,
-            tokens: fields[2].parse().map_err(|_| bad())?,
-            deadline_s: fields[3].parse().map_err(|_| bad())?,
-            prompt_cluster: fields[4].parse().map_err(|_| bad())?,
         };
+        let id: u64 = id.parse().map_err(|_| bad())?;
+        let arrival_s: f64 = arrival_s.parse().map_err(|_| bad())?;
+        let tokens: u64 = tokens.parse().map_err(|_| bad())?;
+        let deadline_s: f64 = deadline_s.parse().map_err(|_| bad())?;
         let valid_time = |t: f64| t.is_finite() && t >= 0.0;
-        if !valid_time(record.arrival_s) || !valid_time(record.deadline_s) {
+        if !valid_time(arrival_s) || !valid_time(deadline_s) {
             return Err(bad());
         }
-        if !ids.insert(record.id) {
-            return Err(ParseTraceError::DuplicateId {
-                line: i + 1,
-                id: record.id,
-            });
+        if !ids.insert(id) {
+            return Err(ParseTraceError::DuplicateId { line: i + 1, id });
         }
-        resolution_for_tokens(record.tokens).ok_or(ParseTraceError::BadTokens {
+        let resolution = resolution_for_tokens(tokens).ok_or(ParseTraceError::BadTokens {
             line: i + 1,
-            tokens: record.tokens,
+            tokens,
         })?;
-        out.push(record);
+        out.push(GeneratedRequest {
+            id,
+            tenant: TenantId::UNTAGGED,
+            arrival_s,
+            resolution,
+            deadline_s,
+            stages: StageProfile::FLAT,
+        });
     }
     Ok(out)
 }
 
 /// Maps a latent token count back to its square resolution, if any.
-pub fn resolution_for_tokens(tokens: u64) -> Option<Resolution> {
+fn resolution_for_tokens(tokens: u64) -> Option<Resolution> {
     let side_tokens = (tokens as f64).sqrt() as u64;
     if side_tokens * side_tokens != tokens || side_tokens == 0 {
         return None;
@@ -160,30 +167,24 @@ mod tests {
     use crate::arrival::PoissonProcess;
     use crate::gen::TraceGen;
     use crate::mix::ResolutionMix;
-    use crate::prompt::PromptLibrary;
     use crate::slo::SloPolicy;
-
-    fn records(n: usize) -> Vec<TraceRecord> {
-        let mut g = TraceGen::new(
-            PoissonProcess::new(12.0),
-            ResolutionMix::uniform(),
-            SloPolicy::paper_targets(),
-            PromptLibrary::diffusiondb_like(3),
-            3,
-        );
-        g.generate(n).iter().map(|r| r.to_record()).collect()
-    }
 
     #[test]
     fn csv_round_trips() {
-        let recs = records(40);
-        let text = to_csv(&recs);
-        let back = from_csv(&text).unwrap();
-        assert_eq!(back.len(), recs.len());
-        for (a, b) in recs.iter().zip(&back) {
+        let reqs = TraceGen::new(
+            PoissonProcess::new(12.0),
+            ResolutionMix::uniform(),
+            SloPolicy::paper_targets(),
+            3,
+        )
+        .generate(40);
+        let back = from_csv(&to_csv(&reqs)).unwrap();
+        assert_eq!(back.len(), reqs.len());
+        for (a, b) in reqs.iter().zip(&back) {
             assert_eq!(a.id, b.id);
-            assert_eq!(a.tokens, b.tokens);
-            assert_eq!(a.prompt_cluster, b.prompt_cluster);
+            assert_eq!(a.resolution, b.resolution);
+            assert_eq!(b.tenant, TenantId::UNTAGGED);
+            assert_eq!(b.stages, StageProfile::FLAT);
             assert!((a.arrival_s - b.arrival_s).abs() < 1e-6);
             assert!((a.deadline_s - b.deadline_s).abs() < 1e-6);
         }
@@ -191,14 +192,14 @@ mod tests {
 
     #[test]
     fn header_is_enforced() {
-        let err = from_csv("nope\n1,2,3,4,5\n").unwrap_err();
+        let err = from_csv("nope\n1,2,3,4\n").unwrap_err();
         assert!(matches!(err, ParseTraceError::BadHeader { .. }));
         assert!(from_csv("").is_err());
     }
 
     #[test]
     fn malformed_lines_are_located() {
-        let text = format!("{HEADER}\n0,0.0,256,1.5,0\nbroken line\n");
+        let text = format!("{HEADER}\n0,0.0,256,1.5\nbroken line\n");
         match from_csv(&text).unwrap_err() {
             ParseTraceError::BadLine { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected {other:?}"),
@@ -206,8 +207,19 @@ mod tests {
     }
 
     #[test]
+    fn wrong_field_counts_are_rejected() {
+        for line in ["1,0.1,256", "1,0.1,256,1.6,0"] {
+            let text = format!("{HEADER}\n0,0.0,256,1.5\n{line}\n");
+            match from_csv(&text).unwrap_err() {
+                ParseTraceError::BadLine { line, .. } => assert_eq!(line, 3),
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn bad_token_counts_are_rejected() {
-        let text = format!("{HEADER}\n0,0.0,300,1.5,0\n");
+        let text = format!("{HEADER}\n0,0.0,300,1.5\n");
         assert!(matches!(
             from_csv(&text).unwrap_err(),
             ParseTraceError::BadTokens { tokens: 300, .. }
@@ -217,7 +229,7 @@ mod tests {
     /// Asserts that a trace whose second request has the given times is
     /// rejected at that request's line.
     fn assert_bad_times(arrival: &str, deadline: &str) {
-        let text = format!("{HEADER}\n0,0.0,256,1.5,0\n1,{arrival},256,{deadline},0\n");
+        let text = format!("{HEADER}\n0,0.0,256,1.5\n1,{arrival},256,{deadline}\n");
         match from_csv(&text).unwrap_err() {
             ParseTraceError::BadLine { line, .. } => assert_eq!(line, 3),
             other => panic!("unexpected {other:?}"),
@@ -244,7 +256,7 @@ mod tests {
 
     #[test]
     fn duplicate_ids_are_rejected() {
-        let text = format!("{HEADER}\n0,0.0,256,1.5,0\n1,0.1,256,1.6,0\n0,0.2,256,1.7,0\n");
+        let text = format!("{HEADER}\n0,0.0,256,1.5\n1,0.1,256,1.6\n0,0.2,256,1.7\n");
         assert_eq!(
             from_csv(&text).unwrap_err(),
             ParseTraceError::DuplicateId { line: 4, id: 0 }
@@ -253,10 +265,10 @@ mod tests {
 
     #[test]
     fn blank_lines_are_skipped() {
-        let text = format!("{HEADER}\n\n0,0.5,1024,2.5,3\n\n");
-        let recs = from_csv(&text).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].tokens, 1024);
+        let text = format!("{HEADER}\n\n0,0.5,1024,2.5\n\n");
+        let reqs = from_csv(&text).unwrap();
+        assert_eq!(reqs.len(), 1);
+        assert_eq!(reqs[0].resolution, Resolution::R512);
     }
 
     #[test]

@@ -19,12 +19,10 @@ fn main() {
     };
 
     // What does the cache do to the schedule lengths?
-    let requests = base.generate_requests();
-    let mut warm = PromptLibrary::diffusiondb_like(base.seed);
     let acc = accelerate_trace(
-        &requests,
+        base.n_requests,
         base.model.steps,
-        &mut warm,
+        PromptLibrary::diffusiondb_like(base.seed),
         &NirvanaConfig::default(),
     );
     println!(

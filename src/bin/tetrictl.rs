@@ -25,6 +25,7 @@ use tetriserve::metrics::latency::LatencySummary;
 use tetriserve::metrics::report::TextTable;
 use tetriserve::metrics::sar::{sar, sar_by_resolution};
 use tetriserve::nirvana::NirvanaConfig;
+use tetriserve::traffic::to_spec;
 use tetriserve::workload::ResolutionMix;
 
 /// Parsed command line.
@@ -192,12 +193,7 @@ fn cmd_profile(exp: &Experiment) {
 }
 
 fn cmd_gen(exp: &Experiment) {
-    let records: Vec<_> = exp
-        .generate_requests()
-        .iter()
-        .map(|r| r.to_record())
-        .collect();
-    print!("{}", tetriserve::workload::to_csv(&records));
+    print!("{}", tetriserve::workload::to_csv(&exp.generate_requests()));
 }
 
 fn cmd_serve(
@@ -209,9 +205,12 @@ fn cmd_serve(
         Some(path) => {
             let text = std::fs::read_to_string(path)
                 .map_err(|e| format!("cannot read trace {path}: {e}"))?;
-            let records =
+            let requests =
                 tetriserve::workload::from_csv(&text).map_err(|e| format!("bad trace: {e}"))?;
-            let specs = Experiment::specs_from_records(&records, exp.model.steps);
+            let specs: Vec<_> = requests
+                .iter()
+                .map(|r| to_spec(r, exp.model.steps))
+                .collect();
             let costs = exp.cost_table();
             if let Some(s) = specs
                 .iter()

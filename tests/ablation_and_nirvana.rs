@@ -95,4 +95,11 @@ fn nirvana_reduces_executed_steps() {
         accel < plain * 9 / 10,
         "cache should skip >10% of steps: {accel} vs {plain}"
     );
+    // The cache is warmed on earlier prompts than the live ones, so no
+    // live request finds a copy of its own prompt: if every one did, each
+    // would take the 25-step top skip and run exactly half its steps.
+    assert!(
+        accel > plain / 2,
+        "live prompts must not be warm-up copies: {accel} vs {plain}"
+    );
 }

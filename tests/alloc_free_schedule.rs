@@ -235,10 +235,10 @@ fn warm_engine_submit_allocates_only_trace_growth() {
 fn warm_streamed_arrivals_allocate_only_coupler_growth() {
     // Five tenants shaped like the `tenants-video` benchmark workload: a
     // Poisson tenant, an MMPP tenant on the skewed mix, two tenants on one
-    // shared burst coupler, and an 8-frame video tenant. A streamed pull
-    // draws no prompt, so the only allocations left are the coupler's
-    // knot timeline growing by doubling, a handful of times per 10,000
-    // pulls; drawing prompts would allocate one embedding per spec.
+    // shared burst coupler, and an 8-frame video tenant. A generated
+    // request carries no prompt embedding, so the only allocations left
+    // are the coupler's knot timeline growing by doubling, a handful of
+    // times per 10,000 pulls.
     const PULLS: usize = 10_000;
     let model = TrafficModel::new(vec![
         TenantSpec::new("interactive", 9.0, 1).with_tier(PriorityTier::Interactive),

@@ -15,7 +15,8 @@ use tetriserve::simulator::digest::{fnv1a, SplitMix, FNV_OFFSET};
 use tetriserve::simulator::failure::{FailurePlan, GpuFault, PerfFault};
 use tetriserve::simulator::gpuset::GpuId;
 use tetriserve::simulator::time::SimTime;
-use tetriserve::workload::{PoissonProcess, PromptLibrary, ResolutionMix, SloPolicy, TraceGen};
+use tetriserve::traffic::to_spec;
+use tetriserve::workload::{PoissonProcess, ResolutionMix, SloPolicy, TraceGen};
 use tetriserve_simulator::trace::{RequestId, TenantId};
 
 fn costs() -> CostTable {
@@ -27,21 +28,9 @@ fn workload(n: usize, slo_scale: f64) -> Vec<RequestSpec> {
         PoissonProcess::new(12.0),
         ResolutionMix::uniform(),
         SloPolicy::paper_targets().scaled(slo_scale),
-        PromptLibrary::diffusiondb_like(99),
         99,
     );
-    gen.generate(n)
-        .into_iter()
-        .map(|r| RequestSpec {
-            tenant: TenantId::UNTAGGED,
-            id: RequestId(r.id),
-            resolution: r.resolution,
-            arrival: SimTime::from_secs_f64(r.arrival_s),
-            deadline: SimTime::from_secs_f64(r.deadline_s),
-            total_steps: 50,
-            stages: tetriserve::costmodel::StageProfile::FLAT,
-        })
-        .collect()
+    gen.generate(n).iter().map(|r| to_spec(r, 50)).collect()
 }
 
 /// One GPU at 3× slowdown for the first ten minutes.

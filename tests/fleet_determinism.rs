@@ -39,12 +39,10 @@ use tetriserve::simulator::failure::ClusterOutage;
 use tetriserve::simulator::time::SimTime;
 use tetriserve::simulator::trace::{RequestId, TenantId};
 use tetriserve::traffic::{
-    ArrivalShape, CouplingSpec, PriorityTier, StreamingArrivals, TenantSpec, TrafficModel,
+    to_spec, ArrivalShape, CouplingSpec, PriorityTier, StreamingArrivals, TenantSpec, TrafficModel,
 };
 use tetriserve::workload::multiplex::merge_streams;
-use tetriserve::workload::{
-    BurstyProcess, PoissonProcess, PromptLibrary, ResolutionMix, SloPolicy, TraceGen,
-};
+use tetriserve::workload::{BurstyProcess, PoissonProcess, ResolutionMix, SloPolicy, TraceGen};
 
 /// Seed of the three-tenant fleet scenario.
 const FLEET_SEED: u64 = 0xf1ee7;
@@ -97,7 +95,6 @@ fn fleet_workload() -> Vec<RequestSpec> {
             PoissonProcess::new(16.0),
             ResolutionMix::uniform(),
             slo.clone(),
-            PromptLibrary::diffusiondb_like(FLEET_SEED ^ sub),
             FLEET_SEED ^ sub,
         )
         .generate(20)
@@ -106,7 +103,6 @@ fn fleet_workload() -> Vec<RequestSpec> {
         BurstyProcess::standard(16.0),
         ResolutionMix::uniform(),
         slo.clone(),
-        PromptLibrary::diffusiondb_like(FLEET_SEED ^ 3),
         FLEET_SEED ^ 3,
     )
     .generate(20);
@@ -116,15 +112,7 @@ fn fleet_workload() -> Vec<RequestSpec> {
         bursty.into_iter(),
     ];
     merge_streams(streams)
-        .map(|r| RequestSpec {
-            tenant: r.tenant,
-            id: RequestId(r.id),
-            resolution: r.resolution,
-            arrival: SimTime::from_secs_f64(r.arrival_s),
-            deadline: SimTime::from_secs_f64(r.deadline_s),
-            total_steps: DitModel::flux_dev().steps,
-            stages: r.stages,
-        })
+        .map(|r| to_spec(&r, DitModel::flux_dev().steps))
         .collect()
 }
 

@@ -1,25 +1,32 @@
 //! Stress scenarios from the curated library, served end to end.
 
 use tetriserve::baselines::FixedSpPolicy;
-use tetriserve::bench::Experiment;
 use tetriserve::core::audit::audit;
-use tetriserve::core::{Server, TetriServePolicy};
+use tetriserve::core::{RequestSpec, Server, TetriServePolicy};
 use tetriserve::costmodel::{ClusterSpec, DitModel, Profiler, Resolution};
-use tetriserve::workload::scenarios;
+use tetriserve::traffic::to_spec;
+use tetriserve::workload::{scenarios, GeneratedRequest};
 
 fn costs() -> tetriserve::costmodel::CostTable {
     Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic()
+}
+
+/// 50-step serving specs for a scenario's requests.
+fn specs(requests: &[GeneratedRequest]) -> Vec<RequestSpec> {
+    requests.iter().map(|r| to_spec(r, 50)).collect()
 }
 
 #[test]
 fn feasible_deadline_cliff_is_fully_packed() {
     // Four 1024² requests sharing one deadline: two SP=4 pairs back to
     // back fit comfortably. TetriServe saves all four.
-    let cliff = scenarios::deadline_cliff(4, Resolution::R1024, 1.0, 5.0, 5);
-    let specs = Experiment::specs_from_records(
-        &cliff.iter().map(|r| r.to_record()).collect::<Vec<_>>(),
-        50,
-    );
+    let specs = specs(&scenarios::deadline_cliff(
+        4,
+        Resolution::R1024,
+        1.0,
+        5.0,
+        5,
+    ));
     let c = costs();
     let tetri = Server::new(c.clone(), TetriServePolicy::with_defaults(&c)).run(specs);
     assert_eq!(tetri.sar(), 1.0, "{:#?}", tetri.outcomes);
@@ -35,11 +42,13 @@ fn overloaded_deadline_cliff_documents_the_fairness_limit() {
     // packing under overloaded *identical* deadlines (the survival bound
     // cannot distinguish the doomed from the savable); the paper's design
     // shares it. The test pins the behaviour so a future fix is visible.
-    let cliff = scenarios::deadline_cliff(8, Resolution::R1024, 1.0, 5.0, 5);
-    let specs = Experiment::specs_from_records(
-        &cliff.iter().map(|r| r.to_record()).collect::<Vec<_>>(),
-        50,
-    );
+    let specs = specs(&scenarios::deadline_cliff(
+        8,
+        Resolution::R1024,
+        1.0,
+        5.0,
+        5,
+    ));
     let c = costs();
     let tetri = Server::new(c.clone(), TetriServePolicy::with_defaults(&c)).run(specs.clone());
     let sp8 = Server::new(c, FixedSpPolicy::new(8)).run(specs);
@@ -53,9 +62,7 @@ fn overloaded_deadline_cliff_documents_the_fairness_limit() {
 fn elephants_and_mice_all_survive_under_tetriserve() {
     // The Figure 1 head-of-line shape, repeated: big requests must not
     // starve the mice and vice versa.
-    let w = scenarios::elephants_and_mice(6, 11);
-    let specs =
-        Experiment::specs_from_records(&w.iter().map(|r| r.to_record()).collect::<Vec<_>>(), 50);
+    let specs = specs(&scenarios::elephants_and_mice(6));
     let c = costs();
     let report = Server::new(c.clone(), TetriServePolicy::with_defaults(&c)).run(specs.clone());
     let mice_met = report
@@ -76,9 +83,7 @@ fn elephants_and_mice_all_survive_under_tetriserve() {
 
 #[test]
 fn flash_crowd_completes_everything() {
-    let w = scenarios::flash_crowd(120, 12.0, 17);
-    let specs =
-        Experiment::specs_from_records(&w.iter().map(|r| r.to_record()).collect::<Vec<_>>(), 50);
+    let specs = specs(&scenarios::flash_crowd(120, 12.0, 17));
     let c = costs();
     let report = Server::new(c.clone(), TetriServePolicy::with_defaults(&c)).run(specs);
     assert!(report.outcomes.iter().all(|o| o.completion.is_some()));
