@@ -2,18 +2,21 @@
 //!
 //! Batching diffusion steps is only effective for identical small-resolution
 //! requests that would otherwise under-utilise their GPUs. After the packer
-//! selects assignments, this pass merges same-resolution, same-degree,
-//! small-resolution assignments into shared dispatches — but *only* when the
-//! cost model says the slower batched step flips nobody's deadline survival.
-//! Freed GPU sets flow back to the caller for the elastic scale-up pass.
+//! selects assignments, this pass merges same-resolution, same-frame-count,
+//! same-degree, small-resolution assignments into shared dispatches — but
+//! *only* when the cost model says the slower batched step flips nobody's
+//! deadline survival. A batch never mixes frame counts: a dispatch runs
+//! every step once per frame, so an image batched with an 8-frame clip
+//! would run eight times slower. Freed GPU sets flow back to the caller for
+//! the elastic scale-up pass.
 //!
 //! Batch formation is part of the scheduling decision path, so the pass
-//! visits candidate groups in (tokens, degree) order, never in std's
-//! per-instance-randomized hash order, and the same seed therefore always
-//! forms the same batches. One sort of the candidates by (tokens, degree,
-//! remaining steps, index) lays each group out as one contiguous run in
-//! that order, so the pass needs no map and allocates only the request
-//! list of each batch it forms.
+//! visits candidate groups in (tokens, frames, degree) order, never in
+//! std's per-instance-randomized hash order, and the same seed therefore
+//! always forms the same batches. One sort of the candidates by (tokens,
+//! frames, degree, remaining steps, index) lays each group out as one
+//! contiguous run in that order, so the pass needs no map and allocates
+//! only the request list of each batch it forms.
 //!
 //! Within a group, candidates are visited smallest-remaining-first, so
 //! requests at similar progress co-batch: survival-compatible requests
@@ -39,12 +42,13 @@ use crate::tracker::RequestTracker;
 pub const BATCHABLE_TOKEN_LIMIT: u64 = 1024;
 
 /// Merges batchable assignments in place. Returns the GPU sets freed by
-/// merging (to be handed to elastic scale-up). Deadlines and remaining
-/// steps are read from `tracker`.
+/// merging (to be handed to elastic scale-up). Frame counts, deadlines
+/// and remaining steps are read from `tracker`.
 ///
 /// Requests are merged only when all of the following hold:
 ///
-/// * same resolution and same degree, resolution ≤ the batchable limit;
+/// * same resolution, same frame count and same degree, resolution ≤ the
+///   batchable limit;
 /// * the merged batch stays within the profiled batch envelope;
 /// * with the slower batched step time, every member still satisfies the
 ///   survival bound `t_next + (remaining − q_b) · T_min ≤ D_i`.
@@ -70,40 +74,29 @@ pub fn merge_batches(
         GpuSet::MAX_GPUS
     );
     let mut freed = GpuSet::EMPTY;
-    // Candidate indices, sorted so each (tokens, degree) group is one run
-    // in ascending (tokens, degree) order and, within it, ascending
+    // Candidates as (group, remaining steps, index), sorted so each group
+    // is one run in ascending group order and, within it, ascending
     // remaining steps with ties in index order.
-    let mut order = [0usize; GpuSet::MAX_GPUS];
+    let mut order = [(Group::default(), 0, 0); GpuSet::MAX_GPUS];
     let mut n = 0;
     for (i, a) in assignments.iter().enumerate() {
         if a.resolution.tokens() <= BATCHABLE_TOKEN_LIMIT && a.requests.len() == 1 {
-            order[n] = i;
+            order[n] = (group_of(a, tracker), a.remaining_before, i);
             n += 1;
         }
     }
-    let group_of = |a: &Assignment| (a.resolution.tokens(), a.gpus.len());
     let candidates = &mut order[..n];
-    candidates.sort_unstable_by_key(|&i| {
-        (
-            group_of(&assignments[i]),
-            assignments[i].remaining_before,
-            i,
-        )
-    });
+    candidates.sort_unstable();
 
     // Bit `i` set: assignment `i` joined another's batch.
     let mut absorbed = 0u64;
     let mut members = [0usize; GpuSet::MAX_GPUS];
-    let mut rest: &[usize] = candidates;
-    while let Some(&first) = rest.first() {
-        let group = group_of(&assignments[first]);
-        let len = rest
-            .iter()
-            .take_while(|&&i| group_of(&assignments[i]) == group)
-            .count();
-        let (idxs, tail) = rest.split_at(len);
+    let mut rest: &[(Group, u32, usize)] = candidates;
+    while let Some(&(group, _, first)) = rest.first() {
+        let len = rest.iter().take_while(|c| c.0 == group).count();
+        let (run, tail) = rest.split_at(len);
         rest = tail;
-        if idxs.len() < 2 {
+        if run.len() < 2 {
             continue;
         }
         // Size-aware ordering: visit candidates by ascending remaining
@@ -125,9 +118,9 @@ pub fn merge_batches(
         //
         // `members[..batch]` is the open batch, its host first; a trial
         // writes the candidate one past it.
-        members[0] = idxs[0];
+        members[0] = first;
         let mut batch = 1;
-        for &cand in &idxs[1..] {
+        for &(_, _, cand) in &run[1..] {
             if batch as u32 + 1 > costs.max_batch() {
                 // Current batch is full; the candidate hosts a new batch.
                 commit(
@@ -167,6 +160,18 @@ pub fn merge_batches(
         absorbed &= !(1 << i);
     }
     freed
+}
+
+/// A batching group: (tokens, frames, degree). Only assignments of one
+/// group share a dispatch.
+type Group = (u64, Option<u32>, usize);
+
+/// The group of a single-request assignment. Its frame count is read
+/// from `tracker`; an untracked request has none, so it never shares a
+/// group with a tracked one (and [`batch_survives`] vetoes it anyway).
+fn group_of(a: &Assignment, tracker: &RequestTracker) -> Group {
+    let frames = tracker.get(a.requests[0]).map(|r| r.spec.stages.frames);
+    (a.resolution.tokens(), frames, a.gpus.len())
 }
 
 /// Checks the survival bound for every member of a trial batch.
@@ -276,19 +281,27 @@ mod tests {
         }
     }
 
-    /// A tracker holding fresh 50-step requests with the given deadlines.
+    /// A fresh 50-step 256² request rendering `frames` frames.
+    fn spec(id: u64, deadline: SimTime, frames: u32) -> RequestSpec {
+        RequestSpec {
+            tenant: TenantId::UNTAGGED,
+            id: RequestId(id),
+            resolution: Resolution::R256,
+            arrival: SimTime::ZERO,
+            deadline,
+            total_steps: 50,
+            stages: StageProfile {
+                encode: false,
+                frames,
+            },
+        }
+    }
+
+    /// A tracker holding fresh 50-step images with the given deadlines.
     fn tracker(deadlines: &[(u64, SimTime)]) -> RequestTracker {
         let mut t = RequestTracker::new();
         for &(id, deadline) in deadlines {
-            t.admit(RequestSpec {
-                tenant: TenantId::UNTAGGED,
-                id: RequestId(id),
-                resolution: Resolution::R256,
-                arrival: SimTime::ZERO,
-                deadline,
-                total_steps: 50,
-                stages: StageProfile::FLAT,
-            });
+            t.admit(spec(id, deadline, 1));
         }
         t
     }
@@ -325,22 +338,22 @@ mod tests {
     }
 
     #[test]
-    fn never_merges_across_resolutions_or_degrees() {
+    fn never_merges_across_resolutions_frames_or_degrees() {
+        // Each of 2–4 differs from request 1 in one way only: request 4
+        // is a 256² 8-frame clip on an equal-width assignment, which the
+        // batch would slow eight times.
         let c = costs();
         let tau = c.t_min(Resolution::R2048) * 5;
         let mut asg = vec![
             assignment(1, Resolution::R256, 0, 1, 10),
             assignment(2, Resolution::R512, 1, 1, 10),
             assignment(3, Resolution::R256, 2, 2, 10),
+            assignment(4, Resolution::R256, 4, 1, 10),
         ];
-        let freed = merge_batches(
-            &mut asg,
-            &loose_deadlines(&[1, 2, 3]),
-            &c,
-            tau,
-            SimTime::ZERO + tau,
-        );
-        assert_eq!(asg.len(), 3, "nothing mergeable");
+        let mut tracker = loose_deadlines(&[1, 2, 3]);
+        tracker.admit(spec(4, SimTime::from_secs_f64(1_000.0), 8));
+        let freed = merge_batches(&mut asg, &tracker, &c, tau, SimTime::ZERO + tau);
+        assert_eq!(asg.len(), 4, "nothing mergeable");
         assert!(freed.is_empty());
     }
 
@@ -455,12 +468,13 @@ mod tests {
         t_next: SimTime,
     ) -> GpuSet {
         let mut freed = GpuSet::EMPTY;
-        let mut groups: std::collections::BTreeMap<(u64, usize), Vec<usize>> =
+        let mut groups: std::collections::BTreeMap<(u64, Option<u32>, usize), Vec<usize>> =
             std::collections::BTreeMap::new();
         for (i, a) in assignments.iter().enumerate() {
             if a.resolution.tokens() <= BATCHABLE_TOKEN_LIMIT && a.requests.len() == 1 {
+                let frames = tracker.get(a.requests[0]).map(|r| r.spec.stages.frames);
                 groups
-                    .entry((a.resolution.tokens(), a.gpus.len()))
+                    .entry((a.resolution.tokens(), frames, a.gpus.len()))
                     .or_default()
                     .push(i);
             }
@@ -524,12 +538,15 @@ mod tests {
 
         /// The map-free pass forms the same batches, frees the same GPUs
         /// and leaves the same assignments in the same order as the
-        /// reference, over mixed resolutions, degrees, progress and
-        /// deadlines from hopeless to loose.
+        /// reference, over mixed resolutions, frame counts, degrees,
+        /// progress and deadlines from hopeless to loose.
         #[test]
         fn prop_map_free_merge_matches_the_reference(
             specs in proptest::collection::vec(
-                ((0usize..3, 0usize..2, 1u32..=50), (1u32..30, 0u64..60, 0u32..8)),
+                (
+                    (0usize..3, 0usize..2, 1u32..=50),
+                    (1u32..30, 0u64..60, 0u32..8, 0usize..2),
+                ),
                 2..=16,
             ),
             tau_halves in 1u64..=10,
@@ -538,10 +555,11 @@ mod tests {
             let tau = c.t_min(Resolution::R2048) * tau_halves / 2;
             let t_next = SimTime::ZERO + tau;
             let res = [Resolution::R256, Resolution::R512, Resolution::R1024];
+            let frames = [1, 8];
             let mut asg = Vec::new();
             let mut tracker = RequestTracker::new();
             let mut start = 0;
-            for (id, &((r, w, remaining), (steps, slack, untracked))) in specs.iter().enumerate() {
+            for (id, &((r, w, remaining), (steps, slack, untracked, f))) in specs.iter().enumerate() {
                 let (id, width) = (RequestId(id as u64), 1 << w);
                 let gpus = GpuSet::contiguous(start, width);
                 start += width;
@@ -562,7 +580,10 @@ mod tests {
                     arrival: SimTime::ZERO,
                     deadline: t_next + c.t_min(res[r]) * slack,
                     total_steps: 50,
-                    stages: StageProfile::FLAT,
+                    stages: StageProfile {
+                        encode: false,
+                        frames: frames[f],
+                    },
                 });
                 if remaining < 50 {
                     tracker.start_dispatch(id, gpus, 50 - remaining, 0.0);

@@ -184,7 +184,7 @@ pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<
             return Err(format!("plans overlap on {}", used.intersection(plan.gpus)));
         }
         used = used.union(plan.gpus);
-        let mut res = None;
+        let mut shape = None;
         for (j, &id) in plan.requests.iter().enumerate() {
             let r = ctx
                 .tracker
@@ -199,12 +199,13 @@ pub fn validate_plans(plans: &[DispatchPlan], ctx: &SchedContext<'_>) -> Result<
                     plan.steps, r.remaining_steps
                 ));
             }
-            if let Some(prev) = res {
-                if prev != r.spec.resolution {
-                    return Err(format!("batched requests mix resolutions in plan for {id}"));
-                }
+            let this = (r.spec.resolution, r.spec.stages.frames);
+            if shape.is_some_and(|prev| prev != this) {
+                return Err(format!(
+                    "batched requests mix resolutions or frame counts in plan for {id}"
+                ));
             }
-            res = Some(r.spec.resolution);
+            shape = Some(this);
             if plan.requests.iter().take(j).any(|&other| other == id)
                 || plans.iter().take(i).any(|p| p.requests.contains(&id))
             {
@@ -224,10 +225,11 @@ mod tests {
 
     fn ctx_fixture() -> (RequestTracker, CostTable) {
         let mut tracker = RequestTracker::new();
-        for (id, res) in [
-            (1u64, Resolution::R256),
-            (2, Resolution::R256),
-            (3, Resolution::R512),
+        for (id, res, frames) in [
+            (1u64, Resolution::R256, 1),
+            (2, Resolution::R256, 1),
+            (3, Resolution::R512, 1),
+            (4, Resolution::R256, 8),
         ] {
             tracker.admit(RequestSpec {
                 tenant: TenantId::UNTAGGED,
@@ -236,7 +238,10 @@ mod tests {
                 arrival: SimTime::ZERO,
                 deadline: SimTime::from_secs_f64(5.0),
                 total_steps: 50,
-                stages: StageProfile::FLAT,
+                stages: StageProfile {
+                    encode: false,
+                    frames,
+                },
             });
         }
         let costs = Profiler::new(DitModel::flux_dev(), ClusterSpec::h100x8()).analytic();
@@ -311,6 +316,9 @@ mod tests {
         assert!(e.contains("remaining"), "{e}");
         // Mixed-resolution batch.
         let e = validate_plans(&[plan(&[1, 3], GpuSet::contiguous(0, 1), 1)], &ctx).unwrap_err();
+        assert!(e.contains("mix"), "{e}");
+        // Mixed-frame batch: a 256² image with a 256² 8-frame clip.
+        let e = validate_plans(&[plan(&[1, 4], GpuSet::contiguous(0, 1), 1)], &ctx).unwrap_err();
         assert!(e.contains("mix"), "{e}");
         // Non-power-of-two degree.
         let e = validate_plans(&[plan(&[1], GpuSet::contiguous(0, 3), 1)], &ctx).unwrap_err();

@@ -57,7 +57,8 @@ pub struct ServerConfig {
     /// GPU, and encodes and decodes queue on one virtual slot each that
     /// holds no GPU. [`PoolLayout::Disaggregated`] carves dedicated
     /// encode and decode GPUs out of the cluster, one slot per GPU, and
-    /// the packer plans over the rest.
+    /// the packer plans over the rest. The layout sizes the pools and
+    /// nothing else: every decode queues when its request's denoise ends.
     pub pool: PoolLayout,
 }
 
@@ -107,8 +108,9 @@ pub struct ServeReport {
     /// Busy-seconds accumulated on the condition-encode pool (zero when
     /// the workload has no explicit encode stages).
     pub encode_busy_seconds: f64,
-    /// Busy-seconds accumulated on the dedicated decode pool (zero under
-    /// the unified layout, whose decode slot holds no GPU).
+    /// Busy-seconds accumulated on the VAE-decode pool, under either
+    /// layout (the unified layout's decode slot holds no GPU, so
+    /// `pool_utilization` reports no utilisation for it).
     pub decode_busy_seconds: f64,
 }
 
@@ -123,7 +125,7 @@ impl ServeReport {
     }
 
     /// Goodput under faults: SLO-met requests delivered per second of
-    /// serving makespan. Unlike SAR this rewards finishing *more* work in
+    /// serving makespan. Unlike SAR this rewards completing *more* work in
     /// the same wall-clock, so shedding hopeless requests to save others
     /// shows up as a gain rather than a wash.
     pub fn goodput(&self) -> f64 {
@@ -652,13 +654,15 @@ impl<P: Policy> ClusterSim<P> {
     }
 
     /// Reserves request `id`'s VAE decode of `duration` on the
-    /// earliest-free decode slot, starting no earlier than `ready`, and
+    /// earliest-free decode slot, starting no earlier than `now`, and
     /// queues the request's completion for when the decode ends. Every
-    /// decode goes through here; the denoise gang is already free.
-    fn reserve_decode(&mut self, id: RequestId, ready: SimTime, duration: SimDuration) {
-        let (slot, _start, done) = plan_stage_dispatch(&self.decode_pool, ready, duration);
+    /// decode goes through here, when its denoise ends; the denoise gang
+    /// is already free.
+    fn reserve_decode(&mut self, id: RequestId, now: SimTime, duration: SimDuration) {
+        let (slot, _start, done) = plan_stage_dispatch(&self.decode_pool, now, duration);
         // tetrilint: allow(taint-panic) -- slot was computed from this very pool one line up
         self.decode_pool[slot] = done;
+        self.decode_busy += duration;
         self.events.push(done, Event::Complete(id));
     }
 
@@ -768,17 +772,11 @@ impl<P: Policy> ClusterSim<P> {
             let Some(r) = self.tracker.get(id).filter(|r| r.remaining_steps == 0) else {
                 continue;
             };
-            // The denoise stage is over. A unified decode was reserved
-            // when the dispatch was submitted; a disaggregated one takes
-            // a decode GPU now, in completion order, at the request's own
-            // frame count.
+            // The denoise stage is over: the latent takes a decode slot
+            // now, in member order, at the request's own frame count.
             let (res, frames) = (r.spec.resolution, r.spec.stages.frames);
             self.tracker.note_denoise_done(id, now);
-            if self.config.pool.is_disaggregated() {
-                let duration = self.costs.decode_time(res, frames);
-                self.reserve_decode(id, now, duration);
-                self.decode_busy += duration;
-            }
+            self.reserve_decode(id, now, self.costs.decode_time(res, frames));
         }
         Some(PolicyEvent::DispatchDone)
     }
@@ -884,8 +882,6 @@ impl<P: Policy> ClusterSim<P> {
     /// Turns one plan into an engine dispatch at `now`: prices its
     /// placement-accurate per-step time (frame-scaled for video), charges
     /// the GPU-seconds, and queues the dispatch's end (done or aborted).
-    /// Under the unified layout it also reserves the decodes of the
-    /// members the dispatch finishes.
     ///
     /// # Panics
     ///
@@ -895,37 +891,32 @@ impl<P: Policy> ClusterSim<P> {
         let cluster = self.costs.cluster();
         // A plan with no requests (or one referencing an id the tracker no
         // longer holds) schedules nothing; skipping it leaves the work
-        // queued for the rescue pass rather than panicking mid-round.
-        let Some(resolution) = plan
+        // queued for the rescue pass rather than panicking mid-round. The
+        // first member's shape is the batch's: validation keeps one
+        // resolution and one frame count per batch.
+        let Some((resolution, frames)) = plan
             .requests
             .first()
             .and_then(|&id| self.tracker.get(id))
-            .map(|r| r.spec.resolution)
+            .map(|r| (r.spec.resolution, r.spec.stages.frames))
         else {
             return;
         };
         let batch = plan.batch();
-        // One tracker read per member: video requests denoise every frame,
-        // so the dispatch's wall clock scales by the widest frame count in
-        // the batch (integer-exact, so single-frame batches are
-        // untouched); the engine prices the dispatch with where each
-        // member's latent lives; and the members this dispatch finishes
-        // go on to decode.
-        let mut frames = 0;
+        // The engine prices the dispatch with where each member's latent
+        // lives.
         let mut members = [Member::default(); MAX_BATCH];
-        let mut finishing = [None; MAX_BATCH];
-        let slots = plan.requests.iter().zip(&mut members).zip(&mut finishing);
-        for ((&id, member), finishes) in slots {
+        for (&id, member) in plan.requests.iter().zip(&mut members) {
             let Some(r) = self.tracker.get(id) else {
                 continue;
             };
-            frames = frames.max(r.spec.stages.frames);
             *member = Member {
                 last_gpus: r.last_gpus,
                 needs_recovery: r.needs_recovery,
             };
-            *finishes = (r.remaining_steps == plan.steps).then_some(id);
         }
+        // Video requests denoise every frame (integer-exact, so image
+        // dispatches are untouched).
         let per_step = step_time_on(
             model,
             resolution,
@@ -968,16 +959,6 @@ impl<P: Policy> ClusterSim<P> {
         } else {
             self.events
                 .push(outcome.gpus_free_at, Event::DispatchDone { gpus, requests });
-            // Unified decodes are reserved here, at submit: in member
-            // order, each at the batch's widest frame count, once the
-            // gang frees its GPUs. So a dispatch submitted later decodes
-            // after this one even if it frees its GPUs first.
-            if !self.config.pool.is_disaggregated() {
-                for id in finishing.into_iter().flatten() {
-                    let duration = self.costs.decode_time(resolution, frames);
-                    self.reserve_decode(id, outcome.gpus_free_at, duration);
-                }
-            }
         }
     }
 
@@ -2279,66 +2260,38 @@ mod tests {
     }
 
     #[test]
-    fn unified_decodes_queue_in_submit_order() {
-        // Request 0's dispatch is submitted first and request 1's second;
-        // request 1's frees its GPUs first, yet decodes only after request
-        // 0's decode.
-        let res = Resolution::R512;
-        let specs = [clip(0, res, 50, 1), clip(1, res, 5, 1)];
-        let plans = vec![
-            plan(&[0], GpuSet::contiguous(0, 1), 50),
-            plan(&[1], GpuSet::contiguous(2, 2), 5),
-        ];
-        let sim = scripted(&specs, plans, ServerConfig::default());
-        let d = costs().decode_time(res, 1);
-        let spans = decode_spans(sim);
-        assert!(spans[1].0 < spans[0].0, "{spans:?}");
-        assert_eq!(spans[0].1, spans[0].0 + d);
-        assert_eq!(spans[1].1, spans[0].1 + d);
-    }
-
-    #[test]
-    fn unified_mixed_frame_batch_decodes_at_the_widest_frame_count() {
-        // An image batched with an 8-frame clip decodes for 8 frames too.
+    fn decodes_queue_in_completion_order_on_both_layouts() {
+        // Request 0's dispatch is submitted first; the batch of two
+        // 8-frame clips is submitted second and frees its GPUs first. On
+        // either layout each member decodes from its own denoise end, in
+        // member order, at its own frame count: on the one unified slot
+        // the second clip waits for the first, on the two decode GPUs
+        // both run at once, and request 0 finds a free slot either way.
         let res = Resolution::R256;
-        let specs = [clip(0, res, 50, 1), clip(1, res, 50, 8)];
-        let sim = scripted(
-            &specs,
-            vec![plan(&[0, 1], GpuSet::contiguous(0, 2), 50)],
-            ServerConfig::default(),
-        );
-        let d8 = costs().decode_time(res, 8);
-        let spans = decode_spans(sim);
-        let free = spans[0].0;
-        assert_eq!(spans[0], (free, free + d8));
-        assert_eq!(spans[1], (free, free + d8 + d8));
-    }
-
-    #[test]
-    fn disaggregated_decodes_start_at_dispatch_done_in_completion_order() {
-        // Request 0's dispatch is submitted first; the batch of an 8-frame
-        // clip and an image is submitted second and finishes first. Each
-        // request decodes from its own dispatch's end, at its own frame
-        // count, on a free slot of the two.
-        let res = Resolution::R256;
-        let specs = [clip(0, res, 100, 1), clip(1, res, 5, 8), clip(2, res, 5, 1)];
-        let plans = vec![
-            plan(&[0], GpuSet::contiguous(0, 1), 100),
-            plan(&[1, 2], GpuSet::contiguous(2, 2), 5),
-        ];
-        let config = ServerConfig {
-            pool: PoolLayout::disaggregated_default(),
-            ..ServerConfig::default()
-        };
-        let sim = scripted(&specs, plans, config);
+        let specs = [clip(0, res, 100, 1), clip(1, res, 5, 8), clip(2, res, 5, 8)];
         let c = costs();
         let (d1, d8) = (c.decode_time(res, 1), c.decode_time(res, 8));
-        let spans = decode_spans(sim);
-        assert_eq!(spans[1].0, spans[2].0, "one batch");
-        assert!(spans[1].0 + d8 < spans[0].0, "{spans:?}");
-        assert_eq!(spans[1].1, spans[1].0 + d8);
-        assert_eq!(spans[2].1, spans[2].0 + d1);
-        assert_eq!(spans[0].1, spans[0].0 + d1);
+        // The second clip's wait for a free slot.
+        for (pool, wait) in [
+            (PoolLayout::Unified, d8),
+            (PoolLayout::disaggregated_default(), SimDuration::ZERO),
+        ] {
+            let plans = vec![
+                plan(&[0], GpuSet::contiguous(0, 1), 100),
+                plan(&[1, 2], GpuSet::contiguous(2, 2), 5),
+            ];
+            let config = ServerConfig {
+                pool,
+                ..ServerConfig::default()
+            };
+            let spans = decode_spans(scripted(&specs, plans, config));
+            let free = spans[1].0;
+            assert_eq!(spans[2].0, free, "one batch");
+            assert_eq!(spans[1].1, free + d8, "{pool:?}");
+            assert_eq!(spans[2].1, free + wait + d8, "{pool:?}");
+            assert!(spans[2].1 < spans[0].0, "{pool:?}: {spans:?}");
+            assert_eq!(spans[0].1, spans[0].0 + d1, "{pool:?}");
+        }
     }
 
     #[test]

@@ -19,20 +19,18 @@
 
 use tetriserve_simulator::time::{SimDuration, SimTime};
 
-/// How a cluster assigns GPUs to pipeline stages.
+/// How a cluster assigns GPUs to pipeline stages. A layout only sizes
+/// the pools: on either one a request takes the decode pool's
+/// earliest-free slot when its denoise ends, so decodes run in
+/// completion order, each at the request's own frame count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PoolLayout {
-    /// The paper's layout: the denoise packer owns every GPU. A gang
-    /// frees its GPUs at its last step; its decodes then queue on one
-    /// virtual slot that holds no GPU, in submit order, at the batch's
-    /// widest frame count. Encodes queue on a second such slot.
+    /// The paper's layout: the denoise packer owns every GPU, and encodes
+    /// and decodes queue on one virtual slot each that holds no GPU.
     #[default]
     Unified,
     /// Dedicated encode and decode GPUs carved out of the cluster, one
-    /// slot each; the denoise packer plans over the remaining GPUs. A
-    /// finished request takes the earliest-free decode slot when its
-    /// dispatch is done, so decodes run in completion order, each at the
-    /// request's own frame count.
+    /// slot each; the denoise packer plans over the remaining GPUs.
     Disaggregated {
         /// GPUs dedicated to condition encode. May be zero when the mix
         /// has no explicit encode stages.

@@ -10,10 +10,10 @@
 //! * [`stage_slo_share`] — the mean *fraction of each request's SLO
 //!   budget* consumed per stage, the normalised view that compares
 //!   across resolutions with very different budgets;
-//! * [`pool_utilization`] — busy fractions of the encode/decode pools
-//!   from a [`ServeReport`]'s accumulated busy-seconds.
+//! * [`pool_utilization`] — busy fractions of the encode/decode pools'
+//!   GPUs from a [`ServeReport`]'s accumulated busy-seconds.
 
-use tetriserve_core::{PoolLayout, RequestOutcome, ServeReport};
+use tetriserve_core::{RequestOutcome, ServeReport};
 
 /// Mean fraction of each completed request's SLO budget spent per stage
 /// `(encode, denoise, decode)`. A sum above 1.0 means the average
@@ -41,26 +41,25 @@ pub fn stage_slo_share(outcomes: &[RequestOutcome]) -> (f64, f64, f64) {
     (e / nf, d / nf, v / nf)
 }
 
-/// Busy fractions of the stage pools over the run's makespan:
-/// `(encode_util, decode_util)`, each normalised by the pool's slot
-/// count so 1.0 means every slot was busy for the whole run. A pool
-/// without GPUs (unified decode) or a zero makespan reports 0.0.
+/// Busy fractions of the stage pools' GPUs over the run's makespan:
+/// `(encode_util, decode_util)`, each normalised by the pool's GPU count
+/// so 1.0 means every GPU was busy for the whole run. A pool that holds
+/// no GPU (both pools under the unified layout, whose work queues on one
+/// GPU-less slot each) or a zero makespan reports 0.0.
 pub fn pool_utilization(report: &ServeReport) -> (f64, f64) {
     let span = report.makespan.as_secs_f64();
-    if span <= 0.0 {
-        return (0.0, 0.0);
-    }
-    let (encode_slots, decode_slots) = report.pool.pool_sizes();
-    // The unified layout still serialises encodes through one virtual
-    // slot that holds no GPU, so normalise by ≥ 1.
-    let encode = report.encode_busy_seconds / (encode_slots.max(1) as f64 * span);
-    let decode = if decode_slots == 0 {
-        debug_assert!(matches!(report.pool, PoolLayout::Unified));
-        0.0
-    } else {
-        report.decode_busy_seconds / (decode_slots as f64 * span)
+    let util = |busy: f64, gpus: usize| {
+        if gpus == 0 || span <= 0.0 {
+            0.0
+        } else {
+            busy / (gpus as f64 * span)
+        }
     };
-    (encode, decode)
+    let (encode_gpus, decode_gpus) = report.pool.pool_sizes();
+    (
+        util(report.encode_busy_seconds, encode_gpus),
+        util(report.decode_busy_seconds, decode_gpus),
+    )
 }
 
 #[cfg(test)]

@@ -356,9 +356,9 @@ fn seeded_fault_schedules_keep_every_serving_invariant() {
     // workload at 18 req/min, served shed-only, with the paper's degrade
     // classes, and once more with them to pin replay determinism.
     let pinned = [
-        (0xc4a0_5001, 0x05f7_6b7d_c4ec_6b3a, 0xd97c_8c4b_c4de_04ad),
-        (0xc4a0_5002, 0xb80a_6c66_74f3_2557, 0xc8a0_b989_755b_d30d),
-        (0xc4a0_5003, 0xb506_a13d_e437_6b8a, 0x1c3e_a943_9298_321f),
+        (0xc4a0_5001, 0x05f7_6b7d_c4ec_6b3a, 0xef72_2038_96b2_f75f),
+        (0xc4a0_5002, 0x57a1_2aa5_cc98_7815, 0xc8a0_b989_755b_d30d),
+        (0xc4a0_5003, 0xb506_a13d_e437_6b8a, 0x0eed_b1c1_90d2_ca48),
     ];
     for (seed, shed_only_digest, degrade_digest) in pinned {
         let exp = Experiment {

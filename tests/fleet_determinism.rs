@@ -308,7 +308,7 @@ fn warmed_feasibility_scratch_never_grows_under_overload() {
     assert!(report.total_shed() > 0, "the overload must shed");
     assert_eq!((completed, report.total_shed()), (1415, 18_585));
     assert_eq!(report.routing_digest, 0xc6fc_5665_0977_3f36);
-    assert_eq!(report.outcome_digest, 0xb6bb_b128_aac2_3d52);
+    assert_eq!(report.outcome_digest, 0x06a4_7cf6_bca8_c087);
 }
 
 /// Four tenants streamed online: an interactive tight-SLO Poisson tenant,
@@ -386,10 +386,10 @@ fn video_traffic_model() -> TrafficModel {
 
 #[test]
 fn video_tenant_on_a_disaggregated_node_keeps_its_fleet_digests() {
-    // Unified nodes reserve a decode when its dispatch is submitted,
-    // disaggregated ones when the dispatch is done. Reserving the
-    // disaggregated node's decodes at submit too moves the outcome
-    // digest here while SAR stays put, so the digests are the check.
+    // Every node reserves a decode when its request's denoise ends, on
+    // either layout. Reserving decodes when a dispatch is submitted
+    // instead moves the outcome digest here while SAR stays put, so the
+    // digests are the check.
     let run = || {
         let fleet = hetero_fleet(ServerConfig {
             admission: AdmissionPolicy::ShedInfeasible,
@@ -424,11 +424,11 @@ fn video_tenant_on_a_disaggregated_node_keeps_its_fleet_digests() {
         "a video request completed on the disaggregated node"
     );
     assert_eq!(
-        report.routing_digest, 0x02fe_bfa5_635c_ff2d,
+        report.routing_digest, 0x16ad_f858_d431_7600,
         "routing digest moved"
     );
     assert_eq!(
-        report.outcome_digest, 0x7740_0971_86eb_c8ee,
+        report.outcome_digest, 0x0d0e_f6a5_1962_0ed1,
         "outcome digest moved"
     );
     let again = run();
@@ -455,13 +455,13 @@ fn deadline_aware_beats_round_robin_on_worst_tenant_sar() {
         (
             &rr,
             0x5aee_c287_272d_0ee6,
-            0x6ba9_39cd_76be_a5c8,
+            0x341b_7ed4_1acb_01fc,
             7.0 / 15.0,
         ),
         (
             &da,
             0xf596_e2fb_8ba4_7236,
-            0xa590_543a_3bd8_95c3,
+            0x6f11_eca8_873a_cac0,
             9.0 / 15.0,
         ),
     ];
@@ -578,7 +578,7 @@ fn outage_rerouting_is_deterministic() {
     assert_eq!(a.outcome_digest, b.outcome_digest);
     assert_eq!(a.rerouted, b.rerouted);
     assert_eq!(a.routing_digest, 0xa34e_fd54_3d31_8c11);
-    assert_eq!(a.outcome_digest, 0x4ce5_4881_7b6c_32eb);
+    assert_eq!(a.outcome_digest, 0x822b_e179_3260_058c);
 
     // The same scenario with the rebalancer attached also pins rebalance
     // ticks, migrations and rescue routing.
@@ -590,6 +590,6 @@ fn outage_rerouting_is_deterministic() {
         .run();
     assert_eq!(r.migrations, 2);
     assert_eq!(r.routing_digest, 0xa34e_fd54_3d31_8c11);
-    assert_eq!(r.outcome_digest, 0xfe81_c784_3ac9_700a);
+    assert_eq!(r.outcome_digest, 0xca64_9b8e_cf2f_5d63);
     assert_eq!(r.migration_digest, 0x94c8_ec63_a16f_7adb);
 }
