@@ -10,27 +10,30 @@
 //! * **Sequential steps** — a request never runs two dispatches
 //!   concurrently (the paper's step-dependency constraint);
 //! * **Power-of-two degrees** — every dispatch width is a legal
-//!   sequence-parallel degree.
+//!   sequence-parallel degree;
+//! * **Well-formed intervals** — no dispatch record ends before it starts.
 //!
 //! The auditor is pure trace analysis: it catches scheduler *or* engine
 //! bugs that unit tests on either side would miss, and the fuzz tests run
-//! it over randomized workloads.
-
-use std::collections::{BTreeMap, HashMap};
+//! it over randomized workloads. Each dispatch record carries its whole
+//! interval, from its first step to the instant its GPUs free, so the
+//! auditor reads each interval from one record.
 
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::SimTime;
-use tetriserve_simulator::trace::{Batch, DispatchId, RequestId, Trace, TraceEvent};
+use tetriserve_simulator::trace::{Batch, RequestId, Trace, TraceEvent};
 
 use crate::request::RequestOutcome;
 
-/// A violated invariant found by the auditor.
+/// A violated invariant found by the auditor. A dispatch is named by its
+/// position among the trace's dispatch records, 0 for the first: the
+/// order the engine submitted them in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AuditViolation {
     /// Two dispatches overlapped on at least one GPU.
     GpuOversubscribed {
         /// The two conflicting dispatches.
-        dispatches: (DispatchId, DispatchId),
+        dispatches: (usize, usize),
         /// The GPUs they share.
         overlap: GpuSet,
     },
@@ -48,30 +51,28 @@ pub enum AuditViolation {
         /// The request.
         request: RequestId,
         /// The overlapping dispatches.
-        dispatches: (DispatchId, DispatchId),
+        dispatches: (usize, usize),
     },
     /// A dispatch used a width that is not a power of two.
     IllegalDegree {
         /// The dispatch.
-        dispatch: DispatchId,
+        dispatch: usize,
         /// The offending width.
         width: usize,
     },
-    /// A dispatch-start without a matching dispatch-done (or vice versa).
-    UnbalancedDispatch {
+    /// A dispatch record ends before it starts.
+    InvertedDispatch {
         /// The dispatch.
-        dispatch: DispatchId,
+        dispatch: usize,
     },
 }
 
-/// One reconstructed dispatch interval.
-#[derive(Debug, Clone)]
-struct Interval {
-    id: DispatchId,
+/// One dispatch interval, read from its record.
+struct Interval<'a> {
     start: SimTime,
     end: SimTime,
     gpus: GpuSet,
-    requests: Batch,
+    requests: &'a Batch,
     steps: u32,
 }
 
@@ -79,63 +80,46 @@ struct Interval {
 /// Returns every violation found (empty = clean).
 pub fn audit(trace: &Trace, outcomes: &[RequestOutcome]) -> Vec<AuditViolation> {
     let mut violations = Vec::new();
-    // Ordered map: leftover open dispatches are iterated below to emit
-    // violations, and that report order must not depend on hash order.
-    let mut open: BTreeMap<DispatchId, Interval> = BTreeMap::new();
-    let mut closed: Vec<Interval> = Vec::new();
-
-    for e in trace.events() {
-        match e {
+    // An aborted dispatch's record holds only its checkpointed steps and
+    // ends at the fault, so step conservation and the overlap checks hold
+    // across faults too.
+    let intervals: Vec<Interval<'_>> = trace
+        .events()
+        .iter()
+        .filter_map(|e| match e {
             TraceEvent::DispatchStart {
                 time,
-                dispatch,
+                end,
                 requests,
                 gpus,
                 steps,
                 ..
-            } => {
-                if !gpus.len().is_power_of_two() {
-                    violations.push(AuditViolation::IllegalDegree {
-                        dispatch: *dispatch,
-                        width: gpus.len(),
-                    });
-                }
-                open.insert(
-                    *dispatch,
-                    Interval {
-                        id: *dispatch,
-                        start: *time,
-                        end: SimTime::MAX,
-                        gpus: *gpus,
-                        requests: requests.clone(),
-                        steps: *steps,
-                    },
-                );
-            }
-            // An abort closes its interval just like a completion: the
-            // matching DispatchStart already records only the checkpointed
-            // steps, so step conservation holds across faults too.
-            TraceEvent::DispatchDone { time, dispatch }
-            | TraceEvent::DispatchAborted { time, dispatch, .. } => match open.remove(dispatch) {
-                Some(mut iv) => {
-                    iv.end = *time;
-                    closed.push(iv);
-                }
-                None => violations.push(AuditViolation::UnbalancedDispatch {
-                    dispatch: *dispatch,
-                }),
-            },
-            _ => {}
+            } => Some(Interval {
+                start: *time,
+                end: *end,
+                gpus: *gpus,
+                requests,
+                steps: *steps,
+            }),
+            _ => None,
+        })
+        .collect();
+    for (d, iv) in intervals.iter().enumerate() {
+        if !iv.gpus.len().is_power_of_two() {
+            violations.push(AuditViolation::IllegalDegree {
+                dispatch: d,
+                width: iv.gpus.len(),
+            });
         }
-    }
-    for (id, _) in open {
-        violations.push(AuditViolation::UnbalancedDispatch { dispatch: id });
+        if iv.end < iv.start {
+            violations.push(AuditViolation::InvertedDispatch { dispatch: d });
+        }
     }
 
     // Pairwise overlap checks (dispatch counts are modest: O(n²) is fine
     // and obviously correct).
-    for (i, a) in closed.iter().enumerate() {
-        for b in &closed[i + 1..] {
+    for (i, a) in intervals.iter().enumerate() {
+        for (j, b) in intervals.iter().enumerate().skip(i + 1) {
             let time_overlap = a.start < b.end && b.start < a.end;
             if !time_overlap {
                 continue;
@@ -143,31 +127,35 @@ pub fn audit(trace: &Trace, outcomes: &[RequestOutcome]) -> Vec<AuditViolation> 
             let shared = a.gpus.intersection(b.gpus);
             if !shared.is_empty() {
                 violations.push(AuditViolation::GpuOversubscribed {
-                    dispatches: (a.id, b.id),
+                    dispatches: (i, j),
                     overlap: shared,
                 });
             }
-            for r in &a.requests {
+            for r in a.requests {
                 if b.requests.contains(r) {
                     violations.push(AuditViolation::ConcurrentSteps {
                         request: *r,
-                        dispatches: (a.id, b.id),
+                        dispatches: (i, j),
                     });
                 }
             }
         }
     }
 
-    // Step conservation against outcomes. Hash order never escapes this
-    // map: it is entry-accumulated then point-queried per outcome.
-    let mut traced_steps: HashMap<RequestId, u64> = HashMap::new();
-    for iv in &closed {
-        for r in &iv.requests {
-            *traced_steps.entry(*r).or_default() += u64::from(iv.steps);
-        }
-    }
+    // Step conservation against outcomes: every (request, steps) pair in
+    // request order, summed over each outcome's run of pairs.
+    let mut traced_steps: Vec<(RequestId, u64)> = intervals
+        .iter()
+        .flat_map(|iv| iv.requests.iter().map(|&r| (r, u64::from(iv.steps))))
+        .collect();
+    traced_steps.sort_unstable_by_key(|&(r, _)| r);
     for o in outcomes {
-        let traced = traced_steps.get(&o.id).copied().unwrap_or(0);
+        let run = &traced_steps[traced_steps.partition_point(|&(r, _)| r < o.id)..];
+        let traced: u64 = run
+            .iter()
+            .take_while(|(r, _)| *r == o.id)
+            .map(|(_, s)| s)
+            .sum();
         if traced != u64::from(o.steps_executed) {
             violations.push(AuditViolation::StepMismatch {
                 request: o.id,
@@ -183,48 +171,49 @@ pub fn audit(trace: &Trace, outcomes: &[RequestOutcome]) -> Vec<AuditViolation> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tetriserve_simulator::time::SimDuration;
     use tetriserve_simulator::trace::TenantId;
 
-    fn start(t: u64, d: u64, req: u64, gpus: GpuSet, steps: u32) -> TraceEvent {
+    /// A record of request `req` running `steps` steps on `gpus` over
+    /// `[t, end)` ms.
+    fn dispatch(t: u64, end: u64, req: u64, gpus: GpuSet, steps: u32) -> TraceEvent {
         TraceEvent::DispatchStart {
             time: SimTime::from_millis(t),
-            dispatch: DispatchId(d),
+            end: SimTime::from_millis(end),
             requests: Batch::one(RequestId(req)),
             gpus,
+            down: GpuSet::EMPTY,
             steps,
-            per_step: SimDuration::from_millis(10),
+            wasted_gpu_seconds: 0.0,
         }
     }
 
-    fn done(t: u64, d: u64) -> TraceEvent {
-        TraceEvent::DispatchDone {
-            time: SimTime::from_millis(t),
-            dispatch: DispatchId(d),
+    fn trace_of(records: impl IntoIterator<Item = TraceEvent>) -> Trace {
+        let mut trace = Trace::new();
+        for r in records {
+            trace.record(r);
         }
+        trace
     }
 
     #[test]
     fn clean_trace_passes() {
-        let mut trace = Trace::new();
-        trace.record(start(0, 0, 1, GpuSet::contiguous(0, 2), 5));
-        trace.record(done(50, 0));
-        trace.record(start(50, 1, 1, GpuSet::contiguous(2, 2), 5));
-        trace.record(done(100, 1));
+        let trace = trace_of([
+            dispatch(0, 50, 1, GpuSet::contiguous(0, 2), 5),
+            dispatch(50, 100, 1, GpuSet::contiguous(2, 2), 5),
+        ]);
         assert!(audit(&trace, &[]).is_empty());
     }
 
     #[test]
     fn detects_gpu_oversubscription() {
-        let mut trace = Trace::new();
-        trace.record(start(0, 0, 1, GpuSet::contiguous(0, 4), 5));
-        trace.record(start(10, 1, 2, GpuSet::contiguous(2, 4), 5));
-        trace.record(done(50, 0));
-        trace.record(done(60, 1));
+        let trace = trace_of([
+            dispatch(0, 50, 1, GpuSet::contiguous(0, 4), 5),
+            dispatch(10, 60, 2, GpuSet::contiguous(2, 4), 5),
+        ]);
         let v = audit(&trace, &[]);
         assert!(
             v.iter().any(
-                |x| matches!(x, AuditViolation::GpuOversubscribed { overlap, .. }
+                |x| matches!(x, AuditViolation::GpuOversubscribed { dispatches: (0, 1), overlap }
                     if *overlap == GpuSet::contiguous(2, 2))
             ),
             "{v:?}"
@@ -233,11 +222,10 @@ mod tests {
 
     #[test]
     fn back_to_back_on_same_gpus_is_legal() {
-        let mut trace = Trace::new();
-        trace.record(start(0, 0, 1, GpuSet::contiguous(0, 2), 5));
-        trace.record(done(50, 0));
-        trace.record(start(50, 1, 2, GpuSet::contiguous(0, 2), 5));
-        trace.record(done(100, 1));
+        let trace = trace_of([
+            dispatch(0, 50, 1, GpuSet::contiguous(0, 2), 5),
+            dispatch(50, 100, 2, GpuSet::contiguous(0, 2), 5),
+        ]);
         assert!(
             audit(&trace, &[]).is_empty(),
             "touching intervals do not overlap"
@@ -246,11 +234,10 @@ mod tests {
 
     #[test]
     fn detects_concurrent_steps_of_one_request() {
-        let mut trace = Trace::new();
-        trace.record(start(0, 0, 7, GpuSet::contiguous(0, 2), 5));
-        trace.record(start(10, 1, 7, GpuSet::contiguous(4, 2), 5));
-        trace.record(done(50, 0));
-        trace.record(done(60, 1));
+        let trace = trace_of([
+            dispatch(0, 50, 7, GpuSet::contiguous(0, 2), 5),
+            dispatch(10, 60, 7, GpuSet::contiguous(4, 2), 5),
+        ]);
         let v = audit(&trace, &[]);
         assert!(
             v.iter().any(
@@ -263,68 +250,71 @@ mod tests {
 
     #[test]
     fn detects_step_mismatch() {
-        let mut trace = Trace::new();
-        trace.record(start(0, 0, 1, GpuSet::contiguous(0, 1), 5));
-        trace.record(done(50, 0));
-        let outcome = RequestOutcome {
+        let trace = trace_of([
+            dispatch(0, 50, 1, GpuSet::contiguous(0, 1), 5),
+            dispatch(50, 80, 2, GpuSet::contiguous(0, 1), 3),
+            dispatch(80, 90, 1, GpuSet::contiguous(0, 1), 1),
+        ]);
+        let outcome = |id: u64, steps_executed: u32| RequestOutcome {
             tenant: TenantId::UNTAGGED,
-            id: RequestId(1),
+            id: RequestId(id),
             resolution: tetriserve_costmodel::Resolution::R256,
             arrival: SimTime::ZERO,
             deadline: SimTime::from_millis(100),
-            completion: Some(SimTime::from_millis(60)),
+            completion: Some(SimTime::from_millis(95)),
             gpu_seconds: 0.1,
-            steps_executed: 7, // trace says 5
-            sp_degree_step_sum: 7,
+            steps_executed,
+            sp_degree_step_sum: u64::from(steps_executed),
             retries: 0,
             shed: false,
             steps_shed: 0,
             encode_done: None,
             denoise_done: None,
         };
-        let v = audit(&trace, &[outcome]);
-        assert!(
-            v.iter().any(|x| matches!(
-                x,
+        // Request 1 ran 5 + 1 steps in two records but reports 7; request
+        // 2 reports its 3; request 3 reports 2 it never ran.
+        let v = audit(&trace, &[outcome(1, 7), outcome(2, 3), outcome(3, 2)]);
+        assert_eq!(
+            v,
+            [
                 AuditViolation::StepMismatch {
-                    traced: 5,
+                    request: RequestId(1),
+                    traced: 6,
                     reported: 7,
-                    ..
-                }
-            )),
-            "{v:?}"
+                },
+                AuditViolation::StepMismatch {
+                    request: RequestId(3),
+                    traced: 0,
+                    reported: 2,
+                },
+            ]
         );
     }
 
     #[test]
     fn aborted_dispatch_closes_its_interval() {
-        let mut trace = Trace::new();
         // Dispatch 0 is killed by a fault at t = 30 after 2 checkpointed
-        // steps (its start event already reports steps = 2); dispatch 1
-        // retries on other GPUs.
-        trace.record(start(0, 0, 1, GpuSet::contiguous(0, 2), 2));
-        trace.record(TraceEvent::DispatchAborted {
-            time: SimTime::from_millis(30),
-            dispatch: DispatchId(0),
+        // steps (its record reports steps = 2 and ends at the fault);
+        // dispatch 1 retries on other GPUs.
+        let aborted = |gpus| TraceEvent::DispatchStart {
+            time: SimTime::ZERO,
+            end: SimTime::from_millis(30),
+            requests: Batch::one(RequestId(1)),
+            gpus,
             down: GpuSet::contiguous(0, 1),
-            completed_steps: 2,
+            steps: 2,
             wasted_gpu_seconds: 0.02,
-        });
-        trace.record(start(30, 1, 1, GpuSet::contiguous(4, 2), 3));
-        trace.record(done(80, 1));
+        };
+        let trace = trace_of([
+            aborted(GpuSet::contiguous(0, 2)),
+            dispatch(30, 80, 1, GpuSet::contiguous(4, 2), 3),
+        ]);
         assert!(audit(&trace, &[]).is_empty(), "{:?}", audit(&trace, &[]));
         // And the aborted interval still participates in overlap checks.
-        let mut bad = Trace::new();
-        bad.record(start(0, 0, 1, GpuSet::contiguous(0, 2), 2));
-        bad.record(start(10, 1, 2, GpuSet::contiguous(1, 2), 2));
-        bad.record(TraceEvent::DispatchAborted {
-            time: SimTime::from_millis(30),
-            dispatch: DispatchId(0),
-            down: GpuSet::contiguous(0, 1),
-            completed_steps: 2,
-            wasted_gpu_seconds: 0.0,
-        });
-        bad.record(done(40, 1));
+        let bad = trace_of([
+            aborted(GpuSet::contiguous(0, 2)),
+            dispatch(10, 40, 2, GpuSet::contiguous(1, 2), 2),
+        ]);
         let v = audit(&bad, &[]);
         assert!(
             v.iter()
@@ -334,19 +324,21 @@ mod tests {
     }
 
     #[test]
-    fn detects_unbalanced_and_illegal_dispatches() {
-        let mut trace = Trace::new();
-        trace.record(start(0, 0, 1, GpuSet::contiguous(0, 3), 5)); // width 3!
-        trace.record(done(10, 9)); // never started
+    fn detects_inverted_and_illegal_dispatches() {
+        let trace = trace_of([
+            dispatch(0, 10, 1, GpuSet::contiguous(0, 3), 5), // width 3!
+            dispatch(40, 20, 2, GpuSet::contiguous(4, 2), 5), // ends first
+        ]);
         let v = audit(&trace, &[]);
-        assert!(v
-            .iter()
-            .any(|x| matches!(x, AuditViolation::IllegalDegree { width: 3, .. })));
-        assert!(v.iter().any(
-            |x| matches!(x, AuditViolation::UnbalancedDispatch { dispatch } if dispatch.0 == 9)
-        ));
-        assert!(v.iter().any(
-            |x| matches!(x, AuditViolation::UnbalancedDispatch { dispatch } if dispatch.0 == 0)
-        ));
+        assert_eq!(
+            v,
+            [
+                AuditViolation::IllegalDegree {
+                    dispatch: 0,
+                    width: 3
+                },
+                AuditViolation::InvertedDispatch { dispatch: 1 },
+            ]
+        );
     }
 }

@@ -1221,20 +1221,20 @@ mod tests {
         // Those steps must be counted exactly once toward the request's 50
         // (goodput), and `wasted_gpu_seconds` must cover only the tail
         // after the last checkpointed step — never the recovered work.
-        let report = serve_with(
-            vec![
-                spec(0, Resolution::R512, 0.0, 30.0),
-                spec(1, Resolution::R1024, 0.1, 30.0),
-                spec(2, Resolution::R2048, 0.2, 40.0),
-            ],
-            |cfg| {
-                cfg.engine.failures = cfg.engine.failures.clone().with_fault(GpuFault::transient(
-                    GpuId(3),
-                    SimTime::from_secs_f64(0.3),
-                    SimTime::from_secs_f64(5.0),
-                ));
-            },
-        );
+        let specs = vec![
+            spec(0, Resolution::R512, 0.0, 30.0),
+            spec(1, Resolution::R1024, 0.1, 30.0),
+            spec(2, Resolution::R2048, 0.2, 40.0),
+        ];
+        let report = serve_with(specs.clone(), |cfg| {
+            // Without jitter every step takes exactly its cost-table time.
+            cfg.engine.step_noise_cv = 0.0;
+            cfg.engine.failures = cfg.engine.failures.clone().with_fault(GpuFault::transient(
+                GpuId(3),
+                SimTime::from_secs_f64(0.3),
+                SimTime::from_secs_f64(5.0),
+            ));
+        });
         assert!(
             report.aborted_dispatches > 0,
             "fault must land mid-dispatch"
@@ -1246,56 +1246,45 @@ mod tests {
         );
         assert!(report.goodput() > 0.0);
 
-        // Index DispatchStart events by id: the paired start of an aborted
-        // dispatch records only the checkpointed steps.
-        let mut starts = std::collections::BTreeMap::new();
-        for e in report.trace.events() {
-            if let TraceEvent::DispatchStart {
-                time,
-                dispatch,
-                requests,
-                gpus,
-                steps,
-                per_step,
-            } = e
-            {
-                starts.insert(
-                    *dispatch,
-                    (*time, requests.clone(), *gpus, *steps, *per_step),
-                );
-            }
-        }
-
+        let costs = costs();
         let mut event_waste = 0.0;
         let mut checkpointed_abort = false;
         for e in report.trace.events() {
-            let TraceEvent::DispatchAborted {
+            let TraceEvent::DispatchStart {
                 time,
-                dispatch,
-                completed_steps,
+                end,
+                requests,
+                gpus,
+                down,
+                steps,
                 wasted_gpu_seconds,
-                ..
             } = e
             else {
                 continue;
             };
             event_waste += wasted_gpu_seconds;
-            let (start, _, gpus, steps, per_step) = &starts[dispatch];
-            assert_eq!(steps, completed_steps, "start records checkpointed steps");
-            if *completed_steps == 0 {
+            if down.is_empty() {
+                assert_eq!(*wasted_gpu_seconds, 0.0, "a clean dispatch wastes nothing");
+                continue;
+            }
+            if *steps == 0 {
                 continue;
             }
             checkpointed_abort = true;
-            // Waste is exactly the span after the last checkpointed step,
-            // over every member GPU — the recovered prefix is excluded.
-            let useful_end =
-                start.as_secs_f64() + per_step.as_secs_f64() * f64::from(*completed_steps);
-            let expected = gpus.len() as f64 * (time.as_secs_f64() - useful_end);
+            // On h100x8 a step's time depends only on the resolution, the
+            // degree and the batch, so the last checkpoint is exactly
+            // `steps` cost-table steps after the start. Waste is the span
+            // after it, over every member GPU — the recovered prefix is
+            // excluded.
+            let resolution = specs[requests[0].0 as usize].resolution;
+            let per_step = costs.step_time(resolution, gpus.len(), requests.len() as u32);
+            let checkpoint = *time + per_step * u64::from(*steps);
+            let expected = gpus.len() as f64 * end.saturating_since(checkpoint).as_secs_f64();
             assert!(
-                (wasted_gpu_seconds - expected).abs() < 5e-3,
+                (wasted_gpu_seconds - expected).abs() < 1e-9,
                 "waste {wasted_gpu_seconds} != tail {expected}"
             );
-            let full_span = gpus.len() as f64 * (time.as_secs_f64() - start.as_secs_f64());
+            let full_span = gpus.len() as f64 * end.saturating_since(*time).as_secs_f64();
             assert!(
                 *wasted_gpu_seconds < full_span,
                 "checkpointed work must not be double-counted as waste"
@@ -1307,10 +1296,16 @@ mod tests {
         // Conservation: per request, checkpointed + retried steps sum to
         // exactly 50 — recovered steps are never re-executed.
         for o in &report.outcomes {
-            let executed: u32 = starts
-                .values()
-                .filter(|(_, reqs, ..)| reqs.contains(&o.id))
-                .map(|(_, _, _, steps, _)| *steps)
+            let executed: u32 = report
+                .trace
+                .events()
+                .iter()
+                .filter_map(|e| match e {
+                    TraceEvent::DispatchStart {
+                        requests, steps, ..
+                    } if requests.contains(&o.id) => Some(*steps),
+                    _ => None,
+                })
                 .sum();
             assert_eq!(executed, 50, "request {:?}", o.id);
         }
@@ -1858,29 +1853,23 @@ mod tests {
         });
         assert!(report.aborted_dispatches > 0, "fault must land mid-flight");
 
-        // Map dispatch ids to their request sets and find, per aborted
-        // request, the abort time and any dispatch started after it.
-        let mut starts: std::collections::BTreeMap<
-            tetriserve_simulator::DispatchId,
-            (SimTime, Vec<RequestId>),
-        > = std::collections::BTreeMap::new();
-        for e in report.trace.events() {
-            if let TraceEvent::DispatchStart {
-                time,
-                dispatch,
-                requests,
-                ..
-            } = e
-            {
-                starts.insert(*dispatch, (*time, requests.to_vec()));
-            }
-        }
+        // Find, per aborted request, the abort time; then any dispatch
+        // started after it.
+        let mut starts: Vec<(SimTime, &Batch)> = Vec::new();
         let mut aborted: std::collections::BTreeMap<RequestId, SimTime> =
             std::collections::BTreeMap::new();
         for e in report.trace.events() {
-            if let TraceEvent::DispatchAborted { time, dispatch, .. } = e {
-                for id in &starts[dispatch].1 {
-                    aborted.insert(*id, *time);
+            if let TraceEvent::DispatchStart {
+                time,
+                end,
+                requests,
+                down,
+                ..
+            } = e
+            {
+                starts.push((*time, requests));
+                if !down.is_empty() {
+                    aborted.extend(requests.iter().map(|&id| (id, *end)));
                 }
             }
         }
@@ -1888,7 +1877,7 @@ mod tests {
         for (&id, &abort_time) in &aborted {
             assert!(
                 !starts
-                    .values()
+                    .iter()
                     .any(|(t, reqs)| *t > abort_time && reqs.contains(&id)),
                 "request {id} was re-dispatched after its abort despite max_retries = 0"
             );
@@ -2118,17 +2107,11 @@ mod tests {
             .map(|&(gpus, steps)| plan(&[0], gpus, steps))
             .collect();
         let sim = scripted(&[spec(0, res, 0.0, 60.0)], plans, config);
-        let mut spans = std::collections::BTreeMap::new();
+        let mut spans = Vec::new();
         let mut transfers = Vec::new();
         for e in sim.engine.trace().events() {
             match *e {
-                TraceEvent::DispatchStart { time, dispatch, .. } => {
-                    spans.entry(dispatch).or_insert((time, time)).0 = time;
-                }
-                TraceEvent::DispatchDone { time, dispatch }
-                | TraceEvent::DispatchAborted { time, dispatch, .. } => {
-                    spans.entry(dispatch).or_insert((time, time)).1 = time;
-                }
+                TraceEvent::DispatchStart { time, end, .. } => spans.push((time, end)),
                 TraceEvent::LatentTransfer {
                     time,
                     request,
@@ -2141,7 +2124,7 @@ mod tests {
                 TraceEvent::MigrationOut { .. } => {}
             }
         }
-        (sim, spans.into_values().collect(), transfers)
+        (sim, spans, transfers)
     }
 
     #[test]

@@ -52,26 +52,27 @@ pub fn batching_stats(trace: &Trace) -> BatchingStats {
 mod tests {
     use super::*;
     use tetriserve_simulator::gpuset::GpuSet;
-    use tetriserve_simulator::time::{SimDuration, SimTime};
-    use tetriserve_simulator::trace::{DispatchId, RequestId};
+    use tetriserve_simulator::time::SimTime;
+    use tetriserve_simulator::trace::RequestId;
 
-    fn start(d: u64, n_reqs: u64, steps: u32) -> TraceEvent {
+    fn dispatch(n_reqs: u64, steps: u32) -> TraceEvent {
         TraceEvent::DispatchStart {
             time: SimTime::ZERO,
-            dispatch: DispatchId(d),
+            end: SimTime::from_millis(u64::from(steps)),
             requests: (0..n_reqs).map(RequestId).collect(),
             gpus: GpuSet::contiguous(0, 1),
+            down: GpuSet::EMPTY,
             steps,
-            per_step: SimDuration::from_millis(1),
+            wasted_gpu_seconds: 0.0,
         }
     }
 
     #[test]
     fn counts_solo_and_batched() {
         let mut t = Trace::new();
-        t.record(start(0, 1, 10));
-        t.record(start(1, 3, 5));
-        t.record(start(2, 2, 4));
+        t.record(dispatch(1, 10));
+        t.record(dispatch(3, 5));
+        t.record(dispatch(2, 4));
         let s = batching_stats(&t);
         assert_eq!(s.solo_dispatches, 1);
         assert_eq!(s.batched_dispatches, 2);

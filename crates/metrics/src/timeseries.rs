@@ -89,8 +89,8 @@ pub fn mean_sp_degree_series(
 mod tests {
     use super::*;
     use tetriserve_simulator::gpuset::GpuSet;
-    use tetriserve_simulator::time::{SimDuration, SimTime};
-    use tetriserve_simulator::trace::{Batch, DispatchId, RequestId, TenantId};
+    use tetriserve_simulator::time::SimTime;
+    use tetriserve_simulator::trace::{Batch, RequestId, TenantId};
 
     fn outcome(id: u64, arrival_s: f64, met: bool) -> RequestOutcome {
         RequestOutcome {
@@ -130,11 +130,12 @@ mod tests {
         let push = |trace: &mut Trace, t: f64, gpus: usize, steps: u32| {
             trace.record(TraceEvent::DispatchStart {
                 time: SimTime::from_secs_f64(t),
-                dispatch: DispatchId(0),
+                end: SimTime::from_secs_f64(t + 0.01 * f64::from(steps)),
                 requests: Batch::one(RequestId(1)),
                 gpus: GpuSet::contiguous(0, gpus),
+                down: GpuSet::EMPTY,
                 steps,
-                per_step: SimDuration::from_millis(10),
+                wasted_gpu_seconds: 0.0,
             });
         };
         push(&mut trace, 0.5, 2, 10); // window 0: 2×10
@@ -153,11 +154,12 @@ mod tests {
         let mut trace = Trace::new();
         trace.record(TraceEvent::DispatchStart {
             time: SimTime::ZERO,
-            dispatch: DispatchId(0),
+            end: SimTime::from_millis(1),
             requests: Batch::one(RequestId(99)),
             gpus: GpuSet::contiguous(0, 2),
+            down: GpuSet::EMPTY,
             steps: 1,
-            per_step: SimDuration::from_millis(1),
+            wasted_gpu_seconds: 0.0,
         });
         let series = mean_sp_degree_series(&trace, &BTreeMap::new(), 1.0);
         assert!(series.is_empty());

@@ -62,10 +62,10 @@ pub fn accelerate_trace(
 ) -> AcceleratedTrace {
     let mut cache = NirvanaCache::new(config.cache_capacity);
     let mut serve = || {
-        let p = prompts.next_prompt();
+        let prompt = prompts.next_prompt();
         config
             .skip
-            .effective_steps(&mut cache, &p.embedding, total_steps)
+            .effective_steps(&mut cache, &prompt, total_steps)
     };
     for _ in 0..config.warmup_requests {
         serve();

@@ -19,9 +19,9 @@
 //! let policy = SkipPolicy::paper_default();
 //! let mut cache = NirvanaCache::new(64);
 //! let mut prompts = PromptLibrary::diffusiondb_like(0);
-//! let p = prompts.next_prompt();
+//! let prompt = prompts.next_prompt();
 //! // Cold cache: the full 50-step schedule runs.
-//! assert_eq!(policy.effective_steps(&mut cache, &p.embedding, 50), 50);
+//! assert_eq!(policy.effective_steps(&mut cache, &prompt, 50), 50);
 //! ```
 
 #![warn(missing_docs)]

@@ -114,7 +114,7 @@ mod tests {
         let mut cache = NirvanaCache::new(16);
         let mut lib = PromptLibrary::diffusiondb_like(1);
         let prompt = lib.next_prompt();
-        assert_eq!(p.effective_steps(&mut cache, &prompt.embedding, 50), 50);
+        assert_eq!(p.effective_steps(&mut cache, &prompt, 50), 50);
         // The prompt itself is now cached.
         assert_eq!(cache.len(), 1);
     }
@@ -127,10 +127,10 @@ mod tests {
         // Warm with several prompts from topic 0.
         for _ in 0..10 {
             let prompt = lib.next_prompt_in(0);
-            p.effective_steps(&mut cache, &prompt.embedding, 50);
+            p.effective_steps(&mut cache, &prompt, 50);
         }
         let probe = lib.next_prompt_in(0);
-        let eff = p.effective_steps(&mut cache, &probe.embedding, 50);
+        let eff = p.effective_steps(&mut cache, &probe, 50);
         assert!(eff < 50, "same-topic prompt should hit: {eff}");
         assert!(eff >= 25, "at most half the schedule is skipped");
     }
@@ -142,10 +142,10 @@ mod tests {
         let mut lib = PromptLibrary::diffusiondb_like(3);
         for _ in 0..10 {
             let prompt = lib.next_prompt_in(0);
-            p.effective_steps(&mut cache, &prompt.embedding, 50);
+            p.effective_steps(&mut cache, &prompt, 50);
         }
         let probe = lib.next_prompt_in(1);
-        assert_eq!(p.effective_steps(&mut cache, &probe.embedding, 50), 50);
+        assert_eq!(p.effective_steps(&mut cache, &probe, 50), 50);
     }
 
     #[test]

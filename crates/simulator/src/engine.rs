@@ -38,6 +38,12 @@
 //! carries [`DispatchOutcome::aborted`], only the steps completed before
 //! the fault count (step-level checkpointing), and the burned-but-useless
 //! tail is charged as wasted GPU-seconds.
+//!
+//! Because the whole timeline is known at submit, each dispatch leaves one
+//! [`TraceEvent::DispatchStart`] record holding its start, its end, the
+//! steps it completed and, when a fault killed it, the down members and
+//! the wasted GPU-seconds, after the [`TraceEvent::LatentTransfer`]
+//! records of the latents it moved.
 
 use crate::failure::FailurePlan;
 use crate::gpuset::GpuSet;
@@ -46,7 +52,7 @@ use crate::latent::transfer_time;
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::Topology;
-use crate::trace::{Batch, DispatchId, Trace, TraceEvent};
+use crate::trace::{Batch, Trace, TraceEvent};
 
 /// Delay charged when a request resumes on a *different* GPU set than its
 /// previous dispatch (distributed-context re-establishment). GPU placement
@@ -201,7 +207,6 @@ pub struct Engine {
     rng: SimRng,
     busy_until: Vec<SimTime>,
     busy_time: Vec<SimDuration>,
-    next_dispatch: u64,
     trace: Trace,
 }
 
@@ -225,7 +230,6 @@ impl Engine {
             rng,
             busy_until: vec![SimTime::ZERO; n],
             busy_time: vec![SimDuration::ZERO; n],
-            next_dispatch: 0,
             trace: Trace::new(),
         }
     }
@@ -244,8 +248,6 @@ impl Engine {
         dispatch: &StepDispatch,
     ) -> Result<DispatchOutcome, SubmitError> {
         self.validate(now, dispatch)?;
-        let id = DispatchId(self.next_dispatch);
-        self.next_dispatch += 1;
 
         // Synchronous pre-delays: group warm-up and remap stall.
         let warmup = self.groups.ensure(dispatch.gpus);
@@ -332,54 +334,31 @@ impl Engine {
             self.busy_time[gpu.0] += gpus_free_at.saturating_since(now);
         }
 
-        // `t` is the end of the last completed step (`start` when none did).
-        let useful_end = (completed > 0).then_some(t);
-        let actual_mean = match useful_end {
-            Some(end) => end.saturating_since(start) / u64::from(completed),
-            None => SimDuration::ZERO,
-        };
+        let aborted = abort_at.map(|abort| {
+            // Everything after the last checkpointed step — `t`, or `now`
+            // when no step completed, so pre-start stalls included —
+            // bought nothing.
+            let useful_end = if completed > 0 { t } else { now };
+            let wasted_per_gpu = abort.saturating_since(useful_end);
+            AbortInfo {
+                time: abort,
+                down: failures.down_gpus(abort).intersection(dispatch.gpus),
+                completed_steps: completed,
+                wasted_gpu_seconds: wasted_per_gpu.as_secs_f64() * dispatch.gpus.len() as f64,
+            }
+        });
         // For a pre-start abort the planned start never happened; the
-        // traced interval opens at the fault instant so audit intervals
-        // stay well-formed (start ≤ end).
-        let traced_start = abort_at.map_or(start, |a| start.min(a));
+        // record opens at the fault instant so its interval stays
+        // well-formed (time ≤ end).
         self.trace.record(TraceEvent::DispatchStart {
-            time: traced_start,
-            dispatch: id,
+            time: start.min(gpus_free_at),
+            end: gpus_free_at,
             requests: dispatch.requests.clone(),
             gpus: dispatch.gpus,
+            down: aborted.map_or(GpuSet::EMPTY, |a| a.down),
             steps: completed,
-            per_step: actual_mean,
+            wasted_gpu_seconds: aborted.map_or(0.0, |a| a.wasted_gpu_seconds),
         });
-        let aborted = if let Some(abort) = abort_at {
-            // Everything after the last checkpointed step — including any
-            // pre-start stall when no step completed — bought nothing.
-            let wasted_per_gpu = abort.saturating_since(useful_end.unwrap_or(now));
-            let wasted_gpu_seconds = wasted_per_gpu.as_secs_f64() * dispatch.gpus.len() as f64;
-            let down = self
-                .config
-                .failures
-                .down_gpus(abort)
-                .intersection(dispatch.gpus);
-            self.trace.record(TraceEvent::DispatchAborted {
-                time: abort,
-                dispatch: id,
-                down,
-                completed_steps: completed,
-                wasted_gpu_seconds,
-            });
-            Some(AbortInfo {
-                time: abort,
-                down,
-                completed_steps: completed,
-                wasted_gpu_seconds,
-            })
-        } else {
-            self.trace.record(TraceEvent::DispatchDone {
-                time: gpus_free_at,
-                dispatch: id,
-            });
-            None
-        };
 
         Ok(DispatchOutcome {
             start,
@@ -737,6 +716,92 @@ mod tests {
         assert_eq!(out.gpus_free_at, SimTime::from_millis(50));
         // 50 ms × 2 GPUs, all wasted.
         assert!((abort.wasted_gpu_seconds - 0.1).abs() < 1e-9);
+    }
+
+    #[test]
+    fn each_dispatch_leaves_one_record_of_its_whole_timeline() {
+        use crate::failure::GpuFault;
+        // Three dispatches of 5×100 ms submitted at zero: {6,7} runs
+        // clean; {0,1} loses GPU 1 at 250 ms, mid-way through its third
+        // step; the cold group {3,4} loses GPU 4 at 50 ms, inside its
+        // 150 ms warm-up.
+        let plan = FailurePlan::none()
+            .with_fault(GpuFault::permanent(GpuId(1), SimTime::from_millis(250)))
+            .with_fault(GpuFault::permanent(GpuId(4), SimTime::from_millis(50)));
+        let mut e = faulty_engine(plan);
+        let clean = e
+            .submit(
+                SimTime::ZERO,
+                &dispatch(&[1], GpuSet::contiguous(6, 2), 5, 100),
+            )
+            .unwrap();
+        let mid = e
+            .submit(
+                SimTime::ZERO,
+                &dispatch(&[2], GpuSet::contiguous(0, 2), 5, 100),
+            )
+            .unwrap();
+        let cold = GpuSet::from_mask(0b1_1000);
+        let pre = e
+            .submit(SimTime::ZERO, &dispatch(&[3], cold, 5, 100))
+            .unwrap();
+        let records: Vec<_> = e
+            .trace()
+            .events()
+            .iter()
+            .map(|ev| match *ev {
+                TraceEvent::DispatchStart {
+                    time,
+                    end,
+                    steps,
+                    down,
+                    wasted_gpu_seconds,
+                    ..
+                } => (time, end, steps, down, wasted_gpu_seconds),
+                ref other => panic!("only dispatch records expected, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(records.len(), 3, "one record per dispatch");
+
+        assert!(clean.aborted.is_none());
+        assert_eq!(
+            records[0],
+            (clean.start, clean.gpus_free_at, 5, GpuSet::EMPTY, 0.0)
+        );
+        assert_eq!(records[0].1, SimTime::from_millis(500));
+
+        let a = mid.aborted.expect("the fault lands mid-dispatch");
+        assert_eq!(
+            records[1],
+            (
+                mid.start,
+                mid.gpus_free_at,
+                a.completed_steps,
+                a.down,
+                a.wasted_gpu_seconds
+            )
+        );
+        assert_eq!(records[1].1, SimTime::from_millis(250));
+        assert_eq!((records[1].2, records[1].3), (2, GpuSet::single(GpuId(1))));
+
+        // The planned start (after the warm-up) never happened: the record
+        // opens and closes at the fault instant.
+        let a = pre.aborted.expect("the fault lands in the warm-up");
+        assert_eq!(pre.start, SimTime::from_millis(150));
+        assert_eq!(
+            records[2],
+            (
+                a.time,
+                pre.gpus_free_at,
+                a.completed_steps,
+                a.down,
+                a.wasted_gpu_seconds
+            )
+        );
+        assert_eq!(records[2].0, SimTime::from_millis(50));
+        assert_eq!((records[2].2, records[2].3), (0, GpuSet::single(GpuId(4))));
+        // 50 ms on each of 2 GPUs, all of it wasted.
+        assert!((records[2].4 - 0.1).abs() < 1e-9);
     }
 
     /// A noise-free engine running a `steps`-step dispatch of 100 ms

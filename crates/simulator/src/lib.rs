@@ -72,4 +72,4 @@ pub use engine::{DispatchOutcome, Engine, EngineConfig, Member, StepDispatch, Su
 pub use gpuset::{GpuId, GpuSet};
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;
-pub use trace::{Batch, DispatchId, RequestId, TenantId, Trace, TraceEvent};
+pub use trace::{Batch, RequestId, TenantId, Trace, TraceEvent};

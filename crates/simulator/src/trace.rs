@@ -1,10 +1,10 @@
 //! Execution trace.
 //!
-//! The engine records what the rest of the system reads back: dispatch
-//! records (audited for double-booking and mined for the sequence-parallel
-//! degree per executed step, Figure 11), latent-transfer records (the
-//! per-hand-off overhead of Table 4) and migration records (the fleet's
-//! migrated-step audit).
+//! The engine records what the rest of the system reads back: one record
+//! per dispatch, holding its whole timeline and its fault (audited for
+//! double-booking and mined for the sequence-parallel degree per executed
+//! step, Figure 11), latent-transfer records (the per-hand-off overhead of
+//! Table 4) and migration records (the fleet's migrated-step audit).
 
 use crate::gpuset::GpuSet;
 use crate::time::{SimDuration, SimTime};
@@ -134,51 +134,33 @@ impl std::fmt::Display for TenantId {
     }
 }
 
-/// Identifier of one engine dispatch (a contiguous run of steps on a fixed
-/// GPU set, possibly batched over several requests).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct DispatchId(pub u64);
-
 /// One recorded cluster event.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
-    /// A dispatch began executing.
+    /// One dispatch: a contiguous run of steps on a fixed GPU set,
+    /// possibly batched over several requests, from its first step to the
+    /// instant its GPUs free. A fault that kills it mid-flight keeps the
+    /// steps completed before it (step-level checkpointing); everything
+    /// else — pre-start stalls and the partially executed step — is
+    /// wasted.
     DispatchStart {
-        /// When execution (after stalls/warm-up) began.
+        /// When execution (after stalls/warm-up) began; the fault instant
+        /// for a dispatch killed before its first step.
         time: SimTime,
-        /// The dispatch identifier.
-        dispatch: DispatchId,
+        /// When its GPUs free: the last step's end, or the fault instant.
+        end: SimTime,
         /// Batched requests advancing together.
         requests: Batch,
         /// GPUs executing the dispatch.
         gpus: GpuSet,
-        /// Number of diffusion steps executed.
-        steps: u32,
-        /// Actual (jittered) mean per-step latency.
-        per_step: SimDuration,
-    },
-    /// A dispatch ran all its steps.
-    DispatchDone {
-        /// Completion time of the last step.
-        time: SimTime,
-        /// The dispatch identifier.
-        dispatch: DispatchId,
-    },
-    /// A dispatch was killed mid-flight because a member GPU went down.
-    /// Steps completed before the fault are checkpointed (the trace's
-    /// paired `DispatchStart` records only those); everything else —
-    /// pre-start stalls and the partially executed step — is wasted.
-    DispatchAborted {
-        /// The fault instant (the GPUs stop here).
-        time: SimTime,
-        /// The aborted dispatch.
-        dispatch: DispatchId,
-        /// The member GPUs that were down at the fault instant.
+        /// The member GPUs whose fault killed the dispatch; empty when it
+        /// ran every step.
         down: GpuSet,
-        /// Diffusion steps that completed before the fault.
-        completed_steps: u32,
-        /// GPU-seconds burned without producing a completed step
-        /// (summed over all member GPUs).
+        /// Diffusion steps completed (all of them unless a fault killed
+        /// the dispatch).
+        steps: u32,
+        /// GPU-seconds burned without producing a completed step, summed
+        /// over all member GPUs; zero unless a fault killed the dispatch.
         wasted_gpu_seconds: f64,
     },
     /// A latent moved between GPU groups because the placement changed.
@@ -206,10 +188,10 @@ pub enum TraceEvent {
 
 /// An append-only log of [`TraceEvent`]s in the order they were recorded,
 /// which for dispatch records is submit order. Each record carries the
-/// simulated instant it describes, which may lie after the record that
-/// follows it: the engine records a dispatch's `DispatchDone` when the
-/// dispatch is submitted, stamped with its future end time. Readers key
-/// records by dispatch id or sort them by time.
+/// simulated instants it describes. The engine writes a dispatch's record
+/// when the dispatch is submitted, so its `end` lies in the future and may
+/// come after the `time` of records that follow it; readers that need
+/// time order sort by it.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     events: Vec<TraceEvent>,
@@ -260,18 +242,19 @@ impl Trace {
     pub fn aborted_count(&self) -> usize {
         self.events
             .iter()
-            .filter(|e| matches!(e, TraceEvent::DispatchAborted { .. }))
+            .filter(|e| matches!(e, TraceEvent::DispatchStart { down, .. } if !down.is_empty()))
             .count()
     }
 
     /// Total GPU-seconds wasted across all aborted dispatches.
     pub fn wasted_gpu_seconds(&self) -> f64 {
         // fold, not sum: `Sum for f64` seeds with -0.0, which would make a
-        // clean trace report "-0.000" wasted seconds.
+        // clean trace report "-0.000" wasted seconds. A dispatch that ran
+        // every step adds exactly +0.0.
         self.events
             .iter()
             .filter_map(|e| match e {
-                TraceEvent::DispatchAborted {
+                TraceEvent::DispatchStart {
                     wasted_gpu_seconds, ..
                 } => Some(*wasted_gpu_seconds),
                 _ => None,
@@ -289,11 +272,12 @@ mod tests {
         let mut t = Trace::new();
         t.record(TraceEvent::DispatchStart {
             time: SimTime::ZERO,
-            dispatch: DispatchId(0),
+            end: SimTime::from_millis(50),
             requests: Batch::one(RequestId(1)),
             gpus: GpuSet::contiguous(0, 2),
+            down: GpuSet::EMPTY,
             steps: 5,
-            per_step: SimDuration::from_millis(10),
+            wasted_gpu_seconds: 0.0,
         });
         t.record(TraceEvent::LatentTransfer {
             time: SimTime::from_millis(1),
@@ -346,12 +330,15 @@ mod tests {
     #[test]
     fn abort_totals_accumulate() {
         let mut t = Trace::new();
-        for (d, wasted) in [(0u64, 0.25), (1, 1.5)] {
-            t.record(TraceEvent::DispatchAborted {
-                time: SimTime::from_millis(100),
-                dispatch: DispatchId(d),
-                down: GpuSet::single(crate::gpuset::GpuId(3)),
-                completed_steps: 4,
+        let down = GpuSet::single(crate::gpuset::GpuId(3));
+        for (down, wasted) in [(down, 0.25), (GpuSet::EMPTY, 0.0), (down, 1.5)] {
+            t.record(TraceEvent::DispatchStart {
+                time: SimTime::from_millis(60),
+                end: SimTime::from_millis(100),
+                requests: Batch::one(RequestId(1)),
+                gpus: GpuSet::contiguous(2, 2),
+                down,
+                steps: 4,
                 wasted_gpu_seconds: wasted,
             });
         }

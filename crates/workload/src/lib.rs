@@ -53,6 +53,6 @@ pub mod trace_io;
 pub use arrival::{ArrivalProcess, BurstyProcess, PoissonProcess, UniformProcess};
 pub use gen::{GeneratedRequest, TraceGen};
 pub use mix::ResolutionMix;
-pub use prompt::{Embedding, Prompt, PromptLibrary};
+pub use prompt::{Embedding, PromptLibrary};
 pub use slo::SloPolicy;
 pub use trace_io::{from_csv, to_csv, ParseTraceError};

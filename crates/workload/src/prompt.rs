@@ -57,15 +57,6 @@ impl Embedding {
     }
 }
 
-/// A synthetic prompt.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Prompt {
-    /// Index in the library.
-    pub id: usize,
-    /// CLIP-like embedding.
-    pub embedding: Embedding,
-}
-
 /// Generates clustered prompts.
 ///
 /// The library's own RNG draws every topic centroid first, then each
@@ -75,7 +66,6 @@ pub struct PromptLibrary {
     /// One unit-norm centroid per topic cluster.
     centroids: Vec<Vec<f64>>,
     spread: f64,
-    next_id: usize,
     rng: SimRng,
 }
 
@@ -107,7 +97,6 @@ impl PromptLibrary {
         PromptLibrary {
             centroids,
             spread,
-            next_id: 0,
             rng,
         }
     }
@@ -118,18 +107,18 @@ impl PromptLibrary {
         PromptLibrary::new(40, 64, 0.02, seed)
     }
 
-    /// Draws the next prompt from a uniformly random cluster.
-    pub fn next_prompt(&mut self) -> Prompt {
+    /// Draws the next prompt's embedding from a uniformly random cluster.
+    pub fn next_prompt(&mut self) -> Embedding {
         let cluster = self.rng.below(self.centroids.len());
         self.next_prompt_in(cluster)
     }
 
-    /// Draws the next prompt from a specific cluster.
+    /// Draws the next prompt's embedding from a specific cluster.
     ///
     /// # Panics
     ///
     /// Panics if the cluster index is out of range.
-    pub fn next_prompt_in(&mut self, cluster: usize) -> Prompt {
+    pub fn next_prompt_in(&mut self, cluster: usize) -> Embedding {
         assert!(
             cluster < self.centroids.len(),
             "cluster {cluster} out of range"
@@ -139,12 +128,7 @@ impl PromptLibrary {
             .iter()
             .map(|&c| (c + self.spread * self.rng.standard_normal()) as f32)
             .collect();
-        let id = self.next_id;
-        self.next_id += 1;
-        Prompt {
-            id,
-            embedding: Embedding::new(v),
-        }
+        Embedding::new(v)
     }
 }
 
@@ -175,8 +159,8 @@ mod tests {
             let a = lib.next_prompt_in(0);
             let b = lib.next_prompt_in(0);
             let c = lib.next_prompt_in(1);
-            same.push(a.embedding.cosine(&b.embedding));
-            cross.push(a.embedding.cosine(&c.embedding));
+            same.push(a.cosine(&b));
+            cross.push(a.cosine(&c));
         }
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(
@@ -190,14 +174,6 @@ mod tests {
             "within-topic prompts are close: {}",
             mean(&same)
         );
-    }
-
-    #[test]
-    fn prompt_ids_are_sequential() {
-        let mut lib = PromptLibrary::new(2, 8, 0.1, 1);
-        assert_eq!(lib.next_prompt().id, 0);
-        assert_eq!(lib.next_prompt().id, 1);
-        assert_eq!(lib.next_prompt().id, 2);
     }
 
     #[test]

@@ -350,6 +350,26 @@ fn assert_serving_invariants(
     );
 }
 
+/// One seed's 40-request Poisson workload at 18 req/min and the mixed
+/// fault schedule drawn over it.
+fn seeded_schedule(seed: u64) -> (Vec<RequestSpec>, FailurePlan) {
+    let exp = Experiment {
+        n_requests: 40,
+        rate_per_min: 18.0,
+        arrival: ArrivalKind::Poisson,
+        seed,
+        ..Experiment::paper_default()
+    };
+    let specs = exp.to_specs(&exp.generate_requests());
+    // The schedule spans the arrival window plus drain room.
+    let horizon = specs
+        .iter()
+        .map(|s| s.deadline.as_secs_f64())
+        .fold(0.0, f64::max);
+    let plan = chaos_plan(seed, exp.cluster.topology().n_gpus(), horizon);
+    (specs, plan)
+}
+
 #[test]
 fn seeded_fault_schedules_keep_every_serving_invariant() {
     // Each seed draws one fault schedule over a 40-request Poisson
@@ -361,20 +381,7 @@ fn seeded_fault_schedules_keep_every_serving_invariant() {
         (0xc4a0_5003, 0xb506_a13d_e437_6b8a, 0x0eed_b1c1_90d2_ca48),
     ];
     for (seed, shed_only_digest, degrade_digest) in pinned {
-        let exp = Experiment {
-            n_requests: 40,
-            rate_per_min: 18.0,
-            arrival: ArrivalKind::Poisson,
-            seed,
-            ..Experiment::paper_default()
-        };
-        let specs = exp.to_specs(&exp.generate_requests());
-        // The schedule spans the arrival window plus drain room.
-        let horizon = specs
-            .iter()
-            .map(|s| s.deadline.as_secs_f64())
-            .fold(0.0, f64::max);
-        let plan = chaos_plan(seed, exp.cluster.topology().n_gpus(), horizon);
+        let (specs, plan) = seeded_schedule(seed);
         let ladder = DegradePolicy::paper_classes();
 
         let shed_only = serve_faulted(specs.clone(), &plan, None);
@@ -398,6 +405,43 @@ fn seeded_fault_schedules_keep_every_serving_invariant() {
             "seed {seed:#x}: degrade digest moved"
         );
     }
+}
+
+#[test]
+fn abort_records_name_the_members_down_at_their_end() {
+    use tetriserve::simulator::trace::TraceEvent;
+    // A dispatch a fault killed records the member GPUs down at its end,
+    // the fault instant, and those records are exactly the dispatches the
+    // report counts as aborted.
+    let mut killed_total = 0;
+    for seed in [0xc4a0_5001, 0xc4a0_5002, 0xc4a0_5003] {
+        let (specs, plan) = seeded_schedule(seed);
+        let report = serve_faulted(specs, &plan, None);
+        let mut killed = 0;
+        for e in report.trace.events() {
+            let TraceEvent::DispatchStart {
+                end, gpus, down, ..
+            } = e
+            else {
+                continue;
+            };
+            if down.is_empty() {
+                continue;
+            }
+            assert_eq!(
+                *down,
+                plan.down_gpus(*end).intersection(*gpus),
+                "seed {seed:#x}: dispatch on {gpus} killed at {end:?}"
+            );
+            killed += 1;
+        }
+        assert_eq!(killed, report.aborted_dispatches, "seed {seed:#x}");
+        killed_total += killed;
+    }
+    assert!(
+        killed_total > 0,
+        "the seeded schedules must kill a dispatch"
+    );
 }
 
 #[test]
