@@ -108,22 +108,39 @@ impl TetriServePolicy {
 
     /// Whether a pass over the schedulable ids in `self.ids` provably
     /// plans nothing: nothing is schedulable, or, off a round boundary,
-    /// the window is shorter than every schedulable request's fastest
-    /// step `T_min`. The second is exact because every option's step time
-    /// and best effort's single-GPU step time are at least `T_min`, an
-    /// option's window `τ_eff` is at most the window, and a backfill pass
-    /// never takes a step that crosses the boundary: no option but *none*
-    /// is built and best effort skips every late request.
+    /// the window is shorter than every schedulable request's batch-1
+    /// step at the widest useful degree a free set can run — at most
+    /// `min(|free|, healthy cap)` GPUs wide ([`T_min`] itself when every
+    /// GPU is free). This is exact: an option's degree is a useful degree
+    /// of the row capped at the healthy cap, and step times fall along
+    /// the row, so every option the packer could fit into the free set
+    /// steps at least that long; an option's window `τ_eff` is at most
+    /// the window, and a backfill pass never takes a step that crosses
+    /// the boundary, so no such option is built; best effort's effective
+    /// single-GPU step is at least the nominal `T(1)`, the row's first
+    /// step, so it skips every late request.
+    ///
+    /// [`T_min`]: tetriserve_costmodel::ResolutionRow::t_min
     fn cannot_plan(&self, ctx: &SchedContext<'_>, at_boundary: bool, window: SimDuration) -> bool {
-        self.ids.is_empty()
-            || (!at_boundary
-                && self.ids.iter().all(|&id| {
-                    let Some(r) = ctx.tracker.get(id) else {
-                        return false;
-                    };
-                    // tetrilint: allow(nominal-step-time) -- a lower bound: slowdowns only lengthen steps, so a window shorter than the nominal T_min is shorter than every effective step too
-                    window < ctx.costs.t_min(r.spec.resolution)
-                }))
+        if self.ids.is_empty() {
+            return true;
+        }
+        if at_boundary {
+            return false;
+        }
+        let widest = ctx.free.len().min(ctx.healthy.len()).min(ctx.n_gpus);
+        self.ids.iter().all(|&id| {
+            let Some(r) = ctx.tracker.get(id) else {
+                return false;
+            };
+            // tetrilint: allow(nominal-step-time) -- a lower bound: slowdowns only lengthen steps, so a window shorter than a nominal step is shorter than its effective step too
+            let row = ctx.costs.row(r.spec.resolution);
+            let fastest_fitting = row
+                .capped(widest)
+                .last()
+                .map_or(row.t_min, |d| SimDuration::from_micros(d.step_us));
+            window < fastest_fitting
+        })
     }
 }
 
@@ -914,60 +931,89 @@ mod tests {
         (fires, unguarded, guarded)
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(600))]
+    #[test]
+    fn prop_early_return_only_skips_passes_that_plan_nothing() {
+        // Whenever the early return fires, the pass body it skips would
+        // have returned no plan; and the guarded pass always plans what
+        // the body plans, over 600 generated snapshots. Backlogs mix the
+        // production resolutions, 1–50 remaining steps, previous
+        // placements and deadlines before and after `now`; `now` lies on
+        // the τ grid, a few µs either side of a backlog request's `T_min`
+        // before the next boundary, anywhere in the round, in a sliver
+        // shorter than every `T_min`, or a few µs either side of a
+        // request's fastest step on at most `min(|free|, healthy cap)`
+        // GPUs (the free-set bound's knife edge). A plain loop over
+        // proptest strategies, so the run can count where the free-set
+        // bound fires and `T_min` alone would not.
+        use proptest::prelude::{any, Strategy, TestRng};
 
-        /// Whenever the early return fires, the pass body it skips would
-        /// have returned no plan; and the guarded pass always plans what
-        /// the body plans. Backlogs mix the production resolutions, 1–50
-        /// remaining steps, previous placements and deadlines before and
-        /// after `now`; `now` lies on the τ grid, a few µs either side of
-        /// a backlog request's `T_min` before the next boundary, anywhere
-        /// in the round, or in a sliver shorter than every `T_min`.
-        #[test]
-        fn prop_early_return_only_skips_passes_that_plan_nothing(
-            a40 in proptest::prelude::any::<bool>(),
-            backlog in proptest::collection::vec(
-                ((0usize..4, 1u32..=50), (0usize..4, 0u64..25_000)),
-                1..=8,
-            ),
-            clock in (1u64..40, 0u32..4, 0usize..8, 0u64..5),
-            masks in (1u64..256, 1u64..256),
-            offset_frac in 0.0f64..1.0,
-        ) {
+        const CASES: u32 = 600;
+        let strategy = (
+            any::<bool>(),
+            proptest::collection::vec(((0usize..4, 1u32..=50), (0usize..4, 0u64..25_000)), 1..=8),
+            (1u64..40, 0u32..5, 0usize..8, 0u64..5),
+            (1u64..256, 1u64..256),
+            0.0f64..1.0,
+        );
+        let mut rng = TestRng::from_name("scheduler::early_return");
+        let (mut cases, mut fired, mut only_free_bound) = (0u32, 0u32, 0u32);
+        while cases < CASES {
+            let input = strategy.generate(&mut rng);
+            let (a40, backlog, clock, masks, offset_frac) = input.clone();
             let (round, regime, pick, jitter) = clock;
             let (healthy_mask, free_mask) = masks;
             let c = cluster_costs(a40);
             let n = if a40 { 4 } else { 8 };
+            let healthy = GpuSet::from_mask(healthy_mask).intersection(GpuSet::first_n(n));
+            let free = GpuSet::from_mask(free_mask).intersection(healthy);
+            if free.is_empty() {
+                continue;
+            }
             let mut policy = TetriServePolicy::with_defaults(&c);
             let tau = policy.tau();
             let boundary = SimTime::ZERO + tau * round;
             let res_of = |i: usize| Resolution::PRODUCTION[i];
             let t_min_of = |i: usize| c.t_min(res_of(i));
-            let min_t_min = backlog.iter().map(|&((r, _), _)| t_min_of(r)).min().unwrap();
+            // The batch-1 step at the widest useful degree a backfill
+            // option can run on these free GPUs.
+            let widest = free.len().min(healthy.len());
+            let fitting_of = |i: usize| {
+                let d = c
+                    .row(res_of(i))
+                    .capped(widest)
+                    .last()
+                    .expect("degree 1 fits");
+                SimDuration::from_micros(d.step_us)
+            };
+            let min_t_min = backlog
+                .iter()
+                .map(|&((r, _), _)| t_min_of(r))
+                .min()
+                .unwrap();
             let to_next = |window: SimDuration| boundary + tau - window;
+            let near = |t: SimDuration| {
+                to_next(t + SimDuration::from_micros(jitter) - SimDuration::from_micros(2))
+            };
+            let picked = backlog[pick % backlog.len()].0 .0;
             let now = match regime {
                 0 => boundary,
                 // A backlog request's T_min before the boundary, −2..+2 µs.
-                1 => {
-                    let t = t_min_of(backlog[pick % backlog.len()].0 .0);
-                    to_next(t + SimDuration::from_micros(jitter)
-                        - SimDuration::from_micros(2))
-                }
+                1 => near(t_min_of(picked)),
                 2 => to_next(SimDuration::from_micros(
                     1 + (offset_frac * (tau.as_micros() - 1) as f64) as u64,
                 )),
-                _ => to_next(SimDuration::from_micros(
+                3 => to_next(SimDuration::from_micros(
                     1 + (offset_frac * (min_t_min.as_micros() - 1) as f64) as u64,
                 )),
+                // Its fastest step on the free GPUs, −2..+2 µs.
+                _ => near(fitting_of(picked)),
             };
             let mut tracker = RequestTracker::new();
             for (id, &((r, remaining), (placement, slack_ms))) in backlog.iter().enumerate() {
                 let id = RequestId(id as u64);
                 // Arrived up to 10 s ago, due from 10 s ago to 15 s ahead
                 // but not before it arrived.
-                let arrival =
-                    SimTime::from_micros(now.as_micros().saturating_sub(slack_ms * 400));
+                let arrival = SimTime::from_micros(now.as_micros().saturating_sub(slack_ms * 400));
                 let due = SimTime::from_micros(
                     (now.as_micros() + slack_ms * 1_000).saturating_sub(10_000_000),
                 );
@@ -986,9 +1032,6 @@ mod tests {
                     tracker.finish_dispatch(id);
                 }
             }
-            let healthy = GpuSet::from_mask(healthy_mask).intersection(GpuSet::first_n(n));
-            let free = GpuSet::from_mask(free_mask).intersection(healthy);
-            proptest::prop_assume!(!free.is_empty());
             let failures = FailurePlan::none();
             let ctx = SchedContext {
                 now,
@@ -1001,13 +1044,30 @@ mod tests {
             };
             let (fires, unguarded, guarded) = guarded_and_unguarded(&mut policy, &ctx);
             if fires {
-                proptest::prop_assert!(unguarded.is_empty(), "guard skipped {unguarded:?} at {now}");
+                assert!(
+                    unguarded.is_empty(),
+                    "guard skipped {unguarded:?}: {input:?}"
+                );
+                fired += 1;
+                // Whether `T_min` alone would have fired.
+                let (_, window) = policy.window_at(now);
+                let below_t_min = policy
+                    .ids
+                    .iter()
+                    .all(|&id| window < c.t_min(tracker.get(id).expect("tracked").spec.resolution));
+                only_free_bound += u32::from(!below_t_min);
             }
             if regime == 3 {
-                proptest::prop_assert!(fires, "a sliver shorter than every T_min at {now}");
+                assert!(fires, "a sliver shorter than every T_min: {input:?}");
             }
-            proptest::prop_assert_eq!(guarded, unguarded);
+            assert_eq!(guarded, unguarded, "{input:?}");
+            cases += 1;
         }
+        assert!(
+            fired >= CASES / 5 && only_free_bound >= 30,
+            "the guard fired on {fired} of {CASES} passes, {only_free_bound} of them \
+             past every T_min"
+        );
     }
 
     #[test]

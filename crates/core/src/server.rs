@@ -15,7 +15,9 @@
 //! arrivals, then the initial tick) is exactly the pre-fleet behaviour, so
 //! all single-cluster digests are unchanged.
 
-use tetriserve_costmodel::steptime::step_time_on;
+use std::cell::Cell;
+
+use tetriserve_costmodel::steptime::PlacedStepTimes;
 use tetriserve_costmodel::CostTable;
 use tetriserve_simulator::engine::{Engine, EngineConfig, Member, StepDispatch, MAX_BATCH};
 use tetriserve_simulator::event::EventQueue;
@@ -278,6 +280,14 @@ pub struct ClusterSim<P: Policy> {
     /// Reusable demand-entry buffer for the per-pass EDF scans — the
     /// steady-state event loop refills it instead of allocating.
     feas: feasibility::FeasScratch,
+    /// Each dispatch's placed per-step time, priced once per shape.
+    step_times: PlacedStepTimes,
+    /// The denoise pool's last effective capacity read from the failure
+    /// plan, with the fault-timeline interval `[from, until)` it holds
+    /// over: `(from, until, capacity)`. Route views and at-risk probes
+    /// reuse it while their instant stays inside; a `Cell` because they
+    /// take `&self`.
+    capacity: Cell<(SimTime, SimTime, f64)>,
 }
 
 impl<P: Policy> ClusterSim<P> {
@@ -307,6 +317,7 @@ impl<P: Policy> ClusterSim<P> {
         }
         let denoise_gpus = config.pool.denoise_gpus(topology.n_gpus());
         let (encode_slots, decode_slots) = config.pool.pool_sizes();
+        let step_times = PlacedStepTimes::new(&costs);
         ClusterSim {
             costs,
             policy,
@@ -332,6 +343,9 @@ impl<P: Policy> ClusterSim<P> {
             started: false,
             tick_pending: false,
             feas: feasibility::FeasScratch::new(),
+            step_times,
+            // An empty interval: the first query reads the plan.
+            capacity: Cell::new((SimTime::MAX, SimTime::ZERO, 0.0)),
         }
     }
 
@@ -479,11 +493,21 @@ impl<P: Policy> ClusterSim<P> {
     /// `healthy_count_at(at) as f64` when no slowdown is active, so the
     /// capacity-form EDF scans it feeds are bit-identical to the integer
     /// forms on slowdown-free runs.
+    ///
+    /// Read from the failure plan once per fault state: the answer is
+    /// reused for any instant inside the timeline interval it holds over.
     pub fn effective_capacity_at(&self, at: SimTime) -> f64 {
-        // `effective_capacity` counts only the members up at `at`.
-        self.engine
+        let (from, until, capacity) = self.capacity.get();
+        if from <= at && at < until {
+            return capacity;
+        }
+        // `effective_capacity_during` counts only the members up at `at`.
+        let (capacity, held) = self
+            .engine
             .failures()
-            .effective_capacity(GpuSet::first_n(self.denoise_gpus), at)
+            .effective_capacity_during(GpuSet::first_n(self.denoise_gpus), at);
+        self.capacity.set((held.start, held.end, capacity));
+        capacity
     }
 
     /// Every queued request with work remaining, in id order, as
@@ -887,8 +911,6 @@ impl<P: Policy> ClusterSim<P> {
     ///
     /// Panics if the engine rejects the plan, which validation rules out.
     fn submit(&mut self, plan: DispatchPlan, now: SimTime) {
-        let model = self.costs.model();
-        let cluster = self.costs.cluster();
         // A plan with no requests (or one referencing an id the tracker no
         // longer holds) schedules nothing; skipping it leaves the work
         // queued for the rescue pass rather than panicking mid-round. The
@@ -917,21 +939,16 @@ impl<P: Policy> ClusterSim<P> {
         }
         // Video requests denoise every frame (integer-exact, so image
         // dispatches are untouched).
-        let per_step = step_time_on(
-            model,
-            resolution,
-            plan.gpus,
-            batch,
-            cluster,
-            &self.topology,
-            self.costs.scheme(),
-        ) * u64::from(frames);
+        let per_step =
+            self.step_times
+                .get(&self.costs, &self.topology, resolution, plan.gpus, batch)
+                * u64::from(frames);
         let dispatch = StepDispatch {
             requests: plan.requests,
             gpus: plan.gpus,
             steps: plan.steps,
             per_step,
-            latent_bytes: model.latent_bytes(resolution),
+            latent_bytes: self.costs.model().latent_bytes(resolution),
             members,
         };
         let outcome = self
@@ -1806,6 +1823,77 @@ mod tests {
         let load = sim.load(SimTime::ZERO);
         assert_eq!(load.backlog_gpu_seconds.to_bits(), (-0.0f64).to_bits());
         assert_eq!(load.pressure().to_bits(), (-0.0f64).to_bits());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(300))]
+
+        /// The capacity a cluster reuses across one fault state is the
+        /// failure plan's answer at every instant, `f64`s compared by
+        /// bits: random hard faults and slowdowns on a 10 ms grid (so
+        /// windows share endpoints), both pool layouts, instants asked in
+        /// time order with every window endpoint ±1 µs, then again in the
+        /// generated order (earlier and later states interleaved).
+        #[test]
+        fn prop_reused_capacity_is_the_failure_plans(
+            perf in proptest::collection::vec(
+                (0usize..8, 1.0f64..4.0, 0u64..30, 1u64..20, 0u32..3),
+                0..=8,
+            ),
+            hard in proptest::collection::vec(
+                (0usize..8, 0u64..30, 1u64..20, proptest::prelude::any::<bool>()),
+                0..=8,
+            ),
+            instants in proptest::collection::vec(0u64..600_000, 1..40),
+            disaggregated in proptest::prelude::any::<bool>(),
+        ) {
+            use tetriserve_simulator::failure::{FailurePlan, GpuFault, PerfFault};
+            use tetriserve_simulator::gpuset::GpuId;
+
+            let grid = |k: u64| SimTime::from_millis(10 * k);
+            let mut plan = FailurePlan::none();
+            let mut probes: Vec<SimTime> =
+                instants.iter().map(|&us| SimTime::from_micros(us)).collect();
+            for &(g, factor, start, len, kind) in &perf {
+                let (from, until) = (grid(start), grid(start + len));
+                plan = plan.with_perf_fault(match kind {
+                    0 => PerfFault::straggler(GpuId(g), factor, from, until),
+                    1 => PerfFault::throttle(GpuId(g), factor, from, until),
+                    _ => PerfFault::brownout(GpuId(g), factor, from),
+                });
+                probes.extend([from, until]);
+            }
+            for &(g, start, len, permanent) in &hard {
+                let (from, until) = (grid(start), grid(start + len));
+                plan = plan.with_fault(if permanent {
+                    GpuFault::permanent(GpuId(g), from)
+                } else {
+                    GpuFault::transient(GpuId(g), from, until)
+                });
+                probes.extend([from, until]);
+            }
+            let tick = SimDuration::from_micros(1);
+            let mut in_order: Vec<SimTime> =
+                probes.iter().flat_map(|&t| [t - tick, t, t + tick]).collect();
+            in_order.sort_unstable();
+            let mut config = ServerConfig::default();
+            config.engine.failures = plan.clone();
+            if disaggregated {
+                config.pool = PoolLayout::disaggregated_default();
+            }
+            let c = costs();
+            let policy = TetriServePolicy::with_defaults(&c);
+            let sim = ClusterSim::new(c, policy, config);
+            let denoise = GpuSet::first_n(sim.denoise_gpus);
+            let generated = instants.iter().map(|&us| SimTime::from_micros(us));
+            for t in in_order.into_iter().chain(generated) {
+                proptest::prop_assert_eq!(
+                    sim.effective_capacity_at(t).to_bits(),
+                    plan.effective_capacity(denoise, t).to_bits(),
+                    "at {}", t
+                );
+            }
+        }
     }
 
     #[test]

@@ -23,11 +23,12 @@ use crate::comm::{step_comm_time, CommScheme};
 use crate::efficiency::occupancy;
 use crate::hardware::ClusterSpec;
 use crate::model::DitModel;
+use crate::profiler::CostTable;
 use crate::resolution::Resolution;
 
 use tetriserve_simulator::gpuset::GpuSet;
 use tetriserve_simulator::time::SimDuration;
-use tetriserve_simulator::topology::Topology;
+use tetriserve_simulator::topology::{LinkKind, Topology};
 
 /// Compute-only time of one step at degree `k` and batch `batch`.
 ///
@@ -73,6 +74,92 @@ pub fn step_time_on(
     let bw = if bw.is_infinite() { 1e9 } else { bw };
     step_compute_time(model, res, k, batch, cluster)
         + step_comm_time(model, res, k, batch, bw, scheme)
+}
+
+/// Link kinds a [`PlacedStepTimes`] cell key distinguishes.
+const LINK_KINDS: usize = 4;
+
+/// One cluster's placed per-step times: [`step_time_on`] remembered per
+/// (profiled resolution, degree, batch, slowest link).
+///
+/// A step's time depends on its GPU set only through the set's size and
+/// its slowest link ([`Topology::group_link`], whose bandwidth
+/// `step_time_on` reads), so those four values key it exactly. The table
+/// is sized when it is built but prices nothing then: each cell is filled
+/// the first time it is asked for. A resolution the cost table did not
+/// profile, a set wider than the cluster or a batch wider than the table
+/// falls back to `step_time_on`.
+#[derive(Debug, Clone)]
+pub struct PlacedStepTimes {
+    /// `cells[((ri · n_gpus + k − 1) · max_batch + batch − 1) · LINK_KINDS
+    /// + link]`, with `ri` the resolution's index in the table;
+    /// `SimDuration::MAX` until priced.
+    cells: Vec<SimDuration>,
+    n_gpus: usize,
+    max_batch: usize,
+}
+
+impl PlacedStepTimes {
+    /// An unpriced table over `costs`' resolutions, cluster and batches.
+    pub fn new(costs: &CostTable) -> PlacedStepTimes {
+        let n_gpus = costs.cluster().n_gpus;
+        let max_batch = costs.max_batch() as usize;
+        let len = costs.resolutions().len() * n_gpus * max_batch * LINK_KINDS;
+        PlacedStepTimes {
+            cells: vec![SimDuration::MAX; len],
+            n_gpus,
+            max_batch,
+        }
+    }
+
+    /// [`step_time_on`] of `res` on `gpus` at `batch`, with the model,
+    /// cluster and scheme of `costs`, which must be the table this was
+    /// built from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `gpus` is empty or not a subset of `topology`.
+    pub fn get(
+        &mut self,
+        costs: &CostTable,
+        topology: &Topology,
+        res: Resolution,
+        gpus: GpuSet,
+        batch: u32,
+    ) -> SimDuration {
+        let price = || {
+            step_time_on(
+                costs.model(),
+                res,
+                gpus,
+                batch,
+                costs.cluster(),
+                topology,
+                costs.scheme(),
+            )
+        };
+        let (k, b) = (gpus.len(), batch as usize);
+        let Some(ri) = costs.resolutions().iter().position(|&r| r == res) else {
+            return price();
+        };
+        if k == 0 || k > self.n_gpus || b == 0 || b > self.max_batch {
+            return price();
+        }
+        let link = match topology.group_link(gpus) {
+            LinkKind::NvSwitch => 0,
+            LinkKind::NvLinkBridge => 1,
+            LinkKind::Pcie => 2,
+            LinkKind::Local => 3,
+        };
+        let i = ((ri * self.n_gpus + k - 1) * self.max_batch + b - 1) * LINK_KINDS + link;
+        let Some(cell) = self.cells.get_mut(i) else {
+            return price();
+        };
+        if *cell == SimDuration::MAX {
+            *cell = price();
+        }
+        *cell
+    }
 }
 
 /// Full per-step latency at degree `k` assuming the *canonical* (aligned,
@@ -253,6 +340,49 @@ mod tests {
         let t4 = step_time_canonical(&m, Resolution::R256, 1, 4, &c, CommScheme::Ulysses);
         assert!(t4 > t1);
         assert!(t4.as_secs_f64() < 4.0 * t1.as_secs_f64() * 0.95);
+    }
+
+    #[test]
+    fn placed_step_times_equal_step_time_on_in_any_order() {
+        // Every (profiled resolution, GPU set, batch) of each node, asked
+        // twice in shuffled order: a first ask prices a cell, a repeat
+        // reads it, and both must be `step_time_on`'s answer to the bit.
+        // Batches one past the table and an unprofiled resolution take
+        // the fallback.
+        use crate::profiler::Profiler;
+        use tetriserve_simulator::rng::SimRng;
+
+        for cluster in [ClusterSpec::h100x8(), ClusterSpec::a40x4()] {
+            let costs = Profiler::new(DitModel::flux_dev(), cluster).analytic();
+            let topo = cluster.topology();
+            let mut queries = Vec::new();
+            let resolutions = costs.resolutions().iter().copied();
+            for res in resolutions.chain([Resolution::square(768)]) {
+                for mask in 1..1u64 << cluster.n_gpus {
+                    for batch in 1..=costs.max_batch() + 1 {
+                        queries.extend([(res, GpuSet::from_mask(mask), batch); 2]);
+                    }
+                }
+            }
+            let mut rng = SimRng::seed_from_u64(0x5eed);
+            for i in (1..queries.len()).rev() {
+                queries.swap(i, rng.below(i + 1));
+            }
+            let mut table = PlacedStepTimes::new(&costs);
+            for (res, gpus, batch) in queries {
+                let want = step_time_on(
+                    costs.model(),
+                    res,
+                    gpus,
+                    batch,
+                    &cluster,
+                    &topo,
+                    costs.scheme(),
+                );
+                let got = table.get(&costs, &topo, res, gpus, batch);
+                assert_eq!(got, want, "{res} on {gpus:?} at batch {batch}");
+            }
+        }
     }
 
     #[test]

@@ -166,24 +166,28 @@ impl Rebalancer for EdfRebalancer {
 
     fn plan(&mut self, _now: SimTime, oracle: &dyn FleetOracle) -> Vec<MigrationDecision> {
         let n = oracle.clusters();
+        // Each source cluster with at-risk work, read lazily. Most ticks
+        // find none anywhere: such a tick prices no target and allocates
+        // nothing.
+        let mut sources = (0..n)
+            .map(|i| (i, oracle.at_risk(i)))
+            .filter(|(_, risk)| !risk.is_empty())
+            .peekable();
+        if sources.peek().is_none() {
+            return Vec::new();
+        }
         // Target preference: up clusters, least backlog pressure first,
-        // index breaking ties. Snapshot once per tick; the per-target
-        // `extra` accumulator accounts for demand this tick already
-        // committed.
-        let mut targets: Vec<usize> = (0..n).filter(|&i| oracle.up(i)).collect();
-        targets.sort_by(|&a, &b| {
-            oracle
-                .pressure(a)
-                .total_cmp(&oracle.pressure(b))
-                .then(a.cmp(&b))
-        });
+        // index breaking ties. Each target's pressure is read once per
+        // tick; the per-target `extra` accumulator accounts for demand
+        // this tick has already committed.
+        let mut targets: Vec<(f64, usize)> = (0..n)
+            .filter(|&i| oracle.up(i))
+            .map(|i| (oracle.pressure(i), i))
+            .collect();
+        targets.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let mut extra = vec![0.0f64; n];
         let mut decisions = Vec::new();
-        for from in 0..n {
-            let risk = oracle.at_risk(from);
-            if risk.is_empty() {
-                continue;
-            }
+        for (from, risk) in sources {
             let mut movable: Vec<MigrationCandidate> = oracle
                 .queued_movable(from)
                 .into_iter()
@@ -193,7 +197,7 @@ impl Rebalancer for EdfRebalancer {
             // first pick of the targets.
             movable.sort_by_key(|c| (c.spec.deadline, c.spec.id));
             for c in movable {
-                for &to in &targets {
+                for &(_, to) in &targets {
                     if to == from {
                         continue;
                     }
@@ -218,6 +222,7 @@ impl Rebalancer for EdfRebalancer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use tetriserve_costmodel::Resolution;
     use tetriserve_simulator::trace::TenantId;
 
@@ -289,6 +294,104 @@ mod tests {
         fn candidate_demand_on(&self, _to: usize, c: &MigrationCandidate) -> f64 {
             f64::from(c.remaining_steps)
         }
+    }
+
+    /// Counts the planner's calls into a [`MockFleet`], by method.
+    struct Counted<'a> {
+        fleet: &'a MockFleet,
+        at_risk: Cell<usize>,
+        pressure: Cell<usize>,
+        movable: Cell<usize>,
+        candidate: Cell<usize>,
+    }
+
+    impl<'a> Counted<'a> {
+        fn new(fleet: &'a MockFleet) -> Self {
+            Counted {
+                fleet,
+                at_risk: Cell::new(0),
+                pressure: Cell::new(0),
+                movable: Cell::new(0),
+                candidate: Cell::new(0),
+            }
+        }
+    }
+
+    fn bump(calls: &Cell<usize>) {
+        calls.set(calls.get() + 1);
+    }
+
+    impl FleetOracle for Counted<'_> {
+        fn clusters(&self) -> usize {
+            self.fleet.clusters()
+        }
+        fn up(&self, i: usize) -> bool {
+            self.fleet.up(i)
+        }
+        fn pressure(&self, i: usize) -> f64 {
+            bump(&self.pressure);
+            self.fleet.pressure(i)
+        }
+        fn queued_movable(&self, i: usize) -> Vec<MigrationCandidate> {
+            bump(&self.movable);
+            self.fleet.queued_movable(i)
+        }
+        fn at_risk(&self, i: usize) -> Vec<RequestId> {
+            bump(&self.at_risk);
+            self.fleet.at_risk(i)
+        }
+        fn candidate_feasible_on(
+            &self,
+            to: usize,
+            c: &MigrationCandidate,
+            extra_gpu_seconds: f64,
+        ) -> bool {
+            bump(&self.candidate);
+            self.fleet.candidate_feasible_on(to, c, extra_gpu_seconds)
+        }
+        fn candidate_demand_on(&self, to: usize, c: &MigrationCandidate) -> f64 {
+            bump(&self.candidate);
+            self.fleet.candidate_demand_on(to, c)
+        }
+    }
+
+    #[test]
+    fn an_empty_tick_reads_only_the_at_risk_lists() {
+        let mut fleet = MockFleet::idle(3, 100.0);
+        fleet.movable[0] = vec![cand(1, 0, 10.0, 50)];
+        fleet.pressure = vec![2.0, 1.0, 3.0];
+        let counted = Counted::new(&fleet);
+        assert!(EdfRebalancer::new()
+            .plan(SimTime::ZERO, &counted)
+            .is_empty());
+        assert_eq!(counted.at_risk.get(), 3);
+        assert_eq!(counted.pressure.get(), 0, "an empty tick priced a target");
+        assert_eq!(counted.movable.get(), 0);
+        assert_eq!(counted.candidate.get(), 0);
+    }
+
+    #[test]
+    fn an_at_risk_tick_reads_each_up_targets_pressure_once() {
+        // Four clusters, one down; two sources with at-risk work. The
+        // decisions are the plain mock's, and each up cluster's pressure
+        // is read exactly once however the targets sort.
+        let mut fleet = MockFleet::idle(4, 60.0);
+        fleet.up[3] = false;
+        fleet.pressure = vec![5.0, 1.0, 1.0, 0.0];
+        fleet.movable[0] = vec![cand(1, 0, 5.0, 50), cand(2, 0, 10.0, 50)];
+        fleet.movable[3] = vec![cand(3, 3, 8.0, 40)];
+        fleet.at_risk[0] = vec![RequestId(1), RequestId(2)];
+        fleet.at_risk[3] = vec![RequestId(3)];
+        let counted = Counted::new(&fleet);
+        let plan = EdfRebalancer::new().plan(SimTime::ZERO, &counted);
+        assert_eq!(counted.pressure.get(), 3);
+        assert_eq!(counted.at_risk.get(), 4);
+        assert_eq!(plan, EdfRebalancer::new().plan(SimTime::ZERO, &fleet));
+        let moves: Vec<(u64, usize, usize)> = plan.iter().map(|d| (d.id.0, d.from, d.to)).collect();
+        // Pressure ties break by index: cluster 1 takes id 1 (cap 60), id
+        // 2 spills to cluster 2, and id 3 finds both full and cluster 0
+        // (cap 60, nothing committed) free.
+        assert_eq!(moves, vec![(1, 0, 1), (2, 0, 2), (3, 3, 0)]);
     }
 
     #[test]

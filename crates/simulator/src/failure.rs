@@ -32,6 +32,7 @@
 //! timeline once per dispatch (see [`FailurePlan::first_down_at_or_after`]
 //! and [`FailurePlan::group_slowdown_until`]).
 
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use crate::gpuset::{GpuId, GpuSet};
@@ -286,12 +287,31 @@ impl FailurePlan {
     /// fault-free set of `n` GPUs reports exactly `n as f64` and digests
     /// of degradation-free runs are unchanged.
     pub fn effective_capacity(&self, gpus: GpuSet, time: SimTime) -> f64 {
-        let (down, factors) = self.timeline().at(time);
+        self.effective_capacity_during(gpus, time).0
+    }
+
+    /// [`FailurePlan::effective_capacity`] at `time`, and the timeline
+    /// interval `[from, until)` around `time` over which it holds (`from`
+    /// is `SimTime::ZERO` before the first break, `until` is
+    /// `SimTime::MAX` after the last one). A caller may reuse the answer
+    /// for any instant inside the interval.
+    pub fn effective_capacity_during(&self, gpus: GpuSet, time: SimTime) -> (f64, Range<SimTime>) {
+        let timeline = self.timeline();
+        let i = timeline.breaks_upto(time);
+        let (down, factors) = timeline.state(i);
         // From 0.0 in ascending GPU order: the sum every digest was
         // pinned with (`Sum for f64` starts from -0.0).
-        gpus.difference(down)
+        let capacity = gpus
+            .difference(down)
             .iter()
-            .fold(0.0, |cap, g| cap + 1.0 / factor(factors, g))
+            .fold(0.0, |cap, g| cap + 1.0 / factor(factors, g));
+        let from = i
+            .checked_sub(1)
+            .and_then(|j| timeline.breaks.get(j))
+            .copied()
+            .unwrap_or(SimTime::ZERO);
+        let until = timeline.breaks.get(i).copied().unwrap_or(SimTime::MAX);
+        (capacity, from..until)
     }
 
     /// The execution slowdown of a group dispatch running at `time`:
@@ -583,10 +603,23 @@ mod tests {
         }
         prop_assert_eq!(plan.down_gpus(t), scan::down_gpus(plan, t));
         for gpus in masks.iter().map(|&m| GpuSet::from_mask(m)) {
+            let capacity = scan::effective_capacity(plan, gpus, t);
             prop_assert_eq!(
                 plan.effective_capacity(gpus, t).to_bits(),
-                scan::effective_capacity(plan, gpus, t).to_bits()
+                capacity.to_bits()
             );
+            // The capacity holds from the interval's first instant to its
+            // last.
+            let (during, held) = plan.effective_capacity_during(gpus, t);
+            prop_assert_eq!(during.to_bits(), capacity.to_bits());
+            prop_assert!(held.contains(&t));
+            let last = held.end - SimDuration::from_micros(1);
+            for edge in [held.start, last] {
+                prop_assert_eq!(
+                    scan::effective_capacity(plan, gpus, edge).to_bits(),
+                    capacity.to_bits()
+                );
+            }
             let slowdown = scan::group_slowdown(plan, gpus, t);
             prop_assert_eq!(plan.group_slowdown(gpus, t).to_bits(), slowdown.to_bits());
             // The factor holds up to the next break.

@@ -161,7 +161,16 @@ impl SimDuration {
         self.0.checked_div(step.0).unwrap_or(u64::MAX)
     }
 
-    /// Multiplies by a floating-point factor, rounding to the nearest tick.
+    /// Multiplies by a floating-point factor, rounding to the nearest tick
+    /// (halves away from zero, as `f64::round`), saturating at
+    /// [`SimDuration::MAX`].
+    ///
+    /// The engine prices every jittered step through here, so it rounds
+    /// without `f64::round`, a library call on targets without a rounding
+    /// instruction. Below 2⁵² a product's fractional part is exact, so
+    /// truncating and comparing that part with one half gives `round`'s
+    /// answer; from 2⁵² up every `f64` is already an integer and the cast
+    /// saturates as before.
     ///
     /// # Panics
     ///
@@ -171,7 +180,18 @@ impl SimDuration {
             factor.is_finite() && factor >= 0.0,
             "SimDuration::mul_f64 requires a finite non-negative factor, got {factor}"
         );
-        SimDuration((self.0 as f64 * factor).round() as u64)
+        /// 2⁵²: the least `f64` whose neighbours are all integers.
+        const INTEGRAL_FROM: f64 = 4_503_599_627_370_496.0;
+        let product = self.0 as f64 * factor;
+        if product < INTEGRAL_FROM {
+            // `product` is non-negative (or -0.0) here, so the cast
+            // truncates it to its floor exactly.
+            let whole = product as i64;
+            let half_or_more = product - whole as f64 >= 0.5;
+            SimDuration(whole as u64 + u64::from(half_or_more))
+        } else {
+            SimDuration(product as u64)
+        }
     }
 }
 
@@ -318,6 +338,94 @@ mod tests {
         assert_eq!(d * 3, SimDuration::from_millis(30));
         assert_eq!(d / 2, SimDuration::from_millis(5));
         assert_eq!(d.mul_f64(1.5), SimDuration::from_millis(15));
+    }
+
+    /// `mul_f64` as it was written with `f64::round`: the reference its
+    /// truncate-and-compare rounding must match bit for bit.
+    fn mul_f64_rounding_reference(d: SimDuration, factor: f64) -> SimDuration {
+        SimDuration((d.0 as f64 * factor).round() as u64)
+    }
+
+    #[test]
+    fn mul_f64_rounds_as_f64_round_at_the_edges() {
+        let two52 = 1u64 << 52;
+        let two53 = 1u64 << 53;
+        let mut ticks = vec![0, 1, 2, 3, 7, 1_000_001, u64::MAX, u64::MAX - 1];
+        for edge in [two52, two53, 1 << 63] {
+            ticks.extend([edge - 2, edge - 1, edge, edge + 1, edge + 2]);
+        }
+        let mut factors = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.0,
+            1.5,
+            2.5,
+            0.499_999_999_999_999_94,
+            0.500_000_000_000_000_1,
+            1.0 + f64::EPSILON,
+            1.0 - f64::EPSILON / 2.0,
+            2.0,
+            4_096.0,
+            1e10,
+            f64::MAX,
+        ];
+        // Products straddling 2⁵² and 2⁵³ from a one-tick duration.
+        for edge in [two52, two53] {
+            let e = edge as f64;
+            factors.extend([e - 1.5, e - 1.0, e - 0.5, e, e + 1.0, e + 2.0]);
+        }
+        for &t in &ticks {
+            for &f in &factors {
+                let d = SimDuration(t);
+                assert_eq!(
+                    d.mul_f64(f),
+                    mul_f64_rounding_reference(d, f),
+                    "{t} µs × {f:e}"
+                );
+            }
+        }
+        // Ties at k + 0.5 round up, as `f64::round` does.
+        for k in [0u64, 1, 2, 1_000, two52 / 2 - 1] {
+            let d = SimDuration(2 * k + 1);
+            assert_eq!(d.mul_f64(0.5), SimDuration(k + 1), "({} / 2)", 2 * k + 1);
+            assert_eq!(mul_f64_rounding_reference(d, 0.5), SimDuration(k + 1));
+        }
+        // Saturation: past `u64::MAX` both give `SimDuration::MAX`.
+        assert_eq!(SimDuration(u64::MAX).mul_f64(2.0), SimDuration::MAX);
+        assert_eq!(SimDuration(1).mul_f64(f64::MAX), SimDuration::MAX);
+        assert_eq!(SimDuration(7).mul_f64(-0.0), SimDuration::ZERO);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4000))]
+
+        /// Random durations × factors give `f64::round`'s tick: jitter-
+        /// and slowdown-sized factors on step-sized durations; factors of
+        /// every binade from 2⁻⁶⁴ to 2⁶³ on durations of every width, so
+        /// products fall on both sides of 2⁵² and 2⁵³ and past
+        /// `u64::MAX`; and any finite non-negative bit pattern.
+        #[test]
+        fn prop_mul_f64_matches_the_rounding_reference(
+            step_us in 0u64..10_000_000,
+            jitter in 0.0f64..8.0,
+            ticks in proptest::prelude::any::<u64>(),
+            shift in 0u32..64,
+            mantissa in proptest::prelude::any::<u64>(),
+            binade in -64i32..64,
+            bits in proptest::prelude::any::<u64>(),
+        ) {
+            let d = SimDuration(step_us);
+            proptest::prop_assert_eq!(d.mul_f64(jitter), mul_f64_rounding_reference(d, jitter));
+            let d = SimDuration(ticks >> shift);
+            let exponent = u64::from((1023 + binade).unsigned_abs());
+            let factor = f64::from_bits(exponent << 52 | mantissa >> 12);
+            proptest::prop_assert_eq!(d.mul_f64(factor), mul_f64_rounding_reference(d, factor));
+            let any = f64::from_bits(bits >> 1);
+            if any.is_finite() {
+                proptest::prop_assert_eq!(d.mul_f64(any), mul_f64_rounding_reference(d, any));
+            }
+        }
     }
 
     #[test]

@@ -139,32 +139,43 @@ impl Topology {
         }
     }
 
-    /// Bottleneck per-GPU collective bandwidth over `group`, in GB/s.
+    /// Bottleneck per-GPU collective bandwidth over `group`, in GB/s: the
+    /// bandwidth of its [`group_link`](Topology::group_link).
     ///
     /// Defined as the minimum effective bandwidth over every pair of group
     /// members: an all-to-all over the group can progress no faster than its
     /// slowest required link. Single-GPU (or empty) groups report infinite
     /// bandwidth since no transfer occurs.
     ///
-    /// The layout fixes that minimum without visiting the pairs. On a
-    /// switched node every pair shares the switch. On a paired node a
-    /// bridge joins exactly two GPUs, so the group's links are all NVLink
-    /// only when it is one whole pair; any other group of two or more has
-    /// a member pair that crosses PCIe, the slowest link.
-    ///
     /// # Panics
     ///
     /// Panics if the group contains GPUs outside the node.
     pub fn group_bandwidth_gbps(&self, group: GpuSet) -> f64 {
+        self.group_link(group).effective_bandwidth_gbps()
+    }
+
+    /// The slowest link any member of `group` uses to reach another:
+    /// [`LinkKind::Local`] for a single-GPU (or empty) group.
+    ///
+    /// The layout fixes it without visiting the pairs. On a switched node
+    /// every pair shares the switch. On a paired node a bridge joins
+    /// exactly two GPUs, so the group's links are all NVLink only when it
+    /// is one whole pair; any other group of two or more has a member pair
+    /// that crosses PCIe, the slowest link.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the group contains GPUs outside the node.
+    pub fn group_link(&self, group: GpuSet) -> LinkKind {
         assert!(
             self.all_gpus().is_superset_of(group),
             "group {group:?} contains GPUs outside the {}-GPU node",
             self.n_gpus
         );
         if group.len() < 2 {
-            return f64::INFINITY;
+            return LinkKind::Local;
         }
-        let slowest = match self.layout {
+        match self.layout {
             Layout::Switched => LinkKind::NvSwitch,
             Layout::Paired => {
                 // The pair of the group's lowest GPU, as a mask.
@@ -175,8 +186,7 @@ impl Topology {
                     LinkKind::Pcie
                 }
             }
-        };
-        slowest.effective_bandwidth_gbps()
+        }
     }
 
     /// Whether a group avoids every PCIe crossing (A40 "good placement").
@@ -310,6 +320,9 @@ mod tests {
         let crossed = GpuSet::from_mask(0b0101);
         assert_eq!(t.group_bandwidth_gbps(aligned), 50.0);
         assert_eq!(t.group_bandwidth_gbps(crossed), 22.0);
+        assert_eq!(t.group_link(aligned), LinkKind::NvLinkBridge);
+        assert_eq!(t.group_link(crossed), LinkKind::Pcie);
+        assert_eq!(t.group_link(GpuSet::single(GpuId(3))), LinkKind::Local);
         // Any 4-GPU group on a 4-GPU paired node must cross PCIe.
         assert_eq!(t.group_bandwidth_gbps(t.all_gpus()), 22.0);
         assert!(!t.group_is_nvlink_only(t.all_gpus()));

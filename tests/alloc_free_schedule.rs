@@ -1,8 +1,9 @@
 //! A warm TetriServe scheduling pass allocates nothing unless it emits
 //! plans, and then only the plan list it returns; a warm single-request
-//! engine dispatch allocates nothing but the trace's amortised growth; and
-//! a warm streamed arrival source allocates nothing but its burst
-//! coupler's amortised timeline growth.
+//! engine dispatch allocates nothing but the trace's amortised growth; a
+//! warm streamed arrival source allocates nothing but its burst coupler's
+//! amortised timeline growth; and a rebalancer tick that finds nothing at
+//! risk allocates nothing.
 //!
 //! The serving loop calls `Policy::schedule` at every round boundary and
 //! on every arrival and dispatch completion, and most of those passes
@@ -21,7 +22,9 @@ use tetriserve::core::{
     DispatchPlan, Policy, RequestSpec, RequestTracker, SchedContext, TetriServePolicy,
 };
 use tetriserve::costmodel::{ClusterSpec, CostTable, DitModel, Profiler, Resolution, StageProfile};
-use tetriserve::fleet::ArrivalSource;
+use tetriserve::fleet::{
+    ArrivalSource, EdfRebalancer, FleetOracle, MigrationCandidate, Rebalancer,
+};
 use tetriserve::simulator::engine::{Engine, EngineConfig, StepDispatch};
 use tetriserve::simulator::failure::FailurePlan;
 use tetriserve::simulator::gpuset::{GpuId, GpuSet};
@@ -269,6 +272,46 @@ fn warm_streamed_arrivals_allocate_only_coupler_growth() {
     }
     let made = allocations() - before;
     assert!(made <= 8, "{made} allocations over {PULLS} streamed specs");
+}
+
+/// A three-cluster fleet with queued work but nothing at risk: the state
+/// of almost every planning tick.
+struct NothingAtRisk;
+
+impl FleetOracle for NothingAtRisk {
+    fn clusters(&self) -> usize {
+        3
+    }
+    fn up(&self, _: usize) -> bool {
+        true
+    }
+    fn pressure(&self, i: usize) -> f64 {
+        i as f64
+    }
+    fn queued_movable(&self, _: usize) -> Vec<MigrationCandidate> {
+        Vec::new()
+    }
+    fn at_risk(&self, _: usize) -> Vec<RequestId> {
+        Vec::new()
+    }
+    fn candidate_feasible_on(&self, _: usize, _: &MigrationCandidate, _: f64) -> bool {
+        true
+    }
+    fn candidate_demand_on(&self, _: usize, _: &MigrationCandidate) -> f64 {
+        0.0
+    }
+}
+
+#[test]
+fn empty_planning_tick_allocates_nothing() {
+    // Most planning ticks find no cluster at risk; such a tick returns an
+    // empty plan without building a target list.
+    let mut rebalancer = EdfRebalancer::new();
+    let before = allocations();
+    let plan = rebalancer.plan(SimTime::from_millis(7_000), &NothingAtRisk);
+    let made = allocations() - before;
+    assert!(plan.is_empty());
+    assert_eq!(made, 0, "an empty planning tick allocated");
 }
 
 #[test]
